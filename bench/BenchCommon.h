@@ -7,7 +7,7 @@
 /// \file
 /// Shared helpers for the figure-reproduction harnesses: the common resource
 /// budget (the stand-in for the paper's 90-minute / 24 GB limit), analysis
-/// runners, and result formatting.
+/// runners, result formatting, and the one command-line parser.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +16,6 @@
 
 #include "analysis/ContextPolicy.h"
 #include "analysis/PrecisionMetrics.h"
-#include "analysis/Reports.h"
 #include "analysis/Solver.h"
 #include "cache/ResultCache.h"
 #include "introspect/Driver.h"
@@ -25,16 +24,16 @@
 #include "support/Json.h"
 #include "support/ParseNum.h"
 #include "support/Socket.h"
-#include "support/Subprocess.h"
 #include "support/TableWriter.h"
+#include "support/ThreadPool.h"
 #include "support/Trace.h"
 #include "workload/DaCapo.h"
 
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 
 namespace intro::bench {
 
@@ -150,179 +149,71 @@ inline std::string precCell(const RunOutcome &Outcome, uint64_t Value) {
   return TableWriter::num(Value);
 }
 
-/// One RunOutcome as a JSON object — the wire format a supervised cell's
-/// child uses to hand its result back over the pipe.
-inline void writeRunOutcomeJson(JsonWriter &J, const RunOutcome &Outcome) {
-  J.beginObject();
-  J.key("analysis");
-  J.value(Outcome.Analysis);
-  J.key("status");
-  J.value(Outcome.Status);
-  J.key("completed");
-  J.value(Outcome.Completed);
-  J.key("seconds");
-  J.value(Outcome.Seconds);
-  J.key("tuples");
-  J.value(Outcome.Tuples);
-  J.key("precision");
-  J.beginObject();
-  J.key("poly_virtual_call_sites");
-  J.value(Outcome.Precision.PolymorphicVirtualCallSites);
-  J.key("reachable_methods");
-  J.value(Outcome.Precision.ReachableMethods);
-  J.key("casts_that_may_fail");
-  J.value(Outcome.Precision.CastsThatMayFail);
-  J.key("reachable_virtual_call_sites");
-  J.value(Outcome.Precision.ReachableVirtualCallSites);
-  J.key("reachable_casts");
-  J.value(Outcome.Precision.ReachableCasts);
-  J.endObject();
-  J.key("stats");
-  writeSolverStatsJson(J, Outcome.Stats);
-  J.endObject();
-}
+/// Which flags a harness implements: the figure harnesses take all three,
+/// the ablations only `--workers` (they neither trace nor cache).
+enum class HarnessKind { Figure, Ablation };
 
-/// Inverse of writeRunOutcomeJson.  \returns false when \p Value is not an
-/// object (missing members keep their defaults, as in the other report
-/// decoders).
-inline bool parseRunOutcomeJson(const JsonValue &Value, RunOutcome &Outcome) {
-  if (!Value.isObject())
-    return false;
-  Value.getString("analysis", Outcome.Analysis);
-  Value.getString("status", Outcome.Status);
-  Value.getBool("completed", Outcome.Completed);
-  Value.getDouble("seconds", Outcome.Seconds);
-  Value.getUint("tuples", Outcome.Tuples);
-  if (const JsonValue *Precision = Value.get("precision")) {
-    Precision->getUint("poly_virtual_call_sites",
-                       Outcome.Precision.PolymorphicVirtualCallSites);
-    Precision->getUint("reachable_methods",
-                       Outcome.Precision.ReachableMethods);
-    Precision->getUint("casts_that_may_fail",
-                       Outcome.Precision.CastsThatMayFail);
-    Precision->getUint("reachable_virtual_call_sites",
-                       Outcome.Precision.ReachableVirtualCallSites);
-    Precision->getUint("reachable_casts", Outcome.Precision.ReachableCasts);
-  }
-  if (const JsonValue *Stats = Value.get("stats"))
-    parseSolverStatsJson(*Stats, Outcome.Stats);
-  return true;
-}
+/// The parsed command line of a figure or ablation harness.
+struct HarnessArgs {
+  /// Sweep pool size: `--workers=N`, else one per hardware thread.
+  /// `--workers=1` reproduces the sequential behaviour (including its
+  /// single-run timing fidelity; concurrent cells contend for cores, so
+  /// per-cell seconds are only comparable within one worker count).
+  uint32_t Workers = 0;
+  /// `--trace=FILE`: Chrome trace_event JSON; the flat run report lands
+  /// next to it (see TraceSession).  Empty when absent.
+  std::string TracePath;
+  /// `--cache-dir=DIR`: the Pass-A result-cache directory shared by the
+  /// introspective cells (and by reruns of the harness).  Empty when
+  /// absent, which disables caching.
+  std::string CacheDir;
+};
 
-/// Runs one sweep cell inside a forked, watchdog-guarded child
-/// (`--supervised`): a cell that segfaults or hangs becomes a labelled DNF
-/// row instead of taking the whole harness down.  The child returns its
-/// RunOutcome as one JSON line over the pipe.
-inline RunOutcome runSupervisedCell(const std::function<RunOutcome()> &Cell) {
-  ChildLimits Limits;
-  // Comfortably above the deep budget's wall limit: the watchdog is a
-  // backstop for cells that escape the cooperative budget, not a second,
-  // tighter timeout.
-  Limits.WallDeadlineSeconds = deepBudget().MaxSeconds * 2;
-  ChildResult Child =
-      runSupervisedChild(Limits, [&Cell](std::ostream &Report) {
-        RunOutcome Out = Cell();
-        JsonWriter J(Report);
-        writeRunOutcomeJson(J, Out);
-        Report << '\n';
-        return 0;
-      });
-  RunOutcome Outcome;
-  if (Child.Status == ChildStatus::CleanExit) {
-    JsonParseResult Parsed = parseJson(Child.Output);
-    if (Parsed.ok() && parseRunOutcomeJson(Parsed.Value, Outcome))
-      return Outcome;
-  }
-  // The child died (or garbled its report): render the cell as DNF,
-  // labelled with the process-level fate instead of a SolveStatus.
-  Outcome.Analysis = "?";
-  Outcome.Status = childStatusName(Child.Status);
-  Outcome.Completed = false;
-  Outcome.Seconds = Child.Seconds;
-  return Outcome;
-}
-
-/// \returns true if `--supervised` is on the command line.
-inline bool supervisedFlag(int argc, char **argv) {
-  for (int Index = 1; Index < argc; ++Index)
-    if (std::string(argv[Index]) == "--supervised")
-      return true;
-  return false;
-}
-
-/// Strict command-line validation for the fig harnesses: every argument
-/// must be a known, well-formed flag.  \returns -1 to continue, or the
-/// exit code to bail with (ExitBadInput plus a diagnostic on stderr) —
-/// unknown flags must not be silently ignored, or a typo like
-/// `--worker=8` silently benchmarks with the wrong configuration.
-inline int checkFigArgs(int argc, char **argv) {
-  // Every fig harness passes through here first, so this is the one spot
-  // that arms the repo's SIGPIPE policy for all of them: `fig5 | head`
-  // must finish its sweep and report EPIPE-aware, not die on signal 13
-  // the moment the pager closes (support/Socket.h).
+/// Strict command-line parse for the figure and ablation harnesses: every
+/// argument must be a well-formed flag that \p Kind implements.  \returns
+/// -1 to continue with \p Args filled in, or the exit code to bail with
+/// (ExitBadInput plus a diagnostic naming the flag on stderr) — a typo like
+/// `--worker=8` must not silently benchmark the wrong configuration.
+inline int parseHarnessArgs(int argc, char **argv, HarnessKind Kind,
+                            HarnessArgs &Args) {
+  // Every harness passes through here first, so this is the one spot that
+  // arms the repo's SIGPIPE policy for all of them: `fig5 | head` must
+  // finish its sweep and report EPIPE-aware, not die on signal 13 the
+  // moment the pager closes (support/Socket.h).
   ignoreSigPipe();
+  const bool Figure = Kind == HarnessKind::Figure;
   for (int Index = 1; Index < argc; ++Index) {
-    std::string Arg = argv[Index];
-    if (Arg == "--supervised")
-      continue;
-    if (Arg.compare(0, 10, "--workers=") == 0) {
-      // Strict range-checked parse: sweepWorkers clamps for the untyped
-      // INTRO_WORKERS environment fallback, but an explicit flag that
-      // overflows or is out of range must be an error, not a silent clamp.
-      uint32_t Workers = 0;
+    std::string_view Arg = argv[Index];
+    size_t Equals = Arg.find('=');
+    std::string_view Flag = Arg.substr(0, Equals);
+    std::string_view Value =
+        Equals == std::string_view::npos ? "" : Arg.substr(Equals + 1);
+    if (Equals != std::string_view::npos && Flag == "--workers") {
       std::string Error;
-      if (!parseU32("--workers", Arg.substr(10), 1, 1024, Workers, Error)) {
+      if (!parseU32(Flag, Value, 1, 1024, Args.Workers, Error)) {
         std::cerr << "error: " << Error << "\n";
         return ExitBadInput;
       }
-      continue;
-    }
-    if (Arg.compare(0, 8, "--trace=") == 0) {
-      if (Arg.size() == 8) {
-        std::cerr << "error: --trace needs a file path\n";
+    } else if (Equals != std::string_view::npos && Figure &&
+               (Flag == "--trace" || Flag == "--cache-dir")) {
+      bool Trace = Flag == "--trace";
+      if (Value.empty()) {
+        std::cerr << "error: " << Flag << " needs a "
+                  << (Trace ? "file path" : "directory path") << "\n";
         return ExitBadInput;
       }
-      continue;
+      (Trace ? Args.TracePath : Args.CacheDir) = Value;
+    } else {
+      std::cerr << "error: unknown argument '" << Arg << "' (known: "
+                << (Figure ? "--workers=N, --trace=FILE, --cache-dir=DIR"
+                           : "--workers=N")
+                << ")\n";
+      return ExitBadInput;
     }
-    if (Arg.compare(0, 12, "--cache-dir=") == 0) {
-      if (Arg.size() == 12) {
-        std::cerr << "error: --cache-dir needs a directory path\n";
-        return ExitBadInput;
-      }
-      continue;
-    }
-    std::cerr << "error: unknown argument '" << Arg
-              << "' (known: --workers=N, --trace=FILE, --cache-dir=DIR, "
-                 "--supervised)\n";
-    return ExitBadInput;
   }
+  if (Args.Workers == 0)
+    Args.Workers = ThreadPool::defaultWorkerCount();
   return -1;
-}
-
-/// Extracts the `--trace=FILE` flag from the command line; empty string if
-/// absent.  FILE receives the Chrome trace_event JSON; the flat run report
-/// lands next to it (see TraceSession).
-inline std::string traceFile(int argc, char **argv) {
-  const std::string Flag = "--trace=";
-  for (int Index = 1; Index < argc; ++Index) {
-    std::string Arg = argv[Index];
-    if (Arg.compare(0, Flag.size(), Flag) == 0 && Arg.size() > Flag.size())
-      return Arg.substr(Flag.size());
-  }
-  return std::string();
-}
-
-/// Extracts the `--cache-dir=DIR` flag: the Pass-A result-cache directory
-/// shared by the introspective cells (and by reruns of the harness); empty
-/// string when absent, which disables caching.
-inline std::string cacheDirFlag(int argc, char **argv) {
-  const std::string Flag = "--cache-dir=";
-  for (int Index = 1; Index < argc; ++Index) {
-    std::string Arg = argv[Index];
-    if (Arg.compare(0, Flag.size(), Flag) == 0 && Arg.size() > Flag.size())
-      return Arg.substr(Flag.size());
-  }
-  return std::string();
 }
 
 /// \returns the run-report path belonging to trace path \p TracePath:
@@ -387,7 +278,7 @@ public:
     JsonWriter J(ReportOut);
     J.beginObject();
     J.key("schema");
-    J.value("intro-run-report-v1");
+    J.value("intro-bench-report-v1");
     J.key("deterministic");
     J.beginObject();
     J.key("trace");

@@ -31,23 +31,20 @@
 namespace intro::bench {
 
 /// Emits the paper-style rows for one figure, fanning the subject x
-/// analysis cells over \p Workers threads.  A non-empty \p TracePath
-/// additionally records a structured trace of the whole sweep and writes
-/// the Chrome trace plus the machine-readable run report (BenchCommon.h's
-/// TraceSession).
+/// analysis cells over `Args.Workers` threads.  A trace path additionally
+/// records a structured trace of the whole sweep and writes the Chrome
+/// trace plus the machine-readable run report (BenchCommon.h's
+/// TraceSession); a cache directory shares Pass-A results between cells.
 inline int runFlavorFigure(Flavor F, const char *FigureName,
-                           const char *ExpectedShape, unsigned Workers,
-                           std::string TracePath = std::string(),
-                           bool Supervised = false,
-                           std::string CacheDir = std::string()) {
-  TraceSession Trace(std::move(TracePath));
+                           const char *ExpectedShape,
+                           const HarnessArgs &Args) {
+  const unsigned Workers = Args.Workers;
+  TraceSession Trace(Args.TracePath);
   std::cout << FigureName << ": performance and precision for introspective "
             << flavorName(F) << " variants\n"
             << "(DNF = resource budget exceeded; precision cells of DNF "
                "runs are '-'; sweep: "
-            << Workers << (Workers == 1 ? " worker" : " workers")
-            << (Supervised ? "; supervised: one child process per cell)"
-                           : ")")
+            << Workers << (Workers == 1 ? " worker" : " workers") << ")"
             << "\n\n";
 
   TableWriter Times({"benchmark", "insens", std::string(flavorName(F)) +
@@ -67,14 +64,12 @@ inline int runFlavorFigure(Flavor F, const char *FigureName,
   // With --cache-dir, the introspective cells share Pass-A results through
   // the content-addressed store: IntroA and IntroB of one subject have the
   // same pre-analysis, and a warm rerun of the figure skips all of them.
-  // Fingerprints are computed once up front (read-only, shared by cells);
-  // each cell opens its *own* ResultCache handle over the directory so
-  // nothing mutable is shared across sweep threads or — in --supervised
-  // mode — across fork() (an inherited locked store mutex would deadlock
-  // the child).  Correctness of concurrent access lives in the store's
-  // temp-file + rename protocol, not in the handle.
+  // Fingerprints are computed once up front, and one thread-safe
+  // ResultCache handle is shared by every sweep cell.
+  std::optional<cache::ResultCache> Cache;
   std::vector<cache::Fingerprint> Keys;
-  if (!CacheDir.empty()) {
+  if (!Args.CacheDir.empty()) {
+    Cache.emplace(cache::ResultCache::Options{Args.CacheDir, 0});
     Keys.reserve(Programs.size());
     for (const Program &Prog : Programs)
       Keys.push_back(cache::fingerprintProgram(Prog));
@@ -84,9 +79,7 @@ inline int runFlavorFigure(Flavor F, const char *FigureName,
   constexpr size_t CellsPerSubject = 4;
   auto RunCell = [&](size_t Index) {
     const Program &Prog = Programs[Index / CellsPerSubject];
-    std::optional<cache::ResultCache> Cache;
-    if (!CacheDir.empty())
-      Cache.emplace(cache::ResultCache::Options{CacheDir, 0});
+    cache::ResultCache *CachePtr = Cache ? &*Cache : nullptr;
     const cache::Fingerprint *Key =
         Cache ? &Keys[Index / CellsPerSubject] : nullptr;
     switch (Index % CellsPerSubject) {
@@ -95,23 +88,17 @@ inline int runFlavorFigure(Flavor F, const char *FigureName,
       return runPlain(Prog, *Insens);
     }
     case 1:
-      return runIntro(Prog, F, HeuristicKind::A, Cache ? &*Cache : nullptr,
-                      Key);
+      return runIntro(Prog, F, HeuristicKind::A, CachePtr, Key);
     case 2:
-      return runIntro(Prog, F, HeuristicKind::B, Cache ? &*Cache : nullptr,
-                      Key);
+      return runIntro(Prog, F, HeuristicKind::B, CachePtr, Key);
     default: {
       auto Full = makeFlavor(F, Prog);
       return runPlain(Prog, *Full);
     }
     }
   };
-  std::vector<RunOutcome> Cells = runSweep(
-      Subjects.size() * CellsPerSubject, Workers, [&](size_t Index) {
-        if (Supervised)
-          return runSupervisedCell([&] { return RunCell(Index); });
-        return RunCell(Index);
-      });
+  std::vector<RunOutcome> Cells =
+      runSweep(Subjects.size() * CellsPerSubject, Workers, RunCell);
 
   for (size_t Subject = 0; Subject < Subjects.size(); ++Subject) {
     const std::string &Name = Subjects[Subject].Name;

@@ -11,13 +11,8 @@
 /// the harnesses fan the cells out over a thread pool and print the tables
 /// afterwards, in the same deterministic order as the old sequential
 /// loops.  Output is byte-identical for any worker count; only wall-clock
-/// changes.
-///
-/// Worker-count policy (sweepWorkers): `--workers=N` beats the
-/// INTRO_WORKERS environment variable beats one-per-hardware-thread.
-/// `--workers=1` reproduces the sequential behaviour (including its
-/// single-run timing fidelity; concurrent cells contend for cores, so
-/// per-cell seconds are only comparable within one worker count).
+/// changes.  The worker count comes from the harness's `--workers=N` flag
+/// (BenchCommon.h's parseHarnessArgs).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,36 +21,10 @@
 
 #include "support/ThreadPool.h"
 
-#include <cstdlib>
 #include <future>
-#include <string>
 #include <vector>
 
 namespace intro::bench {
-
-/// Resolves the worker count of a sweep binary from, in order of
-/// precedence: a `--workers=N` command-line flag, the INTRO_WORKERS
-/// environment variable, one worker per hardware thread.  Unparseable or
-/// zero values fall through to the next source.
-inline unsigned sweepWorkers(int argc, char **argv) {
-  auto Parse = [](const std::string &Text) -> unsigned {
-    if (Text.empty() || Text.find_first_not_of("0123456789") != std::string::npos)
-      return 0;
-    unsigned long Value = std::strtoul(Text.c_str(), nullptr, 10);
-    return Value > 1024 ? 1024 : static_cast<unsigned>(Value);
-  };
-  const std::string Flag = "--workers=";
-  for (int Index = 1; Index < argc; ++Index) {
-    std::string Arg = argv[Index];
-    if (Arg.compare(0, Flag.size(), Flag) == 0)
-      if (unsigned Workers = Parse(Arg.substr(Flag.size())))
-        return Workers;
-  }
-  if (const char *Env = std::getenv("INTRO_WORKERS"))
-    if (unsigned Workers = Parse(Env))
-      return Workers;
-  return ThreadPool::defaultWorkerCount();
-}
 
 /// Runs Task(0), ..., Task(Count - 1) on \p Workers pool threads and
 /// returns the results in index order.  Task must be callable concurrently
@@ -69,8 +38,6 @@ auto runSweep(size_t Count, unsigned Workers, Fn &&Task)
   std::vector<Result> Results(Count);
   if (Count == 0)
     return Results;
-  if (Workers == 0)
-    Workers = ThreadPool::defaultWorkerCount();
   if (static_cast<size_t>(Workers) > Count)
     Workers = static_cast<unsigned>(Count);
   ThreadPool Pool(Workers);

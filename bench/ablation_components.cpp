@@ -76,6 +76,10 @@ RunOutcome runVariant(const Program &Prog, const Variant &V) {
 } // namespace
 
 int main(int argc, char **argv) {
+  HarnessArgs Args;
+  if (int Code = parseHarnessArgs(argc, argv, HarnessKind::Ablation, Args);
+      Code >= 0)
+    return Code;
   std::cout << "Ablation: which Heuristic A component provides the "
                "scalability?\n2objH-based introspective runs; rules at "
                "paper-default constants.\n\n";
@@ -97,7 +101,7 @@ int main(int argc, char **argv) {
 
   // Sweep the (benchmark, variant) matrix in parallel, print in order.
   std::vector<RunOutcome> Cells = runSweep(
-      std::size(Names) * NumVariants, sweepWorkers(argc, argv),
+      std::size(Names) * NumVariants, Args.Workers,
       [&](size_t Index) {
         return runVariant(Programs[Index / NumVariants],
                           Variants[Index % NumVariants]);

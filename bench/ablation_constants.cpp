@@ -49,6 +49,10 @@ RunOutcome runWithParams(const Program &Prog, HeuristicKind Kind,
 } // namespace
 
 int main(int argc, char **argv) {
+  HarnessArgs Args;
+  if (int Code = parseHarnessArgs(argc, argv, HarnessKind::Ablation, Args);
+      Code >= 0)
+    return Code;
   std::cout << "Ablation: heuristic-constant sensitivity (Section 3 claim\n"
                "that the technique's value does not come from excessive\n"
                "tuning), 2objH-based introspective analyses.\n\n";
@@ -64,13 +68,12 @@ int main(int argc, char **argv) {
   for (const char *Name : Names)
     Programs.push_back(generateWorkload(dacapoProfile(Name)));
 
-  std::vector<RunOutcome> Cells =
-      runSweep(std::size(Names) * CellsPerBenchmark,
-               sweepWorkers(argc, argv), [&](size_t Index) {
-                 const Program &Prog = Programs[Index / CellsPerBenchmark];
-                 size_t Cell = Index % CellsPerBenchmark;
-                 return runWithParams(Prog, Kinds[Cell / 3], Scales[Cell % 3]);
-               });
+  std::vector<RunOutcome> Cells = runSweep(
+      std::size(Names) * CellsPerBenchmark, Args.Workers, [&](size_t Index) {
+        const Program &Prog = Programs[Index / CellsPerBenchmark];
+        size_t Cell = Index % CellsPerBenchmark;
+        return runWithParams(Prog, Kinds[Cell / 3], Scales[Cell % 3]);
+      });
 
   for (size_t Benchmark = 0; Benchmark < std::size(Names); ++Benchmark) {
     std::cout << "benchmark: " << Names[Benchmark] << "\n";

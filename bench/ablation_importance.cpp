@@ -76,6 +76,10 @@ ImportanceCell runGuarded(const Program &Prog, bool WithGuard) {
 } // namespace
 
 int main(int argc, char **argv) {
+  HarnessArgs Args;
+  if (int Code = parseHarnessArgs(argc, argv, HarnessKind::Ablation, Args);
+      Code >= 0)
+    return Code;
   std::cout << "Ablation: importance-guarded Heuristic A (the paper's\n"
                "Section 3 future-work direction), 2objH-based.\n\n";
 
@@ -87,7 +91,7 @@ int main(int argc, char **argv) {
   // Cell layout: insens / plain IntroA / guarded IntroA / full 2objH.
   constexpr size_t CellsPerSubject = 4;
   std::vector<ImportanceCell> Cells = runSweep(
-      Subjects.size() * CellsPerSubject, sweepWorkers(argc, argv),
+      Subjects.size() * CellsPerSubject, Args.Workers,
       [&](size_t Index) {
         const Program &Prog = Programs[Index / CellsPerSubject];
         switch (Index % CellsPerSubject) {

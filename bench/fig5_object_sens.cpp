@@ -12,7 +12,10 @@
 #include <iostream>
 
 int main(int argc, char **argv) try {
-  if (int Code = intro::bench::checkFigArgs(argc, argv); Code >= 0)
+  intro::bench::HarnessArgs Args;
+  if (int Code = intro::bench::parseHarnessArgs(
+          argc, argv, intro::bench::HarnessKind::Figure, Args);
+      Code >= 0)
     return Code;
   return intro::bench::runFlavorFigure(
       intro::bench::Flavor::Object, "Figure 5",
@@ -20,10 +23,7 @@ int main(int argc, char **argv) try {
       "bloat); IntroA scales to all benchmarks with moderate precision\n"
       "gains over insens; IntroB scales to all but jython while keeping\n"
       "most of 2objH's precision.",
-      intro::bench::sweepWorkers(argc, argv),
-      intro::bench::traceFile(argc, argv),
-      intro::bench::supervisedFlag(argc, argv),
-      intro::bench::cacheDirFlag(argc, argv));
+      Args);
 } catch (const std::exception &Error) {
   std::cerr << "internal error: " << Error.what() << "\n";
   return intro::ExitInternalError;

@@ -12,17 +12,17 @@
 #include <iostream>
 
 int main(int argc, char **argv) try {
-  if (int Code = intro::bench::checkFigArgs(argc, argv); Code >= 0)
+  intro::bench::HarnessArgs Args;
+  if (int Code = intro::bench::parseHarnessArgs(
+          argc, argv, intro::bench::HarnessKind::Figure, Args);
+      Code >= 0)
     return Code;
   return intro::bench::runFlavorFigure(
       intro::bench::Flavor::Type, "Figure 6",
       "2typeH blows up on jython only; IntroB scales to all programs with\n"
       "precision close to full 2typeH; IntroA has near-perfect\n"
       "scalability with lower precision gains.",
-      intro::bench::sweepWorkers(argc, argv),
-      intro::bench::traceFile(argc, argv),
-      intro::bench::supervisedFlag(argc, argv),
-      intro::bench::cacheDirFlag(argc, argv));
+      Args);
 } catch (const std::exception &Error) {
   std::cerr << "internal error: " << Error.what() << "\n";
   return intro::ExitInternalError;

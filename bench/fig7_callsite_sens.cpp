@@ -12,17 +12,17 @@
 #include <iostream>
 
 int main(int argc, char **argv) try {
-  if (int Code = intro::bench::checkFigArgs(argc, argv); Code >= 0)
+  intro::bench::HarnessArgs Args;
+  if (int Code = intro::bench::parseHarnessArgs(
+          argc, argv, intro::bench::HarnessKind::Figure, Args);
+      Code >= 0)
     return Code;
   return intro::bench::runFlavorFigure(
       intro::bench::Flavor::CallSite, "Figure 7",
       "base 2callH does not terminate on 4 of 6 benchmarks; IntroA\n"
       "terminates on all, IntroB on all but jython; where 2callH\n"
       "completes, IntroB matches its full precision on every metric.",
-      intro::bench::sweepWorkers(argc, argv),
-      intro::bench::traceFile(argc, argv),
-      intro::bench::supervisedFlag(argc, argv),
-      intro::bench::cacheDirFlag(argc, argv));
+      Args);
 } catch (const std::exception &Error) {
   std::cerr << "internal error: " << Error.what() << "\n";
   return intro::ExitInternalError;

@@ -25,6 +25,12 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Uniquifies temp-file names within this process.  Process-wide, not per
+/// handle: several handles over one directory (one per sweep cell or
+/// writer thread) share a pid, and per-handle counters would hand two of
+/// them the same temp name — two writers interleaving into one file.
+std::atomic<uint64_t> TempSeq{0};
+
 //===----------------------------------------------------------------------===//
 // Byte-level encoding.  Explicit little-endian, no struct memcpy — the
 // format must not depend on host padding or endianness.

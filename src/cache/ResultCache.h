@@ -127,7 +127,6 @@ private:
   std::atomic<uint64_t> NStores{0};
   std::atomic<uint64_t> NStoreFailures{0};
   std::atomic<uint64_t> NEvictions{0};
-  std::atomic<uint64_t> TempSeq{0}; ///< Uniquifies temp names in-process.
 };
 
 /// Encodes \p Entry into the on-disk byte format for key \p Fp.

@@ -19,9 +19,8 @@ using namespace intro::fuzz;
 namespace {
 
 /// Builds one program: a planted pathological shape (per bias) surrounded by
-/// uniform random noise.  Mirrors workload/Random.cpp's RandomGen but keeps
-/// its own class/field/method pools so the planted structure is never
-/// accidentally diluted by the noise phase.
+/// uniform random noise.  The noise phase keeps its own class/field/method
+/// pools so the planted structure is never accidentally diluted by it.
 class FuzzGen {
 public:
   FuzzGen(uint64_t Seed, FuzzBias Bias, const FuzzProgramOptions &Options)
@@ -230,7 +229,7 @@ private:
     MainPool.push_back(Never);
   }
 
-  // --- Uniform noise (mirrors workload/Random.cpp) -----------------------
+  // --- Uniform noise -----------------------------------------------------
 
   void makeNoiseClasses() {
     for (uint32_t Index = 0; Index < Opt.NumClasses; ++Index) {

@@ -5,13 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The differential fuzzer's program generator.  workload/Random.h draws
-/// every instruction independently, which explores *local* corner cases but
-/// rarely builds the global shapes where the layered optimizations can go
-/// wrong: hub sets dense enough to promote to bitmaps, call chains deep
-/// enough to exercise context truncation, cast lattices that split dense
-/// sets, hierarchies degenerate enough to stress dispatch, and empty or
-/// duplicated structure that tickles delta-propagation bookkeeping.
+/// The project's random program generator, shared by the differential
+/// fuzzer and the property tests.  Drawing every instruction independently
+/// (FuzzBias::Uniform) explores *local* corner cases — unassigned
+/// variables, dispatch failures, dead methods, self-moves, recursive static
+/// calls, casts that always fail — but rarely builds the global shapes
+/// where the layered optimizations can go wrong: hub sets dense enough to
+/// promote to bitmaps, call chains deep enough to exercise context
+/// truncation, cast lattices that split dense sets, hierarchies degenerate
+/// enough to stress dispatch, and empty or duplicated structure that
+/// tickles delta-propagation bookkeeping.
 ///
 /// Each FuzzBias plants one such shape deliberately (sized by the seed) and
 /// then sprinkles uniform random instructions on top, so every generated

@@ -17,12 +17,12 @@
 #include "analysis/Reports.h"
 #include "analysis/Solver.h"
 #include "datalog/Aggregates.h"
+#include "fuzz/Generator.h"
 #include "introspect/Custom.h"
 #include "introspect/Metrics.h"
 #include "ir/FactsIO.h"
 #include "ir/Interpreter.h"
 #include "workload/DaCapo.h"
-#include "workload/Random.h"
 
 #include "TestPrograms.h"
 
@@ -61,7 +61,7 @@ TEST(CastFiltering, FilterRemovesIncompatibleObjects) {
 
 TEST(CastFiltering, SolverMatchesDatalogReference) {
   for (uint64_t Seed : {3u, 7u, 11u, 19u}) {
-    Program Prog = generateRandomProgram(Seed);
+    Program Prog = fuzz::generateFuzzProgram(Seed, fuzz::FuzzBias::Uniform);
     for (int UseObjectSens : {0, 1}) {
       auto Policy = UseObjectSens ? makeObjectPolicy(Prog, 2, 1)
                                   : makeInsensitivePolicy();
@@ -93,7 +93,7 @@ TEST(CastFiltering, StillSoundAgainstInterpreter) {
   // The interpreter's concrete casts also filter (a failing cast yields
   // null), so the filtered analysis must still over-approximate it.
   for (uint64_t Seed : {5u, 23u, 31u}) {
-    Program Prog = generateRandomProgram(Seed);
+    Program Prog = fuzz::generateFuzzProgram(Seed, fuzz::FuzzBias::Uniform);
     DynamicFacts Facts = interpret(Prog);
     auto Policy = makeInsensitivePolicy();
     ContextTable Table;
@@ -108,7 +108,7 @@ TEST(CastFiltering, StillSoundAgainstInterpreter) {
 
 TEST(CastFiltering, FilteredIsSubsetOfUnfiltered) {
   for (uint64_t Seed : {2u, 13u}) {
-    Program Prog = generateRandomProgram(Seed);
+    Program Prog = fuzz::generateFuzzProgram(Seed, fuzz::FuzzBias::Uniform);
     auto Policy = makeInsensitivePolicy();
     ContextTable T1;
     ContextTable T2;
@@ -174,7 +174,7 @@ TEST(Hybrid, StaticCallsGetCallSiteSensitivity) {
 
 TEST(Hybrid, SolverMatchesDatalogReference) {
   for (uint64_t Seed : {4u, 17u}) {
-    Program Prog = generateRandomProgram(Seed);
+    Program Prog = fuzz::generateFuzzProgram(Seed, fuzz::FuzzBias::Uniform);
     auto Policy = makeHybridPolicy(Prog, 2, 1);
     ContextTable Table;
     SolverOptions Options;
@@ -385,31 +385,4 @@ TEST(FactsIO, WritesDoopStyleDirectory) {
   EXPECT_EQ(EntryName, "main");
 
   std::filesystem::remove_all(Dir);
-}
-
-#include "ir/SouffleExport.h"
-
-TEST(SouffleExport, EmitsWellFormedProgramText) {
-  std::ostringstream Out;
-  writeSouffleProgram(Out);
-  std::string Text = Out.str();
-  // Every input relation has a matching declaration and directive.
-  for (const char *Relation :
-       {"Alloc", "Move", "Cast", "Load", "Store", "SLoad", "SStore", "VCall",
-        "SCall", "FormalArg", "ActualArg", "FormalReturn", "ActualReturn",
-        "ThisVar", "HeapType", "Lookup", "Subtype", "Throw", "SiteInMethod",
-        "Catch", "NoCatch", "EntryMethod"}) {
-    EXPECT_NE(Text.find(std::string(".decl ") + Relation + "("),
-              std::string::npos)
-        << Relation;
-    EXPECT_NE(Text.find(std::string(".input ") + Relation),
-              std::string::npos)
-        << Relation;
-  }
-  // Outputs and core rules present.
-  EXPECT_NE(Text.find(".output VarPointsTo"), std::string::npos);
-  EXPECT_NE(Text.find("Reachable(m) :- EntryMethod(m)."), std::string::npos);
-  EXPECT_NE(Text.find("Lookup(ht, sig, tm)"), std::string::npos);
-  // Balanced structure: every .decl'd relation name is used in some rule.
-  EXPECT_NE(Text.find("!Subtype(ht, type)"), std::string::npos);
 }

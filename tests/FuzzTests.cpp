@@ -91,6 +91,21 @@ TEST(FuzzGenerator, EveryBiasYieldsValidatedPrograms) {
   }
 }
 
+TEST(FuzzGenerator, OptionsControlSize) {
+  FuzzProgramOptions Small;
+  Small.NumClasses = 2;
+  Small.NumStaticMethods = 1;
+  Small.InstructionsPerBody = 3;
+  FuzzProgramOptions Large;
+  Large.NumClasses = 12;
+  Large.NumStaticMethods = 8;
+  Large.InstructionsPerBody = 20;
+  Program A = generateFuzzProgram(7, FuzzBias::Uniform, Small);
+  Program B = generateFuzzProgram(7, FuzzBias::Uniform, Large);
+  EXPECT_LT(A.numInstructions(), B.numInstructions());
+  EXPECT_LT(A.numTypes(), B.numTypes());
+}
+
 TEST(FuzzGenerator, BiasNamesRoundTrip) {
   for (size_t BiasIndex = 0; BiasIndex < NumFuzzBiases; ++BiasIndex) {
     FuzzBias Bias = static_cast<FuzzBias>(BiasIndex);

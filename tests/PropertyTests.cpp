@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Property-based tests over random programs (workload/Random.h), swept by
-/// seed with TEST_P:
+/// Property-based tests over uniform random programs (fuzz/Generator.h with
+/// FuzzBias::Uniform), swept by seed with TEST_P:
 ///   - structural validity of every generated program;
 ///   - solver == Datalog reference, tuple for tuple, per context flavor;
 ///   - soundness: dynamic facts are a subset of every analysis result;
@@ -21,10 +21,10 @@
 #include "analysis/Solver.h"
 #include "frontend/Parser.h"
 #include "frontend/Printer.h"
+#include "fuzz/Generator.h"
 #include "ir/Interpreter.h"
 #include "ir/ProgramBuilder.h"
 #include "ir/Validator.h"
-#include "workload/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -36,7 +36,9 @@ namespace {
 
 class RandomProgramProperty : public ::testing::TestWithParam<uint64_t> {
 protected:
-  Program makeProgram() const { return generateRandomProgram(GetParam()); }
+  Program makeProgram() const {
+    return fuzz::generateFuzzProgram(GetParam(), fuzz::FuzzBias::Uniform);
+  }
 };
 
 std::vector<std::unique_ptr<ContextPolicy>> allFlavors(const Program &Prog) {
@@ -230,13 +232,14 @@ class LargeRandomProgramProperty : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(LargeRandomProgramProperty, OracleAgreementAtScale) {
-  RandomProgramOptions Options;
+  fuzz::FuzzProgramOptions Options;
   Options.NumClasses = 12;
   Options.NumVirtualSigs = 5;
   Options.NumStaticMethods = 6;
   Options.InstructionsPerBody = 14;
   Options.LocalsPerMethod = 6;
-  Program Prog = generateRandomProgram(GetParam(), Options);
+  Program Prog =
+      fuzz::generateFuzzProgram(GetParam(), fuzz::FuzzBias::Uniform, Options);
   ASSERT_TRUE(validateProgram(Prog).empty());
 
   bool ComparedAny = false;
