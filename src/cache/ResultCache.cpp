@@ -6,6 +6,7 @@
 
 #include "cache/ResultCache.h"
 
+#include "support/Json.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <system_error>
+#include <utility>
 
 #include <unistd.h>
 
@@ -30,6 +32,18 @@ namespace {
 /// writer thread) share a pid, and per-handle counters would hand two of
 /// them the same temp name — two writers interleaving into one file.
 std::atomic<uint64_t> TempSeq{0};
+
+/// The counters in report order: the single table the JSON writer, the
+/// reader and operator+= walk, so the three cannot drift apart.
+constexpr std::pair<const char *, uint64_t CacheStats::*> StatsFields[] = {
+    {"probes", &CacheStats::Probes},
+    {"hits", &CacheStats::Hits},
+    {"misses", &CacheStats::Misses},
+    {"corrupt_entries", &CacheStats::CorruptEntries},
+    {"stores", &CacheStats::Stores},
+    {"store_failures", &CacheStats::StoreFailures},
+    {"evictions", &CacheStats::Evictions},
+};
 
 //===----------------------------------------------------------------------===//
 // Byte-level encoding.  Explicit little-endian, no struct memcpy — the
@@ -621,4 +635,27 @@ CacheStats ResultCache::stats() const {
   Stats.StoreFailures = NStoreFailures.load(std::memory_order_relaxed);
   Stats.Evictions = NEvictions.load(std::memory_order_relaxed);
   return Stats;
+}
+
+CacheStats &CacheStats::operator+=(const CacheStats &Other) {
+  for (const auto &[Key, Field] : StatsFields)
+    this->*Field += Other.*Field;
+  return *this;
+}
+
+void cache::writeCacheStatsJson(JsonWriter &J, const CacheStats &Stats) {
+  J.beginObject();
+  for (const auto &[Key, Field] : StatsFields) {
+    J.key(Key);
+    J.value(Stats.*Field);
+  }
+  J.endObject();
+}
+
+bool cache::parseCacheStatsJson(const JsonValue &Value, CacheStats &Stats) {
+  if (!Value.isObject())
+    return false;
+  for (const auto &[Key, Field] : StatsFields)
+    Value.getUint(Key, Stats.*Field);
+  return true;
 }

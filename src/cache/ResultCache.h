@@ -51,6 +51,10 @@
 #include <vector>
 
 namespace intro {
+
+class JsonValue;
+class JsonWriter;
+
 namespace cache {
 
 /// On-disk format version; bumped whenever the entry encoding changes.
@@ -79,7 +83,22 @@ struct CacheStats {
   uint64_t Stores = 0;         ///< Successful store() calls.
   uint64_t StoreFailures = 0;  ///< store() calls that could not persist.
   uint64_t Evictions = 0;      ///< Entries removed by the MaxEntries cap.
+
+  /// Adds every counter of \p Other (per-job and batch totals).
+  CacheStats &operator+=(const CacheStats &Other);
 };
+
+/// Writes \p Stats as one JSON object with all seven counters
+/// (`probes`, `hits`, `misses`, `corrupt_entries`, `stores`,
+/// `store_failures`, `evictions`).  The one encoding every report uses: a
+/// child's run report, the batch report, the serve done frame and the
+/// client report.
+void writeCacheStatsJson(JsonWriter &J, const CacheStats &Stats);
+
+/// Reads an object written by writeCacheStatsJson into \p Stats; absent
+/// counters are left untouched.  \returns false when \p Value is not an
+/// object (a JSON null means "no cache").
+bool parseCacheStatsJson(const JsonValue &Value, CacheStats &Stats);
 
 /// A content-addressed Pass-A result store over one directory.
 ///

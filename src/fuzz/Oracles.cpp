@@ -645,16 +645,11 @@ void Harness::checkServedParity() {
   supervise::JobSpec Spec;
   Spec.Name = "fuzz";
   Spec.Source = Source;
-  std::string Transcript;
-  supervise::JobHooks Hooks;
-  Hooks.OnChildOutput = [&](uint32_t, std::string_view Chunk) {
-    Transcript.append(Chunk);
-  };
   supervise::BatchOptions Batch;
   Batch.Limits.WallDeadlineSeconds = 60;
   Batch.SleepMs = [](double) {};
   supervise::JobResult Local =
-      supervise::runSupervisedJob(Spec, /*JobIndex=*/0, Batch, Hooks);
+      supervise::runSupervisedJob(Spec, /*JobIndex=*/0, Batch);
 
   const char *LocalClass = supervise::jobOutcomeClassName(Local.FinalClass);
   if (Served.FinalClass != LocalClass) {
@@ -667,24 +662,13 @@ void Harness::checkServedParity() {
     ++Out.ChecksSkipped; // A hard child death is the supervisor's business.
     return;
   }
-  std::string LocalReport;
-  size_t Begin = 0;
-  while (Begin < Transcript.size()) {
-    size_t End = Transcript.find('\n', Begin);
-    if (End == std::string::npos)
-      End = Transcript.size();
-    std::string Line = Transcript.substr(Begin, End - Begin);
-    if (Line.find("\"schema\"") != std::string::npos)
-      LocalReport = Line;
-    Begin = End + 1;
-  }
-  if (LocalReport.empty()) {
+  if (Local.ReportLine.empty()) {
     ++Out.ChecksSkipped;
     return;
   }
   ++Out.ChecksRun;
   if (deterministicSlice(Served.FinalReportLine) !=
-      deterministicSlice(LocalReport))
+      deterministicSlice(Local.ReportLine))
     finding(OracleKind::ServedLocalParity, "report",
             "deterministic report sections differ between served and local");
 }

@@ -179,16 +179,8 @@ bool Client::submit(
       for (const JsonValue &E : Errors->elements())
         if (E.isString())
           Out.InputErrors.push_back(E.asString());
-    if (const JsonValue *Cache = Doc.get("cache"); Cache && Cache->isObject()) {
-      Out.CacheEnabled = true;
-      Cache->getUint("probes", Out.Cache.Probes);
-      Cache->getUint("hits", Out.Cache.Hits);
-      Cache->getUint("misses", Out.Cache.Misses);
-      Cache->getUint("corrupt_entries", Out.Cache.CorruptEntries);
-      Cache->getUint("stores", Out.Cache.Stores);
-      Cache->getUint("store_failures", Out.Cache.StoreFailures);
-      Cache->getUint("evictions", Out.Cache.Evictions);
-    }
+    if (const JsonValue *Cache = Doc.get("cache"))
+      Out.CacheEnabled = cache::parseCacheStatsJson(*Cache, Out.Cache);
     return true;
   }
 }

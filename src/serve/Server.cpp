@@ -33,9 +33,8 @@ struct Server::JobState {
   std::string Name;
   std::atomic<bool> CancelRequested{false};
   std::atomic<uint8_t> Phase{0}; // 0 queued, 1 running, 2 done.
-  std::mutex Mutex;              // Guards Result and FinalReportLine.
+  std::mutex Mutex;              // Guards Result.
   supervise::JobResult Result;
-  std::string FinalReportLine;
 };
 
 /// One accepted connection: a reader thread plus a send mutex, because job
@@ -411,10 +410,6 @@ void Server::runJob(Session &S, JobState &Job, const supervise::JobSpec &Spec,
       LineBuffer.erase(0, Newline + 1);
       if (Line.empty())
         continue;
-      if (Line.find("\"schema\"") != std::string::npos) {
-        std::lock_guard<std::mutex> Lock(Job.Mutex);
-        Job.FinalReportLine = Line;
-      }
       std::ostringstream Out;
       JsonWriter J(Out);
       J.beginObject();
@@ -529,35 +524,13 @@ std::string Server::doneFrameFor(JobState &Job) {
     if (!A.CacheEnabled)
       continue;
     CacheEnabled = true;
-    Total.Probes += A.Cache.Probes;
-    Total.Hits += A.Cache.Hits;
-    Total.Misses += A.Cache.Misses;
-    Total.CorruptEntries += A.Cache.CorruptEntries;
-    Total.Stores += A.Cache.Stores;
-    Total.StoreFailures += A.Cache.StoreFailures;
-    Total.Evictions += A.Cache.Evictions;
+    Total += A.Cache;
   }
   J.key("cache");
-  if (CacheEnabled) {
-    J.beginObject();
-    J.key("probes");
-    J.value(Total.Probes);
-    J.key("hits");
-    J.value(Total.Hits);
-    J.key("misses");
-    J.value(Total.Misses);
-    J.key("corrupt_entries");
-    J.value(Total.CorruptEntries);
-    J.key("stores");
-    J.value(Total.Stores);
-    J.key("store_failures");
-    J.value(Total.StoreFailures);
-    J.key("evictions");
-    J.value(Total.Evictions);
-    J.endObject();
-  } else {
+  if (CacheEnabled)
+    cache::writeCacheStatsJson(J, Total);
+  else
     J.null();
-  }
   J.endObject();
   return Out.str();
 }

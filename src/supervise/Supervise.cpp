@@ -235,26 +235,6 @@ void maybeFireChaos(const ChaosPlan &Chaos, DegradationLevel Level,
   }
 }
 
-/// Writes one CacheStats snapshot as a JSON object.
-void writeCacheStatsJson(JsonWriter &J, const cache::CacheStats &Stats) {
-  J.beginObject();
-  J.key("probes");
-  J.value(Stats.Probes);
-  J.key("hits");
-  J.value(Stats.Hits);
-  J.key("misses");
-  J.value(Stats.Misses);
-  J.key("corrupt_entries");
-  J.value(Stats.CorruptEntries);
-  J.key("stores");
-  J.value(Stats.Stores);
-  J.key("store_failures");
-  J.value(Stats.StoreFailures);
-  J.key("evictions");
-  J.value(Stats.Evictions);
-  J.endObject();
-}
-
 /// Writes the child's final `intro-run-report-v1` line.  \p Outcome may be
 /// null (bad-input reports carry diagnostics instead).  \p Cache (when the
 /// child ran with a Pass-A cache) contributes a top-level "cache" object —
@@ -293,7 +273,7 @@ void writeChildReport(std::ostream &Report, const JobSpec &Job,
   J.endObject();
   if (Cache) {
     J.key("cache");
-    writeCacheStatsJson(J, Cache->stats());
+    cache::writeCacheStatsJson(J, Cache->stats());
   }
   J.key("timing");
   J.beginObject();
@@ -376,29 +356,16 @@ int childAnalyze(const JobSpec &Job, const ResilientOptions &BaseLadder,
 // Parent side: decode the pipe, classify, retry, quarantine.
 //===----------------------------------------------------------------------===//
 
-/// What the parent distilled from the child's pipe bytes.
-struct ChildTranscript {
-  bool AnyRungStarted = false;
-  DegradationLevel DeepestStartedRung = DegradationLevel::Deep;
-  uint32_t DeepestStartedRound = 0;
+/// Decodes the child's JSONL transcript straight into the attempt record
+/// and the job record: rung_start progress events (emission order IS
+/// ladder execution order, so the last one seen is the deepest started)
+/// and at most one final report line (the line with a "schema" member).  A
+/// healthy report line replaces the job's report-derived members, its
+/// verbatim bytes included.  \returns true when this attempt wrote one.
+bool decodeTranscript(const std::string &Output, JobAttempt &Record,
+                      JobResult &Result) {
   bool HasReport = false;
-  std::string ReportError; ///< Why no usable report (when !HasReport).
-  std::vector<std::string> InputErrors;
-  AttemptTrace Ladder;
-  std::string Level;
-  std::string Status;
-  bool Completed = false;
-  bool CacheEnabled = false;
-  cache::CacheStats Cache;
-};
-
-/// Decodes the JSONL transcript: rung_start progress events (emission
-/// order IS ladder execution order, so the last one seen is the deepest
-/// started) and at most one final report line (the line with a "schema"
-/// member).
-ChildTranscript decodeTranscript(const std::string &Output) {
-  ChildTranscript T;
-  T.ReportError = "no report line received";
+  Record.ReportError = "no report line received";
   size_t Begin = 0;
   while (Begin <= Output.size()) {
     size_t End = Output.find('\n', Begin);
@@ -411,7 +378,7 @@ ChildTranscript decodeTranscript(const std::string &Output) {
     if (!Parsed.ok()) {
       // A dying child's last line may be cut mid-token; remember why in
       // case no healthy report line follows.
-      T.ReportError = "unparseable report line: " + Parsed.Error;
+      Record.ReportError = "unparseable report line: " + Parsed.Error;
       continue;
     }
     const JsonValue &Doc = Parsed.Value;
@@ -421,11 +388,11 @@ ChildTranscript decodeTranscript(const std::string &Output) {
       DegradationLevel Level;
       if (Doc.getString("level", LevelName) &&
           degradationLevelFromName(LevelName, Level)) {
-        T.AnyRungStarted = true;
-        T.DeepestStartedRung = Level;
+        Record.AnyRungStarted = true;
+        Record.DeepestStartedRung = Level;
         uint64_t Round = 0;
         Doc.getUint("round", Round);
-        T.DeepestStartedRound = static_cast<uint32_t>(Round);
+        Record.DeepestStartedRound = static_cast<uint32_t>(Round);
       }
       continue;
     }
@@ -433,52 +400,53 @@ ChildTranscript decodeTranscript(const std::string &Output) {
     if (!Doc.getString("schema", Schema))
       continue;
     if (Schema != "intro-run-report-v1") {
-      T.ReportError = "unexpected report schema '" + Schema + "'";
+      Record.ReportError = "unexpected report schema '" + Schema + "'";
       continue;
     }
     const JsonValue *Det = Doc.get("deterministic");
     if (!Det || !Det->isObject()) {
-      T.ReportError = "report has no deterministic section";
+      Record.ReportError = "report has no deterministic section";
       continue;
     }
+    const JsonValue *Outcome = Det->get("outcome");
+    const JsonValue *Attempts = Outcome ? Outcome->get("attempts") : nullptr;
+    AttemptTrace Ladder;
+    std::string TraceError;
+    if (Attempts && !parseAttemptTraceJson(*Attempts, Ladder, TraceError)) {
+      Record.ReportError = "bad attempt trace: " + TraceError;
+      continue;
+    }
+
+    HasReport = true;
+    Record.ReportError.clear();
+    Record.Ladder = std::move(Ladder);
+    const JsonValue *Cache = Doc.get("cache");
+    Record.CacheEnabled =
+        Cache && cache::parseCacheStatsJson(*Cache, Record.Cache);
+    Result.ReportLine = std::string(Line);
+    Result.InputErrors.clear();
     if (const JsonValue *Errors = Det->get("input_errors");
         Errors && Errors->isArray())
       for (const JsonValue &Error : Errors->elements())
         if (Error.isString())
-          T.InputErrors.push_back(Error.asString());
-    if (const JsonValue *Outcome = Det->get("outcome");
-        Outcome && Outcome->isObject()) {
-      Outcome->getString("level", T.Level);
-      Outcome->getString("status", T.Status);
-      Outcome->getBool("completed", T.Completed);
-      if (const JsonValue *Attempts = Outcome->get("attempts")) {
-        std::string TraceError;
-        if (!parseAttemptTraceJson(*Attempts, T.Ladder, TraceError)) {
-          T.ReportError = "bad attempt trace: " + TraceError;
-          T.Ladder.clear();
-          continue;
-        }
-      }
+          Result.InputErrors.push_back(Error.asString());
+    Result.ResultLevel.clear();
+    Result.ResultStatus.clear();
+    Result.ResultCompleted = false;
+    if (Outcome) { // Absent from bad-input reports.
+      Outcome->getString("level", Result.ResultLevel);
+      Outcome->getString("status", Result.ResultStatus);
+      Outcome->getBool("completed", Result.ResultCompleted);
     }
-    if (const JsonValue *Cache = Doc.get("cache"); Cache && Cache->isObject()) {
-      T.CacheEnabled = true;
-      Cache->getUint("probes", T.Cache.Probes);
-      Cache->getUint("hits", T.Cache.Hits);
-      Cache->getUint("misses", T.Cache.Misses);
-      Cache->getUint("corrupt_entries", T.Cache.CorruptEntries);
-      Cache->getUint("stores", T.Cache.Stores);
-      Cache->getUint("store_failures", T.Cache.StoreFailures);
-      Cache->getUint("evictions", T.Cache.Evictions);
-    }
-    T.HasReport = true;
-    T.ReportError.clear();
   }
-  return T;
+  return HasReport;
 }
 
 /// Combines the process-level fate with the transcript into the taxonomy.
+/// \p CompletedReport: the attempt wrote a healthy report of a completed
+/// ladder.
 JobOutcomeClass classifyAttempt(const ChildResult &Child,
-                                const ChildTranscript &Transcript) {
+                                bool CompletedReport) {
   switch (Child.Status) {
   case ChildStatus::WatchdogKill:
     return JobOutcomeClass::WatchdogTimeout;
@@ -499,9 +467,8 @@ JobOutcomeClass classifyAttempt(const ChildResult &Child,
     // The child's contract: exit 0 if and only if a completed result with
     // a healthy report.  Any inconsistency means the report channel is not
     // trustworthy.
-    if (Transcript.HasReport && Transcript.Completed)
-      return JobOutcomeClass::Clean;
-    return JobOutcomeClass::BadReport;
+    return CompletedReport ? JobOutcomeClass::Clean
+                           : JobOutcomeClass::BadReport;
   }
   return JobOutcomeClass::NonzeroExit;
 }
@@ -523,12 +490,6 @@ ResilientOptions sanitizeLadder(const ResilientOptions &Ladder) {
 }
 
 } // namespace
-
-JobResult intro::supervise::runSupervisedJob(const JobSpec &Job,
-                                             size_t JobIndex,
-                                             const BatchOptions &Options) {
-  return runSupervisedJob(Job, JobIndex, Options, JobHooks());
-}
 
 JobResult intro::supervise::runSupervisedJob(const JobSpec &Job,
                                              size_t JobIndex,
@@ -558,21 +519,14 @@ JobResult intro::supervise::runSupervisedJob(const JobSpec &Job,
                               Options.CacheMaxEntries);
         },
         Sink);
-    ChildTranscript Transcript = decodeTranscript(Child.Output);
 
     JobAttempt Record;
     Record.Status = Child.Status;
-    Record.Class = classifyAttempt(Child, Transcript);
     Record.ExitCode = Child.ExitCode;
     Record.TermSignal = Child.TermSignal;
-    Record.AnyRungStarted = Transcript.AnyRungStarted;
-    Record.DeepestStartedRung = Transcript.DeepestStartedRung;
-    Record.DeepestStartedRound = Transcript.DeepestStartedRound;
-    Record.ReportError = Transcript.ReportError;
-    Record.Ladder = std::move(Transcript.Ladder);
-    Record.CacheEnabled = Transcript.CacheEnabled;
-    Record.Cache = Transcript.Cache;
     Record.Seconds = Child.Seconds;
+    bool HasReport = decodeTranscript(Child.Output, Record, Result);
+    Record.Class = classifyAttempt(Child, HasReport && Result.ResultCompleted);
 
     bool Aborted = Hooks.ShouldAbort && Hooks.ShouldAbort();
     bool Retry = !Aborted && isRetryable(Record.Class) &&
@@ -585,9 +539,6 @@ JobResult intro::supervise::runSupervisedJob(const JobSpec &Job,
 
     if (!Aborted && Last.Class == JobOutcomeClass::Clean) {
       Result.FinalClass = JobOutcomeClass::Clean;
-      Result.ResultLevel = Transcript.Level;
-      Result.ResultStatus = Transcript.Status;
-      Result.ResultCompleted = Transcript.Completed;
       return Result;
     }
     if (Aborted) {
@@ -596,14 +547,12 @@ JobResult intro::supervise::runSupervisedJob(const JobSpec &Job,
       // just unwanted.
       Result.FinalClass = Last.Class;
       Result.Aborted = true;
-      Result.InputErrors = std::move(Transcript.InputErrors);
       return Result;
     }
     if (!Retry) {
       TRACE_INSTANT("supervise.quarantine", 1);
       Result.FinalClass = Last.Class;
       Result.Quarantined = true;
-      Result.InputErrors = std::move(Transcript.InputErrors);
       return Result;
     }
 
@@ -627,18 +576,11 @@ JobResult intro::supervise::runSupervisedJob(const JobSpec &Job,
 BatchResult
 intro::supervise::runSupervisedBatch(const std::vector<JobSpec> &Jobs,
                                      const BatchOptions &Options) {
-  return runSupervisedBatch(Jobs, Options, nullptr);
-}
-
-BatchResult intro::supervise::runSupervisedBatch(
-    const std::vector<JobSpec> &Jobs, const BatchOptions &Options,
-    const std::function<JobHooks(size_t JobIndex)> &HookFactory) {
   Timer Total;
   BatchResult Batch;
   Batch.Jobs.resize(Jobs.size());
-  auto RunOne = [&Jobs, &Batch, &Options, &HookFactory](size_t Index) {
-    JobHooks Hooks = HookFactory ? HookFactory(Index) : JobHooks();
-    Batch.Jobs[Index] = runSupervisedJob(Jobs[Index], Index, Options, Hooks);
+  auto RunOne = [&Jobs, &Batch, &Options](size_t Index) {
+    Batch.Jobs[Index] = runSupervisedJob(Jobs[Index], Index, Options);
   };
   unsigned Workers = std::max(1u, Options.Workers);
   if (Workers <= 1 || Jobs.size() <= 1) {
@@ -826,21 +768,15 @@ void intro::supervise::writeBatchReportJson(JsonWriter &J,
         J.null(); // Hard death / bad report: no cache counters came back.
         continue;
       }
-      Totals.Probes += A.Cache.Probes;
-      Totals.Hits += A.Cache.Hits;
-      Totals.Misses += A.Cache.Misses;
-      Totals.CorruptEntries += A.Cache.CorruptEntries;
-      Totals.Stores += A.Cache.Stores;
-      Totals.StoreFailures += A.Cache.StoreFailures;
-      Totals.Evictions += A.Cache.Evictions;
-      writeCacheStatsJson(J, A.Cache);
+      Totals += A.Cache;
+      cache::writeCacheStatsJson(J, A.Cache);
     }
     J.endArray();
     J.endObject();
   }
   J.endArray();
   J.key("totals");
-  writeCacheStatsJson(J, Totals);
+  cache::writeCacheStatsJson(J, Totals);
   J.endObject();
 
   J.key("timing");

@@ -21,8 +21,10 @@
 ///      `intro-run-report-v1` line over the pipe.  Before each rung it
 ///      streams a one-line rung_start progress event, so the parent knows
 ///      the deepest rung that *started* even if the child dies hard.
-///   2. classify the outcome (JobOutcomeClass below) from the exit code /
-///      signal / report;
+///   2. decode the transcript once, straight into the JobAttempt/JobResult
+///      records (the report line itself is kept verbatim), and classify the
+///      outcome (JobOutcomeClass below) from the exit code / signal /
+///      report;
 ///   3. retry transient classes with exponential backoff + deterministic
 ///      seeded jitter, relaunching hard deaths with the rungs at-and-above
 ///      the one that killed the child disabled (escalateBelow) — the child
@@ -179,12 +181,19 @@ struct JobResult {
   /// request) asked for the loop to end and owns the interpretation.
   bool Aborted = false;
   std::vector<JobAttempt> Attempts;
+  // The members below are decoded from the last healthy report line any
+  // attempt wrote; a later attempt's healthy report replaces them.
   /// Parse/validation diagnostics (BadInput jobs).
   std::vector<std::string> InputErrors;
-  /// Winning rung/status of the final successful attempt (Clean jobs).
+  /// Winning rung/status of the ladder (meaningful for Clean jobs).
   std::string ResultLevel;
   std::string ResultStatus;
   bool ResultCompleted = false;
+  /// The `intro-run-report-v1` line verbatim as the child wrote it, without
+  /// its newline; empty when no attempt wrote a healthy one.  The analysis
+  /// service streams the same bytes to its clients, so this is what both
+  /// intro_batch modes write for --job-reports.
+  std::string ReportLine;
 };
 
 /// Batch-level configuration.
@@ -226,9 +235,10 @@ struct BatchResult {
 /// cancelled job instead of burning the remaining attempts.
 struct JobHooks {
   /// Observes the child's raw pipe bytes incrementally (supervising
-  /// thread, pipe-read chunk boundaries).  \p Attempt is the 1-based
-  /// attempt the bytes belong to, so a consumer reassembling lines can
-  /// reset its buffer between attempts.
+  /// thread, pipe-read chunk boundaries) — for live streaming only: the
+  /// decoded record, report line included, is on the returned JobResult.
+  /// \p Attempt is the 1-based attempt the bytes belong to, so a streamer
+  /// splitting lines can reset its buffer between attempts.
   std::function<void(uint32_t Attempt, std::string_view Chunk)> OnChildOutput;
   /// Checked after each attempt settles; returning true ends the retry
   /// loop immediately (JobResult::Aborted) regardless of retry budget.
@@ -240,25 +250,16 @@ struct JobHooks {
 };
 
 /// Runs one job under supervision: launch, classify, retry with backoff
-/// and ladder escalation, quarantine.  \p JobIndex seeds the jitter.
-JobResult runSupervisedJob(const JobSpec &Job, size_t JobIndex,
-                           const BatchOptions &Options);
-
-/// Hooked variant of runSupervisedJob; see JobHooks.
+/// and ladder escalation, quarantine.  \p JobIndex seeds the jitter;
+/// \p Hooks are optional (see JobHooks).
 JobResult runSupervisedJob(const JobSpec &Job, size_t JobIndex,
                            const BatchOptions &Options,
-                           const JobHooks &Hooks);
+                           const JobHooks &Hooks = {});
 
 /// Runs every job (optionally on several supervisor threads) and collects
-/// results in input order.  A non-null \p HookFactory is called once per
-/// job index (before the job starts, possibly from a supervisor thread) to
-/// produce that job's hooks.
+/// results in input order.
 BatchResult runSupervisedBatch(const std::vector<JobSpec> &Jobs,
                                const BatchOptions &Options);
-BatchResult
-runSupervisedBatch(const std::vector<JobSpec> &Jobs,
-                   const BatchOptions &Options,
-                   const std::function<JobHooks(size_t JobIndex)> &HookFactory);
 
 /// Writes the `intro-batch-report-v1` document: a "deterministic" object
 /// (policy, limits, ladder options, per-job classes / attempts / planned

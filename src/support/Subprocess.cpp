@@ -103,6 +103,19 @@ void applyChildLimits(const ChildLimits &Limits) {
   }
 }
 
+/// Closes every descriptor the child inherited except stdio and its own
+/// report pipe.  fork() copies the whole descriptor table: a sibling job's
+/// report-pipe write end (forked concurrently on another supervisor
+/// thread) would otherwise stay open here and hold back that job's EOF
+/// until this unrelated child exits, and the daemon's listen and session
+/// sockets have no business inside an analysis sandbox.
+void closeInheritedFds(int KeepFd) {
+  unsigned Keep = static_cast<unsigned>(KeepFd);
+  if (Keep > 3)
+    (void)::close_range(3, Keep - 1, 0);
+  (void)::close_range(std::max(3u, Keep + 1), ~0u, 0);
+}
+
 /// The child side of runSupervisedChild: runs the payload with the report
 /// stream and never returns.  _exit (not exit) keeps the parent's atexit
 /// handlers, stdio flushes, and static destructors from running twice.
@@ -110,6 +123,7 @@ void applyChildLimits(const ChildLimits &Limits) {
                            const ChildPayload &Payload) {
   // A parent that gave up must not turn our report write into SIGPIPE.
   ::signal(SIGPIPE, SIG_IGN);
+  closeInheritedFds(WriteFd);
   applyChildLimits(Limits);
   int Code = ChildExceptionExitCode;
   try {
@@ -213,46 +227,45 @@ ChildResult intro::runSupervisedChild(const ChildLimits &Limits,
   // --- Parent: drain the pipe under the watchdog, then reap. --------------
   ::close(Pipe[1]);
   int ReadFd = Pipe[0];
+  bool Killed = false;
   bool WatchdogFired = false;
-  bool CancelFired = false;
+  const bool Armed = Limits.WallDeadlineSeconds > 0 || Limits.Cancel;
 
   {
     TRACE_SPAN("supervise.wait");
     char Buffer[4096];
     while (true) {
-      double Remaining = -1; // poll() "infinite".
-      if (Limits.WallDeadlineSeconds > 0) {
-        Remaining = Limits.WallDeadlineSeconds - Clock.seconds();
-        if (Remaining <= 0 && !WatchdogFired) {
+      // The one kill site.  Past the deadline the child is SIGKILLed and
+      // classified WatchdogKill; the cancel switch SIGKILLs it too, but the
+      // classification stays Signalled/SIGKILL — a cancel is the caller's
+      // decision, not a resource verdict, and callers that cancel interpret
+      // the death themselves.  After the kill, drain to EOF unbounded.
+      double Remaining = Limits.WallDeadlineSeconds - Clock.seconds();
+      if (Armed && !Killed) {
+        bool Expired = Limits.WallDeadlineSeconds > 0 && Remaining <= 0;
+        if (Expired ||
+            (Limits.Cancel && Limits.Cancel->load(std::memory_order_relaxed))) {
           TRACE_SPAN("supervise.kill");
-          TRACE_INSTANT("supervise.watchdog_fired", 1);
+          TRACE_INSTANT(Expired ? "supervise.watchdog_fired"
+                                : "supervise.cancel_kill",
+                        1);
           ::kill(Pid, SIGKILL);
-          WatchdogFired = true;
-          Remaining = -1; // Kill delivered; drain to EOF unbounded.
+          Killed = true;
+          WatchdogFired = Expired;
         }
-      }
-      // Cancel kill switch: like the watchdog the parent pulls the trigger,
-      // but the classification stays Signalled/SIGKILL — a cancel is the
-      // caller's decision, not a resource verdict, and callers that cancel
-      // interpret the death themselves.
-      if (Limits.Cancel && !WatchdogFired && !CancelFired &&
-          Limits.Cancel->load(std::memory_order_relaxed)) {
-        TRACE_INSTANT("supervise.cancel_kill", 1);
-        ::kill(Pid, SIGKILL);
-        CancelFired = true;
-        Remaining = -1; // Kill delivered; drain to EOF unbounded.
       }
       pollfd Poll;
       Poll.fd = ReadFd;
       Poll.events = POLLIN;
       Poll.revents = 0;
-      // Cap the slice so the deadline (and the cancel flag) is honored
-      // within ~50ms even if the child neither writes nor exits.
-      int SliceCapMs = Limits.Cancel && !CancelFired ? 50 : 1000;
-      int TimeoutMs =
-          (Remaining < 0) ? SliceCapMs
-                          : static_cast<int>(std::min(Remaining, 0.05) * 1000);
-      int Ready = ::poll(&Poll, 1, TimeoutMs < 1 ? 1 : TimeoutMs);
+      // While armed, cap the slice so the deadline (and the cancel flag) is
+      // honored within ~50ms even if the child neither writes nor exits.
+      int TimeoutMs = -1;
+      if (Armed && !Killed) {
+        double SliceMs = Limits.WallDeadlineSeconds > 0 ? Remaining * 1000 : 50;
+        TimeoutMs = static_cast<int>(std::clamp(SliceMs, 1.0, 50.0));
+      }
+      int Ready = ::poll(&Poll, 1, TimeoutMs);
       if (Ready < 0) {
         if (errno == EINTR)
           continue;
@@ -269,46 +282,17 @@ ChildResult intro::runSupervisedChild(const ChildLimits &Limits,
       }
       if (Count < 0 && errno == EINTR)
         continue;
-      break; // EOF (child exited or closed) or hard read error.
+      // EOF (the child exited or was killed) or a hard poll/read error,
+      // which our own pipe cannot produce short of kernel memory failure.
+      break;
     }
   }
   ::close(ReadFd);
 
-  // The child may linger briefly after closing its pipe; the reap below is
-  // bounded because either it exited (EOF path) or SIGKILL is in flight
-  // (watchdog path).  A spinning child that closed its pipe but never
-  // exits is still covered: arm the watchdog kill on the way in.
-  if ((Limits.WallDeadlineSeconds > 0 || Limits.Cancel) && !WatchdogFired &&
-      !CancelFired) {
-    // EOF before deadline: give the child the rest of its deadline to
-    // exit, then kill.  Poll waitpid in 10ms slices on the steady clock,
-    // honoring the cancel switch the same way the drain loop does.
-    int Status = 0;
-    while (true) {
-      pid_t Reaped = ::waitpid(Pid, &Status, WNOHANG);
-      if (Reaped == Pid || (Reaped < 0 && errno != EINTR))
-        break;
-      if (Limits.WallDeadlineSeconds > 0 &&
-          Clock.seconds() >= Limits.WallDeadlineSeconds) {
-        TRACE_INSTANT("supervise.watchdog_fired", 1);
-        ::kill(Pid, SIGKILL);
-        WatchdogFired = true;
-        Reaped = ::waitpid(Pid, &Status, 0);
-        break;
-      }
-      if (Limits.Cancel && Limits.Cancel->load(std::memory_order_relaxed)) {
-        TRACE_INSTANT("supervise.cancel_kill", 1);
-        ::kill(Pid, SIGKILL);
-        Reaped = ::waitpid(Pid, &Status, 0);
-        break;
-      }
-      ::usleep(10'000);
-    }
-    classify(Result, Status, WatchdogFired, Limits);
-    Result.Seconds = Clock.seconds();
-    return Result;
-  }
-
+  // One blocking reap.  EOF means the child's write end is closed, and
+  // runChild closes it only immediately before _exit (no other process
+  // holds a copy: children drop inherited descriptors at start), so the
+  // child has exited or our SIGKILL is in flight.
   int Status = 0;
   while (::waitpid(Pid, &Status, 0) < 0 && errno == EINTR) {
   }

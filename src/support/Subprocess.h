@@ -15,8 +15,12 @@
 /// watchdog deadline — draining the pipe the whole time so a chatty child
 /// can never deadlock against a full pipe buffer.
 ///
-/// The child is always reaped (waitpid until the exact pid is collected),
-/// so supervision never leaks zombies; supervise_tests asserts this with
+/// The watchdog deadline and the cancel switch share one kill site in the
+/// drain loop.  Reaping is a single blocking waitpid on the exact pid after
+/// the pipe reaches EOF: the child drops every inherited descriptor except
+/// stdio and its own report pipe at start, and closes that pipe only as it
+/// exits, so EOF means the child is gone (or our SIGKILL is in flight).
+/// Supervision never leaks zombies; supervise_tests asserts this with
 /// waitpid(-1) accounting after every scenario.
 ///
 /// Classification, not diagnosis: the parent reports *how* the child ended

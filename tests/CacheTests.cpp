@@ -528,6 +528,44 @@ TEST(ResultCache, RenameFailureIsCountedTracedAndLeavesNoTempFile) {
   EXPECT_TRUE(Cache.lookup(Fp, Out));
 }
 
+// --- Counter codec -----------------------------------------------------------
+
+TEST(CacheStatsJson, AllSevenCountersRoundTripAndAdd) {
+  cache::CacheStats Stats;
+  Stats.Probes = 1;
+  Stats.Hits = 2;
+  Stats.Misses = 3;
+  Stats.CorruptEntries = 4;
+  Stats.Stores = 5;
+  Stats.StoreFailures = 6;
+  Stats.Evictions = 7;
+  std::ostringstream Out;
+  JsonWriter J(Out);
+  cache::writeCacheStatsJson(J, Stats);
+  JsonParseResult Parsed = parseJson(Out.str());
+  ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
+  EXPECT_EQ(Parsed.Value.size(), 7u) << Out.str();
+
+  cache::CacheStats Back;
+  ASSERT_TRUE(cache::parseCacheStatsJson(Parsed.Value, Back));
+  EXPECT_EQ(Back.Probes, 1u);
+  EXPECT_EQ(Back.Hits, 2u);
+  EXPECT_EQ(Back.Misses, 3u);
+  EXPECT_EQ(Back.CorruptEntries, 4u);
+  EXPECT_EQ(Back.Stores, 5u);
+  EXPECT_EQ(Back.StoreFailures, 6u);
+  EXPECT_EQ(Back.Evictions, 7u);
+
+  Back += Stats;
+  EXPECT_EQ(Back.Probes, 2u);
+  EXPECT_EQ(Back.CorruptEntries, 8u);
+  EXPECT_EQ(Back.Evictions, 14u);
+
+  // A JSON null is how reports spell "no cache"; it decodes to nothing.
+  EXPECT_FALSE(cache::parseCacheStatsJson(parseJson("null").Value, Back));
+  EXPECT_EQ(Back.Probes, 2u);
+}
+
 // --- Driver integration ------------------------------------------------------
 
 TEST(DriverCache, WarmRunReloadsPassAAndMatchesCold) {

@@ -421,37 +421,20 @@ TEST(Serve, ServedReportIsByteIdenticalToALocalRun) {
   ASSERT_EQ(Served.FinalClass, "clean");
   ASSERT_FALSE(Served.FinalReportLine.empty());
 
-  // The same job run locally through the same supervised machinery, with a
-  // hook reassembling the child's report line exactly as the server does.
+  // The same job run locally through the same supervised machinery, which
+  // keeps the child's report line verbatim on the job record.
   supervise::JobSpec Spec;
   Spec.Name = "ident";
   Spec.Source = TinySource;
-  std::string Transcript;
-  supervise::JobHooks Hooks;
-  Hooks.OnChildOutput = [&](uint32_t, std::string_view Chunk) {
-    Transcript.append(Chunk);
-  };
   supervise::JobResult Local =
-      supervise::runSupervisedJob(Spec, /*JobIndex=*/0, Options.Batch, Hooks);
+      supervise::runSupervisedJob(Spec, /*JobIndex=*/0, Options.Batch);
   ASSERT_EQ(Local.FinalClass, supervise::JobOutcomeClass::Clean);
-
-  std::string LocalReport;
-  size_t Begin = 0;
-  while (Begin < Transcript.size()) {
-    size_t End = Transcript.find('\n', Begin);
-    if (End == std::string::npos)
-      End = Transcript.size();
-    std::string Line = Transcript.substr(Begin, End - Begin);
-    if (Line.find("\"schema\"") != std::string::npos)
-      LocalReport = Line;
-    Begin = End + 1;
-  }
-  ASSERT_FALSE(LocalReport.empty());
+  ASSERT_FALSE(Local.ReportLine.empty());
 
   // The determinism contract: byte equality of the deterministic section
   // modulo wall-clock fields, not structural equivalence.
   EXPECT_EQ(scrubWallClock(deterministicSlice(Served.FinalReportLine)),
-            scrubWallClock(deterministicSlice(LocalReport)));
+            scrubWallClock(deterministicSlice(Local.ReportLine)));
   expectNoLeakedChildren();
 }
 

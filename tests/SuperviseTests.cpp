@@ -24,9 +24,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
+#include <dirent.h>
 #include <set>
 #include <sstream>
 #include <string>
@@ -209,6 +212,41 @@ TEST(Subprocess, LargeChildOutputDoesNotDeadlockThePipe) {
   });
   EXPECT_EQ(Result.Status, ChildStatus::CleanExit);
   EXPECT_EQ(Result.Output.size(), Bytes);
+  expectNoLeakedChildren();
+}
+
+TEST(Subprocess, ChildHoldsOnlyItsReportPipe) {
+  // The stray pipe stands in for a sibling job's report pipe (forked
+  // concurrently on another supervisor thread) or a daemon socket.  Were it
+  // inherited, the child would hold that other job's EOF hostage.
+  int Stray[2];
+  ASSERT_EQ(pipe(Stray), 0);
+  ChildLimits Limits;
+  ChildResult Result = runSupervisedChild(Limits, [](std::ostream &Out) {
+    DIR *Dir = opendir("/proc/self/fd");
+    if (!Dir)
+      return 1;
+    while (const dirent *Entry = readdir(Dir))
+      if (Entry->d_name[0] != '.' && std::atoi(Entry->d_name) != dirfd(Dir))
+        Out << Entry->d_name << '\n';
+    closedir(Dir);
+    return 0;
+  });
+  close(Stray[0]);
+  close(Stray[1]);
+  ASSERT_EQ(Result.Status, ChildStatus::CleanExit);
+
+  std::set<int> Open;
+  std::istringstream Lines(Result.Output);
+  for (std::string Line; std::getline(Lines, Line);)
+    Open.insert(std::atoi(Line.c_str()));
+  EXPECT_EQ(Open.count(Stray[0]), 0u) << Result.Output;
+  EXPECT_EQ(Open.count(Stray[1]), 0u) << Result.Output;
+  // Beyond stdio, exactly one descriptor: the child's own report pipe.
+  EXPECT_EQ(std::count_if(Open.begin(), Open.end(),
+                          [](int Fd) { return Fd > 2; }),
+            1)
+      << Result.Output;
   expectNoLeakedChildren();
 }
 
@@ -483,6 +521,28 @@ TEST(Supervise, TruncatedReportIsBadReportAndRetried) {
   ASSERT_EQ(Result.Attempts.size(), 2u);
   EXPECT_EQ(Result.Attempts[0].Class, JobOutcomeClass::BadReport);
   EXPECT_FALSE(Result.Attempts[0].ReportError.empty());
+  expectNoLeakedChildren();
+}
+
+TEST(Supervise, ReportLineIsKeptVerbatimOnlyWhenHealthy) {
+  BatchOptions Options = fastOptions();
+  JobResult Clean = runSupervisedJob(tinyJob(), 0, Options);
+  ASSERT_EQ(Clean.FinalClass, JobOutcomeClass::Clean);
+  JsonParseResult Parsed = parseJson(Clean.ReportLine);
+  ASSERT_TRUE(Parsed.ok()) << Clean.ReportLine;
+  std::string Schema;
+  EXPECT_TRUE(Parsed.Value.getString("schema", Schema));
+  EXPECT_EQ(Schema, "intro-run-report-v1");
+  EXPECT_EQ(Clean.ReportLine.find('\n'), std::string::npos);
+
+  // Every attempt cuts its report mid-object: no attempt's bytes — alone
+  // or spliced onto the next attempt's progress lines — become the line.
+  JobSpec Job = tinyJob("cutoff");
+  Job.Chaos.Fault = ChaosPlan::Kind::TruncatedReport;
+  JobResult Cut = runSupervisedJob(Job, 0, Options);
+  EXPECT_EQ(Cut.FinalClass, JobOutcomeClass::BadReport);
+  EXPECT_EQ(Cut.Attempts.size(), Options.Retry.MaxAttempts);
+  EXPECT_TRUE(Cut.ReportLine.empty()) << Cut.ReportLine;
   expectNoLeakedChildren();
 }
 

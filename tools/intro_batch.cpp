@@ -37,8 +37,9 @@
 ///                        intro-serve-client-report-v1 document
 ///   --job-reports=DIR    write each job's final intro-run-report-v1 line
 ///                        to DIR/<name>.report.json (works in both local
-///                        and server mode; the deterministic sections are
-///                        byte-identical between the two)
+///                        and server mode: the same jobs get a file — none
+///                        without a healthy report — and the deterministic
+///                        sections are byte-identical between the two)
 ///
 /// Exit codes (support/ExitCodes.h): 0 all jobs clean; 1 at least one job
 /// failed or was quarantined; 2 bad usage or unreadable inputs; 3 internal
@@ -55,8 +56,6 @@
 #include "support/ParseNum.h"
 #include "support/Socket.h"
 #include "support/TableWriter.h"
-
-#include <memory>
 
 #include <algorithm>
 #include <exception>
@@ -290,10 +289,9 @@ bool quarantineInputs(const std::string &Dir, const std::vector<JobSpec> &Jobs,
   return true;
 }
 
-/// Writes one job's final report line (captured from the child transcript)
-/// to DIR/<name>.report.json.  \returns false on I/O failure.
-bool writeJobReports(const std::string &Dir,
-                     const std::vector<std::string> &Names,
+/// Writes each job's final report line (\p Lines, parallel to \p Jobs) to
+/// DIR/<name>.report.json.  \returns false on I/O failure.
+bool writeJobReports(const std::string &Dir, const std::vector<JobSpec> &Jobs,
                      const std::vector<std::string> &Lines) {
   std::error_code Ec;
   fs::create_directories(Dir, Ec);
@@ -301,14 +299,14 @@ bool writeJobReports(const std::string &Dir,
     std::cerr << "error: cannot create job-reports dir: " << Dir << "\n";
     return false;
   }
-  for (size_t Index = 0; Index < Names.size(); ++Index) {
+  for (size_t Index = 0; Index < Jobs.size(); ++Index) {
     if (Lines[Index].empty())
-      continue; // Hard death with no report line: nothing to write.
-    std::ofstream Out(fs::path(Dir) / (Names[Index] + ".report.json"));
+      continue; // No healthy report line: nothing to write.
+    const std::string &Name = Jobs[Index].Name;
+    std::ofstream Out(fs::path(Dir) / (Name + ".report.json"));
     Out << Lines[Index] << '\n';
     if (!Out) {
-      std::cerr << "error: cannot write job report for " << Names[Index]
-                << "\n";
+      std::cerr << "error: cannot write job report for " << Name << "\n";
       return false;
     }
   }
@@ -394,22 +392,8 @@ int runServerMode(const CliOptions &Cli, const std::vector<JobSpec> &Jobs) {
       J.value(O.Quarantined);
       J.key("cache");
       if (O.CacheEnabled) {
-        Totals.Probes += O.Cache.Probes;
-        Totals.Hits += O.Cache.Hits;
-        Totals.Misses += O.Cache.Misses;
-        Totals.Stores += O.Cache.Stores;
-        Totals.StoreFailures += O.Cache.StoreFailures;
-        Totals.Evictions += O.Cache.Evictions;
-        J.beginObject();
-        J.key("probes");
-        J.value(O.Cache.Probes);
-        J.key("hits");
-        J.value(O.Cache.Hits);
-        J.key("misses");
-        J.value(O.Cache.Misses);
-        J.key("stores");
-        J.value(O.Cache.Stores);
-        J.endObject();
+        Totals += O.Cache;
+        cache::writeCacheStatsJson(J, O.Cache);
       } else {
         J.null();
       }
@@ -417,29 +401,17 @@ int runServerMode(const CliOptions &Cli, const std::vector<JobSpec> &Jobs) {
     }
     J.endArray();
     J.key("cache_totals");
-    J.beginObject();
-    J.key("probes");
-    J.value(Totals.Probes);
-    J.key("hits");
-    J.value(Totals.Hits);
-    J.key("misses");
-    J.value(Totals.Misses);
-    J.key("stores");
-    J.value(Totals.Stores);
-    J.endObject();
+    cache::writeCacheStatsJson(J, Totals);
     J.endObject();
     Out << '\n';
     std::cout << "\nclient report: " << Cli.ReportPath << "\n";
   }
 
   if (!Cli.JobReportsDir.empty()) {
-    std::vector<std::string> Names;
     std::vector<std::string> Lines;
-    for (size_t Index = 0; Index < Jobs.size(); ++Index) {
-      Names.push_back(Jobs[Index].Name);
-      Lines.push_back(Outcomes[Index].FinalReportLine);
-    }
-    if (!writeJobReports(Cli.JobReportsDir, Names, Lines))
+    for (const serve::SubmitOutcome &O : Outcomes)
+      Lines.push_back(O.FinalReportLine);
+    if (!writeJobReports(Cli.JobReportsDir, Jobs, Lines))
       return ExitInternalError;
   }
 
@@ -479,37 +451,13 @@ int main(int argc, char **argv) try {
   if (!Cli.ServerSocket.empty())
     return runServerMode(Cli, Jobs);
 
-  // Per-job capture of the final report line for --job-reports.  Each job
-  // index owns its own slots, so pool threads never contend.
-  std::vector<std::string> FinalLines(Jobs.size());
-  std::function<JobHooks(size_t)> HookFactory;
-  if (!Cli.JobReportsDir.empty()) {
-    auto Buffers = std::make_shared<std::vector<std::string>>(Jobs.size());
-    HookFactory = [&FinalLines, Buffers](size_t Index) {
-      JobHooks Hooks;
-      Hooks.OnChildOutput = [&FinalLines, Buffers,
-                             Index](uint32_t, std::string_view Chunk) {
-        std::string &Buffer = (*Buffers)[Index];
-        Buffer.append(Chunk);
-        size_t Newline;
-        while ((Newline = Buffer.find('\n')) != std::string::npos) {
-          std::string Line = Buffer.substr(0, Newline);
-          Buffer.erase(0, Newline + 1);
-          if (Line.find("\"schema\"") != std::string::npos)
-            FinalLines[Index] = std::move(Line);
-        }
-      };
-      return Hooks;
-    };
-  }
-
-  BatchResult Batch = runSupervisedBatch(Jobs, Cli.Batch, HookFactory);
+  BatchResult Batch = runSupervisedBatch(Jobs, Cli.Batch);
 
   if (!Cli.JobReportsDir.empty()) {
-    std::vector<std::string> Names;
-    for (const JobSpec &Job : Jobs)
-      Names.push_back(Job.Name);
-    if (!writeJobReports(Cli.JobReportsDir, Names, FinalLines))
+    std::vector<std::string> Lines;
+    for (const JobResult &Job : Batch.Jobs)
+      Lines.push_back(Job.ReportLine);
+    if (!writeJobReports(Cli.JobReportsDir, Jobs, Lines))
       return ExitInternalError;
   }
 
