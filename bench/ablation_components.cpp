@@ -34,10 +34,8 @@ struct Variant {
 };
 
 RunOutcome runVariant(const Program &Prog, const Variant &V) {
-  auto Insens = makeInsensitivePolicy();
-  ContextTable First;
-  PointsToResult Pass1 = solvePointsTo(Prog, *Insens, First);
-  IntrospectionMetrics Metrics = computeIntrospectionMetrics(Prog, Pass1);
+  PassAOutcome PassA = runPassA(Prog);
+  const PointsToResult &Pass1 = PassA.Insens;
 
   HeuristicAParams Defaults;
   CustomHeuristic H;
@@ -53,8 +51,9 @@ RunOutcome runVariant(const Program &Prog, const Variant &V) {
                                    Metric::MethodMaxVarFieldPointsTo,
                                    Defaults.M});
   RefinementExceptions Exceptions =
-      applyCustomHeuristic(Prog, Pass1, Metrics, H);
+      applyCustomHeuristic(Prog, Pass1, PassA.Metrics, H);
 
+  auto Insens = makeInsensitivePolicy();
   auto Refined = makeObjectPolicy(Prog, 2, 1);
   auto Policy = makeIntrospectivePolicy(std::string("2objH-") + V.Label,
                                         *Insens, *Refined, Exceptions);

@@ -39,11 +39,10 @@ struct ImportanceCell {
 };
 
 ImportanceCell runGuarded(const Program &Prog, bool WithGuard) {
-  auto Insens = makeInsensitivePolicy();
-  ContextTable First;
-  PointsToResult Pass1 = solvePointsTo(Prog, *Insens, First);
-  IntrospectionMetrics Metrics = computeIntrospectionMetrics(Prog, Pass1);
-  RefinementExceptions Exceptions = applyHeuristicA(Prog, Pass1, Metrics);
+  PassAOutcome PassA = runPassA(Prog);
+  const PointsToResult &Pass1 = PassA.Insens;
+  RefinementExceptions Exceptions =
+      applyHeuristicA(Prog, Pass1, PassA.Metrics);
 
   uint64_t Lifted = 0;
   if (WithGuard) {
@@ -51,6 +50,7 @@ ImportanceCell runGuarded(const Program &Prog, bool WithGuard) {
     Lifted = applyImportanceGuard(Prog, Importance, Exceptions);
   }
 
+  auto Insens = makeInsensitivePolicy();
   auto Refined = makeObjectPolicy(Prog, 2, 1);
   auto Policy = makeIntrospectivePolicy(
       WithGuard ? "2objH-IntroA+guard" : "2objH-IntroA", *Insens, *Refined,

@@ -37,10 +37,9 @@ int main() {
   double SumObjB = 0;
   for (const std::string &Name : Names) {
     Program Prog = generateWorkload(dacapoProfile(Name));
-    auto Insens = makeInsensitivePolicy();
-    ContextTable Ctx;
-    PointsToResult First = solvePointsTo(Prog, *Insens, Ctx);
-    IntrospectionMetrics Metrics = computeIntrospectionMetrics(Prog, First);
+    PassAOutcome PassA = runPassA(Prog);
+    const PointsToResult &First = PassA.Insens;
+    const IntrospectionMetrics &Metrics = PassA.Metrics;
 
     RefinementExceptions ExceptA = applyHeuristicA(Prog, First, Metrics);
     RefinementExceptions ExceptB = applyHeuristicB(Prog, First, Metrics);

@@ -114,6 +114,8 @@ struct RefinementExceptions {
   bool skipsSite(SiteId Invo, MethodId Callee) const {
     return NoRefineSites.count(packSite(Invo, Callee)) != 0;
   }
+
+  bool operator==(const RefinementExceptions &) const = default;
 };
 
 /// Introspective combination: \p Refined constructors (RECORDREFINED /

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -253,6 +254,23 @@ std::string describeResultDiff(const PointsToResult &A,
     return "field points-to sets differ";
   if (!MapEqual(A.StaticFieldHeaps, B.StaticFieldHeaps))
     return "static-field points-to sets differ";
+  return "";
+}
+
+/// Compares what two ladder runs decided: the winning rung, its result,
+/// the Pass-A metrics, and the installed exceptions.  \returns an empty
+/// string when identical, else a description of the first divergence.
+std::string describeLadderDiff(const ResilientOutcome &A,
+                               const ResilientOutcome &B) {
+  if (A.Level != B.Level)
+    return std::string("winning rung ") + degradationLevelName(A.Level) +
+           " vs " + degradationLevelName(B.Level);
+  if (std::string Diff = describeResultDiff(A.Result, B.Result); !Diff.empty())
+    return Diff;
+  if (!(A.Metrics == B.Metrics))
+    return "introspection metrics differ";
+  if (!(A.Exceptions == B.Exceptions))
+    return "refinement exceptions differ";
   return "";
 }
 
@@ -544,35 +562,62 @@ void Harness::checkCacheParity() {
   }
   if (std::string Diff =
           describeResultDiff(Cold.SecondPass, Warm.SecondPass);
-      !Diff.empty())
+      !Diff.empty()) {
     finding(OracleKind::CacheWarmColdParity, "pass-b", "warm != cold: " + Diff);
+    return;
+  }
+
+  // The ladder shares the same Pass-A path.  Drop the driver's entry so its
+  // cold run re-solves and stores, then require the warm run to decide the
+  // same rung with the same bits.
+  std::error_code Ignored;
+  std::filesystem::remove(Cache.entryPath(Fp), Ignored);
+  ResilientOptions Ladder;
+  Ladder.AttemptDeep = false;
+  Ladder.RefinedBudget = cappedBudget();
+  Ladder.FirstPassBudget = cappedBudget();
+  Ladder.Cache = &Cache;
+  Ladder.CacheKey = &Fp;
+  ResilientOutcome LadderCold = runResilient(Prog, *Refined, Ladder);
+  uint64_t HitsBefore = Cache.stats().Hits;
+  ResilientOutcome LadderWarm = runResilient(Prog, *Refined, Ladder);
+  if (Cache.stats().Hits == HitsBefore) {
+    finding(OracleKind::CacheWarmColdParity, "ladder",
+            "completed ladder pre-analysis was not served back on the warm "
+            "run");
+    return;
+  }
+  if (std::string Diff = describeLadderDiff(LadderCold, LadderWarm);
+      !Diff.empty())
+    finding(OracleKind::CacheWarmColdParity, "ladder",
+            "warm != cold: " + Diff);
 }
 
 void Harness::checkPortfolioParity() {
   if (!Opt.Oracles.has(OracleKind::PortfolioParity))
     return;
-  ResilientOptions Options;
-  Options.DeepBudget = cappedBudget();
-  Options.RefinedBudget = cappedBudget();
-  Options.FirstPassBudget = cappedBudget();
   auto Refined = makeObjectPolicy(Prog, 2, 1);
-  ResilientOutcome Sequential = runResilient(Prog, *Refined, Options);
-  Options.Portfolio = true;
-  Options.Workers = 2;
-  ResilientOutcome Racing = runResilient(Prog, *Refined, Options);
-  ++Out.ChecksRun;
-  if (Sequential.Level != Racing.Level) {
-    finding(OracleKind::PortfolioParity, "ladder",
-            std::string("winning rung differs: sequential ") +
-                degradationLevelName(Sequential.Level) + " vs portfolio " +
-                degradationLevelName(Racing.Level));
-    return;
+  // Without the deep rung an introspective rung wins, so the comparison
+  // also covers the metrics and exceptions of the portfolio's Pass A.
+  for (bool AttemptDeep : {true, false}) {
+    ResilientOptions Options;
+    Options.AttemptDeep = AttemptDeep;
+    Options.DeepBudget = cappedBudget();
+    Options.RefinedBudget = cappedBudget();
+    Options.FirstPassBudget = cappedBudget();
+    ResilientOutcome Sequential = runResilient(Prog, *Refined, Options);
+    Options.Portfolio = true;
+    Options.Workers = 2;
+    ResilientOutcome Racing = runResilient(Prog, *Refined, Options);
+    ++Out.ChecksRun;
+    if (std::string Diff = describeLadderDiff(Sequential, Racing);
+        !Diff.empty()) {
+      finding(OracleKind::PortfolioParity,
+              degradationLevelName(Sequential.Level),
+              "portfolio != sequential: " + Diff);
+      return;
+    }
   }
-  if (std::string Diff = describeResultDiff(Sequential.Result, Racing.Result);
-      !Diff.empty())
-    finding(OracleKind::PortfolioParity,
-            degradationLevelName(Sequential.Level),
-            "portfolio != sequential: " + Diff);
 }
 
 /// The run report's deterministic section as raw bytes (the ServeTests

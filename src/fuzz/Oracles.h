@@ -20,9 +20,10 @@
 ///  - **IntrospectiveSubset**: the refined second pass is pointwise at
 ///    least as precise as the insensitive first pass (metamorphic).
 ///  - **CacheWarmColdParity**: a Pass-A cache hit reproduces the cold run's
-///    results exactly (metamorphic).
-///  - **PortfolioParity**: the racing ladder returns the same rung and the
-///    same bits as the sequential walk (metamorphic).
+///    results exactly, through the driver and through the ladder (same
+///    rung, result, metrics and exceptions; metamorphic).
+///  - **PortfolioParity**: the racing ladder returns the same rung, result,
+///    metrics and exceptions as the sequential walk (metamorphic).
 ///  - **ServedLocalParity**: a job submitted through the serve daemon
 ///    reports the same deterministic bytes as the same job run locally
 ///    (metamorphic; forks children, so opt-in).

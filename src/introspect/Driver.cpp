@@ -13,48 +13,64 @@
 
 using namespace intro;
 
+PassAOutcome intro::runPassA(const Program &Prog, const SolverOptions &Solver,
+                             cache::ResultCache *Cache,
+                             const cache::Fingerprint *CacheKey,
+                             const char *SolveSpan) {
+  PassAOutcome Out;
+  bool UseCache = Cache && CacheKey && !Solver.Faults.armed();
+  if (UseCache) {
+    Timer Clock;
+    cache::CachedPassA Entry;
+    if (Cache->lookup(*CacheKey, Entry)) {
+      Out.Insens = std::move(Entry.Insens);
+      Out.Metrics = std::move(Entry.Metrics);
+      Out.Seconds = Clock.seconds();
+      return Out;
+    }
+  }
+
+  // SITETOREFINE/OBJECTTOREFINE empty: plain context-insensitive analysis.
+  {
+    trace::ScopedSpan Span(SolveSpan);
+    auto Insensitive = makeInsensitivePolicy();
+    ContextTable Table;
+    Timer Clock;
+    Out.Insens = solvePointsTo(Prog, *Insensitive, Table, Solver);
+    Out.Seconds = Clock.seconds();
+  }
+  Timer Clock;
+  Out.Metrics = computeIntrospectionMetrics(Prog, Out.Insens);
+  Out.MetricSeconds = Clock.seconds();
+
+  if (UseCache && isCompleted(Out.Insens.Status)) {
+    cache::CachedPassA Entry;
+    Entry.Insens = Out.Insens;
+    Entry.Metrics = Out.Metrics;
+    Cache->store(*CacheKey, Entry);
+  }
+  return Out;
+}
+
 IntrospectiveOutcome
 intro::runIntrospective(const Program &Prog,
                         const ContextPolicy &RefinedPolicy,
                         const IntrospectiveOptions &Options) {
   IntrospectiveOutcome Out;
-  auto Insensitive = makeInsensitivePolicy();
-
-  // The cache is bypassed while faults are armed: a warm entry would mask
-  // the injected first-pass failure the test is trying to provoke.
-  bool UseCache = Options.Cache && Options.CacheKey &&
-                  !Options.FirstPassFaults.armed();
-  bool CacheHit = false;
-  if (UseCache) {
-    Timer Clock;
-    cache::CachedPassA Entry;
-    if (Options.Cache->lookup(*Options.CacheKey, Entry)) {
-      Out.FirstPass = std::move(Entry.Insens);
-      Out.Metrics = std::move(Entry.Metrics);
-      Out.FirstPassSeconds = Clock.seconds();
-      CacheHit = true;
-    }
-  }
-
-  // Pass 1: context-insensitive, with SITETOREFINE/OBJECTTOREFINE empty.
-  if (!CacheHit) {
-    TRACE_SPAN("introspect.first_pass");
-    Timer Clock;
-    ContextTable Table;
-    SolverOptions SolverOpts;
-    SolverOpts.Budget = Options.FirstPassBudget;
-    SolverOpts.Cancel = Options.Cancel;
-    SolverOpts.Faults = Options.FirstPassFaults;
-    Out.FirstPass = solvePointsTo(Prog, *Insensitive, Table, SolverOpts);
-    Out.FirstPassSeconds = Clock.seconds();
-  }
+  SolverOptions FirstPassOpts;
+  FirstPassOpts.Budget = Options.FirstPassBudget;
+  FirstPassOpts.Cancel = Options.Cancel;
+  FirstPassOpts.Faults = Options.FirstPassFaults;
+  PassAOutcome PassA =
+      runPassA(Prog, FirstPassOpts, Options.Cache, Options.CacheKey);
+  Out.FirstPass = std::move(PassA.Insens);
+  Out.Metrics = std::move(PassA.Metrics);
+  Out.FirstPassSeconds = PassA.Seconds;
 
   // Introspection: query the first pass for the elements to not refine.
   {
     TRACE_SPAN("introspect.metrics");
     Timer Clock;
-    if (!CacheHit)
-      Out.Metrics = computeIntrospectionMetrics(Prog, Out.FirstPass);
     Out.Exceptions =
         Options.Heuristic == HeuristicKind::A
             ? applyHeuristicA(Prog, Out.FirstPass, Out.Metrics,
@@ -62,16 +78,7 @@ intro::runIntrospective(const Program &Prog,
             : applyHeuristicB(Prog, Out.FirstPass, Out.Metrics,
                               Options.ParamsB);
     Out.Stats = computeRefinementStats(Prog, Out.FirstPass, Out.Exceptions);
-    Out.MetricSeconds = Clock.seconds();
-  }
-
-  // Only a completed pre-analysis is worth replaying; budget-exhausted or
-  // cancelled runs stay uncached so a retry with more headroom re-solves.
-  if (UseCache && !CacheHit && isCompleted(Out.FirstPass.Status)) {
-    cache::CachedPassA Entry;
-    Entry.Insens = Out.FirstPass;
-    Entry.Metrics = Out.Metrics;
-    Options.Cache->store(*Options.CacheKey, Entry);
+    Out.MetricSeconds = PassA.MetricSeconds + Clock.seconds();
   }
 
   // Pass 2: identical analysis code, refinement exceptions installed.
@@ -79,6 +86,7 @@ intro::runIntrospective(const Program &Prog,
     TRACE_SPAN("introspect.main_pass");
     std::string Name = RefinedPolicy.name();
     Name += Options.Heuristic == HeuristicKind::A ? "-IntroA" : "-IntroB";
+    auto Insensitive = makeInsensitivePolicy();
     auto Policy = makeIntrospectivePolicy(std::move(Name), *Insensitive,
                                           RefinedPolicy, Out.Exceptions);
     Timer Clock;

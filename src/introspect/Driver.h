@@ -50,13 +50,13 @@ struct IntrospectiveOptions {
   FaultPlan FirstPassFaults;
   FaultPlan SecondPassFaults;
   /// Optional content-addressed Pass-A store (runtime-only, like Cancel:
-  /// never serialized with options).  When both Cache and CacheKey are
-  /// set, the first pass probes the cache — a hit restores the stored
-  /// result and metrics without solving; a completed miss is stored for
-  /// the next run.  CacheKey must be fingerprintProgram(Prog) of the
-  /// program being analyzed, and both pointers must outlive the run.
-  /// Ignored while FirstPassFaults is armed, so fault injection is never
-  /// masked by a warm cache.
+  /// never serialized with options), handed to runPassA.  When both Cache
+  /// and CacheKey are set, the first pass probes the cache — a hit
+  /// restores the stored result and metrics without solving; a completed
+  /// miss is stored for the next run.  CacheKey must be
+  /// fingerprintProgram(Prog) of the program being analyzed, and both
+  /// pointers must outlive the run.  Ignored while FirstPassFaults is
+  /// armed, so fault injection is never masked by a warm cache.
   cache::ResultCache *Cache = nullptr;
   const cache::Fingerprint *CacheKey = nullptr;
 };
@@ -72,6 +72,36 @@ struct IntrospectiveOutcome {
   double MetricSeconds = 0;   ///< Cost of computing metrics + heuristics.
   double SecondPassSeconds = 0;
 };
+
+/// Pass A of the paper: the context-insensitive pre-analysis and the §3
+/// metrics queried from it, shared by every introspective pass built on it.
+struct PassAOutcome {
+  PointsToResult Insens;
+  IntrospectionMetrics Metrics;
+  /// Wall-clock of the solve, or of the cache load on a hit.
+  double Seconds = 0;
+  /// Wall-clock of the metric computation; 0 on a hit.
+  double MetricSeconds = 0;
+};
+
+/// Runs Pass A of \p Prog under \p Solver (its Budget, Cancel,
+/// CancelInterval and Faults), or reloads it from \p Cache.  This is the
+/// only code that probes or fills the Pass-A cache:
+///  - the cache is used only when both \p Cache and \p CacheKey are set
+///    (CacheKey must be fingerprintProgram(Prog)), and is bypassed — not
+///    even probed — while Solver.Faults is armed, so a warm entry never
+///    masks an injected failure;
+///  - a hit returns the stored result (with its stored solver stats) and
+///    metrics, and the load wall-clock as Seconds;
+///  - a miss solves inside a \p SolveSpan trace span, computes the metrics
+///    (also of a partial result), and stores the entry only if the solve
+///    completed, so a retry with more headroom re-solves.
+/// \p SolveSpan must have static storage (support/Trace.h).
+PassAOutcome runPassA(const Program &Prog,
+                      const SolverOptions &Solver = SolverOptions(),
+                      cache::ResultCache *Cache = nullptr,
+                      const cache::Fingerprint *CacheKey = nullptr,
+                      const char *SolveSpan = "introspect.first_pass");
 
 /// Runs the full two-pass introspective analysis of \p Prog, refining with
 /// \p RefinedPolicy (e.g. 2objH) everywhere except at the heuristic-selected

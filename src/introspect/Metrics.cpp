@@ -8,7 +8,6 @@
 
 #include "analysis/Result.h"
 #include "ir/Program.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -28,61 +27,46 @@ void initMetrics(IntrospectionMetrics &M, const Program &Prog) {
   M.PointedByObjs.assign(Prog.numHeaps(), 0);
 }
 
-// The three sweeps below are written over index ranges so the sequential
-// path (one full range) and the parallel path (contiguous shards) execute
-// the same code.  All cross-shard accumulation is integer sums and maxes,
-// so merging per-shard buffers in any order reproduces the sequential
-// values bit for bit.
-
 /// Metric #1 — in-flow: the Datalog query of Section 3,
 ///   HEAPSPERINVOCATIONPERARG(invo, arg, heap) <- CALLGRAPH(invo, _, _, _),
 ///     ACTUALARG(invo, _, arg), VARPOINTSTO(arg, _, heap, _).
 ///   INFLOW(invo, count(...)).
-/// Writes are per-site, so shards over disjoint site ranges never collide.
-void inFlowRange(const Program &Prog, const PointsToResult &Insens,
-                 uint32_t Begin, uint32_t End, std::vector<uint64_t> &InFlow) {
-  for (uint32_t SiteIndex = Begin; SiteIndex < End; ++SiteIndex) {
+void computeInFlow(const Program &Prog, const PointsToResult &Insens,
+                   IntrospectionMetrics &M) {
+  for (uint32_t SiteIndex = 0; SiteIndex < Prog.numSites(); ++SiteIndex) {
     SiteId Site(SiteIndex);
     if (Insens.callTargets(Site).empty())
       continue; // No CALLGRAPH(invo, ...) fact.
     uint64_t Total = 0;
     for (VarId Actual : Prog.site(Site).Actuals)
       Total += Insens.pointsTo(Actual).size();
-    InFlow[SiteIndex] = Total;
+    M.InFlow[SiteIndex] = Total;
   }
 }
 
-/// One (base heap, field) -> heaps cell of the FieldHeaps map.
-using FieldCell = std::pair<const uint64_t, SortedIdSet>;
-
 /// Metrics #3 and #6 — per-object field points-to sizes and
-/// pointed-by-objs, accumulated into caller-provided buffers (the metric
-/// vectors themselves on the sequential path, per-shard scratch on the
-/// parallel path).
-void fieldCellRange(const std::vector<const FieldCell *> &Cells, size_t Begin,
-                    size_t End, std::vector<uint64_t> &TotalFieldPointsTo,
-                    std::vector<uint64_t> &MaxFieldPointsTo,
-                    std::vector<uint64_t> &PointedByObjs) {
-  for (size_t Index = Begin; Index < End; ++Index) {
-    const auto &[Key, Heaps] = *Cells[Index];
+/// pointed-by-objs, one sweep over the (base heap, field) -> heaps cells.
+/// Every fold is a commutative integer sum or max, so the FieldHeaps hash
+/// order cannot leak into the result.
+void computeFieldCells(const PointsToResult &Insens, IntrospectionMetrics &M) {
+  for (const auto &[Key, Heaps] : Insens.FieldHeaps) {
     uint32_t BaseHeap = static_cast<uint32_t>(Key >> 32);
     uint64_t Size = Heaps.size();
-    TotalFieldPointsTo[BaseHeap] += Size;
-    MaxFieldPointsTo[BaseHeap] = std::max(MaxFieldPointsTo[BaseHeap], Size);
+    M.ObjectTotalFieldPointsTo[BaseHeap] += Size;
+    M.ObjectMaxFieldPointsTo[BaseHeap] =
+        std::max(M.ObjectMaxFieldPointsTo[BaseHeap], Size);
     for (uint32_t Pointee : Heaps)
-      ++PointedByObjs[Pointee];
+      ++M.PointedByObjs[Pointee];
   }
 }
 
 /// Metrics #2, #4, #5 — per-method volumes and pointed-by-vars, one sweep
-/// over all (var, heap) pairs.  The per-method outputs are disjoint writes;
-/// PointedByVars crosses method boundaries and goes through \p PointedByVars
-/// (per-shard scratch on the parallel path).  Reads the *merged*
-/// ObjectMaxFieldPointsTo, so this sweep must run after metric #3 is final.
-void methodRange(const Program &Prog, const PointsToResult &Insens,
-                 uint32_t Begin, uint32_t End, IntrospectionMetrics &M,
-                 std::vector<uint64_t> &PointedByVars) {
-  for (uint32_t MethodIndex = Begin; MethodIndex < End; ++MethodIndex) {
+/// over all (var, heap) pairs.  Reads ObjectMaxFieldPointsTo, so this
+/// sweep must run after metric #3 is final.
+void computeMethods(const Program &Prog, const PointsToResult &Insens,
+                    IntrospectionMetrics &M) {
+  for (uint32_t MethodIndex = 0; MethodIndex < Prog.numMethods();
+       ++MethodIndex) {
     const MethodInfo &Info = Prog.method(MethodId(MethodIndex));
     uint64_t Volume = 0;
     uint64_t MaxVar = 0;
@@ -92,7 +76,7 @@ void methodRange(const Program &Prog, const PointsToResult &Insens,
       Volume += Heaps.size();
       MaxVar = std::max(MaxVar, static_cast<uint64_t>(Heaps.size()));
       for (uint32_t HeapRaw : Heaps) {
-        ++PointedByVars[HeapRaw];
+        ++M.PointedByVars[HeapRaw];
         MaxVarField =
             std::max(MaxVarField, M.ObjectMaxFieldPointsTo[HeapRaw]);
       }
@@ -103,23 +87,6 @@ void methodRange(const Program &Prog, const PointsToResult &Insens,
   }
 }
 
-std::vector<const FieldCell *> collectFieldCells(const PointsToResult &Insens) {
-  std::vector<const FieldCell *> Cells;
-  Cells.reserve(Insens.FieldHeaps.size());
-  for (const auto &Cell : Insens.FieldHeaps)
-    Cells.push_back(&Cell);
-  // FieldHeaps is an unordered_map, so pointer-collection order varies with
-  // hashing, insertion history, and library version.  Today every consumer
-  // folds the cells with commutative integer ops (sum / max / count), but a
-  // deterministic processing order keeps the shard boundaries — and any
-  // future order-sensitive fold — stable across runs and platforms.
-  std::sort(Cells.begin(), Cells.end(),
-            [](const FieldCell *A, const FieldCell *B) {
-              return A->first < B->first;
-            });
-  return Cells;
-}
-
 } // namespace
 
 IntrospectionMetrics
@@ -127,100 +94,17 @@ intro::computeIntrospectionMetrics(const Program &Prog,
                                    const PointsToResult &Insens) {
   IntrospectionMetrics M;
   initMetrics(M, Prog);
-
-  // Spans are per *phase*, never per shard: shard counts vary with the
-  // worker count, and the trace content must not (DESIGN.md §8).
   {
     TRACE_SPAN("metrics.in_flow");
-    inFlowRange(Prog, Insens, 0, static_cast<uint32_t>(Prog.numSites()),
-                M.InFlow);
+    computeInFlow(Prog, Insens, M);
   }
   {
     TRACE_SPAN("metrics.field_cells");
-    std::vector<const FieldCell *> Cells = collectFieldCells(Insens);
-    fieldCellRange(Cells, 0, Cells.size(), M.ObjectTotalFieldPointsTo,
-                   M.ObjectMaxFieldPointsTo, M.PointedByObjs);
+    computeFieldCells(Insens, M);
   }
   {
     TRACE_SPAN("metrics.methods");
-    methodRange(Prog, Insens, 0, static_cast<uint32_t>(Prog.numMethods()), M,
-                M.PointedByVars);
+    computeMethods(Prog, Insens, M);
   }
-  return M;
-}
-
-IntrospectionMetrics
-intro::computeIntrospectionMetrics(const Program &Prog,
-                                   const PointsToResult &Insens,
-                                   ThreadPool &Pool) {
-  IntrospectionMetrics M;
-  initMetrics(M, Prog);
-  size_t Shards = Pool.workerCount();
-
-  // Phase 1a — in-flow: disjoint per-site writes, no merge needed.  The
-  // span wraps the whole phase on the calling thread (per-shard spans would
-  // make trace content depend on the worker count; DESIGN.md §8).
-  {
-    TRACE_SPAN("metrics.in_flow");
-    parallelForShards(Pool, Prog.numSites(), Shards,
-                      [&](size_t, size_t Begin, size_t End) {
-                        inFlowRange(Prog, Insens, static_cast<uint32_t>(Begin),
-                                    static_cast<uint32_t>(End), M.InFlow);
-                      });
-  }
-
-  // Phase 1b — field cells: per-shard accumulation, merged by sum / max /
-  // sum in shard-index order (any order gives the same integers).
-  {
-    TRACE_SPAN("metrics.field_cells");
-    std::vector<const FieldCell *> Cells = collectFieldCells(Insens);
-    struct FieldAccum {
-      std::vector<uint64_t> Total, Max, PointedByObjs;
-    };
-    std::vector<FieldAccum> FieldShards(std::max<size_t>(
-        1, std::min(Shards, std::max<size_t>(Cells.size(), 1))));
-    parallelForShards(
-        Pool, Cells.size(), FieldShards.size(),
-        [&](size_t Shard, size_t Begin, size_t End) {
-          FieldAccum &A = FieldShards[Shard];
-          A.Total.assign(Prog.numHeaps(), 0);
-          A.Max.assign(Prog.numHeaps(), 0);
-          A.PointedByObjs.assign(Prog.numHeaps(), 0);
-          fieldCellRange(Cells, Begin, End, A.Total, A.Max, A.PointedByObjs);
-        });
-    for (const FieldAccum &A : FieldShards) {
-      if (A.Total.empty())
-        continue; // Shard never ran (more shards than cells).
-      for (size_t Heap = 0; Heap < Prog.numHeaps(); ++Heap) {
-        M.ObjectTotalFieldPointsTo[Heap] += A.Total[Heap];
-        M.ObjectMaxFieldPointsTo[Heap] =
-            std::max(M.ObjectMaxFieldPointsTo[Heap], A.Max[Heap]);
-        M.PointedByObjs[Heap] += A.PointedByObjs[Heap];
-      }
-    }
-  }
-
-  // Phase 2 — methods: needs the merged ObjectMaxFieldPointsTo from phase
-  // 1b.  Per-method outputs are disjoint writes; PointedByVars goes through
-  // per-shard scratch summed in shard order.
-  {
-    TRACE_SPAN("metrics.methods");
-    std::vector<std::vector<uint64_t>> VarShards(std::max<size_t>(
-        1, std::min(Shards, std::max<size_t>(Prog.numMethods(), 1))));
-    parallelForShards(Pool, Prog.numMethods(), VarShards.size(),
-                      [&](size_t Shard, size_t Begin, size_t End) {
-                        VarShards[Shard].assign(Prog.numHeaps(), 0);
-                        methodRange(Prog, Insens, static_cast<uint32_t>(Begin),
-                                    static_cast<uint32_t>(End), M,
-                                    VarShards[Shard]);
-                      });
-    for (const std::vector<uint64_t> &Shard : VarShards) {
-      if (Shard.empty())
-        continue;
-      for (size_t Heap = 0; Heap < Prog.numHeaps(); ++Heap)
-        M.PointedByVars[Heap] += Shard[Heap];
-    }
-  }
-
   return M;
 }

@@ -28,7 +28,6 @@ namespace intro {
 
 class PointsToResult;
 class Program;
-class ThreadPool;
 
 /// All six metrics, indexed by the raw id of the respective entity.
 struct IntrospectionMetrics {
@@ -57,22 +56,18 @@ struct IntrospectionMetrics {
 
   /// #6: per object, the number of (object, field) pairs pointing to it.
   std::vector<uint64_t> PointedByObjs;
+
+  bool operator==(const IntrospectionMetrics &) const = default;
 };
 
 /// Computes all metrics from \p Insens, the result of a (context-
-/// insensitive) first analysis pass over \p Prog.
+/// insensitive) first analysis pass over \p Prog.  Three sequential
+/// sweeps (sites, field cells, methods), each one trace span; every fold
+/// is an integer sum or max, so the result does not depend on the hash
+/// order of Insens's field maps.  Pipelines reach this through runPassA
+/// (introspect/Driver.h), which also caches the result.
 IntrospectionMetrics computeIntrospectionMetrics(const Program &Prog,
                                                  const PointsToResult &Insens);
-
-/// Parallel variant: shards the per-site, per-field-cell, and per-method
-/// sweeps across \p Pool, accumulating into per-shard buffers that are
-/// merged in shard-index order.  Every merge is an integer sum or max —
-/// commutative and associative — so the result is bit-identical to the
-/// sequential computation regardless of worker count or scheduling.
-/// Must not be called from a task running on \p Pool itself.
-IntrospectionMetrics computeIntrospectionMetrics(const Program &Prog,
-                                                 const PointsToResult &Insens,
-                                                 ThreadPool &Pool);
 
 } // namespace intro
 

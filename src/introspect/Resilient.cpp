@@ -7,7 +7,6 @@
 #include "introspect/Resilient.h"
 
 #include "analysis/Reports.h"
-#include "cache/ResultCache.h"
 #include "ir/Program.h"
 #include "support/Json.h"
 #include "support/TableWriter.h"
@@ -111,6 +110,19 @@ HeuristicAParams tightened(const HeuristicAParams &Base, double Multiplier,
   return Params;
 }
 
+/// The solver options of one rung's attempt, polling \p Cancel.
+SolverOptions rungSolverOptions(const ResilientOptions &Options,
+                                DegradationLevel Level,
+                                const SolveBudget &Budget,
+                                const CancellationToken *Cancel) {
+  SolverOptions SolverOpts;
+  SolverOpts.Budget = Budget;
+  SolverOpts.Cancel = Cancel;
+  SolverOpts.CancelInterval = Options.CancelInterval;
+  SolverOpts.Faults = Options.faultsFor(Level);
+  return SolverOpts;
+}
+
 /// Shared per-run state of the ladder walk.
 class Ladder {
 public:
@@ -131,35 +143,23 @@ public:
       return seal(Total);
 
     // The insensitive pre-analysis: needed by every introspective rung and
-    // simultaneously the ladder's last resort.  Run it once, up front —
-    // or reload it (with its metrics) from the Pass-A cache.  The cache is
-    // bypassed while the Insensitive fault plan is armed: a warm entry
-    // would mask the failure the plan is injecting.
-    bool UseCache = Options.Cache && Options.CacheKey &&
-                    !Options.faultsFor(DegradationLevel::Insensitive).armed();
-    bool CacheHit = false;
-    PointsToResult FirstPass;
-    if (UseCache) {
-      cache::CachedPassA Entry;
-      Timer LoadClock;
-      if (Options.Cache->lookup(*Options.CacheKey, Entry)) {
-        // The rung still "starts" (and instantly completes): supervision
-        // learns via OnRungStart that the pre-analysis is underway, and
-        // the trace row carries the *stored* solver stats so its
-        // deterministic columns match a cold run's.
-        if (Options.OnRungStart)
-          Options.OnRungStart(DegradationLevel::Insensitive, 0);
-        FirstPass = std::move(Entry.Insens);
-        Out.Metrics = std::move(Entry.Metrics);
-        Out.Trace.push_back({DegradationLevel::Insensitive,
-                             FirstPass.AnalysisName, FirstPass.Status,
-                             FirstPass.Stats, LoadClock.seconds(), 0});
-        CacheHit = true;
-      }
-    }
-    if (!CacheHit)
-      FirstPass = attempt(DegradationLevel::Insensitive, *Insensitive,
-                          Options.FirstPassBudget);
+    // simultaneously the ladder's last resort.  Run it once, up front — or
+    // reload it from the Pass-A cache, in which case the trace row carries
+    // the *stored* solver stats, so its deterministic columns match a cold
+    // run's.  The rung "starts" either way: supervision learns via
+    // OnRungStart that the pre-analysis is underway.
+    if (Options.OnRungStart)
+      Options.OnRungStart(DegradationLevel::Insensitive, 0);
+    PassAOutcome PassA = runPassA(
+        Prog,
+        rungSolverOptions(Options, DegradationLevel::Insensitive,
+                          Options.FirstPassBudget, Options.Cancel),
+        Options.Cache, Options.CacheKey,
+        rungSpanName(DegradationLevel::Insensitive));
+    PointsToResult &FirstPass = PassA.Insens;
+    Out.Trace.push_back({DegradationLevel::Insensitive,
+                         FirstPass.AnalysisName, FirstPass.Status,
+                         FirstPass.Stats, PassA.Seconds, 0});
     if (!isCompleted(FirstPass.Status)) {
       // Nothing cheaper exists: return the partial insensitive result.
       Out.Cancelled = FirstPass.Status == SolveStatus::Cancelled;
@@ -167,19 +167,9 @@ public:
       Out.Level = DegradationLevel::Insensitive;
       return seal(Total);
     }
-
     // Introspective rungs share the metrics of the first pass.
-    if (!CacheHit) {
-      Timer MetricClock;
-      Out.Metrics = computeIntrospectionMetrics(Prog, FirstPass);
-      Out.MetricSeconds = MetricClock.seconds();
-      if (UseCache) {
-        cache::CachedPassA Entry;
-        Entry.Insens = FirstPass;
-        Entry.Metrics = Out.Metrics;
-        Options.Cache->store(*Options.CacheKey, Entry);
-      }
-    }
+    Out.Metrics = std::move(PassA.Metrics);
+    Out.MetricSeconds = PassA.MetricSeconds;
 
     if (Options.AttemptIntroB &&
         introAttempt(DegradationLevel::IntroB, "-IntroB",
@@ -219,11 +209,8 @@ private:
   PointsToResult attempt(DegradationLevel Level, const ContextPolicy &Policy,
                          const SolveBudget &Budget, uint32_t Round = 0) {
     ContextTable Table;
-    SolverOptions SolverOpts;
-    SolverOpts.Budget = Budget;
-    SolverOpts.Cancel = Options.Cancel;
-    SolverOpts.CancelInterval = Options.CancelInterval;
-    SolverOpts.Faults = Options.faultsFor(Level);
+    SolverOptions SolverOpts =
+        rungSolverOptions(Options, Level, Budget, Options.Cancel);
     if (Options.OnRungStart)
       Options.OnRungStart(Level, Round);
     trace::ScopedSpan RungSpan(rungSpanName(Level));
@@ -314,13 +301,13 @@ struct PortfolioRung {
   bool Harvested = false;
 };
 
-/// The concurrent counterpart of Ladder.  Launches the deep attempt and
-/// the insensitive pre-analysis together; once the pre-analysis lands,
-/// computes the metrics (in parallel) and launches every introspective
-/// rung.  The winner is then decided by harvesting in ladder order — the
-/// first completed rung is exactly the one the sequential walk would have
-/// stopped at, because the rungs above it all failed their (deterministic)
-/// budgets.  Everything below the winner is cancelled.
+/// The concurrent counterpart of Ladder.  Launches the deep attempt on the
+/// pool, runs Pass A (runPassA) on the calling thread meanwhile, and once
+/// it lands launches every introspective rung.  The winner is then decided
+/// by harvesting in ladder order — the first completed rung is exactly the
+/// one the sequential walk would have stopped at, because the rungs above
+/// it all failed their (deterministic) budgets.  Everything below the
+/// winner is cancelled.
 class Portfolio {
 public:
   Portfolio(const Program &Prog, const ContextPolicy &RefinedPolicy,
@@ -330,19 +317,19 @@ public:
   ResilientOutcome run() {
     Timer Total;
     auto Insensitive = makeInsensitivePolicy();
-    // Never more workers than rungs that can exist; never fewer than one.
-    unsigned MaxTasks = 2 + (Options.AttemptIntroB ? 1 : 0) +
+    // Never more workers than pool tasks that can exist (the deep rung and
+    // the introspective rungs); never fewer than one.
+    unsigned MaxTasks = 1 + (Options.AttemptIntroB ? 1 : 0) +
                         (Options.AttemptIntroA ? 1 : 0) +
                         Options.TightenedRounds;
     unsigned Workers =
         Options.Workers ? Options.Workers : ThreadPool::defaultWorkerCount();
-    Workers = std::max(1u, std::min(Workers, MaxTasks));
-    ThreadPool Pool(Workers);
+    ThreadPool Pool(std::max(1u, std::min(Workers, MaxTasks)));
     try {
-      return race(Pool, *Insensitive, Workers, Total);
+      return race(Pool, *Insensitive, Total);
     } catch (...) {
-      // A throwing rung (or metric shard) must not leave the others
-      // running for their full budgets while the pool drains.
+      // A throwing rung must not leave the others running for their full
+      // budgets while the pool drains.
       cancelAll();
       throw;
     }
@@ -350,66 +337,33 @@ public:
 
 private:
   ResilientOutcome race(ThreadPool &Pool, const ContextPolicy &Insensitive,
-                        unsigned Workers, const Timer &Total) {
+                        const Timer &Total) {
     PortfolioRung *Deep = nullptr;
     if (Options.AttemptDeep)
       Deep = &launch(Pool, DegradationLevel::Deep, Refined,
                      Options.DeepBudget);
 
-    // The Pass-A cache short-circuits the pre-analysis rung: a hit becomes
-    // a pre-harvested rung (stored stats in its trace row, load time as
-    // its Seconds) and the introspective rungs launch immediately.  Same
-    // fault-plan bypass as the sequential walk.
-    bool UseCache = Options.Cache && Options.CacheKey &&
-                    !Options.faultsFor(DegradationLevel::Insensitive).armed();
-    bool CacheHit = false;
-    PortfolioRung *FirstPtr = nullptr;
-    if (UseCache) {
-      cache::CachedPassA Entry;
-      Timer LoadClock;
-      if (Options.Cache->lookup(*Options.CacheKey, Entry)) {
-        Rungs.emplace_back();
-        PortfolioRung &Loaded = Rungs.back();
-        Loaded.Level = DegradationLevel::Insensitive;
-        Loaded.Result = std::move(Entry.Insens);
-        Loaded.Seconds = LoadClock.seconds();
-        Loaded.Harvested = true;
-        Out.Metrics = std::move(Entry.Metrics);
-        FirstPtr = &Loaded;
-        CacheHit = true;
-      }
-    }
-    if (!FirstPtr)
-      FirstPtr = &launch(Pool, DegradationLevel::Insensitive, Insensitive,
-                         Options.FirstPassBudget);
-    PortfolioRung &First = *FirstPtr;
-
     // The pre-analysis gates every introspective rung; the deep attempt
-    // races on while we wait for it.
-    harvest(First);
+    // races on while it runs (or reloads from the Pass-A cache) here.  It
+    // is recorded as a pre-harvested rung, in its ladder-walk position.
+    PassAOutcome PassA = runPassA(
+        Prog,
+        rungSolverOptions(Options, DegradationLevel::Insensitive,
+                          Options.FirstPassBudget, Options.Cancel),
+        Options.Cache, Options.CacheKey,
+        rungSpanName(DegradationLevel::Insensitive));
+    Rungs.emplace_back();
+    PortfolioRung &First = Rungs.back();
+    First.Level = DegradationLevel::Insensitive;
+    First.Result = std::move(PassA.Insens);
+    First.Seconds = PassA.Seconds;
+    First.Harvested = true;
     bool FirstOk = isCompleted(First.Result.Status);
 
     std::vector<PortfolioRung *> IntroRungs;
     if (FirstOk) {
-      if (!CacheHit) {
-        Timer MetricClock;
-        {
-          // A dedicated pool: the main pool's workers may all be busy with
-          // solver runs, and metric shards must not queue behind a deep
-          // attempt that has minutes of budget left.
-          ThreadPool MetricPool(Workers);
-          Out.Metrics =
-              computeIntrospectionMetrics(Prog, First.Result, MetricPool);
-        }
-        Out.MetricSeconds = MetricClock.seconds();
-        if (UseCache) {
-          cache::CachedPassA Entry;
-          Entry.Insens = First.Result;
-          Entry.Metrics = Out.Metrics;
-          Options.Cache->store(*Options.CacheKey, Entry);
-        }
-      }
-
+      Out.Metrics = std::move(PassA.Metrics);
+      Out.MetricSeconds = PassA.MetricSeconds;
       if (Options.AttemptIntroB)
         IntroRungs.push_back(&launchIntro(
             Pool, DegradationLevel::IntroB, "-IntroB",
@@ -520,11 +474,8 @@ private:
     R.Exceptions = std::move(Exceptions);
     R.Cancel.linkTo(Options.Cancel);
 
-    SolverOptions SolverOpts;
-    SolverOpts.Budget = Budget;
-    SolverOpts.Cancel = &R.Cancel;
-    SolverOpts.CancelInterval = Options.CancelInterval;
-    SolverOpts.Faults = Options.faultsFor(Level);
+    SolverOptions SolverOpts =
+        rungSolverOptions(Options, Level, Budget, &R.Cancel);
     const Program *ProgPtr = &Prog;
     const ContextPolicy *PolicyPtr = &Policy;
     R.Pending = Pool.submit([ProgPtr, PolicyPtr, SolverOpts, Level] {

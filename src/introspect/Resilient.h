@@ -21,6 +21,9 @@
 ///   5. the context-insensitive result (always cheap; doubles as the
 ///      pre-analysis the introspective rungs already need).
 ///
+/// The pre-analysis and its metrics come from runPassA (Driver.h), the
+/// same Pass-A path runIntrospective uses, Pass-A cache included.
+///
 /// Every attempt — including failed ones — is recorded in an AttemptTrace;
 /// the outcome carries the deepest completed result tagged with its
 /// DegradationLevel.  Cancellation stops the ladder immediately instead of
@@ -32,11 +35,12 @@
 ///
 /// **Portfolio mode** (ResilientOptions::Portfolio) races the rungs
 /// concurrently on a thread pool instead of paying for each failed rung in
-/// wall-clock: the deep attempt and the insensitive pre-analysis launch
-/// together; once the pre-analysis lands, every introspective rung launches
-/// too.  The winner is decided in ladder order — exactly the rung the
-/// sequential walk would have returned — and the losing rungs are cancelled
-/// through per-rung tokens linked to the caller's.  Completed solver runs
+/// wall-clock: the deep attempt launches on the pool while the calling
+/// thread runs the pre-analysis (runPassA); once it lands, every
+/// introspective rung launches too.  The winner is decided in ladder order
+/// — exactly the rung the sequential walk would have returned — and the
+/// losing rungs are cancelled through per-rung tokens linked to the
+/// caller's.  Completed solver runs
 /// are single-threaded and deterministic, so the winning PointsToResult,
 /// the metrics, and the exceptions are bit-identical to the sequential
 /// path; only wall-clock (and the Stats of *cancelled* losers in the
@@ -154,15 +158,16 @@ struct ResilientOptions {
   /// the sequential walk (see the file comment); the win is wall-clock:
   /// failed rungs no longer serialize in front of the rung that completes.
   bool Portfolio = false;
-  /// Worker threads for portfolio mode (and its parallel metric
-  /// computation).  0 means one per hardware thread.
+  /// Worker threads for portfolio mode's pool, which runs the deep and
+  /// introspective rungs (the pre-analysis runs on the calling thread).
+  /// 0 means one per hardware thread.
   unsigned Workers = 0;
 
   /// Optional content-addressed Pass-A store (runtime-only, like Cancel
   /// and OnRungStart: never serialized by writeResilientOptionsJson; a
-  /// supervisor re-creates it in the child from its own --cache-dir).
-  /// When both Cache and CacheKey are set, the insensitive pre-analysis
-  /// probes the cache: a hit restores the stored result and metrics —
+  /// supervisor re-creates it in the child from its own --cache-dir),
+  /// handed to runPassA.  When both Cache and CacheKey are set, the
+  /// insensitive pre-analysis probes the cache: a hit restores the stored result and metrics —
   /// every introspective rung then shares the cached Pass A, and an
   /// escalateBelow relaunch reloads instead of re-solving — while a
   /// completed miss is stored for the next run.  The trace row of a

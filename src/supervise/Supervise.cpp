@@ -12,6 +12,7 @@
 #include "ir/Validator.h"
 #include "support/ExitCodes.h"
 #include "support/Json.h"
+#include "support/Overflow.h"
 #include "support/ParseNum.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
@@ -109,6 +110,51 @@ void intro::supervise::disambiguateJobNames(std::vector<JobSpec> &Jobs) {
     Job.Name = std::move(Candidate);
     Seen.insert(Job.Name);
   }
+}
+
+bool intro::supervise::parseSharedBatchFlag(const std::string &Arg,
+                                            BatchOptions &Options,
+                                            std::string &Error) {
+  constexpr uint32_t U32Max = std::numeric_limits<uint32_t>::max();
+  constexpr uint64_t U64Max = std::numeric_limits<uint64_t>::max();
+  std::string Value;
+  if (Arg == "--no-deep") {
+    Options.Ladder.AttemptDeep = false;
+    return true;
+  }
+  if (flagValue(Arg, "--cache-dir", Options.CacheDir))
+    return true;
+  if (flagValue(Arg, "--max-attempts", Value)) {
+    parseU32("--max-attempts", Value, 1, U32Max, Options.Retry.MaxAttempts,
+             Error);
+    return true;
+  }
+  if (flagValue(Arg, "--cpu-limit", Value)) {
+    parseU32("--cpu-limit", Value, 0, U32Max, Options.Limits.MaxCpuSeconds,
+             Error);
+    return true;
+  }
+  if (flagValue(Arg, "--mem-limit", Value)) {
+    // MiB from the user, bytes to RLIMIT_AS.  A huge value must saturate
+    // rather than shift-wrap into a tiny (or zero) limit that would starve
+    // every child; 0 is rejected because RLIMIT_AS of 0 means "no address
+    // space at all", not "no limit" — unlimited is the default, spelled by
+    // omitting the flag.
+    uint64_t MiB = 0;
+    if (parseU64("--mem-limit", Value, 1, U64Max, MiB, Error))
+      Options.Limits.MaxAddressSpaceBytes = saturatingMul(MiB, 1ull << 20);
+    return true;
+  }
+  if (flagValue(Arg, "--seed", Value)) {
+    parseU64("--seed", Value, 0, U64Max, Options.Retry.Seed, Error);
+    return true;
+  }
+  if (flagValue(Arg, "--cache-max-entries", Value)) {
+    parseU64("--cache-max-entries", Value, 0, U64Max, Options.CacheMaxEntries,
+             Error);
+    return true;
+  }
+  return false;
 }
 
 bool intro::supervise::parseChaosPlan(const std::string &Spec,

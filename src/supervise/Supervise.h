@@ -222,6 +222,15 @@ struct BatchOptions {
   uint64_t CacheMaxEntries = 0;
 };
 
+/// Parses \p Arg if it is one of the supervision flags intro_batch and
+/// intro_serve share — `--max-attempts=N`, `--cpu-limit=SECONDS`,
+/// `--mem-limit=MB`, `--seed=N`, `--cache-dir=DIR`,
+/// `--cache-max-entries=N` and `--no-deep` — into \p Options.  \returns
+/// false if \p Arg is none of them; otherwise true, with \p Error set to a
+/// diagnostic naming the flag when its value is malformed or out of range.
+bool parseSharedBatchFlag(const std::string &Arg, BatchOptions &Options,
+                          std::string &Error);
+
 /// The outcome of a whole batch.
 struct BatchResult {
   std::vector<JobResult> Jobs; ///< In input order, independent of Workers.

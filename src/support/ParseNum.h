@@ -17,7 +17,8 @@
 /// nonempty, all ASCII digits (or a plain decimal for parseF64) — enforce a
 /// [Min, Max] range, and on failure produce a diagnostic that names the
 /// offending flag, so `--retries=x` reports "bad value for --retries"
-/// rather than a stack unwind.
+/// rather than a stack unwind.  flagValue is the `--flag=value` matcher
+/// the tools share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +34,17 @@
 #include <string_view>
 
 namespace intro {
+
+/// Matches \p Arg against `<Flag>=value`.  \returns true and sets \p Value
+/// to the text after the `=` on a match; otherwise leaves \p Value alone.
+inline bool flagValue(std::string_view Arg, std::string_view Flag,
+                      std::string &Value) {
+  if (Arg.size() <= Flag.size() || Arg.substr(0, Flag.size()) != Flag ||
+      Arg[Flag.size()] != '=')
+    return false;
+  Value = Arg.substr(Flag.size() + 1);
+  return true;
+}
 
 /// Parses \p Text as a decimal uint64 in [\p Min, \p Max] for flag
 /// \p Flag (e.g. "--seed").  \returns true and sets \p Out on success;

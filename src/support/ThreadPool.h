@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A deliberately small thread pool for the parallel portfolio engine and
-/// the benchmark sweep runners: a fixed number of workers, a FIFO task
+/// A deliberately small thread pool for the portfolio engine's racing
+/// rungs and the benchmark sweep runners: a fixed number of workers, a FIFO task
 /// queue, and std::future-based results.  No work stealing, no priorities,
 /// no resizing — the analysis workloads are a handful of long-running,
 /// independent solver calls, so a single shared queue is both sufficient
@@ -26,7 +26,6 @@
 #ifndef SUPPORT_THREADPOOL_H
 #define SUPPORT_THREADPOOL_H
 
-#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -115,47 +114,6 @@ private:
   std::vector<std::thread> Threads;
   bool Draining = false;
 };
-
-/// Splits [0, \p Count) into \p ShardCount contiguous slices and runs
-/// \p Body(ShardIndex, Begin, End) for each on \p Pool, blocking until all
-/// slices finish.  The slice boundaries depend only on Count and
-/// ShardCount, so any per-shard accumulation a caller merges in shard-index
-/// order is deterministic.  Exceptions from any shard rethrow here (the
-/// remaining shards still run to completion first).
-///
-/// Must not be called from inside a task running on \p Pool — the caller
-/// blocks on the shard futures while holding no worker, and a worker
-/// calling it could deadlock a fully-busy pool.
-template <typename Fn>
-inline void parallelForShards(ThreadPool &Pool, size_t Count,
-                              size_t ShardCount, Fn &&Body) {
-  ShardCount = std::clamp<size_t>(ShardCount, 1, std::max<size_t>(Count, 1));
-  if (ShardCount == 1) {
-    Body(size_t(0), size_t(0), Count); // Inline: nothing to parallelize.
-    return;
-  }
-  std::vector<std::future<void>> Shards;
-  Shards.reserve(ShardCount);
-  for (size_t Shard = 0; Shard < ShardCount; ++Shard) {
-    size_t Begin = Count * Shard / ShardCount;
-    size_t End = Count * (Shard + 1) / ShardCount;
-    Shards.push_back(
-        Pool.submit([&Body, Shard, Begin, End] { Body(Shard, Begin, End); }));
-  }
-  // get() in order so the first failure's exception propagates after every
-  // shard has stopped touching caller-owned buffers.
-  std::exception_ptr First;
-  for (std::future<void> &Shard : Shards) {
-    try {
-      Shard.get();
-    } catch (...) {
-      if (!First)
-        First = std::current_exception();
-    }
-  }
-  if (First)
-    std::rethrow_exception(First);
-}
 
 } // namespace intro
 

@@ -26,6 +26,7 @@
 #include "supervise/Supervise.h"
 #include "support/Json.h"
 #include "support/Trace.h"
+#include "workload/DaCapo.h"
 #include "TestPrograms.h"
 
 #include <gtest/gtest.h>
@@ -564,6 +565,74 @@ TEST(CacheStatsJson, AllSevenCountersRoundTripAndAdd) {
   // A JSON null is how reports spell "no cache"; it decodes to nothing.
   EXPECT_FALSE(cache::parseCacheStatsJson(parseJson("null").Value, Back));
   EXPECT_EQ(Back.Probes, 2u);
+}
+
+// --- runPassA: the one Pass-A path ------------------------------------------
+
+TEST(PassA, ArmedFaultPlanNeitherProbesNorStores) {
+  TwoBoxes T = makeTwoBoxes();
+  TempDir Dir;
+  cache::ResultCache Cache({Dir.Path, 0});
+  cache::Fingerprint Fp = cache::fingerprintProgram(T.Prog);
+
+  // Armed but never firing: the pass completes, and must still stay out of
+  // the cache in both directions.
+  SolverOptions Solver;
+  Solver.Faults.FailAtPop = ~uint64_t(0);
+  PassAOutcome A = runPassA(T.Prog, Solver, &Cache, &Fp);
+  EXPECT_TRUE(isCompleted(A.Insens.Status));
+  EXPECT_EQ(Cache.stats().Probes, 0u);
+  EXPECT_EQ(Cache.stats().Stores, 0u);
+  cache::CachedPassA Entry;
+  EXPECT_FALSE(Cache.lookup(Fp, Entry));
+}
+
+TEST(PassA, BudgetStoppedResultIsNotStored) {
+  TwoBoxes T = makeTwoBoxes();
+  TempDir Dir;
+  cache::ResultCache Cache({Dir.Path, 0});
+  cache::Fingerprint Fp = cache::fingerprintProgram(T.Prog);
+
+  SolverOptions Solver;
+  Solver.Budget.MaxTuples = 1; // guaranteed exhaustion
+  PassAOutcome A = runPassA(T.Prog, Solver, &Cache, &Fp);
+  EXPECT_EQ(A.Insens.Status, SolveStatus::TupleBudgetExceeded);
+  // The partial result still gets metrics: runIntrospective queries them.
+  EXPECT_EQ(A.Metrics.InFlow.size(), T.Prog.numSites());
+  EXPECT_EQ(Cache.stats().Misses, 1u);
+  EXPECT_EQ(Cache.stats().Stores, 0u);
+
+  // A retry with headroom re-solves and stores.
+  PassAOutcome Retry = runPassA(T.Prog, SolverOptions(), &Cache, &Fp);
+  EXPECT_TRUE(isCompleted(Retry.Insens.Status));
+  EXPECT_EQ(Cache.stats().Misses, 2u);
+  EXPECT_EQ(Cache.stats().Stores, 1u);
+}
+
+TEST(PassA, WarmHitReturnsTheColdResultMetricsAndSolverStats) {
+  Program Prog = generateWorkload(dacapoProfile("chart"));
+  TempDir Dir;
+  cache::ResultCache Cache({Dir.Path, 0});
+  cache::Fingerprint Fp = cache::fingerprintProgram(Prog);
+
+  PassAOutcome Cold = runPassA(Prog, SolverOptions(), &Cache, &Fp);
+  ASSERT_TRUE(isCompleted(Cold.Insens.Status));
+  PassAOutcome Warm = runPassA(Prog, SolverOptions(), &Cache, &Fp);
+  EXPECT_EQ(Cache.stats().Hits, 1u);
+  EXPECT_EQ(Cache.stats().Stores, 1u);
+
+  expectResultsEqual(Cold.Insens, Warm.Insens);
+  expectMetricsEqual(Cold.Metrics, Warm.Metrics);
+  // The stored solver stats come back verbatim, wall-clock included; the
+  // outcome's own Seconds is the load time and no metrics were computed.
+  EXPECT_EQ(Warm.Insens.Stats.Seconds, Cold.Insens.Stats.Seconds);
+  EXPECT_EQ(Warm.Insens.Stats.WorklistPops, Cold.Insens.Stats.WorklistPops);
+  EXPECT_EQ(Warm.MetricSeconds, 0.0);
+
+  // And it is the same Pass A an uncached run computes.
+  PassAOutcome Plain = runPassA(Prog);
+  expectResultsEqual(Plain.Insens, Warm.Insens);
+  expectMetricsEqual(Plain.Metrics, Warm.Metrics);
 }
 
 // --- Driver integration ------------------------------------------------------

@@ -11,7 +11,6 @@
 #include "introspect/Driver.h"
 #include "introspect/Heuristics.h"
 #include "introspect/Metrics.h"
-#include "support/ThreadPool.h"
 #include "workload/DaCapo.h"
 
 #include "TestPrograms.h"
@@ -229,55 +228,6 @@ TEST(Driver, BudgetsArePassedThrough) {
   EXPECT_FALSE(isCompleted(Out.SecondPass.Status));
 }
 
-TEST(Metrics, ParallelComputationIsBitIdenticalToSequential) {
-  // The sharded metric computation merges per-shard integer sums/maxes in
-  // shard-index order; for any worker count the result must equal the
-  // sequential sweep exactly.
-  Program Prog = generateWorkload(dacapoProfile("chart"));
-  auto Insens = makeInsensitivePolicy();
-  ContextTable Table;
-  PointsToResult First = solvePointsTo(Prog, *Insens, Table);
-  IntrospectionMetrics Sequential = computeIntrospectionMetrics(Prog, First);
-
-  for (unsigned Workers : {1u, 3u, 8u}) {
-    ThreadPool Pool(Workers);
-    IntrospectionMetrics Parallel =
-        computeIntrospectionMetrics(Prog, First, Pool);
-    SCOPED_TRACE("workers: " + std::to_string(Workers));
-    EXPECT_EQ(Parallel.InFlow, Sequential.InFlow);
-    EXPECT_EQ(Parallel.MethodTotalVolume, Sequential.MethodTotalVolume);
-    EXPECT_EQ(Parallel.MethodMaxVarPointsTo,
-              Sequential.MethodMaxVarPointsTo);
-    EXPECT_EQ(Parallel.ObjectMaxFieldPointsTo,
-              Sequential.ObjectMaxFieldPointsTo);
-    EXPECT_EQ(Parallel.ObjectTotalFieldPointsTo,
-              Sequential.ObjectTotalFieldPointsTo);
-    EXPECT_EQ(Parallel.MethodMaxVarFieldPointsTo,
-              Sequential.MethodMaxVarFieldPointsTo);
-    EXPECT_EQ(Parallel.PointedByVars, Sequential.PointedByVars);
-    EXPECT_EQ(Parallel.PointedByObjs, Sequential.PointedByObjs);
-  }
-}
-
-TEST(Metrics, ParallelComputationHandlesTinyPrograms) {
-  // More workers than sites/methods/field cells: shard clamping must not
-  // read or write out of range, and the merge must skip never-ran shards.
-  TwoBoxes T = makeTwoBoxes();
-  auto Insens = makeInsensitivePolicy();
-  ContextTable Table;
-  PointsToResult First = solvePointsTo(T.Prog, *Insens, Table);
-  IntrospectionMetrics Sequential =
-      computeIntrospectionMetrics(T.Prog, First);
-  ThreadPool Pool(16);
-  IntrospectionMetrics Parallel =
-      computeIntrospectionMetrics(T.Prog, First, Pool);
-  EXPECT_EQ(Parallel.InFlow, Sequential.InFlow);
-  EXPECT_EQ(Parallel.PointedByVars, Sequential.PointedByVars);
-  EXPECT_EQ(Parallel.PointedByObjs, Sequential.PointedByObjs);
-  EXPECT_EQ(Parallel.ObjectTotalFieldPointsTo,
-            Sequential.ObjectTotalFieldPointsTo);
-}
-
 TEST(Metrics, HashMapIterationOrderDoesNotLeakIntoResults) {
   // FieldHeaps / StaticFieldHeaps are unordered_maps: their iteration
   // order depends on insertion history, not on contents.  Rebuild the same
@@ -323,13 +273,6 @@ TEST(Metrics, HashMapIterationOrderDoesNotLeakIntoResults) {
             Base.MethodMaxVarFieldPointsTo);
   EXPECT_EQ(Reordered.PointedByVars, Base.PointedByVars);
   EXPECT_EQ(Reordered.PointedByObjs, Base.PointedByObjs);
-
-  ThreadPool Pool(3);
-  IntrospectionMetrics Parallel =
-      computeIntrospectionMetrics(Prog, Shuffled, Pool);
-  EXPECT_EQ(Parallel.PointedByObjs, Base.PointedByObjs);
-  EXPECT_EQ(Parallel.ObjectTotalFieldPointsTo, Base.ObjectTotalFieldPointsTo);
-  EXPECT_EQ(Parallel.ObjectMaxFieldPointsTo, Base.ObjectMaxFieldPointsTo);
 
   EscapeResult EscapeBase = computeEscape(Prog, First);
   EscapeResult EscapeReordered = computeEscape(Prog, Shuffled);

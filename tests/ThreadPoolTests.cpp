@@ -73,73 +73,3 @@ TEST(ThreadPool, TasksRunConcurrentlyAcrossWorkers) {
   EXPECT_TRUE(A.get());
   EXPECT_TRUE(B.get());
 }
-
-TEST(ParallelForShards, CoversRangeExactlyOnce) {
-  ThreadPool Pool(3);
-  constexpr size_t Count = 1000;
-  std::vector<std::atomic<int>> Touched(Count);
-  parallelForShards(Pool, Count, 7, [&](size_t, size_t Begin, size_t End) {
-    for (size_t Index = Begin; Index < End; ++Index)
-      ++Touched[Index];
-  });
-  for (size_t Index = 0; Index < Count; ++Index)
-    EXPECT_EQ(Touched[Index].load(), 1) << "index " << Index;
-}
-
-TEST(ParallelForShards, ShardBoundariesAreDeterministic) {
-  // Slice boundaries depend only on (Count, ShardCount), never on
-  // scheduling — the determinism argument of the parallel metric merge.
-  ThreadPool Pool(2);
-  auto Boundaries = [&](size_t Count, size_t Shards) {
-    std::mutex Lock;
-    std::vector<std::pair<size_t, size_t>> Slices;
-    parallelForShards(Pool, Count, Shards,
-                      [&](size_t Shard, size_t Begin, size_t End) {
-                        std::lock_guard<std::mutex> Guard(Lock);
-                        if (Slices.size() <= Shard)
-                          Slices.resize(Shard + 1);
-                        Slices[Shard] = {Begin, End};
-                      });
-    return Slices;
-  };
-  EXPECT_EQ(Boundaries(10, 4), Boundaries(10, 4));
-  auto Slices = Boundaries(10, 4);
-  ASSERT_EQ(Slices.size(), 4u);
-  EXPECT_EQ(Slices.front().first, 0u);
-  EXPECT_EQ(Slices.back().second, 10u);
-  for (size_t Shard = 1; Shard < Slices.size(); ++Shard)
-    EXPECT_EQ(Slices[Shard].first, Slices[Shard - 1].second);
-}
-
-TEST(ParallelForShards, MoreShardsThanItemsClampsSafely) {
-  ThreadPool Pool(2);
-  std::atomic<int> Touched{0};
-  parallelForShards(Pool, 2, 100, [&](size_t, size_t Begin, size_t End) {
-    Touched += static_cast<int>(End - Begin);
-  });
-  EXPECT_EQ(Touched.load(), 2);
-  // Empty range: the single inline shard still runs, with an empty slice.
-  bool Ran = false;
-  parallelForShards(Pool, 0, 4, [&](size_t, size_t Begin, size_t End) {
-    Ran = true;
-    EXPECT_EQ(Begin, End);
-  });
-  EXPECT_TRUE(Ran);
-}
-
-TEST(ParallelForShards, RethrowsFirstShardFailureAfterAllComplete) {
-  ThreadPool Pool(2);
-  std::atomic<int> Ran{0};
-  try {
-    parallelForShards(Pool, 100, 4, [&](size_t Shard, size_t, size_t) {
-      ++Ran;
-      if (Shard == 1)
-        throw std::runtime_error("shard failed");
-    });
-    FAIL() << "expected the shard exception to propagate";
-  } catch (const std::runtime_error &) {
-  }
-  // Every shard ran to completion before the rethrow: no shard is still
-  // touching caller-owned buffers when the exception unwinds them.
-  EXPECT_EQ(Ran.load(), 4);
-}

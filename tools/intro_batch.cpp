@@ -52,7 +52,6 @@
 
 #include "support/ExitCodes.h"
 #include "support/Json.h"
-#include "support/Overflow.h"
 #include "support/ParseNum.h"
 #include "support/Socket.h"
 #include "support/TableWriter.h"
@@ -91,15 +90,6 @@ struct CliOptions {
   std::vector<ChaosFlag> Chaos;
 };
 
-/// Parses `--flag=value`; \returns true and fills \p Value on a match.
-bool flagValue(const std::string &Arg, const char *Flag, std::string &Value) {
-  std::string Prefix = std::string(Flag) + "=";
-  if (Arg.compare(0, Prefix.size(), Prefix) != 0)
-    return false;
-  Value = Arg.substr(Prefix.size());
-  return true;
-}
-
 /// Parses a `--chaos=` SPEC@NAME payload; the SPEC body grammar lives in
 /// supervise::parseChaosPlan (shared with the serve protocol).
 bool parseChaosSpec(const std::string &Spec, ChaosFlag &Out) {
@@ -115,21 +105,17 @@ bool parseChaosSpec(const std::string &Spec, ChaosFlag &Out) {
 /// Parses the command line.  \returns an exit code to bail with, or -1 to
 /// continue.
 int parseCli(int argc, char **argv, CliOptions &Cli) {
-  constexpr uint32_t U32Max = std::numeric_limits<uint32_t>::max();
-  constexpr uint64_t U64Max = std::numeric_limits<uint64_t>::max();
   std::string Error;
   for (int Index = 1; Index < argc; ++Index) {
     std::string Arg = argv[Index];
     std::string Value;
     if (flagValue(Arg, "--report", Cli.ReportPath) ||
         flagValue(Arg, "--quarantine", Cli.QuarantineDir) ||
-        flagValue(Arg, "--cache-dir", Cli.Batch.CacheDir) ||
         flagValue(Arg, "--server", Cli.ServerSocket) ||
         flagValue(Arg, "--job-reports", Cli.JobReportsDir))
       continue;
-    if (flagValue(Arg, "--max-attempts", Value)) {
-      if (!parseU32("--max-attempts", Value, 1, U32Max,
-                    Cli.Batch.Retry.MaxAttempts, Error))
+    if (parseSharedBatchFlag(Arg, Cli.Batch, Error)) {
+      if (!Error.empty())
         break;
       continue;
     }
@@ -139,44 +125,12 @@ int parseCli(int argc, char **argv, CliOptions &Cli) {
         break;
       continue;
     }
-    if (flagValue(Arg, "--cpu-limit", Value)) {
-      if (!parseU32("--cpu-limit", Value, 0, U32Max,
-                    Cli.Batch.Limits.MaxCpuSeconds, Error))
-        break;
-      continue;
-    }
-    if (flagValue(Arg, "--mem-limit", Value)) {
-      // MiB from the user, bytes to RLIMIT_AS.  A huge value must saturate
-      // rather than shift-wrap into a tiny (or zero) limit that would
-      // starve every child; 0 is rejected because RLIMIT_AS of 0 means "no
-      // address space at all", not "no limit" — unlimited is the default,
-      // spelled by omitting the flag.
-      uint64_t MiB = 0;
-      if (!parseU64("--mem-limit", Value, 1, U64Max, MiB, Error))
-        break;
-      Cli.Batch.Limits.MaxAddressSpaceBytes = saturatingMul(MiB, 1ull << 20);
-      continue;
-    }
-    if (flagValue(Arg, "--seed", Value)) {
-      if (!parseU64("--seed", Value, 0, U64Max, Cli.Batch.Retry.Seed, Error))
-        break;
-      continue;
-    }
     if (flagValue(Arg, "--workers", Value)) {
       uint32_t Workers = 0;
-      if (!parseU32("--workers", Value, 1, U32Max, Workers, Error))
+      if (!parseU32("--workers", Value, 1,
+                    std::numeric_limits<uint32_t>::max(), Workers, Error))
         break;
       Cli.Batch.Workers = Workers;
-      continue;
-    }
-    if (flagValue(Arg, "--cache-max-entries", Value)) {
-      if (!parseU64("--cache-max-entries", Value, 0, U64Max,
-                    Cli.Batch.CacheMaxEntries, Error))
-        break;
-      continue;
-    }
-    if (Arg == "--no-deep") {
-      Cli.Batch.Ladder.AttemptDeep = false;
       continue;
     }
     if (flagValue(Arg, "--chaos", Value)) {

@@ -89,14 +89,6 @@ struct CliOptions {
   bool ScratchDirGiven = false;
 };
 
-bool flagValue(const std::string &Arg, const char *Flag, std::string &Value) {
-  std::string Prefix = std::string(Flag) + "=";
-  if (Arg.compare(0, Prefix.size(), Prefix) != 0)
-    return false;
-  Value = Arg.substr(Prefix.size());
-  return true;
-}
-
 /// Parses `--oracles=` payloads: the two presets or a comma list of kebab
 /// names.
 bool parseOracles(const std::string &Spec, OracleSet &Out,

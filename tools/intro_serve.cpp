@@ -17,7 +17,7 @@
 ///   --workers=N          concurrent supervised jobs (default 2)
 ///   --deadline=SECONDS   default per-job wall watchdog (default 60)
 ///   --max-deadline=SECONDS  clamp on a request's deadline_seconds
-///                        (default 600)
+///                        (default 600; --deadline may not exceed it)
 ///   --max-attempts=N     attempts per job before giving up (default 3)
 ///   --cpu-limit=SECONDS  per-child RLIMIT_CPU (default 0 = off)
 ///   --mem-limit=MB       per-child RLIMIT_AS (default 0 = off)
@@ -39,7 +39,6 @@
 #include "serve/Server.h"
 
 #include "support/ExitCodes.h"
-#include "support/Overflow.h"
 #include "support/ParseNum.h"
 #include "support/Socket.h"
 
@@ -61,27 +60,22 @@ std::atomic<bool> GStop{false};
 
 void onStopSignal(int) { GStop.store(true, std::memory_order_relaxed); }
 
-bool flagValue(const std::string &Arg, const char *Flag, std::string &Value) {
-  std::string Prefix = std::string(Flag) + "=";
-  if (Arg.compare(0, Prefix.size(), Prefix) != 0)
-    return false;
-  Value = Arg.substr(Prefix.size());
-  return true;
-}
-
 int parseCli(int argc, char **argv, ServerOptions &Options) {
-  constexpr uint32_t U32Max = std::numeric_limits<uint32_t>::max();
-  constexpr uint64_t U64Max = std::numeric_limits<uint64_t>::max();
   std::string Error;
   for (int Index = 1; Index < argc; ++Index) {
     std::string Arg = argv[Index];
     std::string Value;
-    if (flagValue(Arg, "--socket", Options.SocketPath) ||
-        flagValue(Arg, "--cache-dir", Options.Batch.CacheDir))
+    if (flagValue(Arg, "--socket", Options.SocketPath))
       continue;
+    if (supervise::parseSharedBatchFlag(Arg, Options.Batch, Error)) {
+      if (!Error.empty())
+        break;
+      continue;
+    }
     if (flagValue(Arg, "--workers", Value)) {
       uint32_t Workers = 0;
-      if (!parseU32("--workers", Value, 1, U32Max, Workers, Error))
+      if (!parseU32("--workers", Value, 1,
+                    std::numeric_limits<uint32_t>::max(), Workers, Error))
         break;
       Options.Workers = Workers;
       continue;
@@ -98,47 +92,20 @@ int parseCli(int argc, char **argv, ServerOptions &Options) {
         break;
       continue;
     }
-    if (flagValue(Arg, "--max-attempts", Value)) {
-      if (!parseU32("--max-attempts", Value, 1, U32Max,
-                    Options.Batch.Retry.MaxAttempts, Error))
-        break;
-      continue;
-    }
-    if (flagValue(Arg, "--cpu-limit", Value)) {
-      if (!parseU32("--cpu-limit", Value, 0, U32Max,
-                    Options.Batch.Limits.MaxCpuSeconds, Error))
-        break;
-      continue;
-    }
-    if (flagValue(Arg, "--mem-limit", Value)) {
-      uint64_t MiB = 0;
-      if (!parseU64("--mem-limit", Value, 1, U64Max, MiB, Error))
-        break;
-      Options.Batch.Limits.MaxAddressSpaceBytes =
-          saturatingMul(MiB, 1ull << 20);
-      continue;
-    }
-    if (flagValue(Arg, "--seed", Value)) {
-      if (!parseU64("--seed", Value, 0, U64Max, Options.Batch.Retry.Seed,
-                    Error))
-        break;
-      continue;
-    }
-    if (flagValue(Arg, "--cache-max-entries", Value)) {
-      if (!parseU64("--cache-max-entries", Value, 0, U64Max,
-                    Options.Batch.CacheMaxEntries, Error))
-        break;
-      continue;
-    }
-    if (Arg == "--no-deep") {
-      Options.Batch.Ladder.AttemptDeep = false;
-      continue;
-    }
     std::cerr << "error: unknown flag '" << Arg << "'\n";
     return ExitBadInput;
   }
   if (!Error.empty()) {
     std::cerr << "error: " << Error << "\n";
+    return ExitBadInput;
+  }
+  // handleSubmit clamps only a request's own deadline_seconds; a default
+  // above the clamp would let every deadline-less submit outlive it.
+  const double Deadline = Options.Batch.Limits.WallDeadlineSeconds;
+  if (Deadline > Options.MaxDeadlineSeconds) {
+    std::cerr << "error: --deadline=" << Deadline
+              << " exceeds --max-deadline=" << Options.MaxDeadlineSeconds
+              << "\n";
     return ExitBadInput;
   }
   if (Options.SocketPath.empty()) {
