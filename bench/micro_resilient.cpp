@@ -6,13 +6,15 @@
 ///
 /// \file
 /// google-benchmark microbenchmarks for the resilience layer.  The contract
-/// is that resilience is free when nothing goes wrong: a runResilient call
-/// whose first attempted rung succeeds must cost < 1% over the equivalent
-/// non-resilient driver.  Three comparisons:
+/// is that the ladder's bookkeeping is free when nothing goes wrong: a
+/// runResilient call whose first attempted rung succeeds must cost < 1%
+/// over the equivalent non-resilient driver.  Three comparisons:
 ///
 ///   - runIntrospective(A)  vs  runResilient starting at the IntroA rung
 ///     (identical analysis work; the delta is pure ladder bookkeeping);
-///   - plain deep solve     vs  runResilient whose deep rung succeeds;
+///   - plain deep solve     vs  runResilient whose deep rung succeeds (the
+///     ladder also runs Pass A first, whose size caps the deep rung, so
+///     this delta is Pass A plus its metrics);
 ///   - the full forced ladder (every rung faulted) to price the worst case.
 ///
 //===----------------------------------------------------------------------===//
@@ -74,8 +76,8 @@ static void BM_PlainDeep(benchmark::State &State) {
 }
 BENCHMARK(BM_PlainDeep);
 
-/// The ladder whose deep rung succeeds outright: no pre-analysis, no
-/// metrics, one trace entry.
+/// The ladder whose deep rung succeeds outright: Pass A and its metrics,
+/// then the capped deep rung; two trace entries.
 static void BM_ResilientHappyDeep(benchmark::State &State) {
   Program Prog = chartProgram();
   auto Refined = makeObjectPolicy(Prog, 2, 1);

@@ -50,6 +50,8 @@ const char *intro::fuzz::oracleKindName(OracleKind Kind) {
     return "cache-parity";
   case OracleKind::PortfolioParity:
     return "portfolio-parity";
+  case OracleKind::DeepCap:
+    return "deep-cap";
   case OracleKind::ServedLocalParity:
     return "served-parity";
   }
@@ -75,7 +77,8 @@ OracleSet OracleSet::defaults() {
       .enable(OracleKind::ReferenceEquivalence)
       .enable(OracleKind::IntrospectiveSubset)
       .enable(OracleKind::CacheWarmColdParity)
-      .enable(OracleKind::PortfolioParity);
+      .enable(OracleKind::PortfolioParity)
+      .enable(OracleKind::DeepCap);
   return Set;
 }
 
@@ -222,6 +225,7 @@ struct Harness {
   void checkIntrospectiveSubset();
   void checkCacheParity();
   void checkPortfolioParity();
+  void checkDeepCap();
   void checkServedParity();
 };
 
@@ -620,6 +624,44 @@ void Harness::checkPortfolioParity() {
   }
 }
 
+void Harness::checkDeepCap() {
+  if (!Opt.Oracles.has(OracleKind::DeepCap))
+    return;
+  auto Refined = makeObjectPolicy(Prog, 2, 1);
+  ContextTable Table;
+  PointsToResult Absolute =
+      solvePointsTo(Prog, *Refined, Table, cappedOptions());
+  if (!isCompleted(Absolute.Status)) {
+    ++Out.ChecksSkipped; // The cap can only cut runs that complete.
+    return;
+  }
+  ResilientOptions Options;
+  Options.DeepBudget = cappedBudget();
+  Options.RefinedBudget = cappedBudget();
+  Options.FirstPassBudget = cappedBudget();
+  ResilientOutcome Ladder = runResilient(Prog, *Refined, Options);
+  ++Out.ChecksRun;
+  if (Ladder.Level != DegradationLevel::Deep) {
+    const SolverStats &PassA = Ladder.Trace.front().Stats;
+    uint64_t PassATuples =
+        PassA.VarPointsToTuples + PassA.FieldPointsToTuples;
+    finding(OracleKind::DeepCap, Absolute.AnalysisName,
+            "completes with " +
+                std::to_string(Absolute.Stats.VarPointsToTuples +
+                               Absolute.Stats.FieldPointsToTuples) +
+                " tuples under the absolute budget, but the ladder won at " +
+                degradationLevelName(Ladder.Level) + " (Pass A " +
+                std::to_string(PassATuples) + " tuples, deep cap " +
+                std::to_string(deepTupleCap(Options.DeepBudget, PassATuples)) +
+                ")");
+    return;
+  }
+  if (std::string Diff = describeResultDiff(Absolute, Ladder.Result);
+      !Diff.empty())
+    finding(OracleKind::DeepCap, Absolute.AnalysisName,
+            "capped deep rung != absolute run: " + Diff);
+}
+
 /// The run report's deterministic section as raw bytes (the ServeTests
 /// contract): everything from the "deterministic" key up to the "timing"
 /// key, with the per-attempt wall-clock values pinned.
@@ -731,6 +773,7 @@ OracleOutcome intro::fuzz::checkProgram(const Program &Prog,
   H.checkIntrospectiveSubset();
   H.checkCacheParity();
   H.checkPortfolioParity();
+  H.checkDeepCap();
   H.checkServedParity();
   return std::move(H.Out);
 }

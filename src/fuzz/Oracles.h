@@ -24,6 +24,10 @@
 ///    rung, result, metrics and exceptions; metamorphic).
 ///  - **PortfolioParity**: the racing ladder returns the same rung, result,
 ///    metrics and exceptions as the sequential walk (metamorphic).
+///  - **DeepCap**: when 2objH completes under the harness's absolute
+///    budget, the ladder — whose deep rung runs under the Pass-A-derived
+///    deepTupleCap — wins at the deep rung with the same result.  A cut
+///    would be a silent loss of precision.
 ///  - **ServedLocalParity**: a job submitted through the serve daemon
 ///    reports the same deterministic bytes as the same job run locally
 ///    (metamorphic; forks children, so opt-in).
@@ -62,11 +66,12 @@ enum class OracleKind : uint8_t {
   IntrospectiveSubset,
   CacheWarmColdParity,
   PortfolioParity,
+  DeepCap,
   ServedLocalParity,
 };
 
 /// Number of OracleKind values.
-inline constexpr size_t NumOracleKinds = 8;
+inline constexpr size_t NumOracleKinds = 9;
 
 /// \returns a stable kebab-case name for \p Kind (reports, repro names).
 const char *oracleKindName(OracleKind Kind);

@@ -9,6 +9,7 @@
 #include "analysis/Reports.h"
 #include "ir/Program.h"
 #include "support/Json.h"
+#include "support/Overflow.h"
 #include "support/TableWriter.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
@@ -123,6 +124,18 @@ SolverOptions rungSolverOptions(const ResilientOptions &Options,
   return SolverOpts;
 }
 
+/// The deep rung's budget: \p Absolute, its tuple limit capped by
+/// deepTupleCap when \p PassA completed.
+SolveBudget deepBudget(const SolveBudget &Absolute,
+                       const PointsToResult &PassA) {
+  SolveBudget Budget = Absolute;
+  if (isCompleted(PassA.Status))
+    Budget.MaxTuples =
+        deepTupleCap(Absolute, PassA.Stats.VarPointsToTuples +
+                                   PassA.Stats.FieldPointsToTuples);
+  return Budget;
+}
+
 /// Shared per-run state of the ladder walk.
 class Ladder {
 public:
@@ -134,17 +147,9 @@ public:
     Timer Total;
     auto Insensitive = makeInsensitivePolicy();
 
-    // Rung 1: the refined deep analysis as given.
-    if (Options.AttemptDeep &&
-        finished(DegradationLevel::Deep,
-                 attempt(DegradationLevel::Deep, Refined, Options.DeepBudget)))
-      return seal(Total);
-    if (Stopped) // Cancelled mid-deep: do not start cheaper work.
-      return seal(Total);
-
-    // The insensitive pre-analysis: needed by every introspective rung and
-    // simultaneously the ladder's last resort.  Run it once, up front — or
-    // reload it from the Pass-A cache, in which case the trace row carries
+    // Pass A first: its size caps the deep rung, every introspective rung
+    // needs its metrics, and it is the ladder's last resort.  It may be
+    // reloaded from the Pass-A cache, in which case the trace row carries
     // the *stored* solver stats, so its deterministic columns match a cold
     // run's.  The rung "starts" either way: supervision learns via
     // OnRungStart that the pre-analysis is underway.
@@ -160,30 +165,52 @@ public:
     Out.Trace.push_back({DegradationLevel::Insensitive,
                          FirstPass.AnalysisName, FirstPass.Status,
                          FirstPass.Stats, PassA.Seconds, 0});
-    if (!isCompleted(FirstPass.Status)) {
-      // Nothing cheaper exists: return the partial insensitive result.
-      Out.Cancelled = FirstPass.Status == SolveStatus::Cancelled;
-      Out.Result = std::move(FirstPass);
-      Out.Level = DegradationLevel::Insensitive;
-      return seal(Total);
+    bool PassAOk = isCompleted(FirstPass.Status);
+    if (PassAOk) {
+      Out.Metrics = std::move(PassA.Metrics);
+      Out.MetricSeconds = PassA.MetricSeconds;
+    } else if (FirstPass.Status == SolveStatus::Cancelled) {
+      Out.Cancelled = true;
+      Stopped = true;
     }
-    // Introspective rungs share the metrics of the first pass.
-    Out.Metrics = std::move(PassA.Metrics);
-    Out.MetricSeconds = PassA.MetricSeconds;
 
+    // Rung 1: the refined deep analysis as given, capped by Pass A's size.
+    if (Options.AttemptDeep && !ladderCancelled() &&
+        finished(DegradationLevel::Deep,
+                 attempt(DegradationLevel::Deep, Refined,
+                         deepBudget(Options.DeepBudget, FirstPass))))
+      return seal(Total);
+
+    // The introspective rungs need the metrics of a completed Pass A.
+    if (PassAOk && !Stopped && introRungsWin(FirstPass, *Insensitive))
+      return seal(Total);
+
+    // Every refined rung failed (or the ladder was cancelled): fall back to
+    // Pass A — completed, or the partial result whose Status says why.
+    Out.Result = std::move(FirstPass);
+    Out.Level = DegradationLevel::Insensitive;
+    Out.Exceptions = RefinementExceptions();
+    return seal(Total);
+  }
+
+private:
+  /// Walks the introspective rungs on \p FirstPass's metrics.  \returns
+  /// true if one completed.
+  bool introRungsWin(const PointsToResult &FirstPass,
+                     const ContextPolicy &Insensitive) {
     if (Options.AttemptIntroB &&
         introAttempt(DegradationLevel::IntroB, "-IntroB",
                      applyHeuristicB(Prog, FirstPass, Out.Metrics,
                                      Options.ParamsB),
-                     *Insensitive))
-      return seal(Total);
+                     Insensitive))
+      return true;
 
     if (!Stopped && Options.AttemptIntroA &&
         introAttempt(DegradationLevel::IntroA, "-IntroA",
                      applyHeuristicA(Prog, FirstPass, Out.Metrics,
                                      Options.ParamsA),
-                     *Insensitive))
-      return seal(Total);
+                     Insensitive))
+      return true;
 
     for (uint32_t Round = 1; !Stopped && Round <= Options.TightenedRounds;
          ++Round) {
@@ -192,19 +219,12 @@ public:
       std::string Suffix = "-IntroA-tight" + std::to_string(Round);
       if (introAttempt(DegradationLevel::TightenedIntroA, Suffix.c_str(),
                        applyHeuristicA(Prog, FirstPass, Out.Metrics, Params),
-                       *Insensitive, Round))
-        return seal(Total);
+                       Insensitive, Round))
+        return true;
     }
-
-    // Every refined rung failed (or the ladder was cancelled): fall back to
-    // the completed insensitive pre-analysis, the deepest completed result.
-    Out.Result = std::move(FirstPass);
-    Out.Level = DegradationLevel::Insensitive;
-    Out.Exceptions = RefinementExceptions();
-    return seal(Total);
+    return false;
   }
 
-private:
   /// Runs one solver attempt and records it in the trace.
   PointsToResult attempt(DegradationLevel Level, const ContextPolicy &Policy,
                          const SolveBudget &Budget, uint32_t Round = 0) {
@@ -235,10 +255,6 @@ private:
     }
     if (R.Status == SolveStatus::Cancelled) {
       Out.Cancelled = true;
-      // Keep the partial result provisionally; a completed insensitive
-      // pre-analysis (if one exists) replaces it on the fallback path.
-      Out.Result = std::move(R);
-      Out.Level = Level;
       Stopped = true;
     }
     return false;
@@ -301,9 +317,9 @@ struct PortfolioRung {
   bool Harvested = false;
 };
 
-/// The concurrent counterpart of Ladder.  Launches the deep attempt on the
-/// pool, runs Pass A (runPassA) on the calling thread meanwhile, and once
-/// it lands launches every introspective rung.  The winner is then decided
+/// The concurrent counterpart of Ladder.  Runs Pass A (runPassA) on the
+/// calling thread, then launches the capped deep attempt and every
+/// introspective rung on the pool at once.  The winner is then decided
 /// by harvesting in ladder order — the first completed rung is exactly the
 /// one the sequential walk would have stopped at, because the rungs above
 /// it all failed their (deterministic) budgets.  Everything below the
@@ -338,14 +354,10 @@ public:
 private:
   ResilientOutcome race(ThreadPool &Pool, const ContextPolicy &Insensitive,
                         const Timer &Total) {
-    PortfolioRung *Deep = nullptr;
-    if (Options.AttemptDeep)
-      Deep = &launch(Pool, DegradationLevel::Deep, Refined,
-                     Options.DeepBudget);
-
-    // The pre-analysis gates every introspective rung; the deep attempt
-    // races on while it runs (or reloads from the Pass-A cache) here.  It
-    // is recorded as a pre-harvested rung, in its ladder-walk position.
+    // Pass A gates every other rung: its size caps the deep rung and the
+    // introspective rungs need its metrics.  It runs (or reloads from the
+    // Pass-A cache) here and is recorded as a pre-harvested rung, in its
+    // ladder-walk position.
     PassAOutcome PassA = runPassA(
         Prog,
         rungSolverOptions(Options, DegradationLevel::Insensitive,
@@ -359,18 +371,30 @@ private:
     First.Seconds = PassA.Seconds;
     First.Harvested = true;
     bool FirstOk = isCompleted(First.Result.Status);
-
-    std::vector<PortfolioRung *> IntroRungs;
     if (FirstOk) {
       Out.Metrics = std::move(PassA.Metrics);
       Out.MetricSeconds = PassA.MetricSeconds;
+    }
+
+    // Like the sequential walk, launch nothing once the caller cancelled.
+    // Launch order IS the sequential ladder-walk order (the pre-analysis,
+    // deep, introB, introA, tightened rounds), so the trace order is
+    // deterministic even though completion order is not.
+    std::vector<PortfolioRung *> LadderOrder;
+    bool Cancelled = First.Result.Status == SolveStatus::Cancelled ||
+                     (Options.Cancel && Options.Cancel->isCancelled());
+    if (!Cancelled && Options.AttemptDeep)
+      LadderOrder.push_back(
+          &launch(Pool, DegradationLevel::Deep, Refined,
+                  deepBudget(Options.DeepBudget, First.Result)));
+    if (!Cancelled && FirstOk) {
       if (Options.AttemptIntroB)
-        IntroRungs.push_back(&launchIntro(
+        LadderOrder.push_back(&launchIntro(
             Pool, DegradationLevel::IntroB, "-IntroB",
             applyHeuristicB(Prog, First.Result, Out.Metrics, Options.ParamsB),
             Insensitive));
       if (Options.AttemptIntroA)
-        IntroRungs.push_back(&launchIntro(
+        LadderOrder.push_back(&launchIntro(
             Pool, DegradationLevel::IntroA, "-IntroA",
             applyHeuristicA(Prog, First.Result, Out.Metrics, Options.ParamsA),
             Insensitive));
@@ -378,7 +402,7 @@ private:
         HeuristicAParams Params =
             tightened(Options.ParamsA, Options.BackoffMultiplier, Round);
         std::string Suffix = "-IntroA-tight" + std::to_string(Round);
-        IntroRungs.push_back(&launchIntro(
+        LadderOrder.push_back(&launchIntro(
             Pool, DegradationLevel::TightenedIntroA, Suffix.c_str(),
             applyHeuristicA(Prog, First.Result, Out.Metrics, Params),
             Insensitive, Round));
@@ -388,11 +412,6 @@ private:
     // Decide the race in ladder order.  Budgets and fault plans are
     // deterministic, so the rungs above the first completed one fail in
     // both execution modes, making this exactly the sequential winner.
-    std::vector<PortfolioRung *> LadderOrder;
-    if (Deep)
-      LadderOrder.push_back(Deep);
-    LadderOrder.insert(LadderOrder.end(), IntroRungs.begin(),
-                       IntroRungs.end());
     PortfolioRung *Winner = nullptr;
     for (PortfolioRung *R : LadderOrder) {
       harvest(*R);
@@ -407,9 +426,7 @@ private:
                     static_cast<uint64_t>(Winner->Level));
 
     // The race is decided: stop the losers, then collect them for the
-    // trace.  Launch order IS the sequential ladder-walk order (deep,
-    // insensitive pre-analysis, introB, introA, tightened rounds), so the
-    // trace order is deterministic even though completion order is not.
+    // trace.
     cancelAll();
     for (PortfolioRung &R : Rungs)
       harvest(R);
@@ -417,43 +434,17 @@ private:
       Out.Trace.push_back({R.Level, R.Result.AnalysisName, R.Result.Status,
                            R.Result.Stats, R.Seconds, R.Round});
 
-    bool ExternalCancel = Options.Cancel && Options.Cancel->isCancelled();
     if (Winner) {
       Out.Result = std::move(Winner->Result);
       Out.Level = Winner->Level;
       Out.Exceptions = std::move(Winner->Exceptions);
-      if (Winner->Level == DegradationLevel::Deep) {
-        // Bit-compatibility with the sequential happy path, which never
-        // runs the pre-analysis or the metric queries.
-        Out.Metrics = IntrospectionMetrics();
-        Out.MetricSeconds = 0;
-      }
-    } else if (ExternalCancel) {
-      Out.Cancelled = true;
-      if (FirstOk) {
-        // Mirror the sequential fallback: a completed pre-analysis is
-        // handed back rather than a partial refined result.
-        Out.Result = std::move(First.Result);
-        Out.Level = DegradationLevel::Insensitive;
-      } else {
-        // The first cancelled partial in ladder order mirrors the rung
-        // the sequential walk was in when it observed the token.
-        PortfolioRung *Partial = &First;
-        for (PortfolioRung *R : LadderOrder)
-          if (R->Result.Status == SolveStatus::Cancelled) {
-            Partial = R;
-            break;
-          }
-        Out.Result = std::move(Partial->Result);
-        Out.Level = Partial->Level;
-      }
     } else {
-      // Every refined rung failed on its budget: the pre-analysis result
-      // (completed, or the partial if even it failed) is the answer.
-      Out.Cancelled = First.Result.Status == SolveStatus::Cancelled;
+      // Every refined rung failed, or the caller cancelled: mirror the
+      // sequential fallback to Pass A, completed or partial.
+      Out.Cancelled =
+          Cancelled || (Options.Cancel && Options.Cancel->isCancelled());
       Out.Result = std::move(First.Result);
       Out.Level = DegradationLevel::Insensitive;
-      Out.Exceptions = RefinementExceptions();
     }
     Out.TotalSeconds = Total.seconds();
     return std::move(Out);
@@ -554,6 +545,13 @@ void writeAttemptJson(JsonWriter &J, const Attempt &A, size_t Index,
 }
 
 } // namespace
+
+uint64_t intro::deepTupleCap(const SolveBudget &Absolute,
+                             uint64_t PassATuples) {
+  return std::min(Absolute.MaxTuples,
+                  std::max(DeepCapFloorTuples,
+                           saturatingMul(DeepCapRatio, PassATuples)));
+}
 
 ResilientOptions
 intro::normalizeResilientOptions(const ResilientOptions &Options,

@@ -9,20 +9,23 @@
 /// paper's central observation is that deep context-sensitive analyses are
 /// *bimodal*: they either scale or explode.  A service cannot simply report
 /// "TupleBudgetExceeded" and return a useless result; it must degrade to the
-/// strongest analysis that completes.  runResilient() walks a ladder of
-/// progressively cheaper configurations:
+/// strongest analysis that completes.  runResilient() first runs the
+/// context-insensitive pre-analysis (Pass A, via runPassA in Driver.h — the
+/// same path runIntrospective uses, Pass-A cache included), then walks a
+/// ladder of progressively cheaper configurations:
 ///
-///   1. the refined deep analysis as given (e.g. plain 2objH),
+///   1. the refined deep analysis as given (e.g. plain 2objH), under a
+///      tuple cap derived from Pass A's size (deepTupleCap) — the paper's
+///      §3 point that the cheap pass tells scaling runs from exploding ones,
 ///   2. introspective Heuristic B (sacrifices the least precision),
 ///   3. introspective Heuristic A (more aggressive),
 ///   4. Heuristic A with exponentially tightened thresholds (a backoff
 ///      multiplier shrinks K/L/M each round, excluding ever more elements
 ///      from refinement),
-///   5. the context-insensitive result (always cheap; doubles as the
-///      pre-analysis the introspective rungs already need).
+///   5. the context-insensitive Pass A result itself (always cheap).
 ///
-/// The pre-analysis and its metrics come from runPassA (Driver.h), the
-/// same Pass-A path runIntrospective uses, Pass-A cache included.
+/// If Pass A does not complete, the deep rung runs under its absolute
+/// budget; the introspective rungs need Pass A's metrics and are skipped.
 ///
 /// Every attempt — including failed ones — is recorded in an AttemptTrace;
 /// the outcome carries the deepest completed result tagged with its
@@ -35,16 +38,15 @@
 ///
 /// **Portfolio mode** (ResilientOptions::Portfolio) races the rungs
 /// concurrently on a thread pool instead of paying for each failed rung in
-/// wall-clock: the deep attempt launches on the pool while the calling
-/// thread runs the pre-analysis (runPassA); once it lands, every
-/// introspective rung launches too.  The winner is decided in ladder order
-/// — exactly the rung the sequential walk would have returned — and the
-/// losing rungs are cancelled through per-rung tokens linked to the
-/// caller's.  Completed solver runs
-/// are single-threaded and deterministic, so the winning PointsToResult,
-/// the metrics, and the exceptions are bit-identical to the sequential
-/// path; only wall-clock (and the Stats of *cancelled* losers in the
-/// trace) differ.  The trace records every launched attempt in the fixed
+/// wall-clock: the calling thread runs Pass A, then the deep attempt and
+/// every introspective rung launch on the pool at once.  The winner is
+/// decided in ladder order — exactly the rung the sequential walk would
+/// have returned — and the losing rungs are cancelled through per-rung
+/// tokens linked to the caller's.  Completed solver runs are
+/// single-threaded and deterministic, so the winning PointsToResult, the
+/// metrics, and the exceptions are bit-identical to the sequential path;
+/// only wall-clock (and the Stats of *cancelled* losers in the trace)
+/// differ.  The trace records every launched attempt in the fixed
 /// ladder-walk order regardless of completion order.
 ///
 //===----------------------------------------------------------------------===//
@@ -97,9 +99,9 @@ struct Attempt {
 };
 
 /// The chronological record of every attempt of a resilient run.  Note the
-/// insensitive pre-analysis runs *second* (right after the deep attempt),
-/// because the introspective rungs need its result; it is recorded at that
-/// position with Level == Insensitive.
+/// insensitive pre-analysis runs *first* (before the deep attempt), because
+/// its size caps the deep rung and the introspective rungs need its result;
+/// it is recorded at that position with Level == Insensitive.
 using AttemptTrace = std::vector<Attempt>;
 
 /// Renders \p Trace as an aligned ASCII table (one row per attempt), or a
@@ -108,7 +110,8 @@ std::string formatAttemptTrace(const AttemptTrace &Trace);
 
 /// Options of a resilient run.
 struct ResilientOptions {
-  /// Budget of the deep (rung 1) attempt.
+  /// Absolute budget of the deep (rung 1) attempt.  When Pass A completes,
+  /// the attempt's tuple limit is further capped by deepTupleCap.
   SolveBudget DeepBudget;
   /// Budget of each introspective second pass (rungs 2-4).
   SolveBudget RefinedBudget;
@@ -136,8 +139,9 @@ struct ResilientOptions {
   /// Optional cooperative cancellation, polled inside every attempt and
   /// between rungs.  When it fires the ladder stops immediately — a caller
   /// that asked to stop does not want a cheaper answer — and the outcome
-  /// falls back to the insensitive pre-analysis if that already completed.
-  /// The token must outlive the run.
+  /// is the insensitive pre-analysis: its completed result when the cancel
+  /// came after it (Level Insensitive, Cancelled set), else its partial
+  /// one.  The token must outlive the run.
   const CancellationToken *Cancel = nullptr;
   /// In-solver cancellation poll interval (SolverOptions::CancelInterval).
   uint32_t CancelInterval = 64;
@@ -146,8 +150,8 @@ struct ResilientOptions {
   /// and, for TightenedIntroA, the 1-based tightening round).  The
   /// supervision layer uses this from a forked child to stream per-rung
   /// progress over its report pipe, so a parent that sees the child die a
-  /// hard death (segfault, OOM kill, watchdog) knows the deepest rung that
-  /// *started* and can resume the ladder strictly below it.  Sequential
+  /// hard death (segfault, OOM kill, watchdog) knows the rung the child was
+  /// in and can resume the ladder strictly below it.  Sequential
   /// ladder only: portfolio mode launches rungs concurrently and does not
   /// invoke the callback (supervised children always run sequentially).
   std::function<void(DegradationLevel Level, uint32_t TightenedRound)>
@@ -196,7 +200,7 @@ struct ResilientOptions {
 /// Everything a resilient run produces.
 struct ResilientOutcome {
   /// The deepest completed result — or, if nothing completed (every rung
-  /// failed or the run was cancelled), the last partial result, whose
+  /// failed or the run was cancelled), Pass A's partial result, whose
   /// Status says why.
   PointsToResult Result;
   /// The rung Result came from.
@@ -205,13 +209,14 @@ struct ResilientOutcome {
   AttemptTrace Trace;
   /// True if the ladder was stopped by the cancellation token.
   bool Cancelled = false;
-  /// Metrics of the insensitive pre-analysis; empty vectors if the deep
-  /// rung succeeded outright (the happy path computes no metrics).
+  /// Metrics of the insensitive pre-analysis whenever it completed, deep
+  /// wins included; empty vectors otherwise.
   IntrospectionMetrics Metrics;
   /// Refinement exceptions of the winning introspective rung; empty for
   /// Deep / Insensitive outcomes.
   RefinementExceptions Exceptions;
-  /// Cost of computing the introspection metrics (0 on the happy path).
+  /// Cost of computing the introspection metrics (0 when Pass A did not
+  /// complete or was served from the cache).
   double MetricSeconds = 0;
   /// Total wall-clock of the whole ladder (attempts + metrics).
   double TotalSeconds = 0;
@@ -225,6 +230,19 @@ struct ResilientOutcome {
   /// \returns true if Result is a completed (fixpoint) analysis.
   bool completed() const { return isCompleted(Result.Status); }
 };
+
+/// The deep rung's cap relative to Pass A (DESIGN.md §6).  Completed 2objH
+/// runs stay within a few times their Pass-A tuple count; exploding ones
+/// pass DeepCapRatio times it long before the absolute budget.
+inline constexpr uint64_t DeepCapRatio = 10;
+/// Below this many tuples the deep rung is cheap, so no ratio applies.
+inline constexpr uint64_t DeepCapFloorTuples = 1'000'000;
+
+/// \returns the tuple limit of the deep rung after a completed Pass A of
+/// \p PassATuples (VarPointsTo + FldPointsTo) tuples:
+/// min(Absolute.MaxTuples, max(DeepCapFloorTuples, DeepCapRatio *
+/// PassATuples)), the product saturating instead of wrapping.
+uint64_t deepTupleCap(const SolveBudget &Absolute, uint64_t PassATuples);
 
 /// Returns a copy of \p Options with every degenerate knob clamped to its
 /// documented minimum, appending one note per adjustment to \p Notes:

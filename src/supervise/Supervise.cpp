@@ -207,10 +207,11 @@ bool intro::supervise::parseChaosPlan(const std::string &Spec,
 
 void intro::supervise::escalateBelow(ResilientOptions &Options,
                                      DegradationLevel Level) {
-  // Ladder execution order: Deep, Insensitive (pre-analysis), IntroB,
-  // IntroA, TightenedIntroA.  Dying *at* a rung disables that rung and
-  // every stronger one; dying in the pre-analysis leaves nothing to
-  // disable (it is both the gate and the floor).
+  // Ladder execution order: Insensitive (Pass A), Deep, IntroB, IntroA,
+  // TightenedIntroA.  Dying *at* a rung disables that rung and every
+  // stronger one; dying in Pass A leaves nothing to disable (it is both
+  // the gate and the floor).  Pass A is stored in the cache before the
+  // deep rung starts, so a relaunch after any later death reloads it.
   switch (Level) {
   case DegradationLevel::TightenedIntroA:
     Options.TightenedRounds = 0;
@@ -404,7 +405,8 @@ int childAnalyze(const JobSpec &Job, const ResilientOptions &BaseLadder,
 
 /// Decodes the child's JSONL transcript straight into the attempt record
 /// and the job record: rung_start progress events (emission order IS
-/// ladder execution order, so the last one seen is the deepest started)
+/// ladder execution order — Pass A, deep, then the introspective rungs —
+/// so the last one seen is the rung the child was in when it stopped)
 /// and at most one final report line (the line with a "schema" member).  A
 /// healthy report line replaces the job's report-derived members, its
 /// verbatim bytes included.  \returns true when this attempt wrote one.

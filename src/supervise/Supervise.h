@@ -18,9 +18,10 @@
 ///   1. fork a child; the child parses + validates the input (the untrusted
 ///      boundary stays inside the sandbox), then runs the sequential
 ///      degradation ladder (runResilient) and writes an
-///      `intro-run-report-v1` line over the pipe.  Before each rung it
-///      streams a one-line rung_start progress event, so the parent knows
-///      the deepest rung that *started* even if the child dies hard.
+///      `intro-run-report-v1` line over the pipe.  Before each rung (Pass A
+///      first, then deep and the introspective rungs) it streams a
+///      one-line rung_start progress event, so the parent knows the rung
+///      the child was in even if the child dies hard.
 ///   2. decode the transcript once, straight into the JobAttempt/JobResult
 ///      records (the report line itself is kept verbatim), and classify the
 ///      outcome (JobOutcomeClass below) from the exit code / signal /
@@ -28,7 +29,9 @@
 ///   3. retry transient classes with exponential backoff + deterministic
 ///      seeded jitter, relaunching hard deaths with the rungs at-and-above
 ///      the one that killed the child disabled (escalateBelow) — the child
-///      resumes the ladder where its predecessor died;
+///      resumes the ladder where its predecessor died, reloading Pass A
+///      from the cache when one is configured (Pass A is stored before
+///      the deep rung starts);
 ///   4. quarantine jobs that are deterministically bad (parse errors,
 ///      ladder floor failed) or that exhausted their retry budget.
 ///
@@ -142,8 +145,8 @@ double plannedBackoffMs(const RetryPolicy &Policy, size_t JobIndex,
 
 /// Disables every ladder rung at or above \p Level in \p Options, so a
 /// relaunched child resumes strictly below the rung that killed its
-/// predecessor.  Insensitive (the floor) disables nothing — there is
-/// nothing below the floor to resume at.
+/// predecessor.  Insensitive (Pass A, which runs first and is the floor)
+/// disables nothing — there is nothing below the floor to resume at.
 void escalateBelow(ResilientOptions &Options, DegradationLevel Level);
 
 /// Everything recorded about one child launch of one job.
@@ -152,8 +155,9 @@ struct JobAttempt {
   JobOutcomeClass Class = JobOutcomeClass::Clean;
   int ExitCode = 0;
   int TermSignal = 0;
-  /// Deepest rung the child reported starting (progress lines); valid only
-  /// when AnyRungStarted.
+  /// Last rung the child reported starting (progress lines arrive in
+  /// ladder execution order), i.e. the rung it was in when it stopped;
+  /// valid only when AnyRungStarted.
   DegradationLevel DeepestStartedRung = DegradationLevel::Deep;
   uint32_t DeepestStartedRound = 0;
   bool AnyRungStarted = false;

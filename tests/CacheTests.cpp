@@ -27,6 +27,7 @@
 #include "support/Json.h"
 #include "support/Trace.h"
 #include "workload/DaCapo.h"
+#include "TempDir.h"
 #include "TestPrograms.h"
 
 #include <gtest/gtest.h>
@@ -41,28 +42,11 @@
 
 using namespace intro;
 using intro::testing::makeTwoBoxes;
+using intro::testing::TempDir;
 using intro::testing::TwoBoxes;
 namespace fs = std::filesystem;
 
 namespace {
-
-/// A unique scratch directory, removed on destruction.
-struct TempDir {
-  TempDir() {
-    std::string Template =
-        (fs::temp_directory_path() / "intro-cache-XXXXXX").string();
-    std::vector<char> Buffer(Template.begin(), Template.end());
-    Buffer.push_back('\0');
-    const char *Made = mkdtemp(Buffer.data());
-    EXPECT_NE(Made, nullptr);
-    Path = Made ? Made : Template;
-  }
-  ~TempDir() {
-    std::error_code Ec;
-    fs::remove_all(Path, Ec);
-  }
-  std::string Path;
-};
 
 /// A synthetic Pass-A entry exercising every serialized field, including
 /// the unordered maps (whose keys must encode in sorted order) and the

@@ -37,6 +37,37 @@ namespace {
 
 Program chartProgram() { return generateWorkload(dacapoProfile("chart")); }
 
+/// 2objH that cancels \p Token when a solve starts under it.  Only the deep
+/// rung asks it for the initial context: the introspective policy wrapping
+/// it for the IntroA/IntroB rungs does not forward initialContext.  So the
+/// cancel lands exactly while the deep rung runs.
+class CancelOnDeepStart : public ContextPolicy {
+public:
+  CancelOnDeepStart(const Program &Prog, CancellationToken &Token)
+      : Inner(makeObjectPolicy(Prog, 2, 1)), Token(Token) {}
+
+  std::string name() const override { return Inner->name(); }
+  CtxId initialContext(ContextTable &Table) const override {
+    Token.cancel();
+    return Inner->initialContext(Table);
+  }
+  HCtxId record(HeapId Heap, CtxId Ctx, ContextTable &Table) const override {
+    return Inner->record(Heap, Ctx, Table);
+  }
+  CtxId merge(HeapId Heap, HCtxId HCtx, SiteId Invo, MethodId Callee,
+              CtxId CallerCtx, ContextTable &Table) const override {
+    return Inner->merge(Heap, HCtx, Invo, Callee, CallerCtx, Table);
+  }
+  CtxId mergeStatic(SiteId Invo, MethodId Callee, CtxId CallerCtx,
+                    ContextTable &Table) const override {
+    return Inner->mergeStatic(Invo, Callee, CallerCtx, Table);
+  }
+
+private:
+  std::unique_ptr<ContextPolicy> Inner;
+  CancellationToken &Token;
+};
+
 /// A fault plan that fails deterministically early with \p Status.
 FaultPlan failFast(SolveStatus Status = SolveStatus::TupleBudgetExceeded) {
   FaultPlan Plan;
@@ -236,12 +267,15 @@ TEST(Resilient, HappyPathStopsAtDeepRung) {
   EXPECT_TRUE(Out.completed());
   EXPECT_EQ(Out.Level, DegradationLevel::Deep);
   EXPECT_EQ(Out.Result.AnalysisName, "2objH");
-  ASSERT_EQ(Out.Trace.size(), 1u);
-  EXPECT_EQ(Out.Trace[0].Level, DegradationLevel::Deep);
+  // Pass A runs first (its size caps the deep rung), then the deep rung.
+  ASSERT_EQ(Out.Trace.size(), 2u);
+  EXPECT_EQ(Out.Trace[0].Level, DegradationLevel::Insensitive);
   EXPECT_EQ(Out.Trace[0].Status, SolveStatus::Completed);
-  // The happy path never runs the pre-analysis or the metric queries.
-  EXPECT_TRUE(Out.Metrics.InFlow.empty());
-  EXPECT_EQ(Out.MetricSeconds, 0.0);
+  EXPECT_EQ(Out.Trace[1].Level, DegradationLevel::Deep);
+  EXPECT_EQ(Out.Trace[1].Status, SolveStatus::Completed);
+  // The completed Pass A's metrics are reported on a deep win too.
+  EXPECT_FALSE(Out.Metrics.InFlow.empty());
+  EXPECT_GT(Out.MetricSeconds, 0.0);
   EXPECT_FALSE(Out.Cancelled);
 }
 
@@ -269,13 +303,13 @@ TEST(Resilient, EveryRungIsForcedDownToInsensitive) {
   EXPECT_FALSE(Out.Cancelled);
   expectConsistent(Prog, Out.Result);
 
-  // Full trace: deep, the insensitive pre-analysis, introB, introA, and
+  // Full trace: the insensitive pre-analysis, deep, introB, introA, and
   // both tightened rounds — six attempts, statuses as injected.
   ASSERT_EQ(Out.Trace.size(), 6u);
-  EXPECT_EQ(Out.Trace[0].Level, DegradationLevel::Deep);
-  EXPECT_EQ(Out.Trace[0].Status, SolveStatus::TupleBudgetExceeded);
-  EXPECT_EQ(Out.Trace[1].Level, DegradationLevel::Insensitive);
-  EXPECT_EQ(Out.Trace[1].Status, SolveStatus::Completed);
+  EXPECT_EQ(Out.Trace[0].Level, DegradationLevel::Insensitive);
+  EXPECT_EQ(Out.Trace[0].Status, SolveStatus::Completed);
+  EXPECT_EQ(Out.Trace[1].Level, DegradationLevel::Deep);
+  EXPECT_EQ(Out.Trace[1].Status, SolveStatus::TupleBudgetExceeded);
   EXPECT_EQ(Out.Trace[2].Level, DegradationLevel::IntroB);
   EXPECT_EQ(Out.Trace[2].Status, SolveStatus::TimeBudgetExceeded);
   EXPECT_EQ(Out.Trace[2].AnalysisName, "2objH-IntroB");
@@ -410,17 +444,17 @@ TEST(Resilient, CancellationStopsTheLadderInsteadOfDegrading) {
   EXPECT_TRUE(Out.Cancelled);
   EXPECT_FALSE(Out.completed());
   EXPECT_EQ(Out.Result.Status, SolveStatus::Cancelled);
-  // Only the deep attempt ran: no degradation after a cancel.
+  // Only the pre-analysis ran: no deeper rung starts after a cancel.
   ASSERT_EQ(Out.Trace.size(), 1u);
-  EXPECT_EQ(Out.Trace[0].Level, DegradationLevel::Deep);
+  EXPECT_EQ(Out.Trace[0].Level, DegradationLevel::Insensitive);
 }
 
 TEST(Resilient, CancellationMidLadderFallsBackToCompletedPreAnalysis) {
   // Disable in-solver polling so the (pre-fired) cancel is observed only
-  // between rungs: the deep rung fails on its injected fault, the
-  // pre-analysis completes, and the ladder then stops before IntroB,
-  // handing back the completed insensitive result instead of degrading
-  // through the remaining rungs.
+  // between rungs: the pre-analysis completes, and the ladder then stops
+  // before the (fault-armed) deep rung even starts, handing back the
+  // completed insensitive result instead of degrading through the
+  // remaining rungs.
   Program Prog = chartProgram();
   auto Refined = makeObjectPolicy(Prog, 2, 1);
   CancellationToken Token;
@@ -434,9 +468,94 @@ TEST(Resilient, CancellationMidLadderFallsBackToCompletedPreAnalysis) {
   EXPECT_TRUE(Out.completed());
   EXPECT_EQ(Out.Level, DegradationLevel::Insensitive);
   EXPECT_EQ(Out.Result.AnalysisName, "insens");
+  ASSERT_EQ(Out.Trace.size(), 1u);
+  EXPECT_EQ(Out.Trace[0].Level, DegradationLevel::Insensitive);
+  EXPECT_EQ(Out.Trace[0].Status, SolveStatus::Completed);
+}
+
+TEST(Resilient, CancelDuringTheDeepRungReturnsTheCompletedPassA) {
+  Program Prog = chartProgram();
+  CancellationToken Token;
+  CancelOnDeepStart Refined(Prog, Token);
+  ResilientOptions Options;
+  Options.Cancel = &Token;
+  ResilientOutcome Out = runResilient(Prog, Refined, Options);
+  EXPECT_TRUE(Out.Cancelled);
+  EXPECT_TRUE(Out.completed());
+  EXPECT_EQ(Out.Level, DegradationLevel::Insensitive);
+  EXPECT_EQ(Out.Result.AnalysisName, "insens");
+  EXPECT_FALSE(Out.Metrics.InFlow.empty());
+  // No introspective rung starts after the cancel.
   ASSERT_EQ(Out.Trace.size(), 2u);
-  EXPECT_EQ(Out.Trace[0].Status, SolveStatus::TupleBudgetExceeded);
-  EXPECT_EQ(Out.Trace[1].Status, SolveStatus::Completed);
+  EXPECT_EQ(Out.Trace[0].Status, SolveStatus::Completed);
+  EXPECT_EQ(Out.Trace[1].Level, DegradationLevel::Deep);
+  EXPECT_EQ(Out.Trace[1].Status, SolveStatus::Cancelled);
+}
+
+// --- The Pass-A cap on the deep rung ----------------------------------------
+
+TEST(DeepTupleCap, FloorRatioClampAndSaturation) {
+  SolveBudget Absolute; // 100M tuples.
+  // Small programs keep the floor: the deep rung is cheap there.
+  EXPECT_EQ(deepTupleCap(Absolute, 0), DeepCapFloorTuples);
+  EXPECT_EQ(deepTupleCap(Absolute, 99'999), DeepCapFloorTuples);
+  EXPECT_EQ(deepTupleCap(Absolute, 100'000), DeepCapFloorTuples);
+  // Above it, the cap is DeepCapRatio times the Pass-A tuples.
+  EXPECT_EQ(deepTupleCap(Absolute, 100'001), 1'000'010u);
+  EXPECT_EQ(deepTupleCap(Absolute, 2'294'371), 22'943'710u);
+  // It never exceeds the absolute budget...
+  EXPECT_EQ(deepTupleCap(Absolute, 10'000'001), Absolute.MaxTuples);
+  SolveBudget Tight;
+  Tight.MaxTuples = 500;
+  EXPECT_EQ(deepTupleCap(Tight, 0), 500u);
+  // ...and a Pass-A count whose product overflows saturates, not wraps.
+  const uint64_t Huge = std::numeric_limits<uint64_t>::max() / 4;
+  EXPECT_EQ(deepTupleCap(Absolute, Huge), Absolute.MaxTuples);
+  SolveBudget Unbounded;
+  Unbounded.MaxTuples = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(deepTupleCap(Unbounded, Huge),
+            std::numeric_limits<uint64_t>::max());
+}
+
+TEST(DeepTupleCap, LadderCapsTheDeepRungOnlyAfterACompletedPassA) {
+  // Inflating the deep rung's tuple count 100x puts chart's 2objH (about
+  // 0.3M tuples, so 30M inflated) above 10x its Pass A (about 0.7M) but
+  // below the absolute 100M budget.
+  Program Prog = chartProgram();
+  auto Refined = makeObjectPolicy(Prog, 2, 1);
+  ResilientOptions Options;
+  Options.faultsFor(DegradationLevel::Deep).TupleInflation = 100;
+  ResilientOutcome Capped = runResilient(Prog, *Refined, Options);
+  ASSERT_GE(Capped.Trace.size(), 2u);
+  const Attempt &PassA = Capped.Trace[0];
+  const Attempt &Deep = Capped.Trace[1];
+  ASSERT_EQ(Deep.Level, DegradationLevel::Deep);
+  EXPECT_EQ(Deep.Status, SolveStatus::TupleBudgetExceeded);
+  EXPECT_GE(100 * (Deep.Stats.VarPointsToTuples +
+                   Deep.Stats.FieldPointsToTuples),
+            deepTupleCap(Options.DeepBudget,
+                         PassA.Stats.VarPointsToTuples +
+                             PassA.Stats.FieldPointsToTuples));
+  EXPECT_EQ(Capped.Level, DegradationLevel::IntroB);
+
+  // Without a completed Pass A the deep rung keeps the absolute budget,
+  // completes, and still wins.
+  Options.faultsFor(DegradationLevel::Insensitive) = failFast();
+  ResilientOutcome Absolute = runResilient(Prog, *Refined, Options);
+  EXPECT_TRUE(Absolute.completed());
+  EXPECT_EQ(Absolute.Level, DegradationLevel::Deep);
+  ASSERT_EQ(Absolute.Trace.size(), 2u);
+  EXPECT_EQ(Absolute.Trace[0].Level, DegradationLevel::Insensitive);
+  EXPECT_EQ(Absolute.Trace[0].Status, SolveStatus::TupleBudgetExceeded);
+  EXPECT_TRUE(Absolute.Metrics.InFlow.empty());
+
+  // If the deep rung fails too, the partial Pass A is the answer.
+  Options.faultsFor(DegradationLevel::Deep) = failFast();
+  ResilientOutcome Floor = runResilient(Prog, *Refined, Options);
+  EXPECT_FALSE(Floor.completed());
+  EXPECT_EQ(Floor.Level, DegradationLevel::Insensitive);
+  EXPECT_EQ(Floor.Result.Status, SolveStatus::TupleBudgetExceeded);
+  EXPECT_EQ(Floor.Trace.size(), 2u);
 }
 
 // --- Budget-exhausted runs stay consistent (both introspective passes) ------
@@ -583,7 +702,7 @@ TEST(Portfolio, WorkerCountDoesNotChangeTheOutcome) {
 
 TEST(Portfolio, TraceRecordsEveryLaunchedRungInLadderOrder) {
   // Completion order races; trace order must not.  With every refined
-  // rung failing, all seven attempts (deep, the pre-analysis, introB,
+  // rung failing, all six attempts (the pre-analysis, deep, introB,
   // introA, two tightened rounds) appear in ladder-walk order with their
   // injected statuses.
   Program Prog = chartProgram();
@@ -606,10 +725,10 @@ TEST(Portfolio, TraceRecordsEveryLaunchedRungInLadderOrder) {
   EXPECT_EQ(Out.Level, DegradationLevel::Insensitive);
 
   ASSERT_EQ(Out.Trace.size(), 6u);
-  EXPECT_EQ(Out.Trace[0].Level, DegradationLevel::Deep);
-  EXPECT_EQ(Out.Trace[0].Status, SolveStatus::TupleBudgetExceeded);
-  EXPECT_EQ(Out.Trace[1].Level, DegradationLevel::Insensitive);
-  EXPECT_EQ(Out.Trace[1].Status, SolveStatus::Completed);
+  EXPECT_EQ(Out.Trace[0].Level, DegradationLevel::Insensitive);
+  EXPECT_EQ(Out.Trace[0].Status, SolveStatus::Completed);
+  EXPECT_EQ(Out.Trace[1].Level, DegradationLevel::Deep);
+  EXPECT_EQ(Out.Trace[1].Status, SolveStatus::TupleBudgetExceeded);
   EXPECT_EQ(Out.Trace[2].Level, DegradationLevel::IntroB);
   EXPECT_EQ(Out.Trace[2].Status, SolveStatus::TimeBudgetExceeded);
   EXPECT_EQ(Out.Trace[3].Level, DegradationLevel::IntroA);
@@ -620,19 +739,45 @@ TEST(Portfolio, TraceRecordsEveryLaunchedRungInLadderOrder) {
   EXPECT_EQ(Out.Trace[5].TightenedRound, 2u);
 }
 
-TEST(Portfolio, HappyDeepWinClearsMetricsLikeSequential) {
-  // The sequential happy path never computes metrics; a deep win in the
-  // portfolio (which always runs the pre-analysis concurrently) must not
-  // leak them into the outcome.
+TEST(Portfolio, HappyDeepWinKeepsPassAMetricsLikeSequential) {
+  // Both walks run Pass A before the deep rung, so a deep win reports the
+  // same Pass-A metrics in either mode.
   Program Prog = chartProgram();
   auto Refined = makeObjectPolicy(Prog, 2, 1);
+  ResilientOptions Sequential;
+  ResilientOptions Racing = Sequential;
+  Racing.Portfolio = true;
+  Racing.Workers = 4;
+  ResilientOutcome Seq = runResilient(Prog, *Refined, Sequential);
+  ResilientOutcome Par = runResilient(Prog, *Refined, Racing);
+  EXPECT_EQ(Par.Level, DegradationLevel::Deep);
+  EXPECT_FALSE(Par.Metrics.InFlow.empty());
+  EXPECT_GT(Par.MetricSeconds, 0.0);
+  expectSameOutcome(Seq, Par);
+}
+
+TEST(Portfolio, CancelDuringTheDeepRungReturnsTheCompletedPassA) {
+  // The deep rung cancels the caller's token as it starts, while the
+  // introspective rungs race beside it: the cancel fans out to every rung
+  // and the completed Pass A is handed back, as in the sequential walk.
+  Program Prog = chartProgram();
+  CancellationToken Token;
+  CancelOnDeepStart Refined(Prog, Token);
   ResilientOptions Options;
   Options.Portfolio = true;
   Options.Workers = 4;
-  ResilientOutcome Out = runResilient(Prog, *Refined, Options);
-  EXPECT_EQ(Out.Level, DegradationLevel::Deep);
-  EXPECT_TRUE(Out.Metrics.InFlow.empty());
-  EXPECT_EQ(Out.MetricSeconds, 0.0);
+  Options.Cancel = &Token;
+  ResilientOutcome Out = runResilient(Prog, Refined, Options);
+  EXPECT_TRUE(Out.Cancelled);
+  EXPECT_TRUE(Out.completed());
+  EXPECT_EQ(Out.Level, DegradationLevel::Insensitive);
+  EXPECT_EQ(Out.Result.AnalysisName, "insens");
+  EXPECT_FALSE(Out.Metrics.InFlow.empty());
+  ASSERT_GE(Out.Trace.size(), 2u);
+  EXPECT_EQ(Out.Trace[0].Status, SolveStatus::Completed);
+  EXPECT_EQ(Out.Trace[1].Level, DegradationLevel::Deep);
+  for (size_t Row = 1; Row < Out.Trace.size(); ++Row)
+    EXPECT_EQ(Out.Trace[Row].Status, SolveStatus::Cancelled) << "row " << Row;
 }
 
 TEST(Portfolio, PreCancelledTokenMatchesSequentialCancellation) {
@@ -657,14 +802,14 @@ TEST(Portfolio, PreCancelledTokenMatchesSequentialCancellation) {
 }
 
 TEST(Portfolio, ConcurrentExternalCancellationStopsAllRungs) {
-  // A caller-side cancel while the rungs race must fan out through the
-  // linked tokens and stop every in-flight solve.  jython's deep rung
-  // explodes, so without the cancel this would run for many seconds; the
-  // budgets below are only a backstop so a regression fails instead of
-  // hanging.  The cancel fires 25 ms in so that even the cheap first-pass
-  // rung is still in flight (the batched solver finishes it well under
-  // the 100 ms this test historically waited).  Exercised under TSan in
-  // CI to pin the token fan-out as data-race-free.
+  // A caller-side cancel from another thread must stop every in-flight
+  // solve.  jython's deep rung explodes, so without the cancel this would
+  // run for many seconds; the budgets below are only a backstop so a
+  // regression fails instead of hanging.  The cancel fires 25 ms in, while
+  // jython's Pass A (well over 100 ms) still runs, so no rung launches.
+  // CancelDuringTheDeepRungReturnsTheCompletedPassA covers the fan-out to
+  // racing rungs.  Exercised under TSan in CI to pin cancellation as
+  // data-race-free.
   Program Prog = generateWorkload(dacapoProfile("jython"));
   auto Refined = makeObjectPolicy(Prog, 2, 1);
   CancellationToken Cancel;
@@ -742,13 +887,13 @@ TEST(FaultInjection, TupleInflationSaturatesInsteadOfWrapping) {
 
 namespace {
 
-/// Ladder-walk position of \p Level (launch order: deep, the insensitive
-/// pre-analysis, then the refined rungs).
+/// Ladder-walk position of \p Level (launch order: the insensitive
+/// pre-analysis, deep, then the introspective rungs).
 size_t ladderPosition(DegradationLevel Level) {
   switch (Level) {
-  case DegradationLevel::Deep:
-    return 0;
   case DegradationLevel::Insensitive:
+    return 0;
+  case DegradationLevel::Deep:
     return 1;
   case DegradationLevel::IntroB:
     return 2;
@@ -792,11 +937,13 @@ TEST(PortfolioFaults, WorkerFaultStillYieldsLadderOrderWinnerAndFullTrace) {
   expectSameOutcome(Seq, Par);
   expectConsistent(Prog, Par.Result);
 
-  // The trace is complete and in ladder order: the faulted deep rung with
-  // its injected status, then the rungs that ran, never out of order.
-  ASSERT_FALSE(Par.Trace.empty());
-  EXPECT_EQ(Par.Trace[0].Level, DegradationLevel::Deep);
-  EXPECT_EQ(Par.Trace[0].Status, SolveStatus::TupleBudgetExceeded);
+  // The trace is complete and in ladder order: the pre-analysis, the
+  // faulted deep rung with its injected status, then the rungs that ran,
+  // never out of order.
+  ASSERT_GE(Par.Trace.size(), 2u);
+  EXPECT_EQ(Par.Trace[0].Level, DegradationLevel::Insensitive);
+  EXPECT_EQ(Par.Trace[1].Level, DegradationLevel::Deep);
+  EXPECT_EQ(Par.Trace[1].Status, SolveStatus::TupleBudgetExceeded);
   for (size_t Index = 1; Index < Par.Trace.size(); ++Index)
     EXPECT_LT(ladderPosition(Par.Trace[Index - 1].Level),
               ladderPosition(Par.Trace[Index].Level) +

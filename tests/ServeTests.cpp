@@ -25,6 +25,7 @@
 #include "support/ExitCodes.h"
 #include "support/Json.h"
 #include "support/Socket.h"
+#include "TempDir.h"
 
 #include <gtest/gtest.h>
 
@@ -45,6 +46,7 @@
 
 using namespace intro;
 using namespace intro::serve;
+using intro::testing::TempDir;
 namespace fs = std::filesystem;
 
 namespace {
@@ -77,24 +79,6 @@ class Main extends Object {
   }
 }
 )";
-
-/// A unique scratch directory, removed on destruction.
-struct TempDir {
-  TempDir() {
-    std::string Template =
-        (fs::temp_directory_path() / "intro-serve-XXXXXX").string();
-    std::vector<char> Buffer(Template.begin(), Template.end());
-    Buffer.push_back('\0');
-    const char *Made = mkdtemp(Buffer.data());
-    EXPECT_NE(Made, nullptr);
-    Path = Made ? Made : Template;
-  }
-  ~TempDir() {
-    std::error_code Ec;
-    fs::remove_all(Path, Ec);
-  }
-  std::string Path;
-};
 
 /// After every scenario the parent must have reaped every child it forked.
 void expectNoLeakedChildren() {
@@ -385,11 +369,14 @@ TEST(Serve, SubmitRunsAJobAndStreamsItsTranscript) {
   EXPECT_TRUE(Outcome.ResultCompleted);
   EXPECT_FALSE(Outcome.CacheEnabled) << "no cache directory was configured";
 
-  // The transcript streamed verbatim: rung_start progress first, then the
-  // final intro-run-report-v1 line, all from attempt 1.
-  ASSERT_GE(Lines.size(), 2u);
+  // The transcript streamed verbatim: rung_start progress first (Pass A,
+  // then the deep rung), then the final intro-run-report-v1 line, all from
+  // attempt 1.
+  ASSERT_GE(Lines.size(), 3u);
   EXPECT_NE(Lines.front().find("rung_start"), std::string::npos);
-  EXPECT_NE(Lines.front().find("\"deep\""), std::string::npos);
+  EXPECT_NE(Lines.front().find("\"insensitive\""), std::string::npos);
+  EXPECT_NE(Lines[1].find("rung_start"), std::string::npos);
+  EXPECT_NE(Lines[1].find("\"deep\""), std::string::npos);
   EXPECT_NE(Lines.back().find("intro-run-report-v1"), std::string::npos);
   EXPECT_EQ(Outcome.FinalReportLine, Lines.back());
   for (uint64_t Attempt : LineAttempts)

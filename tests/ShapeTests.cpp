@@ -16,6 +16,7 @@
 #include "analysis/PrecisionMetrics.h"
 #include "analysis/Solver.h"
 #include "introspect/Driver.h"
+#include "introspect/Resilient.h"
 #include "workload/DaCapo.h"
 
 #include <gtest/gtest.h>
@@ -85,6 +86,28 @@ TEST(Fig1Shape, ObjectSensitivityIsBimodal) {
     Shape S = runPlain(Prog, makeObjectPolicy(Prog, 2, 1));
     bool ShouldFail = Profile.Name == "hsqldb" || Profile.Name == "jython";
     EXPECT_EQ(S.Completed, !ShouldFail) << Profile.Name;
+  }
+}
+
+TEST(Fig1Shape, PassACapKeepsObjectSensitivityBimodal) {
+  // The ladder's deep rung runs under a cap derived from Pass A
+  // (deepTupleCap).  It must keep every run that completes today and stop
+  // only the two that explode — early, instead of at the absolute budget.
+  for (const WorkloadProfile &Profile : dacapoProfiles()) {
+    const Program &Prog = benchmark(Profile.Name);
+    PassAOutcome PassA = runPassA(Prog);
+    ASSERT_TRUE(isCompleted(PassA.Insens.Status)) << Profile.Name;
+    SolverOptions Options;
+    Options.Budget.MaxTuples =
+        deepTupleCap(SolveBudget{}, PassA.Insens.Stats.VarPointsToTuples +
+                                        PassA.Insens.Stats.FieldPointsToTuples);
+    auto Policy = makeObjectPolicy(Prog, 2, 1);
+    ContextTable Table;
+    PointsToResult Deep = solvePointsTo(Prog, *Policy, Table, Options);
+    bool ShouldFail = Profile.Name == "hsqldb" || Profile.Name == "jython";
+    EXPECT_EQ(Deep.Status, ShouldFail ? SolveStatus::TupleBudgetExceeded
+                                      : SolveStatus::Completed)
+        << Profile.Name;
   }
 }
 

@@ -21,6 +21,7 @@
 #include "support/ExitCodes.h"
 #include "support/Json.h"
 #include "support/Subprocess.h"
+#include "TempDir.h"
 
 #include <gtest/gtest.h>
 
@@ -475,6 +476,37 @@ TEST(Supervise, OomUnderAddressSpaceLimitIsClassifiedAndEscapedByRetry) {
   EXPECT_TRUE(Result.Attempts[0].AnyRungStarted);
   EXPECT_EQ(Result.Attempts[0].DeepestStartedRung, DegradationLevel::Deep);
   // OOM is a hard death: the retry runs on a tighter rung.
+  EXPECT_EQ(Result.ResultLevel, "introB");
+  expectNoLeakedChildren();
+#endif
+}
+
+TEST(Supervise, OomInTheDeepRungRetryReloadsPassAFromTheCache) {
+#ifdef SUPERVISE_TESTS_SANITIZED
+  GTEST_SKIP() << "RLIMIT_AS is incompatible with sanitizer shadow memory";
+#else
+  // Pass A runs, and is stored, before the deep rung starts.  So after the
+  // child dies hard in the deep rung, the escalated relaunch reloads Pass
+  // A instead of re-solving it, then resumes below the deep rung.
+  intro::testing::TempDir Dir;
+  BatchOptions Options = fastOptions();
+  Options.Limits.MaxAddressSpaceBytes = 1ull << 30; // 1 GiB.
+  Options.CacheDir = Dir.Path;
+  JobSpec Job = tinyJob("hungry");
+  Job.Chaos.Fault = ChaosPlan::Kind::Oom;
+  Job.Chaos.AtLevel = DegradationLevel::Deep;
+  Job.Chaos.UntilAttempt = 1;
+  JobResult Result = runSupervisedJob(Job, 0, Options);
+  EXPECT_EQ(Result.FinalClass, JobOutcomeClass::Clean);
+  ASSERT_EQ(Result.Attempts.size(), 2u);
+  EXPECT_EQ(Result.Attempts[0].Class, JobOutcomeClass::OutOfMemory);
+  EXPECT_EQ(Result.Attempts[0].DeepestStartedRung, DegradationLevel::Deep);
+  const JobAttempt &Retry = Result.Attempts[1];
+  ASSERT_TRUE(Retry.CacheEnabled);
+  EXPECT_EQ(Retry.Cache.Hits, 1u);
+  EXPECT_EQ(Retry.Cache.Misses, 0u);
+  for (const Attempt &Rung : Retry.Ladder)
+    EXPECT_NE(Rung.Level, DegradationLevel::Deep);
   EXPECT_EQ(Result.ResultLevel, "introB");
   expectNoLeakedChildren();
 #endif

@@ -31,7 +31,8 @@
 ///   --oracles=SPEC       default | all | comma list of oracle names
 ///                        (validity, round-trip, soundness,
 ///                        reference-equivalence, introspective-subset,
-///                        cache-parity, portfolio-parity, served-parity)
+///                        cache-parity, portfolio-parity, deep-cap,
+///                        served-parity)
 ///   --thorough           add the expensive flavors: call-site/type
 ///                        sensitivity, checked casts, introspective-split
 ///                        Datalog equivalence
