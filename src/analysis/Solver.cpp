@@ -62,16 +62,7 @@ class Solver {
 public:
   Solver(const Program &Prog, const ContextPolicy &Policy, ContextTable &Ctxs,
          const SolverOptions &Opts)
-      : Prog(Prog), Policy(Policy), Ctxs(Ctxs), Opts(Opts) {
-    // Degenerate-knob clamp: CancelInterval is a modulus in the stop check;
-    // 0 means "poll every iteration", exactly like 1.  Make that explicit
-    // here (and observable in the trace) rather than relying on the
-    // short-circuit in stopRequested().
-    if (this->Opts.CancelInterval == 0) {
-      this->Opts.CancelInterval = 1;
-      TRACE_INSTANT("solve.clamp.cancel_interval", 1);
-    }
-  }
+      : Prog(Prog), Policy(Policy), Ctxs(Ctxs), Opts(Opts) {}
 
   PointsToResult run() {
     TRACE_SPAN("solve.run");
@@ -84,7 +75,7 @@ public:
       // The tuple/memory budgets and the fault plan are cheap integer tests,
       // so test them every iteration; the clock costs a syscall and runs
       // only every 1024 iterations; cancellation is a relaxed atomic load,
-      // polled every CancelInterval iterations.
+      // polled every CancelPollInterval iterations.
       ++Checkpoint;
       if (stopRequested(Checkpoint))
         break;
@@ -140,8 +131,7 @@ private:
         return true;
       }
     }
-    if (Opts.Cancel &&
-        (Opts.CancelInterval <= 1 || Checkpoint % Opts.CancelInterval == 0) &&
+    if (Opts.Cancel && Checkpoint % CancelPollInterval == 0 &&
         Opts.Cancel->isCancelled()) {
       Status = SolveStatus::Cancelled;
       TRACE_INSTANT("solve.trip.cancelled", Pops);

@@ -61,6 +61,11 @@ struct FaultPlan {
   }
 };
 
+/// Worklist iterations between two polls of SolverOptions::Cancel.  The
+/// poll is a relaxed atomic load, so a cancel is seen within a few hundred
+/// pops at negligible cost.
+inline constexpr uint32_t CancelPollInterval = 64;
+
 /// Options controlling a solver run.
 struct SolverOptions {
   SolveBudget Budget;
@@ -74,14 +79,10 @@ struct SolverOptions {
   /// moves.
   bool FilterCasts = false;
   /// Optional cooperative cancellation.  When set, the worklist loop polls
-  /// the token every CancelInterval iterations and stops with
+  /// the token every CancelPollInterval iterations and stops with
   /// SolveStatus::Cancelled (a sound-prefix result, like a budget stop).
   /// The token must outlive the run.
   const CancellationToken *Cancel = nullptr;
-  /// How many worklist iterations between cancellation polls.  Small values
-  /// tighten the response latency; the poll is a relaxed atomic load, so
-  /// even 1 is affordable.
-  uint32_t CancelInterval = 64;
   /// Deterministic fault injection (tests only; inert by default).
   FaultPlan Faults;
 };

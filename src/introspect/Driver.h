@@ -84,9 +84,9 @@ struct PassAOutcome {
   double MetricSeconds = 0;
 };
 
-/// Runs Pass A of \p Prog under \p Solver (its Budget, Cancel,
-/// CancelInterval and Faults), or reloads it from \p Cache.  This is the
-/// only code that probes or fills the Pass-A cache:
+/// Runs Pass A of \p Prog under \p Solver (its Budget, Cancel and
+/// Faults), or reloads it from \p Cache.  This is the only code that
+/// probes or fills the Pass-A cache:
 ///  - the cache is used only when both \p Cache and \p CacheKey are set
 ///    (CacheKey must be fingerprintProgram(Prog)), and is bypassed — not
 ///    even probed — while Solver.Faults is armed, so a warm entry never

@@ -95,15 +95,14 @@ const char *rungSpanName(DegradationLevel Level) {
   return "rung.unknown";
 }
 
-/// Divides every Heuristic A threshold by BackoffMultiplier^Round.  A
-/// multiplier that cannot tighten (non-finite, zero, negative, or below 1)
-/// is clamped to 1 — otherwise the double-to-integer casts below would be
-/// undefined behavior on the inf/negative quotients it produces.
-HeuristicAParams tightened(const HeuristicAParams &Base, double Multiplier,
-                           uint32_t Round) {
-  double Factor = std::pow(Multiplier, Round);
-  if (!std::isfinite(Factor) || Factor < 1.0)
-    Factor = 1.0;
+/// Each tightening round divides Heuristic A's K/L/M thresholds by this
+/// factor once more (exponential backoff).
+constexpr double TighteningFactor = 4.0;
+
+/// Divides every Heuristic A threshold by TighteningFactor^Round.  Past
+/// the double range the factor is inf and every threshold drops to 0.
+HeuristicAParams tightened(const HeuristicAParams &Base, uint32_t Round) {
+  double Factor = std::pow(TighteningFactor, Round);
   HeuristicAParams Params;
   Params.K = static_cast<uint64_t>(static_cast<double>(Base.K) / Factor);
   Params.L = static_cast<uint64_t>(static_cast<double>(Base.L) / Factor);
@@ -119,7 +118,6 @@ SolverOptions rungSolverOptions(const ResilientOptions &Options,
   SolverOptions SolverOpts;
   SolverOpts.Budget = Budget;
   SolverOpts.Cancel = Cancel;
-  SolverOpts.CancelInterval = Options.CancelInterval;
   SolverOpts.Faults = Options.faultsFor(Level);
   return SolverOpts;
 }
@@ -215,7 +213,7 @@ private:
     for (uint32_t Round = 1; !Stopped && Round <= Options.TightenedRounds;
          ++Round) {
       HeuristicAParams Params =
-          tightened(Options.ParamsA, Options.BackoffMultiplier, Round);
+          tightened(Options.ParamsA, Round);
       std::string Suffix = "-IntroA-tight" + std::to_string(Round);
       if (introAttempt(DegradationLevel::TightenedIntroA, Suffix.c_str(),
                        applyHeuristicA(Prog, FirstPass, Out.Metrics, Params),
@@ -261,8 +259,8 @@ private:
   }
 
   /// Between-rung cancellation check: even if no solver poll observed the
-  /// token (long CancelInterval, fast attempts), the ladder must not start
-  /// another expensive attempt after a cancel.
+  /// token (an attempt shorter than CancelPollInterval iterations), the
+  /// ladder must not start another expensive attempt after a cancel.
   bool ladderCancelled() {
     if (!Stopped && Options.Cancel && Options.Cancel->isCancelled()) {
       Out.Cancelled = true;
@@ -400,7 +398,7 @@ private:
             Insensitive));
       for (uint32_t Round = 1; Round <= Options.TightenedRounds; ++Round) {
         HeuristicAParams Params =
-            tightened(Options.ParamsA, Options.BackoffMultiplier, Round);
+            tightened(Options.ParamsA, Round);
         std::string Suffix = "-IntroA-tight" + std::to_string(Round);
         LadderOrder.push_back(&launchIntro(
             Pool, DegradationLevel::TightenedIntroA, Suffix.c_str(),
@@ -521,7 +519,7 @@ private:
 };
 
 /// One attempt as a JSON object; \p Won marks the rung the outcome came
-/// from (false when writing a bare trace with no outcome context).
+/// from.
 void writeAttemptJson(JsonWriter &J, const Attempt &A, size_t Index,
                       bool Won) {
   J.beginObject();
@@ -551,38 +549,6 @@ uint64_t intro::deepTupleCap(const SolveBudget &Absolute,
   return std::min(Absolute.MaxTuples,
                   std::max(DeepCapFloorTuples,
                            saturatingMul(DeepCapRatio, PassATuples)));
-}
-
-ResilientOptions
-intro::normalizeResilientOptions(const ResilientOptions &Options,
-                                 std::vector<std::string> &Notes) {
-  ResilientOptions N = Options;
-  if (N.CancelInterval == 0) {
-    N.CancelInterval = 1;
-    Notes.push_back("CancelInterval=0 clamped to 1 (it is a modulus in the "
-                    "solver's stop check; 1 polls every iteration)");
-  }
-  if (!std::isfinite(N.BackoffMultiplier) || N.BackoffMultiplier < 1.0) {
-    std::ostringstream Note;
-    Note << "BackoffMultiplier=" << N.BackoffMultiplier
-         << " cannot tighten; clamped to 1 (tightened rounds repeat the "
-            "base thresholds)";
-    Notes.push_back(Note.str());
-    N.BackoffMultiplier = 1.0;
-  }
-  if (N.Portfolio && N.Workers == 0) {
-    N.Workers = std::max(1u, ThreadPool::defaultWorkerCount());
-    Notes.push_back("Workers=0 (auto) resolved to " +
-                    std::to_string(N.Workers));
-  }
-  return N;
-}
-
-void intro::writeAttemptTraceJson(JsonWriter &J, const AttemptTrace &Trace) {
-  J.beginArray();
-  for (size_t Index = 0; Index < Trace.size(); ++Index)
-    writeAttemptJson(J, Trace[Index], Index, /*Won=*/false);
-  J.endArray();
 }
 
 void intro::writeResilientOutcomeJson(JsonWriter &J,
@@ -616,11 +582,6 @@ void intro::writeResilientOutcomeJson(JsonWriter &J,
   J.value(Outcome.MetricSeconds);
   J.key("total_seconds");
   J.value(Outcome.TotalSeconds);
-  J.key("notes");
-  J.beginArray();
-  for (const std::string &Note : Outcome.Notes)
-    J.value(Note);
-  J.endArray();
   J.key("stats");
   writeSolverStatsJson(J, Outcome.Result.Stats);
   J.key("attempts");
@@ -645,14 +606,6 @@ void writeBudgetJson(JsonWriter &J, const SolveBudget &Budget) {
   J.endObject();
 }
 
-void parseBudgetJson(const JsonValue *Value, SolveBudget &Budget) {
-  if (!Value || !Value->isObject())
-    return;
-  Value->getUint("max_tuples", Budget.MaxTuples);
-  Value->getDouble("max_seconds", Budget.MaxSeconds);
-  Value->getUint("max_bytes", Budget.MaxBytes);
-}
-
 } // namespace
 
 void intro::writeResilientOptionsJson(JsonWriter &J,
@@ -672,8 +625,6 @@ void intro::writeResilientOptionsJson(JsonWriter &J,
   J.value(Options.AttemptIntroA);
   J.key("tightened_rounds");
   J.value(Options.TightenedRounds);
-  J.key("backoff_multiplier");
-  J.value(Options.BackoffMultiplier);
   J.key("params_a");
   J.beginObject();
   J.key("k");
@@ -690,15 +641,11 @@ void intro::writeResilientOptionsJson(JsonWriter &J,
   J.key("q");
   J.value(Options.ParamsB.Q);
   J.endObject();
-  J.key("cancel_interval");
-  J.value(Options.CancelInterval);
   J.key("portfolio");
   J.value(Options.Portfolio);
   J.key("workers");
   J.value(static_cast<uint64_t>(Options.Workers));
-  // Fault plans travel too: a supervisor relaunching a job must reproduce
-  // the exact injected behaviour in the replacement child (tests depend on
-  // it).  Only armed plans are written, keyed by level name.
+  // Only armed fault plans are written, keyed by level name.
   J.key("level_faults");
   J.beginArray();
   for (size_t Index = 0; Index < NumDegradationLevels; ++Index) {
@@ -718,66 +665,6 @@ void intro::writeResilientOptionsJson(JsonWriter &J,
   }
   J.endArray();
   J.endObject();
-}
-
-bool intro::parseResilientOptionsJson(const JsonValue &Value,
-                                      ResilientOptions &Options,
-                                      std::string &Error) {
-  if (!Value.isObject()) {
-    Error = "resilient options: expected an object";
-    return false;
-  }
-  parseBudgetJson(Value.get("deep_budget"), Options.DeepBudget);
-  parseBudgetJson(Value.get("refined_budget"), Options.RefinedBudget);
-  parseBudgetJson(Value.get("first_pass_budget"), Options.FirstPassBudget);
-  Value.getBool("attempt_deep", Options.AttemptDeep);
-  Value.getBool("attempt_intro_b", Options.AttemptIntroB);
-  Value.getBool("attempt_intro_a", Options.AttemptIntroA);
-  uint64_t Rounds = Options.TightenedRounds;
-  if (Value.getUint("tightened_rounds", Rounds))
-    Options.TightenedRounds = static_cast<uint32_t>(Rounds);
-  Value.getDouble("backoff_multiplier", Options.BackoffMultiplier);
-  if (const JsonValue *A = Value.get("params_a")) {
-    A->getUint("k", Options.ParamsA.K);
-    A->getUint("l", Options.ParamsA.L);
-    A->getUint("m", Options.ParamsA.M);
-  }
-  if (const JsonValue *B = Value.get("params_b")) {
-    B->getUint("p", Options.ParamsB.P);
-    B->getUint("q", Options.ParamsB.Q);
-  }
-  uint64_t Interval = Options.CancelInterval;
-  if (Value.getUint("cancel_interval", Interval))
-    Options.CancelInterval = static_cast<uint32_t>(Interval);
-  Value.getBool("portfolio", Options.Portfolio);
-  uint64_t Workers = Options.Workers;
-  if (Value.getUint("workers", Workers))
-    Options.Workers = static_cast<unsigned>(Workers);
-  if (const JsonValue *Faults = Value.get("level_faults")) {
-    if (!Faults->isArray()) {
-      Error = "resilient options: level_faults must be an array";
-      return false;
-    }
-    for (const JsonValue &Entry : Faults->elements()) {
-      std::string LevelName;
-      DegradationLevel Level;
-      if (!Entry.getString("level", LevelName) ||
-          !degradationLevelFromName(LevelName, Level)) {
-        Error = "resilient options: bad fault level '" + LevelName + "'";
-        return false;
-      }
-      FaultPlan &Plan = Options.faultsFor(Level);
-      Entry.getUint("fail_at_pop", Plan.FailAtPop);
-      std::string StatusText;
-      if (Entry.getString("fail_status", StatusText) &&
-          !statusFromName(StatusText, Plan.FailStatus)) {
-        Error = "resilient options: bad fault status '" + StatusText + "'";
-        return false;
-      }
-      Entry.getUint("tuple_inflation", Plan.TupleInflation);
-    }
-  }
-  return true;
 }
 
 bool intro::parseAttemptTraceJson(const JsonValue &Value, AttemptTrace &Trace,
@@ -824,11 +711,6 @@ bool intro::parseAttemptTraceJson(const JsonValue &Value, AttemptTrace &Trace,
 ResilientOutcome intro::runResilient(const Program &Prog,
                                      const ContextPolicy &RefinedPolicy,
                                      const ResilientOptions &Options) {
-  std::vector<std::string> Notes;
-  ResilientOptions Normalized = normalizeResilientOptions(Options, Notes);
-  ResilientOutcome Out = Normalized.Portfolio
-                             ? Portfolio(Prog, RefinedPolicy, Normalized).run()
-                             : Ladder(Prog, RefinedPolicy, Normalized).run();
-  Out.Notes = std::move(Notes);
-  return Out;
+  return Options.Portfolio ? Portfolio(Prog, RefinedPolicy, Options).run()
+                           : Ladder(Prog, RefinedPolicy, Options).run();
 }

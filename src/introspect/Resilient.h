@@ -19,9 +19,9 @@
 ///      §3 point that the cheap pass tells scaling runs from exploding ones,
 ///   2. introspective Heuristic B (sacrifices the least precision),
 ///   3. introspective Heuristic A (more aggressive),
-///   4. Heuristic A with exponentially tightened thresholds (a backoff
-///      multiplier shrinks K/L/M each round, excluding ever more elements
-///      from refinement),
+///   4. Heuristic A with exponentially tightened thresholds (round r
+///      divides K/L/M by 4^r, excluding ever more elements from
+///      refinement),
 ///   5. the context-insensitive Pass A result itself (always cheap).
 ///
 /// If Pass A does not complete, the deep rung runs under its absolute
@@ -124,13 +124,9 @@ struct ResilientOptions {
   bool AttemptIntroB = true;
   bool AttemptIntroA = true;
   /// How many tightened-Heuristic-A rounds to try before giving up and
-  /// falling back to the insensitive result.
+  /// falling back to the insensitive result.  Round r divides ParamsA's
+  /// K/L/M thresholds by 4^r.
   uint32_t TightenedRounds = 2;
-  /// Each tightening round divides Heuristic A's K/L/M thresholds by this
-  /// factor (exponential backoff), excluding ever more elements from
-  /// refinement.  Must be > 1; values that cannot tighten (non-finite,
-  /// <= 1) are treated as 1, i.e. the rounds repeat the base thresholds.
-  double BackoffMultiplier = 4.0;
 
   /// Heuristic thresholds of the first IntroA/IntroB rungs.
   HeuristicAParams ParamsA;
@@ -141,10 +137,9 @@ struct ResilientOptions {
   /// that asked to stop does not want a cheaper answer — and the outcome
   /// is the insensitive pre-analysis: its completed result when the cancel
   /// came after it (Level Insensitive, Cancelled set), else its partial
-  /// one.  The token must outlive the run.
+  /// one.  The solver polls it every CancelPollInterval iterations.  The
+  /// token must outlive the run.
   const CancellationToken *Cancel = nullptr;
-  /// In-solver cancellation poll interval (SolverOptions::CancelInterval).
-  uint32_t CancelInterval = 64;
 
   /// Fired just before each rung's solver attempt starts (the rung level
   /// and, for TightenedIntroA, the 1-based tightening round).  The
@@ -220,12 +215,6 @@ struct ResilientOutcome {
   double MetricSeconds = 0;
   /// Total wall-clock of the whole ladder (attempts + metrics).
   double TotalSeconds = 0;
-  /// Human-readable normalization notes: every degenerate option the run
-  /// clamped or resolved (Workers == 0, CancelInterval == 0, a
-  /// BackoffMultiplier that cannot tighten, ...).  Surfaced in the
-  /// machine-readable run report so a misconfigured service is visible in
-  /// its own telemetry.
-  std::vector<std::string> Notes;
 
   /// \returns true if Result is a completed (fixpoint) analysis.
   bool completed() const { return isCompleted(Result.Status); }
@@ -244,50 +233,25 @@ inline constexpr uint64_t DeepCapFloorTuples = 1'000'000;
 /// PassATuples)), the product saturating instead of wrapping.
 uint64_t deepTupleCap(const SolveBudget &Absolute, uint64_t PassATuples);
 
-/// Returns a copy of \p Options with every degenerate knob clamped to its
-/// documented minimum, appending one note per adjustment to \p Notes:
-/// CancelInterval == 0 -> 1 (it is a modulus in the solver's stop check),
-/// Workers == 0 -> the resolved auto worker count, BackoffMultiplier that
-/// cannot tighten (non-finite or < 1) -> 1.  runResilient() applies this
-/// itself; it is exposed for tests and for callers that want the notes
-/// without running.
-ResilientOptions normalizeResilientOptions(const ResilientOptions &Options,
-                                           std::vector<std::string> &Notes);
-
-/// Writes \p Trace as a JSON array: one object per attempt with its level,
-/// tightened round, analysis name, status, wall-clock seconds, and full
-/// solver stats.  An empty trace yields `[]`.
-void writeAttemptTraceJson(JsonWriter &J, const AttemptTrace &Trace);
-
 /// Writes \p Outcome as one JSON object: winning level/status, cancellation
-/// flag, timing, normalization notes, and the attempt trace where each
-/// attempt carries a `"won"` flag (portfolio win/loss per rung; exactly one
-/// attempt wins unless nothing completed).
+/// flag, timing, and the attempt trace where each attempt carries a
+/// `"won"` flag (exactly one attempt wins unless nothing completed).
 void writeResilientOutcomeJson(JsonWriter &J, const ResilientOutcome &Outcome);
 
 /// Writes the *configuration* part of \p Options as one JSON object —
-/// budgets, rung toggles, tightening rounds and backoff, heuristic
-/// parameters, cancel interval, portfolio/worker knobs, and any armed fault
-/// plans.  Runtime-only members (Cancel, OnRungStart) are not represented;
-/// they cannot cross a process boundary.  Together with
-/// parseResilientOptionsJson this lets a supervisor ship a ladder
-/// configuration to a child process and relaunch a crashed job on a tighter
-/// rung of the *same* ladder.
+/// budgets, rung toggles, tightening rounds, heuristic parameters,
+/// portfolio/worker knobs, and any armed fault plans — so a run report
+/// records the ladder it ran.  Runtime-only members (Cancel, OnRungStart,
+/// Cache) are not represented.  The JSON is a record, not a transport: a
+/// supervised child is forked and inherits its options in memory.
 void writeResilientOptionsJson(JsonWriter &J, const ResilientOptions &Options);
 
-/// Inverse of writeResilientOptionsJson.  Unknown members are ignored
-/// (forward compatibility); missing members keep the field's default.
-/// \returns false and sets \p Error on a type mismatch or an invalid
-/// enumerator name.
-bool parseResilientOptionsJson(const JsonValue &Value,
-                               ResilientOptions &Options, std::string &Error);
-
-/// Inverse of writeAttemptTraceJson: decodes a JSON array of attempt
-/// objects (as embedded in `intro-run-report-v1` reports) back into an
-/// AttemptTrace, so the supervisor can splice a child's partial ladder
-/// history into the batch report.  The portfolio-only `"won"` member is
-/// accepted and ignored.  \returns false and sets \p Error on malformed
-/// input; \p Trace then holds the attempts decoded before the error.
+/// Decodes the `attempts` array of writeResilientOutcomeJson (as embedded
+/// in `intro-run-report-v1` reports) back into an AttemptTrace, so the
+/// supervisor can splice a child's partial ladder history into the batch
+/// report.  The `"won"` member is accepted and ignored.  \returns false
+/// and sets \p Error on malformed input; \p Trace then holds the attempts
+/// decoded before the error.
 bool parseAttemptTraceJson(const JsonValue &Value, AttemptTrace &Trace,
                            std::string &Error);
 

@@ -82,11 +82,9 @@ double intro::supervise::plannedBackoffMs(const RetryPolicy &Policy,
   Rng R(Policy.Seed + JobIndex * 0x9E3779B97F4A7C15ull + Attempt);
   double Unit = static_cast<double>(R.next() >> 11) *
                 (1.0 / 9007199254740992.0); // 53-bit fraction in [0, 1).
-  double Delay =
-      Policy.BaseDelayMs *
-      std::pow(Policy.Multiplier, static_cast<double>(Attempt) - 2.0);
-  Delay *= 1.0 + Policy.JitterFraction * (2.0 * Unit - 1.0);
-  return Delay < 0 ? 0 : Delay;
+  double Delay = FirstRetryDelayMs *
+                 std::pow(RetryDelayGrowth, static_cast<double>(Attempt) - 2.0);
+  return Delay * (1.0 + RetryDelayJitter * (2.0 * Unit - 1.0));
 }
 
 void intro::supervise::disambiguateJobNames(std::vector<JobSpec> &Jobs) {
@@ -155,6 +153,16 @@ bool intro::supervise::parseSharedBatchFlag(const std::string &Arg,
     return true;
   }
   return false;
+}
+
+bool intro::supervise::checkSharedBatchFlags(const BatchOptions &Options,
+                                             std::string &Error) {
+  if (Options.CacheMaxEntries != 0 && Options.CacheDir.empty()) {
+    Error = "--cache-max-entries=" + std::to_string(Options.CacheMaxEntries) +
+            " needs --cache-dir (there is no cache to cap)";
+    return false;
+  }
+  return true;
 }
 
 bool intro::supervise::parseChaosPlan(const std::string &Spec,
@@ -696,12 +704,6 @@ void intro::supervise::writeBatchReportJson(JsonWriter &J,
   J.beginObject();
   J.key("max_attempts");
   J.value(Options.Retry.MaxAttempts);
-  J.key("base_delay_ms");
-  J.value(Options.Retry.BaseDelayMs);
-  J.key("multiplier");
-  J.value(Options.Retry.Multiplier);
-  J.key("jitter_fraction");
-  J.value(Options.Retry.JitterFraction);
   J.key("seed");
   J.value(Options.Retry.Seed);
   J.endObject();

@@ -126,20 +126,27 @@ struct JobSpec {
 /// other's quarantine copy or alias each other in the report.
 void disambiguateJobNames(std::vector<JobSpec> &Jobs);
 
-/// Retry/backoff policy.  Delays are planned deterministically from (Seed,
+/// Retry policy: how many attempts a job gets, and the seed of the backoff
+/// jitter.  The delay schedule itself is fixed (FirstRetryDelayMs and the
+/// constants below it).  Delays are planned deterministically from (Seed,
 /// job index, attempt) via the repo's xorshift Rng, so the planned schedule
 /// is part of the deterministic report even though actual sleeping is not.
 struct RetryPolicy {
-  uint32_t MaxAttempts = 3;    ///< Total attempts per job (first + retries).
-  double BaseDelayMs = 50;     ///< Backoff before the first retry.
-  double Multiplier = 2.0;     ///< Exponential growth per further retry.
-  double JitterFraction = 0.5; ///< Delay varies by +/- this fraction.
-  uint64_t Seed = 0x5eed;      ///< Jitter seed (reproducible schedules).
+  uint32_t MaxAttempts = 3; ///< Total attempts per job (first + retries).
+  uint64_t Seed = 0x5eed;   ///< Jitter seed (reproducible schedules).
 };
+
+/// Backoff before the first retry, in ms.
+inline constexpr double FirstRetryDelayMs = 50;
+/// Each further retry multiplies the backoff by this factor.
+inline constexpr double RetryDelayGrowth = 2.0;
+/// A planned delay varies by +/- this fraction of its nominal value.
+inline constexpr double RetryDelayJitter = 0.5;
 
 /// \returns the planned backoff in ms before retry number \p Attempt
 /// (2-based: the delay planned after attempt Attempt-1 failed) of job
-/// \p JobIndex.  Pure function of its arguments.
+/// \p JobIndex: FirstRetryDelayMs * RetryDelayGrowth^(Attempt-2), within
+/// +/- RetryDelayJitter of that.  Pure function of its arguments.
 double plannedBackoffMs(const RetryPolicy &Policy, size_t JobIndex,
                         uint32_t Attempt);
 
@@ -234,6 +241,13 @@ struct BatchOptions {
 /// diagnostic naming the flag when its value is malformed or out of range.
 bool parseSharedBatchFlag(const std::string &Arg, BatchOptions &Options,
                           std::string &Error);
+
+/// Checks the shared supervision flags against each other once parsing is
+/// done: a nonzero `--cache-max-entries` caps the cache `--cache-dir`
+/// names, so without `--cache-dir` it is a usage error rather than a
+/// silent no-op.  \returns false and sets \p Error naming the flag when
+/// \p Options is inconsistent.
+bool checkSharedBatchFlags(const BatchOptions &Options, std::string &Error);
 
 /// The outcome of a whole batch.
 struct BatchResult {

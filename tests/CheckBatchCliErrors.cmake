@@ -2,7 +2,9 @@
 # must exit with code 2 (ExitBadInput) and print a diagnostic that names
 # the offending flag.  Before the strict parser, `--seed=x` escaped
 # std::stoul as std::invalid_argument and surfaced as exit 3 ("internal
-# error"), and out-of-range values were silently truncated.
+# error"), and out-of-range values were silently truncated.  Flags that
+# would be silently ignored are rejected the same way: the daemon-owned
+# flags in --server mode, and a cache cap without a cache.
 #
 # Run as: cmake -DINTRO_BATCH=<path> -P CheckBatchCliErrors.cmake
 
@@ -12,37 +14,54 @@ endif()
 
 set(FAILURES 0)
 
-# check_rejects(<flag-with-value> <expected-stderr-substring>)
-function(check_rejects ARG EXPECT)
+# check_rejects(<expected-stderr-substring> <flag>...)
+function(check_rejects EXPECT)
   execute_process(
-    COMMAND ${INTRO_BATCH} ${ARG} nonexistent.intro
+    COMMAND ${INTRO_BATCH} ${ARGN} nonexistent.intro
     RESULT_VARIABLE CODE
     OUTPUT_VARIABLE OUT
     ERROR_VARIABLE ERR)
   if(NOT CODE EQUAL 2)
-    message(SEND_ERROR "${ARG}: expected exit 2 (bad input), got ${CODE}\n"
+    message(SEND_ERROR "${ARGN}: expected exit 2 (bad input), got ${CODE}\n"
                        "stderr: ${ERR}")
   endif()
   string(FIND "${ERR}" "${EXPECT}" POS)
   if(POS EQUAL -1)
-    message(SEND_ERROR "${ARG}: stderr does not name the flag\n"
+    message(SEND_ERROR "${ARGN}: stderr does not name the flag\n"
                        "expected substring: ${EXPECT}\nstderr: ${ERR}")
   endif()
 endfunction()
 
 # Garbage values: must be diagnosed, not escape as an exception (exit 3).
-check_rejects(--max-attempts=x "--max-attempts")
-check_rejects(--seed=12q       "--seed")
-check_rejects(--deadline=nan   "--deadline")
-check_rejects(--workers=       "--workers")
+check_rejects("--max-attempts" --max-attempts=x)
+check_rejects("--seed"         --seed=12q)
+check_rejects("--deadline"     --deadline=nan)
+check_rejects("--workers"      --workers=)
 
 # Out-of-range / overflow: must be rejected, not silently truncated.
-check_rejects(--max-attempts=0           "--max-attempts")
-check_rejects(--workers=4294967296       "--workers")
-check_rejects(--seed=18446744073709551616 "--seed")
+check_rejects("--max-attempts" --max-attempts=0)
+check_rejects("--workers"      --workers=4294967296)
+check_rejects("--seed"         --seed=18446744073709551616)
 
 # --mem-limit=0 means "no address space at all", not "no limit": rejected.
-check_rejects(--mem-limit=0 "--mem-limit")
+check_rejects("--mem-limit" --mem-limit=0)
+
+# A nonzero cache cap without a cache directory would cap nothing.
+check_rejects("--cache-max-entries=3 needs --cache-dir"
+              --cache-max-entries=3)
+
+# In --server mode the jobs run under the daemon's settings, so every flag
+# the daemon owns is rejected before any input is read, whichever side of
+# --server it is on.  The socket does not exist: a run that got as far as
+# the connect would fail there instead, without naming the flag.
+set(SERVER --server=nonexistent.sock)
+foreach(FLAG --quarantine=q --workers=2 --no-deep --cache-dir=c
+             --cache-max-entries=3 --max-attempts=2 --cpu-limit=5
+             --mem-limit=512 --seed=7)
+  string(REGEX REPLACE "=.*" "" NAME "${FLAG}")
+  check_rejects("${NAME} cannot be combined with --server" ${SERVER} ${FLAG})
+endforeach()
+check_rejects("--no-deep cannot be combined with --server" --no-deep ${SERVER})
 
 # Unknown flags still fail fast.
 execute_process(

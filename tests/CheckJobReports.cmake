@@ -5,6 +5,11 @@
 # (truncate chaos) once left a spliced, invalid JSON file behind: the
 # partial line of one attempt glued onto the next attempt's progress line.
 #
+# The same run pins the configuration keys the reports carry: a clean
+# job's "options", its "outcome" (no "notes"), and the batch report's
+# "retry_policy".  A setting that becomes a constant leaves these objects,
+# and this check keeps it from coming back unnoticed.
+#
 # Run as: cmake -DINTRO_BATCH=<path> -DCORPUS_DIR=<dir> -DWORK_DIR=<dir>
 #               -P CheckJobReports.cmake
 
@@ -13,9 +18,27 @@ if(NOT DEFINED INTRO_BATCH OR NOT DEFINED CORPUS_DIR OR NOT DEFINED WORK_DIR)
     "pass -DINTRO_BATCH=<path> -DCORPUS_DIR=<dir> -DWORK_DIR=<dir>")
 endif()
 
+# json_keys(<out-var> <json> <member-path>...): the member names of the
+# object at the path, sorted by name (CMake's JSON reader sorts them).
+function(json_keys OUT JSON)
+  string(JSON COUNT LENGTH "${JSON}" ${ARGN})
+  set(KEYS "")
+  if(COUNT GREATER 0)
+    math(EXPR LAST "${COUNT} - 1")
+    foreach(INDEX RANGE ${LAST})
+      string(JSON KEY MEMBER "${JSON}" ${ARGN} ${INDEX})
+      list(APPEND KEYS ${KEY})
+    endforeach()
+  endif()
+  set(${OUT} "${KEYS}" PARENT_SCOPE)
+endfunction()
+
+set(JOBS_DIR ${WORK_DIR}/jobs)
 file(REMOVE_RECURSE ${WORK_DIR})
+file(MAKE_DIRECTORY ${WORK_DIR})
 execute_process(
-  COMMAND ${INTRO_BATCH} --deadline=30 --job-reports=${WORK_DIR}
+  COMMAND ${INTRO_BATCH} --deadline=30 --job-reports=${JOBS_DIR}
+    --report=${WORK_DIR}/batch.json
     --chaos=truncate:deep@boxes
     ${CORPUS_DIR}/boxes.intro ${CORPUS_DIR}/dispatch.intro
   RESULT_VARIABLE CODE
@@ -28,23 +51,44 @@ if(NOT CODE STREQUAL "1")
                      "stdout: ${OUT}\nstderr: ${ERR}")
 endif()
 
-if(EXISTS ${WORK_DIR}/boxes.report.json)
-  file(READ ${WORK_DIR}/boxes.report.json TEXT)
+if(EXISTS ${JOBS_DIR}/boxes.report.json)
+  file(READ ${JOBS_DIR}/boxes.report.json TEXT)
   message(SEND_ERROR
     "a job with no healthy report line must leave no report file, got:\n"
     "${TEXT}")
 endif()
 
-if(NOT EXISTS ${WORK_DIR}/dispatch.report.json)
+if(NOT EXISTS ${JOBS_DIR}/dispatch.report.json)
   message(SEND_ERROR "the clean job's report file was not written")
 else()
-  file(READ ${WORK_DIR}/dispatch.report.json TEXT)
+  file(READ ${JOBS_DIR}/dispatch.report.json TEXT)
   string(JSON SCHEMA ERROR_VARIABLE JSON_ERROR GET "${TEXT}" schema)
   if(JSON_ERROR)
     message(SEND_ERROR "dispatch.report.json is not valid JSON "
                        "(${JSON_ERROR}):\n${TEXT}")
   elseif(NOT SCHEMA STREQUAL "intro-run-report-v1")
     message(SEND_ERROR "dispatch.report.json has schema '${SCHEMA}'")
+  else()
+    json_keys(OPTIONS "${TEXT}" deterministic options)
+    set(WANT "attempt_deep;attempt_intro_a;attempt_intro_b;deep_budget;\
+first_pass_budget;level_faults;params_a;params_b;portfolio;refined_budget;\
+tightened_rounds;workers")
+    if(NOT OPTIONS STREQUAL WANT)
+      message(SEND_ERROR "deterministic.options keys are '${OPTIONS}', "
+                         "expected '${WANT}'")
+    endif()
+    json_keys(OUTCOME "${TEXT}" deterministic outcome)
+    list(FIND OUTCOME notes NOTES)
+    if(NOT NOTES EQUAL -1)
+      message(SEND_ERROR "deterministic.outcome still has 'notes'")
+    endif()
   endif()
+endif()
+
+file(READ ${WORK_DIR}/batch.json BATCH)
+json_keys(RETRY "${BATCH}" deterministic retry_policy)
+if(NOT RETRY STREQUAL "max_attempts;seed")
+  message(SEND_ERROR "deterministic.retry_policy keys are '${RETRY}', "
+                     "expected 'max_attempts;seed'")
 endif()
 file(REMOVE_RECURSE ${WORK_DIR})

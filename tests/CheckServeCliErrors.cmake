@@ -44,6 +44,9 @@ check_rejects("--mem-limit" --mem-limit=0)
 # Unknown flags fail fast.
 check_rejects("--retries" --retries=3)
 
+# A nonzero cache cap without a cache directory would cap nothing.
+check_rejects("--cache-max-entries=3 needs --cache-dir" --cache-max-entries=3)
+
 # A default deadline above the clamp is rejected, naming both flags.
 check_rejects("--deadline=900"     --deadline=900 --max-deadline=600)
 check_rejects("--max-deadline=600" --deadline=900 --max-deadline=600)

@@ -23,6 +23,8 @@
 #include "support/Timer.h"
 #include "workload/DaCapo.h"
 
+#include "TestPrograms.h"
+
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -209,7 +211,6 @@ TEST(Cancellation, PreCancelledTokenReturnsCancelledStatus) {
   Token.cancel();
   SolverOptions Options;
   Options.Cancel = &Token;
-  Options.CancelInterval = 1;
   PointsToResult R = solvePointsTo(Prog, *Policy, Table, Options);
   EXPECT_EQ(R.Status, SolveStatus::Cancelled);
   EXPECT_FALSE(isCompleted(R.Status));
@@ -408,29 +409,58 @@ TEST(Resilient, TightenedRoundsExcludeMoreEachTime) {
   EXPECT_GE(Tightened.NoRefineSites.size(), Loose.NoRefineSites.size());
 }
 
-TEST(Resilient, NonsenseBackoffMultiplierIsClampedToNoTightening) {
-  // A multiplier of 0 (or any value <= 1) cannot tighten; the ladder must
-  // clamp it rather than cast inf/negative quotients to integers.  With
-  // the IntroA rung faulted, the first tightened round then repeats plain
-  // IntroA's thresholds exactly, so it reproduces plain IntroA's result.
+TEST(Resilient, TightenedRoundRDividesParamsAByFourToTheR) {
+  // Round r of the tightened rung solves with ParamsA's K/L/M divided by
+  // 4^r.  Plain IntroA is faulted, so the ladder reaches the tightened
+  // rounds; in the second run the refined memory budget sits between the
+  // two rounds' footprints (round 2 excludes more, so it is smaller), so
+  // round 1 fails and round 2 wins.
   Program Prog = chartProgram();
   auto Refined = makeObjectPolicy(Prog, 2, 1);
-  ResilientOptions Plain;
-  Plain.AttemptDeep = false;
-  Plain.AttemptIntroB = false;
-  ResilientOutcome Baseline = runResilient(Prog, *Refined, Plain);
-  ASSERT_TRUE(Baseline.completed());
-  for (double Multiplier : {0.0, -2.0, 0.5}) {
-    ResilientOptions Options = Plain;
-    Options.faultsFor(DegradationLevel::IntroA).FailAtPop = 1;
-    Options.BackoffMultiplier = Multiplier;
-    ResilientOutcome Out = runResilient(Prog, *Refined, Options);
-    ASSERT_TRUE(Out.completed()) << "multiplier " << Multiplier;
-    EXPECT_EQ(Out.Level, DegradationLevel::TightenedIntroA);
-    EXPECT_EQ(Out.Result.Stats.VarPointsToTuples,
-              Baseline.Result.Stats.VarPointsToTuples)
-        << "multiplier " << Multiplier;
-  }
+  PassAOutcome PassA = runPassA(Prog, SolverOptions());
+  ASSERT_TRUE(isCompleted(PassA.Insens.Status));
+  auto ExceptionsAt = [&](uint64_t Divisor) {
+    HeuristicAParams Params;
+    Params.K /= Divisor;
+    Params.L /= Divisor;
+    Params.M /= Divisor;
+    return applyHeuristicA(Prog, PassA.Insens, PassA.Metrics, Params);
+  };
+  auto BytesUnder = [&](const RefinementExceptions &Exceptions) {
+    auto Insensitive = makeInsensitivePolicy();
+    auto Policy =
+        makeIntrospectivePolicy("probe", *Insensitive, *Refined, Exceptions);
+    ContextTable Table;
+    PointsToResult R = solvePointsTo(Prog, *Policy, Table);
+    EXPECT_TRUE(isCompleted(R.Status));
+    return R.Stats.ApproxBytes;
+  };
+  RefinementExceptions Round1 = ExceptionsAt(4);
+  RefinementExceptions Round2 = ExceptionsAt(16);
+  uint64_t Bytes1 = BytesUnder(Round1);
+  uint64_t Bytes2 = BytesUnder(Round2);
+  ASSERT_LT(Bytes2, Bytes1) << "chart must tell the two rounds apart";
+
+  ResilientOptions Options;
+  Options.AttemptDeep = false;
+  Options.AttemptIntroB = false;
+  Options.faultsFor(DegradationLevel::IntroA) = failFast();
+  ResilientOutcome First = runResilient(Prog, *Refined, Options);
+  ASSERT_TRUE(First.completed());
+  EXPECT_EQ(First.Level, DegradationLevel::TightenedIntroA);
+  EXPECT_EQ(First.Trace.back().TightenedRound, 1u);
+  EXPECT_EQ(First.Exceptions.NoRefineHeaps, Round1.NoRefineHeaps);
+  EXPECT_EQ(First.Exceptions.NoRefineSites, Round1.NoRefineSites);
+
+  Options.RefinedBudget.MaxBytes = Bytes2 + (Bytes1 - Bytes2) / 2;
+  ResilientOutcome Second = runResilient(Prog, *Refined, Options);
+  ASSERT_TRUE(Second.completed());
+  EXPECT_EQ(Second.Level, DegradationLevel::TightenedIntroA);
+  ASSERT_EQ(Second.Trace.size(), 4u); // insensitive, introA, two rounds.
+  EXPECT_EQ(Second.Trace[2].Status, SolveStatus::MemoryBudgetExceeded);
+  EXPECT_EQ(Second.Trace[3].TightenedRound, 2u);
+  EXPECT_EQ(Second.Exceptions.NoRefineHeaps, Round2.NoRefineHeaps);
+  EXPECT_EQ(Second.Exceptions.NoRefineSites, Round2.NoRefineSites);
 }
 
 TEST(Resilient, CancellationStopsTheLadderInsteadOfDegrading) {
@@ -450,18 +480,18 @@ TEST(Resilient, CancellationStopsTheLadderInsteadOfDegrading) {
 }
 
 TEST(Resilient, CancellationMidLadderFallsBackToCompletedPreAnalysis) {
-  // Disable in-solver polling so the (pre-fired) cancel is observed only
-  // between rungs: the pre-analysis completes, and the ladder then stops
-  // before the (fault-armed) deep rung even starts, handing back the
+  // The two-boxes Pass A ends before the solver's first cancel poll
+  // (CancelPollInterval iterations), so the (pre-fired) cancel is observed
+  // only between rungs: the pre-analysis completes, and the ladder then
+  // stops before the (fault-armed) deep rung even starts, handing back the
   // completed insensitive result instead of degrading through the
   // remaining rungs.
-  Program Prog = chartProgram();
+  Program Prog = intro::testing::makeTwoBoxes().Prog;
   auto Refined = makeObjectPolicy(Prog, 2, 1);
   CancellationToken Token;
   Token.cancel();
   ResilientOptions Options;
   Options.Cancel = &Token;
-  Options.CancelInterval = 0xFFFFFFFFu;
   Options.faultsFor(DegradationLevel::Deep) = failFast();
   ResilientOutcome Out = runResilient(Prog, *Refined, Options);
   EXPECT_TRUE(Out.Cancelled);
@@ -471,6 +501,7 @@ TEST(Resilient, CancellationMidLadderFallsBackToCompletedPreAnalysis) {
   ASSERT_EQ(Out.Trace.size(), 1u);
   EXPECT_EQ(Out.Trace[0].Level, DegradationLevel::Insensitive);
   EXPECT_EQ(Out.Trace[0].Status, SolveStatus::Completed);
+  EXPECT_LT(Out.Trace[0].Stats.WorklistPops, CancelPollInterval);
 }
 
 TEST(Resilient, CancelDuringTheDeepRungReturnsTheCompletedPassA) {

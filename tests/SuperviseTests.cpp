@@ -349,32 +349,22 @@ TEST(Backoff, IsAPureFunctionOfItsArguments) {
                 plannedBackoffMs(Policy, Job, Attempt));
 }
 
-TEST(Backoff, StaysWithinTheJitterEnvelopeAndGrows) {
+TEST(Backoff, IsFiftyMsDoublingPerRetryWithinHalfJitter) {
+  // Retry k (2-based) waits 50 ms * 2^(k-2), within +/-50%.
+  EXPECT_EQ(FirstRetryDelayMs, 50);
+  EXPECT_EQ(RetryDelayGrowth, 2);
+  EXPECT_EQ(RetryDelayJitter, 0.5);
   RetryPolicy Policy;
-  Policy.BaseDelayMs = 100;
-  Policy.Multiplier = 2.0;
-  Policy.JitterFraction = 0.5;
+  EXPECT_EQ(plannedBackoffMs(Policy, 0, 1), 0); // No delay before attempt 1.
   for (size_t Job = 0; Job < 8; ++Job) {
-    double Base = Policy.BaseDelayMs;
+    double Nominal = 50;
     for (uint32_t Attempt = 2; Attempt <= 5; ++Attempt) {
       double Delay = plannedBackoffMs(Policy, Job, Attempt);
-      EXPECT_GE(Delay, Base * (1 - Policy.JitterFraction));
-      EXPECT_LE(Delay, Base * (1 + Policy.JitterFraction));
-      Base *= Policy.Multiplier;
+      EXPECT_GE(Delay, Nominal * 0.5);
+      EXPECT_LE(Delay, Nominal * 1.5);
+      Nominal *= 2;
     }
   }
-}
-
-TEST(Backoff, ZeroJitterIsExactExponentialBackoff) {
-  RetryPolicy Policy;
-  Policy.BaseDelayMs = 10;
-  Policy.Multiplier = 3.0;
-  Policy.JitterFraction = 0;
-  EXPECT_DOUBLE_EQ(plannedBackoffMs(Policy, 0, 2), 10);
-  EXPECT_DOUBLE_EQ(plannedBackoffMs(Policy, 0, 3), 30);
-  EXPECT_DOUBLE_EQ(plannedBackoffMs(Policy, 0, 4), 90);
-  // The job index only feeds the jitter, so without jitter it is inert.
-  EXPECT_DOUBLE_EQ(plannedBackoffMs(Policy, 7, 3), 30);
 }
 
 // --- Supervised jobs: the five outcome classes -------------------------------
@@ -736,97 +726,35 @@ TEST(Batch, ReportTotalsMatchTheJobRecords) {
   expectNoLeakedChildren();
 }
 
-// --- Options / trace serialization round trips -------------------------------
-
-TEST(ResilientJson, OptionsSurviveARoundTrip) {
-  ResilientOptions Options;
-  Options.DeepBudget.MaxTuples = 12345;
-  Options.DeepBudget.MaxSeconds = 7.5;
-  Options.RefinedBudget.MaxBytes = 1 << 20;
-  Options.AttemptDeep = false;
-  Options.TightenedRounds = 5;
-  Options.BackoffMultiplier = 2.5;
-  Options.ParamsA.K = 9;
-  Options.ParamsB.P = 11;
-  Options.CancelInterval = 17;
-  Options.Portfolio = true;
-  Options.Workers = 3;
-  Options.faultsFor(DegradationLevel::IntroB).FailAtPop = 42;
-  Options.faultsFor(DegradationLevel::IntroB).FailStatus =
-      SolveStatus::TimeBudgetExceeded;
-
-  std::ostringstream Out;
-  JsonWriter J(Out);
-  writeResilientOptionsJson(J, Options);
-  JsonParseResult Parsed = parseJson(Out.str());
-  ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
-
-  ResilientOptions Back;
-  std::string Error;
-  ASSERT_TRUE(parseResilientOptionsJson(Parsed.Value, Back, Error)) << Error;
-
-  // Re-serializing the decoded options reproduces the exact bytes: the
-  // JSON form is canonical for everything it carries.
-  std::ostringstream Out2;
-  JsonWriter J2(Out2);
-  writeResilientOptionsJson(J2, Back);
-  EXPECT_EQ(Out.str(), Out2.str());
-
-  EXPECT_EQ(Back.DeepBudget.MaxTuples, Options.DeepBudget.MaxTuples);
-  EXPECT_EQ(Back.AttemptDeep, false);
-  EXPECT_EQ(Back.TightenedRounds, 5u);
-  EXPECT_EQ(Back.Workers, 3u);
-  EXPECT_EQ(Back.faultsFor(DegradationLevel::IntroB).FailAtPop, 42u);
-  EXPECT_EQ(Back.faultsFor(DegradationLevel::IntroB).FailStatus,
-            SolveStatus::TimeBudgetExceeded);
-}
-
-TEST(ResilientJson, OptionsParserRejectsBadNamesButIgnoresUnknownKeys) {
-  {
-    JsonParseResult Parsed =
-        parseJson("{\"unknown_key\": 1, \"attempt_deep\": false}");
-    ASSERT_TRUE(Parsed.ok());
-    ResilientOptions Back;
-    std::string Error;
-    EXPECT_TRUE(parseResilientOptionsJson(Parsed.Value, Back, Error)) << Error;
-    EXPECT_FALSE(Back.AttemptDeep);
-  }
-  {
-    JsonParseResult Parsed = parseJson(
-        "{\"level_faults\": [{\"level\": \"bogus\", \"fail_at_pop\": 1}]}");
-    ASSERT_TRUE(Parsed.ok());
-    ResilientOptions Back;
-    std::string Error;
-    EXPECT_FALSE(parseResilientOptionsJson(Parsed.Value, Back, Error));
-    EXPECT_FALSE(Error.empty());
-  }
-}
+// --- Attempt-trace serialization round trips ---------------------------------
 
 TEST(ResilientJson, AttemptTraceSurvivesARoundTrip) {
-  AttemptTrace Trace;
+  ResilientOutcome Outcome;
   Attempt First;
   First.Level = DegradationLevel::Deep;
   First.AnalysisName = "2objH";
   First.Status = SolveStatus::TupleBudgetExceeded;
   First.Stats.WorklistPops = 99;
   First.Seconds = 1.25;
-  Trace.push_back(First);
+  Outcome.Trace.push_back(First);
   Attempt Second;
   Second.Level = DegradationLevel::TightenedIntroA;
   Second.AnalysisName = "introA";
   Second.Status = SolveStatus::Completed;
   Second.TightenedRound = 2;
-  Trace.push_back(Second);
+  Outcome.Trace.push_back(Second);
 
   std::ostringstream Out;
   JsonWriter J(Out);
-  writeAttemptTraceJson(J, Trace);
+  writeResilientOutcomeJson(J, Outcome);
   JsonParseResult Parsed = parseJson(Out.str());
   ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
+  const JsonValue *Attempts = Parsed.Value.get("attempts");
+  ASSERT_NE(Attempts, nullptr);
 
   AttemptTrace Back;
   std::string Error;
-  ASSERT_TRUE(parseAttemptTraceJson(Parsed.Value, Back, Error)) << Error;
+  ASSERT_TRUE(parseAttemptTraceJson(*Attempts, Back, Error)) << Error;
   ASSERT_EQ(Back.size(), 2u);
   EXPECT_EQ(Back[0].Level, DegradationLevel::Deep);
   EXPECT_EQ(Back[0].AnalysisName, "2objH");

@@ -25,7 +25,8 @@
 ///   --workers=N          supervisor threads (default 1)
 ///   --cache-dir=DIR      content-addressed Pass-A cache shared across
 ///                        jobs, retries, and repeated runs
-///   --cache-max-entries=N  cap on cached entries (default 0 = no cap)
+///   --cache-max-entries=N  cap on cached entries (default 0 = no cap;
+///                        a nonzero cap needs --cache-dir)
 ///   --no-deep            skip the deep ladder rung (start at the
 ///                        introspective rungs, which use the cache)
 ///   --chaos=SPEC@NAME    inject a process-level fault into job NAME;
@@ -34,7 +35,11 @@
 ///   --server=SOCK        client mode: submit the jobs to the intro_serve
 ///                        daemon at Unix socket SOCK instead of forking
 ///                        locally; --report then writes an
-///                        intro-serve-client-report-v1 document
+///                        intro-serve-client-report-v1 document.  The
+///                        jobs run under the daemon's own settings, so
+///                        --quarantine, --workers and the shared
+///                        supervision flags (--no-deep, --cache-dir, ...)
+///                        are rejected here
 ///   --job-reports=DIR    write each job's final intro-run-report-v1 line
 ///                        to DIR/<name>.report.json (works in both local
 ///                        and server mode: the same jobs get a file — none
@@ -61,8 +66,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace intro;
@@ -102,13 +109,26 @@ bool parseChaosSpec(const std::string &Spec, ChaosFlag &Out) {
   return parseChaosPlan(Out.SpecBody, Out.Plan, Error);
 }
 
+/// Flags whose settings live in the daemon: --server jobs run under
+/// intro_serve's own configuration, and server mode has no quarantine copy.
+constexpr std::string_view DaemonOwnedFlags[] = {
+    "--quarantine", "--workers", "--no-deep", "--cache-dir",
+    "--cache-max-entries", "--max-attempts", "--cpu-limit", "--mem-limit",
+    "--seed"};
+
 /// Parses the command line.  \returns an exit code to bail with, or -1 to
 /// continue.
 int parseCli(int argc, char **argv, CliOptions &Cli) {
   std::string Error;
+  std::string DaemonFlag; ///< The first daemon-owned flag given, if any.
   for (int Index = 1; Index < argc; ++Index) {
     std::string Arg = argv[Index];
     std::string Value;
+    std::string_view Name = std::string_view(Arg).substr(0, Arg.find('='));
+    if (DaemonFlag.empty() &&
+        std::find(std::begin(DaemonOwnedFlags), std::end(DaemonOwnedFlags),
+                  Name) != std::end(DaemonOwnedFlags))
+      DaemonFlag = Name;
     if (flagValue(Arg, "--report", Cli.ReportPath) ||
         flagValue(Arg, "--quarantine", Cli.QuarantineDir) ||
         flagValue(Arg, "--server", Cli.ServerSocket) ||
@@ -150,6 +170,16 @@ int parseCli(int argc, char **argv, CliOptions &Cli) {
     Cli.Inputs.push_back(Arg);
   }
   if (!Error.empty()) {
+    std::cerr << "error: " << Error << "\n";
+    return ExitBadInput;
+  }
+  if (!Cli.ServerSocket.empty() && !DaemonFlag.empty()) {
+    std::cerr << "error: " << DaemonFlag
+              << " cannot be combined with --server: the jobs run under the "
+                 "daemon's own settings\n";
+    return ExitBadInput;
+  }
+  if (!checkSharedBatchFlags(Cli.Batch, Error)) {
     std::cerr << "error: " << Error << "\n";
     return ExitBadInput;
   }

@@ -23,7 +23,8 @@
 ///   --mem-limit=MB       per-child RLIMIT_AS (default 0 = off)
 ///   --seed=N             retry-jitter seed (default 0x5eed)
 ///   --cache-dir=DIR      Pass-A cache shared across all served jobs
-///   --cache-max-entries=N  cap on cached entries (default 0 = no cap)
+///   --cache-max-entries=N  cap on cached entries (default 0 = no cap;
+///                        a nonzero cap needs --cache-dir)
 ///   --no-deep            skip the deep ladder rung
 ///
 /// SIGTERM and SIGINT drain: in-flight jobs finish (children reaped), the
@@ -95,7 +96,8 @@ int parseCli(int argc, char **argv, ServerOptions &Options) {
     std::cerr << "error: unknown flag '" << Arg << "'\n";
     return ExitBadInput;
   }
-  if (!Error.empty()) {
+  if (!Error.empty() ||
+      !supervise::checkSharedBatchFlags(Options.Batch, Error)) {
     std::cerr << "error: " << Error << "\n";
     return ExitBadInput;
   }
