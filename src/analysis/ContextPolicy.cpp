@@ -15,6 +15,23 @@ using namespace intro;
 
 ContextPolicy::~ContextPolicy() = default;
 
+RefinementExceptions::RefinementExceptions(const Program &Prog)
+    : NoRefineHeaps(Prog.numHeaps(), false), NoRefineSites(Prog.numSites()) {}
+
+bool RefinementExceptions::operator==(const RefinementExceptions &Other) const {
+  // Equal on the common prefix, and only default entries past it.
+  auto SamePadded = [](const auto &A, const auto &B) {
+    using Entry = typename std::decay_t<decltype(A)>::value_type;
+    auto IsDefault = [](const Entry &Value) { return Value == Entry(); };
+    size_t Common = std::min(A.size(), B.size());
+    return std::equal(A.begin(), A.begin() + Common, B.begin()) &&
+           std::all_of(A.begin() + Common, A.end(), IsDefault) &&
+           std::all_of(B.begin() + Common, B.end(), IsDefault);
+  };
+  return SamePadded(NoRefineHeaps, Other.NoRefineHeaps) &&
+         SamePadded(NoRefineSites, Other.NoRefineSites);
+}
+
 namespace {
 
 /// Maximum supported context depth.  Deep enough for every analysis in the

@@ -20,10 +20,10 @@
 
 #include "analysis/Context.h"
 #include "support/Ids.h"
+#include "support/SetUtils.h"
 
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace intro {
@@ -97,25 +97,39 @@ std::unique_ptr<ContextPolicy> makeHybridPolicy(const Program &Prog,
 /// the *coarse* context.  This is the complement encoding of the paper's
 /// SITETOREFINE / OBJECTTOREFINE inputs: everything not listed here is
 /// refined (analyzed with the precise context).
+///
+/// Both tables are indexed by raw id and sized from the Program by the code
+/// that fills them.  Probes bounds-check, so a default-constructed value
+/// (empty tables) refines everything, and equality ignores table lengths.
 struct RefinementExceptions {
-  /// Heap allocation sites to analyze with the coarse RECORD.
-  std::unordered_set<uint32_t> NoRefineHeaps;
-  /// (invocation site, target method) pairs to analyze with the coarse
-  /// MERGE, packed as (site << 32 | method).
-  std::unordered_set<uint64_t> NoRefineSites;
+  /// One flag per HeapId: allocation sites analyzed with the coarse RECORD.
+  std::vector<bool> NoRefineHeaps;
+  /// Per SiteId, the sorted raw MethodIds whose calls from that site use
+  /// the coarse MERGE.
+  std::vector<SortedIdSet> NoRefineSites;
 
-  static uint64_t packSite(SiteId Invo, MethodId Callee) {
-    return (static_cast<uint64_t>(Invo.index()) << 32) | Callee.index();
+  RefinementExceptions() = default;
+  /// Sized for every heap and site of \p Prog, with nothing excluded.
+  explicit RefinementExceptions(const Program &Prog);
+
+  /// Analyzes \p Heap with the coarse RECORD.
+  void excludeHeap(HeapId Heap) { NoRefineHeaps[Heap.index()] = true; }
+  /// Analyzes calls from \p Invo to \p Callee with the coarse MERGE.
+  void excludeSite(SiteId Invo, MethodId Callee) {
+    setInsert(NoRefineSites[Invo.index()], Callee.index());
   }
 
   bool skipsHeap(HeapId Heap) const {
-    return NoRefineHeaps.count(Heap.index()) != 0;
+    return Heap.raw() < NoRefineHeaps.size() && NoRefineHeaps[Heap.raw()];
   }
   bool skipsSite(SiteId Invo, MethodId Callee) const {
-    return NoRefineSites.count(packSite(Invo, Callee)) != 0;
+    return Invo.raw() < NoRefineSites.size() &&
+           setContains(NoRefineSites[Invo.raw()], Callee.raw());
   }
 
-  bool operator==(const RefinementExceptions &) const = default;
+  /// Equal when the same heaps and (site, target) pairs are excluded,
+  /// whatever the table lengths.
+  bool operator==(const RefinementExceptions &Other) const;
 };
 
 /// Introspective combination: \p Refined constructors (RECORDREFINED /

@@ -109,12 +109,15 @@ DatalogReferenceResult intro::runDatalogReference(
     E.relation(NoCatch).insert(std::array<uint32_t, 1>{SiteRaw});
   for (uint32_t Method : Facts.EntryMethods)
     E.relation(InitialReachable).insert(std::array<uint32_t, 1>{Method});
-  for (uint32_t HeapRaw : Exceptions.NoRefineHeaps)
-    E.relation(NoRefineObj).insert(std::array<uint32_t, 1>{HeapRaw});
-  for (uint64_t Packed : Exceptions.NoRefineSites)
-    E.relation(NoRefineSite)
-        .insert(std::array<uint32_t, 2>{static_cast<uint32_t>(Packed >> 32),
-                                        static_cast<uint32_t>(Packed)});
+  for (uint32_t HeapRaw = 0; HeapRaw < Exceptions.NoRefineHeaps.size();
+       ++HeapRaw)
+    if (Exceptions.NoRefineHeaps[HeapRaw])
+      E.relation(NoRefineObj).insert(std::array<uint32_t, 1>{HeapRaw});
+  for (uint32_t SiteRaw = 0; SiteRaw < Exceptions.NoRefineSites.size();
+       ++SiteRaw)
+    for (uint32_t MethodRaw : Exceptions.NoRefineSites[SiteRaw])
+      E.relation(NoRefineSite)
+          .insert(std::array<uint32_t, 2>{SiteRaw, MethodRaw});
 
   // --- Context-constructor functors (Figure 2, bottom) --------------------
   auto RecordFn = [&Table](const ContextPolicy &Policy) {

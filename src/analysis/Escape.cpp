@@ -22,10 +22,10 @@ EscapeResult intro::computeEscape(const Program &Prog,
   };
 
   // Stored into any object field: the holder may outlive the activation.
-  for (const auto &[Key, Heaps] : Result.FieldHeaps)
-    MarkAll(Heaps);
+  for (const FieldCell &Cell : Result.FieldHeaps)
+    MarkAll(Cell.Heaps);
   // Stored into a static field: globally visible.
-  for (const auto &[FieldRaw, Heaps] : Result.StaticFieldHeaps)
+  for (const SortedIdSet &Heaps : Result.StaticFieldHeaps)
     MarkAll(Heaps);
   // Escaping via an exception.
   for (const SortedIdSet &Heaps : Result.MethodThrows)

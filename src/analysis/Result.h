@@ -18,10 +18,11 @@
 #include "support/Ids.h"
 #include "support/SetUtils.h"
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace intro {
@@ -112,7 +113,21 @@ struct SolverStats {
   uint64_t DensePointsToSets = 0; ///< Nodes whose Pts ended bitmap-backed.
 };
 
-/// The result of a points-to analysis run.
+/// One (base heap, field) cell of PointsToResult::FieldHeaps: the heaps
+/// stored in \p Field of any object allocated at \p BaseHeap, contexts
+/// collapsed.
+struct FieldCell {
+  uint32_t BaseHeap = 0; ///< Raw HeapId of the base object.
+  uint32_t Field = 0;    ///< Raw FieldId.
+  SortedIdSet Heaps;     ///< Raw HeapIds.
+
+  std::pair<uint32_t, uint32_t> key() const { return {BaseHeap, Field}; }
+  bool operator==(const FieldCell &) const = default;
+};
+
+/// The result of a points-to analysis run.  Every projection is indexed by
+/// a dense id or sorted by one, so equal results hold equal bytes and
+/// iterate in the same order.
 class PointsToResult {
 public:
   SolveStatus Status = SolveStatus::Completed;
@@ -123,16 +138,17 @@ public:
   /// collapsed).  Indexed by VarId; values are raw HeapIds.
   std::vector<SortedIdSet> VarHeaps;
 
-  /// Per-(base heap, field) points-to set, contexts collapsed.  Key is
-  /// (baseHeap << 32 | field); values are raw HeapIds.
-  std::unordered_map<uint64_t, SortedIdSet> FieldHeaps;
+  /// Per-(base heap, field) points-to sets, contexts collapsed: one cell
+  /// per pair that has a field node (empty cells included), sorted by
+  /// (BaseHeap, Field) with no two cells sharing a pair.
+  std::vector<FieldCell> FieldHeaps;
 
   /// Reachability per method (in any context).
   std::vector<bool> MethodReachable;
 
-  /// Per-static-field points-to set, contexts collapsed.  Key is the raw
+  /// Per-static-field points-to set, contexts collapsed.  Indexed by
   /// FieldId; values are raw HeapIds.
-  std::unordered_map<uint32_t, SortedIdSet> StaticFieldHeaps;
+  std::vector<SortedIdSet> StaticFieldHeaps;
 
   /// Per-method escaping-exception set, contexts collapsed.  Indexed by
   /// MethodId; values are raw HeapIds.
@@ -176,6 +192,23 @@ public:
                                            : emptySet();
   }
 
+  /// \returns the heaps stored in \p Field of objects allocated at
+  /// \p BaseHeap (contexts collapsed); the shared empty set when no such
+  /// cell exists.  A binary search over FieldHeaps.
+  const SortedIdSet &fieldPointsTo(HeapId BaseHeap, FieldId Field) const {
+    std::pair Key(BaseHeap.raw(), Field.raw());
+    auto It = std::ranges::lower_bound(FieldHeaps, Key, {}, &FieldCell::key);
+    return It != FieldHeaps.end() && It->key() == Key ? It->Heaps : emptySet();
+  }
+
+  /// \returns the heaps static field \p Field may point to.
+  /// Out-of-range (or invalid) ids yield the shared empty set.
+  const SortedIdSet &staticPointsTo(FieldId Field) const {
+    return Field.raw() < StaticFieldHeaps.size()
+               ? StaticFieldHeaps[Field.raw()]
+               : emptySet();
+  }
+
   /// \returns the exception objects escaping \p Method (ctxs collapsed).
   /// Out-of-range (or invalid) ids yield the shared empty set.
   const SortedIdSet &throwsOf(MethodId Method) const {
@@ -192,11 +225,6 @@ public:
   static const SortedIdSet &emptySet() {
     static const SortedIdSet Empty;
     return Empty;
-  }
-
-  /// Packs a FieldHeaps key.
-  static uint64_t fieldKey(HeapId BaseHeap, FieldId Field) {
-    return (static_cast<uint64_t>(BaseHeap.index()) << 32) | Field.index();
   }
 };
 

@@ -27,6 +27,9 @@ constexpr uint8_t NodeKindField = 1;
 constexpr uint8_t NodeKindStaticField = 2;
 constexpr uint8_t NodeKindThrow = 3;
 
+/// Empty slot of a dense node index.
+constexpr uint32_t NoNode = UINT32_MAX;
+
 uint64_t pack(uint32_t High, uint32_t Low) {
   return (static_cast<uint64_t>(High) << 32) | Low;
 }
@@ -187,10 +190,10 @@ private:
   /// Static fields are single global cells (Doop: StaticFieldPointsTo has
   /// no base object and no context).
   uint32_t staticFieldNode(FieldId Field) {
-    auto [It, Inserted] = StaticFieldNodeIndex.emplace(Field.index(), 0);
-    if (Inserted)
-      It->second = newNode(NodeKindStaticField, Field.index(), 0);
-    return It->second;
+    uint32_t &Slot = StaticFieldNodes[Field.index()];
+    if (Slot == NoNode)
+      Slot = newNode(NodeKindStaticField, Field.index(), 0);
+    return Slot;
   }
 
   /// The set of exception objects escaping (method, ctx) — the paper
@@ -383,8 +386,7 @@ private:
 
   void recordCallEdge(SiteId Site, CtxId CallerCtx, MethodId Callee,
                       CtxId CalleeCtx) {
-    if (CallEdgeProjection.insert(pack(Site.index(), Callee.index())).second)
-      SiteTargets[Site.index()].push_back(Callee.index());
+    setInsert(SiteTargets[Site.index()], Callee.index());
     if (Opts.KeepTuples)
       CallGraphTuples.insert(
           {Site.index(), CallerCtx.index(), Callee.index(), CalleeCtx.index()});
@@ -525,7 +527,10 @@ private:
     TRACE_COUNTER("solve.tuples", TotalTuples);
     TRACE_COUNTER("solve.budget_checks", BudgetChecks);
     TRACE_COUNTER("solve.reachable_method_contexts", ReachableList.size());
-    TRACE_COUNTER("solve.call_graph_edges", CallEdgeProjection.size());
+    uint64_t CallGraphEdges = 0;
+    for (const SortedIdSet &Targets : SiteTargets)
+      CallGraphEdges += Targets.size();
+    TRACE_COUNTER("solve.call_graph_edges", CallGraphEdges);
     TRACE_COUNTER("solve.nodes", Nodes.size());
     TRACE_COUNTER("solve.objects", Objects.size());
 
@@ -535,13 +540,12 @@ private:
 
     Result.VarHeaps.resize(Prog.numVars());
     Result.MethodReachable.assign(Prog.numMethods(), false);
-    Result.SiteTargets.resize(Prog.numSites());
-    for (uint32_t SiteIndex = 0; SiteIndex < Prog.numSites(); ++SiteIndex) {
-      Result.SiteTargets[SiteIndex] = std::move(SiteTargets[SiteIndex]);
-      setNormalize(Result.SiteTargets[SiteIndex]);
-    }
-
+    Result.SiteTargets = std::move(SiteTargets);
+    Result.StaticFieldHeaps.resize(Prog.numFields());
     Result.MethodThrows.resize(Prog.numMethods());
+    // (base heap, field, node) of every field node, sorted below so that
+    // the nodes of one cell (one per heap context of the base) merge.
+    std::vector<std::array<uint32_t, 3>> FieldCellNodes;
     uint64_t VarTuples = 0;
     uint64_t FieldTuples = 0;
     uint64_t ThrowTuples = 0;
@@ -568,10 +572,7 @@ private:
         FieldTuples += NodeRef.Pts.size();
         uint32_t BaseObject = static_cast<uint32_t>(NodeKey[N] >> 32);
         uint32_t FieldRaw = static_cast<uint32_t>(NodeKey[N]);
-        uint64_t Key = pack(Objects[BaseObject].first, FieldRaw);
-        SortedIdSet &Heaps = Result.FieldHeaps[Key];
-        for (uint32_t Object : NodeRef.Pts)
-          Heaps.push_back(Objects[Object].first);
+        FieldCellNodes.push_back({Objects[BaseObject].first, FieldRaw, N});
         if (Opts.KeepTuples)
           for (uint32_t Object : NodeRef.Pts)
             Result.FieldPointsTo.push_back(
@@ -606,11 +607,19 @@ private:
       }
       }
     }
+    std::sort(FieldCellNodes.begin(), FieldCellNodes.end());
+    for (auto [BaseHeap, FieldRaw, N] : FieldCellNodes) {
+      if (Result.FieldHeaps.empty() ||
+          Result.FieldHeaps.back().key() != std::pair(BaseHeap, FieldRaw))
+        Result.FieldHeaps.push_back({BaseHeap, FieldRaw, {}});
+      for (uint32_t Object : Nodes[N].Pts)
+        Result.FieldHeaps.back().Heaps.push_back(Objects[Object].first);
+    }
     for (SortedIdSet &Heaps : Result.VarHeaps)
       setNormalize(Heaps);
-    for (auto &[Key, Heaps] : Result.FieldHeaps)
-      setNormalize(Heaps);
-    for (auto &[Key, Heaps] : Result.StaticFieldHeaps)
+    for (FieldCell &Cell : Result.FieldHeaps)
+      setNormalize(Cell.Heaps);
+    for (SortedIdSet &Heaps : Result.StaticFieldHeaps)
       setNormalize(Heaps);
     for (SortedIdSet &Heaps : Result.MethodThrows)
       setNormalize(Heaps);
@@ -635,7 +644,7 @@ private:
     Result.Stats.NumContexts = Ctxs.numContexts();
     Result.Stats.NumHeapContexts = Ctxs.numHeapContexts();
     Result.Stats.ReachableMethodContexts = ReachableList.size();
-    Result.Stats.CallGraphEdges = CallEdgeProjection.size();
+    Result.Stats.CallGraphEdges = CallGraphEdges;
     Result.Stats.WorklistPops = Pops;
     Result.Stats.ApproxBytes = ApproxBytes;
     Result.Stats.BatchUnions = BatchUnions;
@@ -655,7 +664,9 @@ private:
   std::vector<uint64_t> NodeKey;
   std::unordered_map<uint64_t, uint32_t> VarNodeIndex;
   std::unordered_map<uint64_t, uint32_t> FieldNodeIndex;
-  std::unordered_map<uint32_t, uint32_t> StaticFieldNodeIndex;
+  /// Node of each static field, NoNode until first use.
+  std::vector<uint32_t> StaticFieldNodes =
+      std::vector<uint32_t>(Prog.numFields(), NoNode);
   std::unordered_map<uint64_t, uint32_t> ThrowNodeIndex;
 
   std::unordered_map<uint64_t, uint32_t> ObjIndex;
@@ -666,7 +677,7 @@ private:
   std::unordered_set<uint64_t> ReachableSet;
   std::vector<std::pair<uint32_t, uint32_t>> ReachableList;
 
-  std::unordered_set<uint64_t> CallEdgeProjection;
+  /// Per-site sorted callees: the insensitive call graph, built in place.
   std::vector<SortedIdSet> SiteTargets =
       std::vector<SortedIdSet>(Prog.numSites());
   std::set<std::array<uint32_t, 4>> CallGraphTuples;

@@ -235,45 +235,43 @@ struct ByteReader {
 // Section payloads.
 //===----------------------------------------------------------------------===//
 
-// The field list below is part of the on-disk entry format: adding a field
-// here would orphan every entry written by earlier builds.  Propagation
-// diagnostics (SolverStats::BatchUnions / ElementProbes /
-// DensePointsToSets) are deliberately NOT encoded — they describe the
-// solver's internal strategy, not the result, and must read as zero on a
-// cache hit.
+// The counters below are part of the on-disk entry format, written in
+// this order after Stats.Seconds: adding one here would orphan every entry
+// written by earlier builds.  Propagation diagnostics
+// (SolverStats::BatchUnions / ElementProbes / DensePointsToSets) are
+// deliberately NOT encoded — they describe the solver's internal strategy,
+// not the result, and must read as zero on a cache hit.
+constexpr uint64_t SolverStats::*StoredStats[] = {
+    &SolverStats::VarPointsToTuples,   &SolverStats::FieldPointsToTuples,
+    &SolverStats::ThrowPointsToTuples, &SolverStats::StaticFieldTuples,
+    &SolverStats::NumVarNodes,         &SolverStats::NumFieldNodes,
+    &SolverStats::NumObjects,          &SolverStats::NumContexts,
+    &SolverStats::NumHeapContexts,     &SolverStats::ReachableMethodContexts,
+    &SolverStats::CallGraphEdges,      &SolverStats::WorklistPops,
+    &SolverStats::ApproxBytes};
+
+/// The metric vectors in entry order.
+constexpr std::vector<uint64_t> IntrospectionMetrics::*StoredMetrics[] = {
+    &IntrospectionMetrics::InFlow,
+    &IntrospectionMetrics::MethodTotalVolume,
+    &IntrospectionMetrics::MethodMaxVarPointsTo,
+    &IntrospectionMetrics::ObjectMaxFieldPointsTo,
+    &IntrospectionMetrics::ObjectTotalFieldPointsTo,
+    &IntrospectionMetrics::MethodMaxVarFieldPointsTo,
+    &IntrospectionMetrics::PointedByVars,
+    &IntrospectionMetrics::PointedByObjs};
+
 void encodeStats(ByteWriter &W, const SolverStats &Stats) {
   W.f64(Stats.Seconds);
-  W.u64(Stats.VarPointsToTuples);
-  W.u64(Stats.FieldPointsToTuples);
-  W.u64(Stats.ThrowPointsToTuples);
-  W.u64(Stats.StaticFieldTuples);
-  W.u64(Stats.NumVarNodes);
-  W.u64(Stats.NumFieldNodes);
-  W.u64(Stats.NumObjects);
-  W.u64(Stats.NumContexts);
-  W.u64(Stats.NumHeapContexts);
-  W.u64(Stats.ReachableMethodContexts);
-  W.u64(Stats.CallGraphEdges);
-  W.u64(Stats.WorklistPops);
-  W.u64(Stats.ApproxBytes);
+  for (uint64_t SolverStats::*Counter : StoredStats)
+    W.u64(Stats.*Counter);
 }
 
 SolverStats decodeStats(ByteReader &R) {
   SolverStats Stats;
   Stats.Seconds = R.f64();
-  Stats.VarPointsToTuples = R.u64();
-  Stats.FieldPointsToTuples = R.u64();
-  Stats.ThrowPointsToTuples = R.u64();
-  Stats.StaticFieldTuples = R.u64();
-  Stats.NumVarNodes = R.u64();
-  Stats.NumFieldNodes = R.u64();
-  Stats.NumObjects = R.u64();
-  Stats.NumContexts = R.u64();
-  Stats.NumHeapContexts = R.u64();
-  Stats.ReachableMethodContexts = R.u64();
-  Stats.CallGraphEdges = R.u64();
-  Stats.WorklistPops = R.u64();
-  Stats.ApproxBytes = R.u64();
+  for (uint64_t SolverStats::*Counter : StoredStats)
+    Stats.*Counter = R.u64();
   return Stats;
 }
 
@@ -284,36 +282,14 @@ std::vector<uint8_t> encodeResultSection(const PointsToResult &Result) {
   W.str(Result.AnalysisName);
   W.idSetVector(Result.VarHeaps);
 
-  // Unordered maps are emitted in sorted-key order: equal results must
-  // encode to identical bytes regardless of hash-table iteration order.
-  {
-    std::vector<uint64_t> Keys;
-    Keys.reserve(Result.FieldHeaps.size());
-    for (const auto &[Key, Set] : Result.FieldHeaps)
-      Keys.push_back(Key);
-    std::sort(Keys.begin(), Keys.end());
-    W.u64(Keys.size());
-    for (uint64_t Key : Keys) {
-      W.u64(Key);
-      W.idSet(Result.FieldHeaps.at(Key));
-    }
+  W.u64(Result.FieldHeaps.size());
+  for (const FieldCell &Cell : Result.FieldHeaps) {
+    W.u32(Cell.BaseHeap);
+    W.u32(Cell.Field);
+    W.idSet(Cell.Heaps);
   }
-
   W.boolVector(Result.MethodReachable);
-
-  {
-    std::vector<uint32_t> Keys;
-    Keys.reserve(Result.StaticFieldHeaps.size());
-    for (const auto &[Key, Set] : Result.StaticFieldHeaps)
-      Keys.push_back(Key);
-    std::sort(Keys.begin(), Keys.end());
-    W.u64(Keys.size());
-    for (uint32_t Key : Keys) {
-      W.u32(Key);
-      W.idSet(Result.StaticFieldHeaps.at(Key));
-    }
-  }
-
+  W.idSetVector(Result.StaticFieldHeaps);
   W.idSetVector(Result.MethodThrows);
   W.idSetVector(Result.SiteTargets);
 
@@ -337,32 +313,17 @@ bool decodeResultSection(const uint8_t *Data, size_t Size,
   Result.AnalysisName = R.str();
   Result.VarHeaps = R.idSetVector();
 
-  {
-    uint64_t Count = R.u64();
-    if (!R.plausibleCount(Count, 16))
-      return false;
-    Result.FieldHeaps.clear();
-    Result.FieldHeaps.reserve(Count);
-    for (uint64_t Index = 0; Index < Count && R.Ok; ++Index) {
-      uint64_t Key = R.u64();
-      Result.FieldHeaps[Key] = R.idSet();
-    }
+  uint64_t Cells = R.u64();
+  if (!R.plausibleCount(Cells, 16))
+    return false;
+  Result.FieldHeaps.resize(Cells);
+  for (FieldCell &Cell : Result.FieldHeaps) {
+    Cell.BaseHeap = R.u32();
+    Cell.Field = R.u32();
+    Cell.Heaps = R.idSet();
   }
-
   Result.MethodReachable = R.boolVector();
-
-  {
-    uint64_t Count = R.u64();
-    if (!R.plausibleCount(Count, 12))
-      return false;
-    Result.StaticFieldHeaps.clear();
-    Result.StaticFieldHeaps.reserve(Count);
-    for (uint64_t Index = 0; Index < Count && R.Ok; ++Index) {
-      uint32_t Key = R.u32();
-      Result.StaticFieldHeaps[Key] = R.idSet();
-    }
-  }
-
+  Result.StaticFieldHeaps = R.idSetVector();
   Result.MethodThrows = R.idSetVector();
   Result.SiteTargets = R.idSetVector();
 
@@ -378,28 +339,16 @@ bool decodeResultSection(const uint8_t *Data, size_t Size,
 
 std::vector<uint8_t> encodeMetricsSection(const IntrospectionMetrics &M) {
   ByteWriter W;
-  W.u64Vector(M.InFlow);
-  W.u64Vector(M.MethodTotalVolume);
-  W.u64Vector(M.MethodMaxVarPointsTo);
-  W.u64Vector(M.ObjectMaxFieldPointsTo);
-  W.u64Vector(M.ObjectTotalFieldPointsTo);
-  W.u64Vector(M.MethodMaxVarFieldPointsTo);
-  W.u64Vector(M.PointedByVars);
-  W.u64Vector(M.PointedByObjs);
+  for (std::vector<uint64_t> IntrospectionMetrics::*Metric : StoredMetrics)
+    W.u64Vector(M.*Metric);
   return std::move(W.Bytes);
 }
 
 bool decodeMetricsSection(const uint8_t *Data, size_t Size,
                           IntrospectionMetrics &M) {
   ByteReader R(Data, Size);
-  M.InFlow = R.u64Vector();
-  M.MethodTotalVolume = R.u64Vector();
-  M.MethodMaxVarPointsTo = R.u64Vector();
-  M.ObjectMaxFieldPointsTo = R.u64Vector();
-  M.ObjectTotalFieldPointsTo = R.u64Vector();
-  M.MethodMaxVarFieldPointsTo = R.u64Vector();
-  M.PointedByVars = R.u64Vector();
-  M.PointedByObjs = R.u64Vector();
+  for (std::vector<uint64_t> IntrospectionMetrics::*Metric : StoredMetrics)
+    M.*Metric = R.u64Vector();
   return R.Ok && R.Pos == R.Size;
 }
 

@@ -25,6 +25,11 @@
 ///     checksum   u64       FNV-1a over the payload
 ///     payload    length bytes
 ///
+/// Version 2 writes every PointsToResult projection in its stored order:
+/// the id-indexed arrays, then the FieldHeaps cells (base heap, field,
+/// heap set) in (base heap, field) order.  A version-1 entry, whose field
+/// projections were keyed maps, is a corrupt miss and is re-stored.
+///
 /// **Corruption is a miss, never a crash.**  Every decode failure — short
 /// file, bad magic, version skew, fingerprint mismatch, checksum mismatch,
 /// truncated or over-long payload — makes lookup() return false; the
@@ -59,7 +64,7 @@ namespace cache {
 
 /// On-disk format version; bumped whenever the entry encoding changes.
 /// Entries with any other version are misses.
-constexpr uint32_t FormatVersion = 1;
+constexpr uint32_t FormatVersion = 2;
 
 /// Entry magic: identifies the file type and, informally, the format era.
 constexpr char EntryMagic[8] = {'I', 'P', 'A', 'C', 'H', 'E', '0', '1'};
@@ -149,7 +154,7 @@ private:
 };
 
 /// Encodes \p Entry into the on-disk byte format for key \p Fp.
-/// Deterministic: unordered containers are emitted in sorted-key order, so
+/// Deterministic: every container is written in its stored (id) order, so
 /// equal entries encode to identical bytes.  Exposed for the adversarial
 /// tests, which corrupt the bytes directly.
 std::vector<uint8_t> encodeEntry(const Fingerprint &Fp,

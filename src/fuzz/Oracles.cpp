@@ -244,19 +244,9 @@ std::string describeResultDiff(const PointsToResult &A,
     return "reachable-method sets differ";
   if (A.MethodThrows != B.MethodThrows)
     return "escaping-exception sets differ";
-  auto MapEqual = [](const auto &X, const auto &Y) {
-    if (X.size() != Y.size())
-      return false;
-    for (const auto &[Key, Value] : X) {
-      auto It = Y.find(Key);
-      if (It == Y.end() || It->second != Value)
-        return false;
-    }
-    return true;
-  };
-  if (!MapEqual(A.FieldHeaps, B.FieldHeaps))
+  if (A.FieldHeaps != B.FieldHeaps)
     return "field points-to sets differ";
-  if (!MapEqual(A.StaticFieldHeaps, B.StaticFieldHeaps))
+  if (A.StaticFieldHeaps != B.StaticFieldHeaps)
     return "static-field points-to sets differ";
   return "";
 }
@@ -336,14 +326,11 @@ void Harness::checkSoundness() {
       if (!setContains(Result.callTargets(Site), Target.index()))
         Violation("dispatched edge lost: " + std::string(Prog.siteName(Site)) +
                   " -> " + std::string(Prog.methodName(Target)));
-    for (auto [Field, Heap] : Facts.StaticFieldPointsTo) {
-      auto It = Result.StaticFieldHeaps.find(Field.index());
-      if (It == Result.StaticFieldHeaps.end() ||
-          !setContains(It->second, Heap.index()))
+    for (auto [Field, Heap] : Facts.StaticFieldPointsTo)
+      if (!setContains(Result.staticPointsTo(Field), Heap.index()))
         Violation("static-field fact lost: " +
                   std::string(Prog.fieldName(Field)) + " -> " +
                   std::string(Prog.heapName(Heap)));
-    }
     for (auto [Method, Heap] : Facts.MethodThrows)
       if (!setContains(Result.throwsOf(Method), Heap.index()))
         Violation("escaping exception lost: " +
@@ -383,6 +370,67 @@ std::string compareRelation(const char *Relation,
   return S.str();
 }
 
+/// Groups column \p Value of \p Tuples by column \p Key into \p Size
+/// sorted sets: the context-insensitive projection of a tuple dump.
+template <size_t N>
+std::vector<SortedIdSet>
+projectTuples(size_t Size, const std::vector<std::array<uint32_t, N>> &Tuples,
+              size_t Key, size_t Value) {
+  std::vector<SortedIdSet> Sets(Size);
+  for (const std::array<uint32_t, N> &Tuple : Tuples) {
+    if (Tuple[Key] >= Sets.size())
+      Sets.resize(Tuple[Key] + 1); // Out of range: the comparison fails.
+    Sets[Tuple[Key]].push_back(Tuple[Value]);
+  }
+  for (SortedIdSet &Set : Sets)
+    setNormalize(Set);
+  return Sets;
+}
+
+/// Checks that every projection of a KeepTuples \p Result equals the
+/// projection of its own tuple dump.  \returns empty when all agree, else
+/// the first projection that does not.  FieldHeaps keeps empty cells the
+/// dump cannot show, so only its non-empty cells are compared.
+std::string describeProjectionDiff(const Program &Prog,
+                                   const PointsToResult &Result) {
+  if (Result.VarHeaps != projectTuples(Prog.numVars(), Result.VarPointsTo, 0, 2))
+    return "projection: VarHeaps differs from VARPOINTSTO";
+  if (Result.StaticFieldHeaps !=
+      projectTuples(Prog.numFields(), Result.StaticFieldPointsTo, 0, 1))
+    return "projection: StaticFieldHeaps differs from SFLDPOINTSTO";
+  if (Result.MethodThrows !=
+      projectTuples(Prog.numMethods(), Result.ThrowPointsTo, 0, 2))
+    return "projection: MethodThrows differs from THROWPOINTSTO";
+  if (Result.SiteTargets !=
+      projectTuples(Prog.numSites(), Result.CallGraph, 0, 2))
+    return "projection: SiteTargets differs from CALLGRAPH";
+  std::vector<bool> Reached(Prog.numMethods(), false);
+  for (const std::array<uint32_t, 2> &Tuple : Result.Reachable)
+    if (Tuple[0] < Reached.size())
+      Reached[Tuple[0]] = true;
+  if (Result.MethodReachable != Reached)
+    return "projection: MethodReachable differs from REACHABLE";
+
+  std::vector<std::array<uint32_t, 3>> Rows; // (base heap, field, heap)
+  for (const std::array<uint32_t, 5> &Tuple : Result.FieldPointsTo)
+    Rows.push_back({Tuple[0], Tuple[2], Tuple[3]});
+  std::sort(Rows.begin(), Rows.end());
+  Rows.erase(std::unique(Rows.begin(), Rows.end()), Rows.end());
+  std::vector<FieldCell> Dumped;
+  for (const std::array<uint32_t, 3> &Row : Rows) {
+    if (Dumped.empty() || Dumped.back().key() != std::pair(Row[0], Row[1]))
+      Dumped.push_back({Row[0], Row[1], {}});
+    Dumped.back().Heaps.push_back(Row[2]);
+  }
+  std::vector<FieldCell> NonEmpty;
+  std::copy_if(Result.FieldHeaps.begin(), Result.FieldHeaps.end(),
+               std::back_inserter(NonEmpty),
+               [](const FieldCell &Cell) { return !Cell.Heaps.empty(); });
+  if (NonEmpty != Dumped)
+    return "projection: FieldHeaps differs from FLDPOINTSTO";
+  return "";
+}
+
 void Harness::checkReferenceEquivalence() {
   if (!Opt.Oracles.has(OracleKind::ReferenceEquivalence))
     return;
@@ -417,7 +465,8 @@ void Harness::checkReferenceEquivalence() {
           compareRelation("THROWPOINTSTO", Solver.ThrowPointsTo,
                           Ref.ThrowPointsTo),
           compareRelation("SFLDPOINTSTO", Solver.StaticFieldPointsTo,
-                          Ref.StaticFieldPointsTo)}) {
+                          Ref.StaticFieldPointsTo),
+          describeProjectionDiff(Prog, Solver)}) {
       if (!Diff.empty()) {
         finding(OracleKind::ReferenceEquivalence, FlavorName, std::move(Diff));
         return; // One finding per flavor keeps triage records bounded.
@@ -439,9 +488,9 @@ void Harness::checkReferenceEquivalence() {
     // (even site, target) pair stays coarse.
     auto Coarse = makeInsensitivePolicy();
     auto Refined = makeObjectPolicy(Prog, 2, 1);
-    RefinementExceptions Exceptions;
+    RefinementExceptions Exceptions(Prog);
     for (uint32_t Heap = 0; Heap < Prog.numHeaps(); Heap += 3)
-      Exceptions.NoRefineHeaps.insert(Heap);
+      Exceptions.excludeHeap(HeapId(Heap));
     {
       ContextTable Probe;
       PointsToResult Insens =
@@ -452,8 +501,7 @@ void Harness::checkReferenceEquivalence() {
       }
       for (uint32_t Site = 0; Site < Prog.numSites(); Site += 2)
         for (uint32_t Target : Insens.callTargets(SiteId(Site)))
-          Exceptions.NoRefineSites.insert(
-              RefinementExceptions::packSite(SiteId(Site), MethodId(Target)));
+          Exceptions.excludeSite(SiteId(Site), MethodId(Target));
     }
     auto Intro =
         makeIntrospectivePolicy("fuzz-intro", *Coarse, *Refined, Exceptions);
@@ -476,7 +524,8 @@ void Harness::checkReferenceEquivalence() {
           compareRelation("FLDPOINTSTO", Solver.FieldPointsTo,
                           Ref.FieldPointsTo),
           compareRelation("REACHABLE", Solver.Reachable, Ref.Reachable),
-          compareRelation("CALLGRAPH", Solver.CallGraph, Ref.CallGraph)}) {
+          compareRelation("CALLGRAPH", Solver.CallGraph, Ref.CallGraph),
+          describeProjectionDiff(Prog, Solver)}) {
       if (!Diff.empty()) {
         finding(OracleKind::ReferenceEquivalence, "introspective-split",
                 std::move(Diff));
@@ -704,7 +753,7 @@ void Harness::checkServedParity() {
   Options.SocketPath = Socket;
   Options.Batch.Limits.WallDeadlineSeconds = 60;
   Options.Batch.SleepMs = [](double) {};
-  Options.Workers = 1;
+  Options.Batch.Workers = 1;
   serve::Server Daemon(std::move(Options));
   std::string Error;
   if (!Daemon.start(Error)) {

@@ -16,7 +16,9 @@
 ///    solver's result, per policy flavor.
 ///  - **ReferenceEquivalence**: solver tuples == the literal Datalog
 ///    evaluation of Figure 3, per flavor (including the introspective split
-///    and checked-cast semantics in thorough mode).
+///    and checked-cast semantics in thorough mode); and each of the
+///    solver's context-insensitive projections equals the projection of
+///    its own tuple dump.
 ///  - **IntrospectiveSubset**: the refined second pass is pointwise at
 ///    least as precise as the insensitive first pass (metamorphic).
 ///  - **CacheWarmColdParity**: a Pass-A cache hit reproduces the cold run's

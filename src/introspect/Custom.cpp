@@ -107,14 +107,14 @@ intro::applyCustomHeuristic(const Program &Prog, const PointsToResult &Insens,
   }
 #endif
 
-  RefinementExceptions Exceptions;
+  RefinementExceptions Exceptions(Prog);
 
   for (uint32_t HeapRaw = 0; HeapRaw < Prog.numHeaps(); ++HeapRaw)
     for (const ObjectRule &Rule : Heuristic.ObjectRules) {
       uint64_t Product = objectMetric(Metrics, Rule.First, HeapRaw) *
                          objectMetric(Metrics, Rule.Second, HeapRaw);
       if (Product > Rule.Threshold) {
-        Exceptions.NoRefineHeaps.insert(HeapRaw);
+        Exceptions.excludeHeap(HeapId(HeapRaw));
         break;
       }
     }
@@ -128,8 +128,7 @@ intro::applyCustomHeuristic(const Program &Prog, const PointsToResult &Insens,
                              : methodMetric(Metrics, Rule.MetricKind,
                                             TargetRaw);
         if (Value > Rule.Threshold) {
-          Exceptions.NoRefineSites.insert(
-              RefinementExceptions::packSite(Site, MethodId(TargetRaw)));
+          Exceptions.excludeSite(Site, MethodId(TargetRaw));
           break;
         }
       }

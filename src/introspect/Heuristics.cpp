@@ -9,8 +9,6 @@
 #include "analysis/Result.h"
 #include "ir/Program.h"
 
-#include <set>
-
 using namespace intro;
 
 namespace {
@@ -24,8 +22,7 @@ void excludeSites(const Program &Prog, const PointsToResult &Insens,
     SiteId Site(SiteIndex);
     for (uint32_t TargetRaw : Insens.callTargets(Site))
       if (ShouldExclude(Site, MethodId(TargetRaw)))
-        Exceptions.NoRefineSites.insert(
-            RefinementExceptions::packSite(Site, MethodId(TargetRaw)));
+        Exceptions.excludeSite(Site, MethodId(TargetRaw));
   }
 }
 
@@ -35,12 +32,12 @@ RefinementExceptions
 intro::applyHeuristicA(const Program &Prog, const PointsToResult &Insens,
                        const IntrospectionMetrics &Metrics,
                        const HeuristicAParams &Params) {
-  RefinementExceptions Exceptions;
+  RefinementExceptions Exceptions(Prog);
 
   // Objects: exclude allocation sites with pointed-by-vars (#5) > K.
   for (uint32_t HeapIndex = 0; HeapIndex < Prog.numHeaps(); ++HeapIndex)
     if (Metrics.PointedByVars[HeapIndex] > Params.K)
-      Exceptions.NoRefineHeaps.insert(HeapIndex);
+      Exceptions.excludeHeap(HeapId(HeapIndex));
 
   // Call sites: exclude those with in-flow (#1) > L, or whose target method
   // has max var-field points-to (#4) > M.
@@ -57,7 +54,7 @@ RefinementExceptions
 intro::applyHeuristicB(const Program &Prog, const PointsToResult &Insens,
                        const IntrospectionMetrics &Metrics,
                        const HeuristicBParams &Params) {
-  RefinementExceptions Exceptions;
+  RefinementExceptions Exceptions(Prog);
 
   // Objects: exclude allocations whose (total field points-to (#3 variant)
   // x pointed-by-vars (#5)) product — the object's "total potential for
@@ -66,7 +63,7 @@ intro::applyHeuristicB(const Program &Prog, const PointsToResult &Insens,
     if (Metrics.ObjectTotalFieldPointsTo[HeapIndex] *
             Metrics.PointedByVars[HeapIndex] >
         Params.Q)
-      Exceptions.NoRefineHeaps.insert(HeapIndex);
+      Exceptions.excludeHeap(HeapId(HeapIndex));
 
   // Call sites: exclude those invoking methods with total points-to volume
   // (#2) above P.
@@ -81,23 +78,19 @@ intro::computeRefinementStats(const Program &Prog,
                               const PointsToResult &Insens,
                               const RefinementExceptions &Exceptions) {
   RefinementStats Stats;
-
-  std::set<uint32_t> ExcludedSites;
-  for (uint64_t Packed : Exceptions.NoRefineSites)
-    ExcludedSites.insert(static_cast<uint32_t>(Packed >> 32));
-
   for (uint32_t SiteIndex = 0; SiteIndex < Prog.numSites(); ++SiteIndex) {
     if (!Insens.isReachable(Prog.site(SiteId(SiteIndex)).InMethod))
       continue;
     ++Stats.TotalCallSites;
-    if (ExcludedSites.count(SiteIndex))
+    if (SiteIndex < Exceptions.NoRefineSites.size() &&
+        !Exceptions.NoRefineSites[SiteIndex].empty())
       ++Stats.ExcludedCallSites;
   }
   for (uint32_t HeapIndex = 0; HeapIndex < Prog.numHeaps(); ++HeapIndex) {
     if (!Insens.isReachable(Prog.heap(HeapId(HeapIndex)).InMethod))
       continue;
     ++Stats.TotalObjects;
-    if (Exceptions.NoRefineHeaps.count(HeapIndex))
+    if (Exceptions.skipsHeap(HeapId(HeapIndex)))
       ++Stats.ExcludedObjects;
   }
   return Stats;

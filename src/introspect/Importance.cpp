@@ -82,24 +82,16 @@ uint64_t intro::applyImportanceGuard(const Program &Prog,
   (void)Prog;
   uint64_t Lifted = 0;
 
-  for (auto It = Exceptions.NoRefineHeaps.begin();
-       It != Exceptions.NoRefineHeaps.end();) {
-    if (Importance.ObjectImportance[*It] > Params.ObjectThreshold) {
-      It = Exceptions.NoRefineHeaps.erase(It);
+  for (size_t HeapIndex = 0; HeapIndex < Exceptions.NoRefineHeaps.size();
+       ++HeapIndex)
+    if (Exceptions.NoRefineHeaps[HeapIndex] &&
+        Importance.ObjectImportance[HeapIndex] > Params.ObjectThreshold) {
+      Exceptions.NoRefineHeaps[HeapIndex] = false;
       ++Lifted;
-    } else {
-      ++It;
     }
-  }
-  for (auto It = Exceptions.NoRefineSites.begin();
-       It != Exceptions.NoRefineSites.end();) {
-    uint32_t TargetRaw = static_cast<uint32_t>(*It);
-    if (Importance.MethodImportance[TargetRaw] > Params.MethodThreshold) {
-      It = Exceptions.NoRefineSites.erase(It);
-      ++Lifted;
-    } else {
-      ++It;
-    }
-  }
+  for (SortedIdSet &Targets : Exceptions.NoRefineSites)
+    Lifted += std::erase_if(Targets, [&](uint32_t TargetRaw) {
+      return Importance.MethodImportance[TargetRaw] > Params.MethodThreshold;
+    });
   return Lifted;
 }

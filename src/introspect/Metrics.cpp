@@ -46,16 +46,13 @@ void computeInFlow(const Program &Prog, const PointsToResult &Insens,
 
 /// Metrics #3 and #6 — per-object field points-to sizes and
 /// pointed-by-objs, one sweep over the (base heap, field) -> heaps cells.
-/// Every fold is a commutative integer sum or max, so the FieldHeaps hash
-/// order cannot leak into the result.
 void computeFieldCells(const PointsToResult &Insens, IntrospectionMetrics &M) {
-  for (const auto &[Key, Heaps] : Insens.FieldHeaps) {
-    uint32_t BaseHeap = static_cast<uint32_t>(Key >> 32);
-    uint64_t Size = Heaps.size();
-    M.ObjectTotalFieldPointsTo[BaseHeap] += Size;
-    M.ObjectMaxFieldPointsTo[BaseHeap] =
-        std::max(M.ObjectMaxFieldPointsTo[BaseHeap], Size);
-    for (uint32_t Pointee : Heaps)
+  for (const FieldCell &Cell : Insens.FieldHeaps) {
+    uint64_t Size = Cell.Heaps.size();
+    M.ObjectTotalFieldPointsTo[Cell.BaseHeap] += Size;
+    M.ObjectMaxFieldPointsTo[Cell.BaseHeap] =
+        std::max(M.ObjectMaxFieldPointsTo[Cell.BaseHeap], Size);
+    for (uint32_t Pointee : Cell.Heaps)
       ++M.PointedByObjs[Pointee];
   }
 }

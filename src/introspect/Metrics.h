@@ -62,10 +62,9 @@ struct IntrospectionMetrics {
 
 /// Computes all metrics from \p Insens, the result of a (context-
 /// insensitive) first analysis pass over \p Prog.  Three sequential
-/// sweeps (sites, field cells, methods), each one trace span; every fold
-/// is an integer sum or max, so the result does not depend on the hash
-/// order of Insens's field maps.  Pipelines reach this through runPassA
-/// (introspect/Driver.h), which also caches the result.
+/// sweeps (sites, field cells, methods), each one trace span.  Pipelines
+/// reach this through runPassA (introspect/Driver.h), which also caches
+/// the result.
 IntrospectionMetrics computeIntrospectionMetrics(const Program &Prog,
                                                  const PointsToResult &Insens);
 

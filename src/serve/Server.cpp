@@ -12,6 +12,8 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <chrono>
+#include <future>
 #include <sstream>
 
 #include <sys/socket.h>
@@ -19,6 +21,13 @@
 
 using namespace intro;
 using namespace intro::serve;
+
+namespace {
+
+/// How often a session waiting on its job checks whether the client hung up.
+constexpr std::chrono::milliseconds HangupPollInterval{50};
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Internal state
@@ -62,7 +71,7 @@ bool Server::start(std::string &Error) {
   ListenFd = listenUnix(Options.SocketPath, /*Backlog=*/64, Error);
   if (ListenFd < 0)
     return false;
-  Pool = std::make_unique<ThreadPool>(std::max(1u, Options.Workers));
+  Pool = std::make_unique<ThreadPool>(std::max(1u, Options.Batch.Workers));
   return true;
 }
 
@@ -353,10 +362,10 @@ bool Server::handleSubmit(Session &S, const JsonValue &Doc) {
     sendFrame(S, Out.str());
   }
 
-  // The session thread blocks on the worker future — responses to this
+  // The session thread waits on the worker future — responses to this
   // connection stay in request order — while other sessions keep being
   // served (each has its own thread) and other jobs keep running (the
-  // pool has Options.Workers slots).  The jitter seed is the job id, so a
+  // pool has Batch.Workers slots).  The jitter seed is the job id, so a
   // job's planned backoff schedule is reproducible from its done frame.
   size_t JobIndex = static_cast<size_t>(Job->Id - 1);
   auto Future =
@@ -364,6 +373,16 @@ bool Server::handleSubmit(Session &S, const JsonValue &Doc) {
                     JobIndex]() mutable {
         runJob(S, *Job, Spec, Deadline, JobIndex);
       });
+  // While it waits, the session polls its connection: a client that hung
+  // up has orphaned the job, which is cancelled rather than run for nobody
+  // (the stop a failed transcript write also triggers, in runJob).
+  while (Future.wait_for(HangupPollInterval) != std::future_status::ready)
+    if (!Job->CancelRequested.load(std::memory_order_acquire) &&
+        peerHungUp(S.Fd)) {
+      TRACE_INSTANT("serve.client_gone", 1);
+      S.PeerGone.store(true, std::memory_order_relaxed);
+      Job->CancelRequested.store(true, std::memory_order_release);
+    }
   Future.get();
 
   bool Sent = sendFrame(S, doneFrameFor(*Job));
@@ -611,7 +630,7 @@ bool Server::handleStats(Session &S) {
   J.key("protocol");
   J.value(ProtocolName);
   J.key("workers");
-  J.value(static_cast<uint64_t>(std::max(1u, Options.Workers)));
+  J.value(static_cast<uint64_t>(std::max(1u, Options.Batch.Workers)));
   J.key("connections");
   J.value(C.Connections);
   J.key("frames");

@@ -56,15 +56,14 @@ namespace intro::serve {
 struct ServerOptions {
   /// Filesystem path of the Unix-domain listening socket.
   std::string SocketPath;
-  /// Ladder, child limits, retry policy, and Pass-A cache configuration —
-  /// exactly the knobs intro_batch exposes, applied to every served job.
-  /// Limits.WallDeadlineSeconds is the *default* per-job deadline.
+  /// Ladder, child limits, retry policy, Pass-A cache configuration and
+  /// worker count — exactly the knobs intro_batch exposes, applied to
+  /// every served job.  Limits.WallDeadlineSeconds is the *default*
+  /// per-job deadline; Workers is how many jobs run concurrently.
   supervise::BatchOptions Batch;
   /// Upper clamp on a request's deadline_seconds.  A client cannot buy
   /// more wall clock than the operator allows.
   double MaxDeadlineSeconds = 600;
-  /// Worker threads running supervised jobs concurrently.
-  unsigned Workers = 2;
 };
 
 /// Monotonic counters reported by the stats op (and used by tests).

@@ -122,6 +122,10 @@ bool intro::supervise::parseSharedBatchFlag(const std::string &Arg,
   }
   if (flagValue(Arg, "--cache-dir", Options.CacheDir))
     return true;
+  if (flagValue(Arg, "--workers", Value)) {
+    parseU32("--workers", Value, 1, U32Max, Options.Workers, Error);
+    return true;
+  }
   if (flagValue(Arg, "--max-attempts", Value)) {
     parseU32("--max-attempts", Value, 1, U32Max, Options.Retry.MaxAttempts,
              Error);

@@ -234,8 +234,8 @@ struct BatchOptions {
 };
 
 /// Parses \p Arg if it is one of the supervision flags intro_batch and
-/// intro_serve share — `--max-attempts=N`, `--cpu-limit=SECONDS`,
-/// `--mem-limit=MB`, `--seed=N`, `--cache-dir=DIR`,
+/// intro_serve share — `--workers=N`, `--max-attempts=N`,
+/// `--cpu-limit=SECONDS`, `--mem-limit=MB`, `--seed=N`, `--cache-dir=DIR`,
 /// `--cache-max-entries=N` and `--no-deep` — into \p Options.  \returns
 /// false if \p Arg is none of them; otherwise true, with \p Error set to a
 /// diagnostic naming the flag when its value is malformed or out of range.

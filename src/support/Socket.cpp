@@ -138,6 +138,18 @@ int intro::pollIn(int Fd, int TimeoutMs) {
   }
 }
 
+bool intro::peerHungUp(int Fd) {
+  pollfd Poll;
+  Poll.fd = Fd;
+  Poll.events = 0; // POLLHUP and POLLERR are reported regardless.
+  Poll.revents = 0;
+  int Ready;
+  do
+    Ready = ::poll(&Poll, 1, 0);
+  while (Ready < 0 && errno == EINTR);
+  return Ready > 0 && (Poll.revents & (POLLHUP | POLLERR)) != 0;
+}
+
 long intro::readSome(int Fd, char *Buffer, size_t Capacity) {
   while (true) {
     ssize_t Count = ::read(Fd, Buffer, Capacity);

@@ -62,6 +62,12 @@ bool sendAll(int Fd, const char *Data, size_t Count);
 /// 0 on timeout, -1 on error.  \p TimeoutMs < 0 waits forever.
 int pollIn(int Fd, int TimeoutMs);
 
+/// \returns true once the peer of the connected stream socket \p Fd has
+/// closed it (POLLHUP or POLLERR).  Never blocks and never reads, so
+/// pipelined requests stay queued; a peer that only shut down its write
+/// half is still connected.
+bool peerHungUp(int Fd);
+
 /// One EINTR-resumed read(2).  \returns bytes read, 0 at EOF, -1 on error.
 long readSome(int Fd, char *Buffer, size_t Capacity);
 

@@ -71,11 +71,9 @@ cache::CachedPassA samplePassA() {
   R.Stats.WorklistPops = 123;
   R.Stats.ApproxBytes = 4096;
   R.VarHeaps = {{1, 2, 3}, {}, {7}};
-  R.FieldHeaps[(uint64_t(5) << 32) | 1] = {2, 4};
-  R.FieldHeaps[(uint64_t(1) << 32) | 9] = {8};
+  R.FieldHeaps = {{1, 9, {8}}, {5, 1, {2, 4}}, {5, 3, {}}};
   R.MethodReachable = {true, false, true};
-  R.StaticFieldHeaps[3] = {1};
-  R.StaticFieldHeaps[1] = {0, 9};
+  R.StaticFieldHeaps = {{}, {0, 9}, {}, {1}};
   R.MethodThrows = {{4}, {}};
   R.SiteTargets = {{0}, {1, 2}};
   R.VarPointsTo = {{1, 0, 2, 0}, {2, 0, 3, 0}};
@@ -267,31 +265,13 @@ TEST(EntryFormat, RoundTripsEveryField) {
 }
 
 TEST(EntryFormat, EncodingIsDeterministic) {
-  // The unordered maps must encode in sorted-key order: two equal entries
-  // built with different insertion orders yield identical bytes.
+  // Every container is written in its stored (id) order, so an entry and
+  // its decoded copy encode to identical bytes.
   cache::Fingerprint Fp{1, 2};
-  cache::CachedPassA A = samplePassA();
-  cache::CachedPassA B;
-  B.Metrics = A.Metrics;
-  B.Insens.Status = A.Insens.Status;
-  B.Insens.AnalysisName = A.Insens.AnalysisName;
-  B.Insens.Stats = A.Insens.Stats;
-  B.Insens.VarHeaps = A.Insens.VarHeaps;
-  B.Insens.MethodReachable = A.Insens.MethodReachable;
-  B.Insens.MethodThrows = A.Insens.MethodThrows;
-  B.Insens.SiteTargets = A.Insens.SiteTargets;
-  B.Insens.VarPointsTo = A.Insens.VarPointsTo;
-  B.Insens.FieldPointsTo = A.Insens.FieldPointsTo;
-  B.Insens.Reachable = A.Insens.Reachable;
-  B.Insens.CallGraph = A.Insens.CallGraph;
-  B.Insens.ThrowPointsTo = A.Insens.ThrowPointsTo;
-  B.Insens.StaticFieldPointsTo = A.Insens.StaticFieldPointsTo;
-  // Reversed insertion order relative to samplePassA().
-  B.Insens.FieldHeaps[(uint64_t(1) << 32) | 9] = {8};
-  B.Insens.FieldHeaps[(uint64_t(5) << 32) | 1] = {2, 4};
-  B.Insens.StaticFieldHeaps[1] = {0, 9};
-  B.Insens.StaticFieldHeaps[3] = {1};
-  EXPECT_EQ(cache::encodeEntry(Fp, A), cache::encodeEntry(Fp, B));
+  std::vector<uint8_t> Bytes = cache::encodeEntry(Fp, samplePassA());
+  cache::CachedPassA Decoded;
+  ASSERT_TRUE(cache::decodeEntry(Bytes, Fp, Decoded));
+  EXPECT_EQ(cache::encodeEntry(Fp, Decoded), Bytes);
 }
 
 TEST(EntryFormat, EveryTruncationIsAMissNeverACrash) {
@@ -323,11 +303,14 @@ TEST(EntryFormat, EveryFlippedByteIsAMissNeverACrash) {
 
 TEST(EntryFormat, WrongFormatVersionIsAMiss) {
   cache::Fingerprint Fp{1, 1};
-  std::vector<uint8_t> Bytes = cache::encodeEntry(Fp, samplePassA());
-  // The u32 version sits right after the 8-byte magic (little-endian).
-  Bytes[8] = static_cast<uint8_t>(cache::FormatVersion + 1);
-  cache::CachedPassA Out;
-  EXPECT_FALSE(cache::decodeEntry(Bytes, Fp, Out));
+  // An entry an earlier build wrote and one a later build will write.
+  for (uint32_t Version : {cache::FormatVersion - 1, cache::FormatVersion + 1}) {
+    std::vector<uint8_t> Bytes = cache::encodeEntry(Fp, samplePassA());
+    // The u32 version sits right after the 8-byte magic (little-endian).
+    Bytes[8] = static_cast<uint8_t>(Version);
+    cache::CachedPassA Out;
+    EXPECT_FALSE(cache::decodeEntry(Bytes, Fp, Out)) << "version " << Version;
+  }
 }
 
 TEST(EntryFormat, WrongFingerprintEchoIsAMiss) {

@@ -1,9 +1,8 @@
 # The fig5 golden, pinned in the test suite: run fig5_object_sens with a
 # trace and require its report's "deterministic" section — per-attempt
 # solver stats and the trace summary's span, counter and instant counts —
-# to equal bench/golden/fig5_deterministic.json byte for byte, rendered the
-# way the CI perf-smoke step renders it (json.dumps, indent=1, sorted keys,
-# trailing newline).
+# to equal bench/golden/fig5_deterministic.json byte for byte, rendered as
+# json.dumps(indent=1, sort_keys=True) plus a trailing newline.
 #
 # Run as: cmake -DFIG5=<path> -DPYTHON=<python3> -DGOLDEN=<json>
 #               -DWORK_DIR=<dir> -P CheckFig5Golden.cmake

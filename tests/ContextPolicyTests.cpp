@@ -176,11 +176,10 @@ TEST(Introspective, RoutesPerElement) {
   auto Coarse = makeInsensitivePolicy();
   auto Refined = makeObjectPolicy(T.Prog, 2, 1);
 
-  RefinementExceptions Exceptions;
-  Exceptions.NoRefineHeaps.insert(T.Box1.index());
+  RefinementExceptions Exceptions(T.Prog);
+  Exceptions.excludeHeap(T.Box1);
   MethodId SetMethod = T.Prog.lookup(T.BoxT, T.Prog.site(T.SetCall1).Sig);
-  Exceptions.NoRefineSites.insert(
-      RefinementExceptions::packSite(T.SetCall1, SetMethod));
+  Exceptions.excludeSite(T.SetCall1, SetMethod);
   auto Intro = makeIntrospectivePolicy("x", *Coarse, *Refined, Exceptions);
 
   // Excluded heap: coarse RECORD.  Other heaps: refined RECORD.
@@ -197,6 +196,30 @@ TEST(Introspective, RoutesPerElement) {
   EXPECT_NE(Intro->merge(T.Box1, Table.emptyHCtx(), T.SetCall1, Other, Ctx,
                          Table),
             Table.emptyCtx());
+}
+
+TEST(Introspective, ExceptionsCompareByContentNotTableLength) {
+  TwoBoxes T = makeTwoBoxes();
+  MethodId SetMethod = T.Prog.lookup(T.BoxT, T.Prog.site(T.SetCall1).Sig);
+  RefinementExceptions Sized(T.Prog);
+  RefinementExceptions Empty;
+  EXPECT_TRUE(Sized == Empty) << "nothing excluded either way";
+  EXPECT_FALSE(Empty.skipsHeap(T.Box1)) << "empty tables refine everything";
+  EXPECT_FALSE(Empty.skipsSite(T.SetCall1, SetMethod));
+
+  Sized.excludeHeap(T.Box1);
+  EXPECT_FALSE(Sized == Empty);
+  Sized.NoRefineHeaps[T.Box1.index()] = false;
+  Sized.excludeSite(T.SetCall1, SetMethod);
+  EXPECT_TRUE(Sized.skipsSite(T.SetCall1, SetMethod));
+  EXPECT_FALSE(Sized == Empty);
+
+  // The same exclusions over longer tables are still equal.
+  RefinementExceptions Longer = Sized;
+  Longer.NoRefineHeaps.resize(Sized.NoRefineHeaps.size() + 5, false);
+  Longer.NoRefineSites.resize(Sized.NoRefineSites.size() + 5);
+  EXPECT_TRUE(Sized == Longer);
+  EXPECT_TRUE(Longer == Sized);
 }
 
 TEST(Depth, DeeperPoliciesKeepMoreElements) {

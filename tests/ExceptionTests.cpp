@@ -191,9 +191,7 @@ TEST(StaticFields, GlobalCellFlow) {
   ContextTable Table;
   PointsToResult R = solvePointsTo(Prog, *Policy, Table);
   EXPECT_TRUE(setContains(R.pointsTo(C), ConfigHeap.index()));
-  auto It = R.StaticFieldHeaps.find(Global.index());
-  ASSERT_NE(It, R.StaticFieldHeaps.end());
-  EXPECT_TRUE(setContains(It->second, ConfigHeap.index()));
+  EXPECT_TRUE(setContains(R.staticPointsTo(Global), ConfigHeap.index()));
 
   // Dynamic agreement.
   DynamicFacts Facts = interpret(Prog);

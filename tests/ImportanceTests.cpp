@@ -69,9 +69,9 @@ TEST(Importance, GuardLiftsOnlyImportantExclusions) {
   PointsToResult Insens = firstPass(T.Prog);
   ImportanceMetrics I = computeImportance(T.Prog, Insens);
 
-  RefinementExceptions Exceptions;
-  Exceptions.NoRefineHeaps.insert(T.HeapA.index()); // Importance 1.
-  Exceptions.NoRefineHeaps.insert(T.Box1.index());  // Importance 0.
+  RefinementExceptions Exceptions(T.Prog);
+  Exceptions.excludeHeap(T.HeapA); // Importance 1.
+  Exceptions.excludeHeap(T.Box1);  // Importance 0.
   ImportanceGuardParams Params;
   Params.ObjectThreshold = 0; // Anything with importance > 0 is lifted.
   uint64_t Lifted = applyImportanceGuard(T.Prog, I, Exceptions, Params);

@@ -81,11 +81,9 @@ void expectSoundness(const Program &Prog, const ContextPolicy &Policy) {
   for (auto [Site, Target] : Facts.CallEdges)
     EXPECT_TRUE(setContains(Result.callTargets(Site), Target.index()))
         << "dynamic call edge missing under " << Policy.name();
-  for (auto [BaseHeap, Field, Heap] : Facts.FieldPointsTo) {
-    auto It = Result.FieldHeaps.find(PointsToResult::fieldKey(BaseHeap, Field));
-    ASSERT_NE(It, Result.FieldHeaps.end());
-    EXPECT_TRUE(setContains(It->second, Heap.index()));
-  }
+  for (auto [BaseHeap, Field, Heap] : Facts.FieldPointsTo)
+    EXPECT_TRUE(
+        setContains(Result.fieldPointsTo(BaseHeap, Field), Heap.index()));
 }
 
 } // namespace
@@ -101,12 +99,11 @@ TEST(Oracle, IntrospectiveSplitAgrees) {
   auto Coarse = makeInsensitivePolicy();
   auto Refined = makeObjectPolicy(T.Prog, 2, 1);
 
-  RefinementExceptions Exceptions;
-  Exceptions.NoRefineHeaps.insert(T.Box1.index());
+  RefinementExceptions Exceptions(T.Prog);
+  Exceptions.excludeHeap(T.Box1);
   SigId SetSig = T.Prog.site(T.SetCall1).Sig;
   MethodId SetMethod = T.Prog.lookup(T.BoxT, SetSig);
-  Exceptions.NoRefineSites.insert(
-      RefinementExceptions::packSite(T.SetCall1, SetMethod));
+  Exceptions.excludeSite(T.SetCall1, SetMethod);
 
   auto Intro = makeIntrospectivePolicy("intro", *Coarse, *Refined, Exceptions);
 

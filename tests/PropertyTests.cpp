@@ -101,16 +101,15 @@ TEST_P(RandomProgramProperty, IntrospectiveSolverMatchesDatalogReference) {
 
   // Derive a nontrivial refinement split from the seed: exclude every third
   // heap and every (site, target) pair whose site index is even.
-  RefinementExceptions Exceptions;
+  RefinementExceptions Exceptions(Prog);
   for (uint32_t Heap = 0; Heap < Prog.numHeaps(); Heap += 3)
-    Exceptions.NoRefineHeaps.insert(Heap);
+    Exceptions.excludeHeap(HeapId(Heap));
   {
     ContextTable Probe;
     PointsToResult Insens = solvePointsTo(Prog, *Coarse, Probe);
     for (uint32_t Site = 0; Site < Prog.numSites(); Site += 2)
       for (uint32_t Target : Insens.callTargets(SiteId(Site)))
-        Exceptions.NoRefineSites.insert(
-            RefinementExceptions::packSite(SiteId(Site), MethodId(Target)));
+        Exceptions.excludeSite(SiteId(Site), MethodId(Target));
   }
 
   auto Intro =
@@ -151,13 +150,9 @@ TEST_P(RandomProgramProperty, AnalysesAreSoundAgainstInterpreter) {
     for (auto [Site, Target] : Facts.CallEdges)
       EXPECT_TRUE(setContains(Result.callTargets(Site), Target.index()))
           << "seed " << GetParam() << " flavor " << Policy->name();
-    for (auto [Field, Heap] : Facts.StaticFieldPointsTo) {
-      auto It = Result.StaticFieldHeaps.find(Field.index());
-      ASSERT_NE(It, Result.StaticFieldHeaps.end())
+    for (auto [Field, Heap] : Facts.StaticFieldPointsTo)
+      EXPECT_TRUE(setContains(Result.staticPointsTo(Field), Heap.index()))
           << "seed " << GetParam() << " flavor " << Policy->name();
-      EXPECT_TRUE(setContains(It->second, Heap.index()))
-          << "seed " << GetParam() << " flavor " << Policy->name();
-    }
     for (auto [Method, Heap] : Facts.MethodThrows)
       EXPECT_TRUE(setContains(Result.throwsOf(Method), Heap.index()))
           << "seed " << GetParam() << " flavor " << Policy->name()

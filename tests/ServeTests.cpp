@@ -96,7 +96,7 @@ ServerOptions testOptions(const std::string &SocketPath, unsigned Workers = 2) {
   Options.SocketPath = SocketPath;
   Options.Batch.Limits.WallDeadlineSeconds = 60;
   Options.Batch.SleepMs = [](double) {};
-  Options.Workers = Workers;
+  Options.Batch.Workers = Workers;
   return Options;
 }
 
@@ -747,6 +747,43 @@ TEST(Serve, ClientGoneMidStreamCancelsTheOrphanedJob) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_TRUE(Settled) << "orphaned job was never cancelled";
+
+  expectServerStillServes(Socket);
+  H.stop();
+  EXPECT_EQ(H.Exit, ExitSuccess);
+  expectNoLeakedChildren();
+}
+
+TEST(Serve, ClientGoneAfterTheLastLineCancelsTheOrphanedJob) {
+  TempDir Dir;
+  std::string Socket = Dir.Path + "/serve.sock";
+  Harness H(testOptions(Socket));
+
+  {
+    // A spinning child writes its first rung_start line and then nothing.
+    // Hanging up after that line leaves no later write to fail, so only
+    // the session's hangup polling can find the orphan before the 60 s
+    // watchdog.
+    RawConn Conn(Socket);
+    expectHello(Conn);
+    ASSERT_TRUE(Conn.write(encodeFrame(
+        R"({"op":"submit","name":"orphan","source":")" +
+        JsonWriter::escape(TinySource) + R"(","chaos":"spin"})")));
+    std::string Payload;
+    ASSERT_TRUE(Conn.readFrame(Payload)); // accepted
+    ASSERT_TRUE(Conn.readFrame(Payload)); // the rung_start line
+    EXPECT_NE(Payload.find(R"("event":"line")"), std::string::npos)
+        << Payload;
+  }
+
+  bool Settled = false;
+  for (int Tries = 0; Tries < 500 && !Settled; ++Tries) {
+    if (H.Daemon.counters().Cancelled == 1)
+      Settled = true;
+    else
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_TRUE(Settled) << "orphaned job was left to its watchdog";
 
   expectServerStillServes(Socket);
   H.stop();

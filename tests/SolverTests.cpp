@@ -166,6 +166,34 @@ TEST(Solver, KeepTuplesDumpsRelations) {
   }
 }
 
+TEST(Solver, FieldCellsAreSortedAndProbedById) {
+  TwoBoxes T = makeTwoBoxes();
+  auto Insens = makeInsensitivePolicy();
+  auto Object = makeObjectPolicy(T.Prog, 2, 1);
+  PointsToResult RI = solveWith(T.Prog, *Insens);
+  PointsToResult RO = solveWith(T.Prog, *Object);
+  for (const PointsToResult *R : {&RI, &RO}) {
+    ASSERT_EQ(R->FieldHeaps.size(), 2u) << "one cell per box";
+    EXPECT_LT(R->FieldHeaps[0].key(), R->FieldHeaps[1].key());
+    for (const FieldCell &Cell : R->FieldHeaps)
+      EXPECT_EQ(&R->fieldPointsTo(HeapId(Cell.BaseHeap), FieldId(Cell.Field)),
+                &Cell.Heaps);
+    EXPECT_EQ(R->StaticFieldHeaps.size(), T.Prog.numFields());
+  }
+  // Insensitively each (object, field) node is one cell.
+  EXPECT_EQ(RI.Stats.NumFieldNodes, RI.FieldHeaps.size());
+
+  FieldId Field(RI.FieldHeaps[0].Field);
+  EXPECT_EQ(RI.fieldPointsTo(T.Box1, Field),
+            (SortedIdSet{T.HeapA.index(), T.HeapB.index()}))
+      << "the shared set() conflates the boxes";
+  EXPECT_EQ(RO.fieldPointsTo(T.Box1, Field), SortedIdSet{T.HeapA.index()});
+  // Absent pairs and out-of-range ids read as the shared empty set.
+  EXPECT_EQ(&RO.fieldPointsTo(T.HeapA, Field), &PointsToResult::emptySet());
+  EXPECT_EQ(&RO.staticPointsTo(FieldId(T.Prog.numFields())),
+            &PointsToResult::emptySet());
+}
+
 TEST(Policies, Names) {
   Program Dummy; // Only used by object/type policies for lookups.
   EXPECT_EQ(makeInsensitivePolicy()->name(), "insens");
@@ -183,15 +211,13 @@ TEST(Policies, IntrospectiveExceptionsFallBackToCoarse) {
   // Box.get in the single coarse context: their `this` conflates both boxes
   // and the introspective analysis loses exactly the precision that full
   // 2objH had.
-  RefinementExceptions Exceptions;
+  RefinementExceptions Exceptions(T.Prog);
   MethodId SetMethod = T.Prog.lookup(T.BoxT, T.Prog.site(T.SetCall1).Sig);
   MethodId GetMethod = T.Prog.lookup(T.BoxT, T.Prog.site(T.GetCall1).Sig);
   for (SiteId Site : {T.SetCall1, T.SetCall2})
-    Exceptions.NoRefineSites.insert(
-        RefinementExceptions::packSite(Site, SetMethod));
+    Exceptions.excludeSite(Site, SetMethod);
   for (SiteId Site : {T.GetCall1, T.GetCall2})
-    Exceptions.NoRefineSites.insert(
-        RefinementExceptions::packSite(Site, GetMethod));
+    Exceptions.excludeSite(Site, GetMethod);
   auto Intro = makeIntrospectivePolicy("2objH-IntroTest", *Coarse, *Refined,
                                        std::move(Exceptions));
   PointsToResult R = solveWith(T.Prog, *Intro);

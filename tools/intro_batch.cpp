@@ -145,14 +145,6 @@ int parseCli(int argc, char **argv, CliOptions &Cli) {
         break;
       continue;
     }
-    if (flagValue(Arg, "--workers", Value)) {
-      uint32_t Workers = 0;
-      if (!parseU32("--workers", Value, 1,
-                    std::numeric_limits<uint32_t>::max(), Workers, Error))
-        break;
-      Cli.Batch.Workers = Workers;
-      continue;
-    }
     if (flagValue(Arg, "--chaos", Value)) {
       ChaosFlag Spec;
       if (!parseChaosSpec(Value, Spec)) {

@@ -47,7 +47,6 @@
 #include <csignal>
 #include <exception>
 #include <iostream>
-#include <limits>
 #include <string>
 
 using namespace intro;
@@ -71,14 +70,6 @@ int parseCli(int argc, char **argv, ServerOptions &Options) {
     if (supervise::parseSharedBatchFlag(Arg, Options.Batch, Error)) {
       if (!Error.empty())
         break;
-      continue;
-    }
-    if (flagValue(Arg, "--workers", Value)) {
-      uint32_t Workers = 0;
-      if (!parseU32("--workers", Value, 1,
-                    std::numeric_limits<uint32_t>::max(), Workers, Error))
-        break;
-      Options.Workers = Workers;
       continue;
     }
     if (flagValue(Arg, "--deadline", Value)) {
@@ -125,6 +116,7 @@ int main(int argc, char **argv) try {
 
   ServerOptions Options;
   Options.Batch.Limits.WallDeadlineSeconds = 60;
+  Options.Batch.Workers = 2;
   if (int Code = parseCli(argc, argv, Options); Code >= 0)
     return Code;
 
