@@ -87,42 +87,14 @@ void intro::writePointsToReport(const Program &Prog,
   }
 }
 
-// Propagation diagnostics (SolverStats::BatchUnions / ElementProbes /
-// DensePointsToSets) are deliberately omitted: run reports must be
-// byte-identical between a cold solve and a cache-warm replay (where the
-// decoded stats carry zeros for fields the entry format does not store),
-// and the diagnostics describe how the fixpoint was computed, not what it
-// is.
 void intro::writeSolverStatsJson(JsonWriter &J, const SolverStats &Stats) {
   J.beginObject();
   J.key("seconds");
   J.value(Stats.Seconds);
-  J.key("var_points_to_tuples");
-  J.value(Stats.VarPointsToTuples);
-  J.key("field_points_to_tuples");
-  J.value(Stats.FieldPointsToTuples);
-  J.key("throw_points_to_tuples");
-  J.value(Stats.ThrowPointsToTuples);
-  J.key("static_field_tuples");
-  J.value(Stats.StaticFieldTuples);
-  J.key("var_nodes");
-  J.value(Stats.NumVarNodes);
-  J.key("field_nodes");
-  J.value(Stats.NumFieldNodes);
-  J.key("objects");
-  J.value(Stats.NumObjects);
-  J.key("contexts");
-  J.value(Stats.NumContexts);
-  J.key("heap_contexts");
-  J.value(Stats.NumHeapContexts);
-  J.key("reachable_method_contexts");
-  J.value(Stats.ReachableMethodContexts);
-  J.key("call_graph_edges");
-  J.value(Stats.CallGraphEdges);
-  J.key("worklist_pops");
-  J.value(Stats.WorklistPops);
-  J.key("approx_bytes");
-  J.value(Stats.ApproxBytes);
+  for (auto [Name, Counter] : SolverStatsFields) {
+    J.key(Name);
+    J.value(Stats.*Counter);
+  }
   J.endObject();
 }
 
@@ -130,18 +102,7 @@ bool intro::parseSolverStatsJson(const JsonValue &Value, SolverStats &Stats) {
   if (!Value.isObject())
     return false;
   Value.getDouble("seconds", Stats.Seconds);
-  Value.getUint("var_points_to_tuples", Stats.VarPointsToTuples);
-  Value.getUint("field_points_to_tuples", Stats.FieldPointsToTuples);
-  Value.getUint("throw_points_to_tuples", Stats.ThrowPointsToTuples);
-  Value.getUint("static_field_tuples", Stats.StaticFieldTuples);
-  Value.getUint("var_nodes", Stats.NumVarNodes);
-  Value.getUint("field_nodes", Stats.NumFieldNodes);
-  Value.getUint("objects", Stats.NumObjects);
-  Value.getUint("contexts", Stats.NumContexts);
-  Value.getUint("heap_contexts", Stats.NumHeapContexts);
-  Value.getUint("reachable_method_contexts", Stats.ReachableMethodContexts);
-  Value.getUint("call_graph_edges", Stats.CallGraphEdges);
-  Value.getUint("worklist_pops", Stats.WorklistPops);
-  Value.getUint("approx_bytes", Stats.ApproxBytes);
+  for (auto [Name, Counter] : SolverStatsFields)
+    Value.getUint(Name, Stats.*Counter);
   return true;
 }

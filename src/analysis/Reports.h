@@ -34,7 +34,7 @@ void writeCallGraphDot(const Program &Prog, const PointsToResult &Result,
 void writePointsToReport(const Program &Prog, const PointsToResult &Result,
                          std::ostream &Out);
 
-/// Writes \p Stats as one JSON object (all SolverStats fields by name).
+/// Writes \p Stats as one JSON object: `seconds`, then SolverStatsFields.
 /// `seconds` is wall-clock and therefore run-dependent; everything else is
 /// deterministic for a deterministic solve.  Used by the machine-readable
 /// run reports (`--trace=FILE`).

@@ -102,15 +102,36 @@ struct SolverStats {
   uint64_t WorklistPops = 0;        ///< Solver iterations.
   uint64_t ApproxBytes = 0;         ///< Book-kept solver footprint estimate.
 
-  // In-memory-only propagation diagnostics.  Deliberately EXCLUDED from the
-  // stats JSON (Reports.cpp) and the Pass-A result-cache entry encoding
-  // (ResultCache.cpp): they describe how the fixpoint was computed, not what
-  // it is, and serializing them would invalidate cache entries written by
-  // earlier builds and perturb byte-identical report sections.  On a
-  // cache-warm run they read as zero.
+  // In-memory-only propagation diagnostics (see SolverStatsFields).
   uint64_t BatchUnions = 0;    ///< Whole-delta set unions (batched edges).
   uint64_t ElementProbes = 0;  ///< Single-element insert attempts.
   uint64_t DensePointsToSets = 0; ///< Nodes whose Pts ended bitmap-backed.
+};
+
+/// The persisted counters with their JSON names, in order: the single table
+/// the stats JSON (Reports.cpp) and the Pass-A cache entry (ResultCache.cpp)
+/// walk, both after Seconds.  The order is part of the on-disk entry
+/// format, so adding a row orphans every entry written by earlier builds.
+/// The propagation diagnostics (BatchUnions, ElementProbes,
+/// DensePointsToSets) are deliberately not listed: they describe how the
+/// fixpoint was computed, not what it is, so they read as zero on a cache
+/// hit and stay out of reports that must be byte-identical between a cold
+/// solve and a cache-warm replay.
+inline constexpr std::pair<const char *, uint64_t SolverStats::*>
+    SolverStatsFields[] = {
+        {"var_points_to_tuples", &SolverStats::VarPointsToTuples},
+        {"field_points_to_tuples", &SolverStats::FieldPointsToTuples},
+        {"throw_points_to_tuples", &SolverStats::ThrowPointsToTuples},
+        {"static_field_tuples", &SolverStats::StaticFieldTuples},
+        {"var_nodes", &SolverStats::NumVarNodes},
+        {"field_nodes", &SolverStats::NumFieldNodes},
+        {"objects", &SolverStats::NumObjects},
+        {"contexts", &SolverStats::NumContexts},
+        {"heap_contexts", &SolverStats::NumHeapContexts},
+        {"reachable_method_contexts", &SolverStats::ReachableMethodContexts},
+        {"call_graph_edges", &SolverStats::CallGraphEdges},
+        {"worklist_pops", &SolverStats::WorklistPops},
+        {"approx_bytes", &SolverStats::ApproxBytes},
 };
 
 /// One (base heap, field) cell of PointsToResult::FieldHeaps: the heaps

@@ -324,52 +324,44 @@ private:
       return;
 
     // LOAD rule: to = base.fld joins FLDPOINTSTO of every new base object.
-    // Snapshot the use lists: dispatching can create nodes (reallocating
-    // Nodes) but never adds uses to an already-instantiated (var, ctx).
+    // The use lists are read by index: dispatching can create nodes
+    // (reallocating Nodes) but never adds uses to an already-instantiated
+    // (var, ctx) -- only instantiate() does, and it never runs in here.
     // These three rules are inherently per-object (each object selects a
     // different field node or callee), so they stay element-wise.
-    {
-      auto LoadUses = Nodes[N].LoadUses;
-      for (auto [FieldRaw, Dst] : LoadUses)
-        Delta.forEach([&](uint32_t Object) {
-          addEdge(fieldNode(Object, FieldId(FieldRaw)), Dst);
-        });
+    for (size_t I = 0, E = Nodes[N].LoadUses.size(); I < E; ++I) {
+      auto [FieldRaw, Dst] = Nodes[N].LoadUses[I];
+      Delta.forEach([&](uint32_t Object) {
+        addEdge(fieldNode(Object, FieldId(FieldRaw)), Dst);
+      });
     }
     // STORE rule: base.fld = from feeds FLDPOINTSTO of every new object.
-    {
-      auto StoreUses = Nodes[N].StoreUses;
-      for (auto [FieldRaw, Src] : StoreUses)
-        Delta.forEach([&](uint32_t Object) {
-          addEdge(Src, fieldNode(Object, FieldId(FieldRaw)));
-        });
+    for (size_t I = 0, E = Nodes[N].StoreUses.size(); I < E; ++I) {
+      auto [FieldRaw, Src] = Nodes[N].StoreUses[I];
+      Delta.forEach([&](uint32_t Object) {
+        addEdge(Src, fieldNode(Object, FieldId(FieldRaw)));
+      });
     }
     // VCALL rule: dispatch on every new receiver object.
-    {
-      auto CallUses = Nodes[N].CallUses;
-      uint32_t CtxRaw = Nodes[N].CtxRaw;
-      for (uint32_t SiteRaw : CallUses)
-        Delta.forEach([&](uint32_t Object) {
-          dispatch(SiteId(SiteRaw), CtxId(CtxRaw), Object);
-        });
+    CtxId Ctx(Nodes[N].CtxRaw);
+    for (size_t I = 0, E = Nodes[N].CallUses.size(); I < E; ++I) {
+      SiteId Site(Nodes[N].CallUses[I]);
+      Delta.forEach([&](uint32_t Object) { dispatch(Site, Ctx, Object); });
     }
+    // The remaining loops only call unionInto, which creates no node and no
+    // edge, so they read Nodes[N]'s edge lists in place.
+    //
     // Copy edges (MOVE / INTERPROCASSIGN / field flow): one batched union
     // of the whole delta per edge.  Delta is a drained local, so a
     // self-edge target can never alias it.
-    {
-      SortedIdSet Succ = Nodes[N].Succ; // Snapshot: edges may be added.
-      for (uint32_t Dst : Succ)
-        unionInto(Dst, Delta);
-    }
+    for (uint32_t Dst : Nodes[N].Succ)
+      unionInto(Dst, Delta);
     // Type-filtered edges (checked casts, catch clauses) and their
     // complements (uncaught-exception propagation): materialize the
     // admitted subset of the delta once per edge, then one batched union.
     for (bool Negated : {false, true}) {
-      const auto &Source =
-          Negated ? Nodes[N].NegFilterSucc : Nodes[N].FilterSucc;
-      if (Source.empty())
-        continue;
-      std::vector<uint64_t> Filtered = Source; // Snapshot.
-      for (uint64_t Packed : Filtered) {
+      for (uint64_t Packed :
+           Negated ? Nodes[N].NegFilterSucc : Nodes[N].FilterSucc) {
         uint32_t Dst = static_cast<uint32_t>(Packed >> 32);
         uint32_t FilterTypeRaw = static_cast<uint32_t>(Packed);
         FilterScratch.clear();

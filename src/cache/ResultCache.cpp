@@ -235,21 +235,6 @@ struct ByteReader {
 // Section payloads.
 //===----------------------------------------------------------------------===//
 
-// The counters below are part of the on-disk entry format, written in
-// this order after Stats.Seconds: adding one here would orphan every entry
-// written by earlier builds.  Propagation diagnostics
-// (SolverStats::BatchUnions / ElementProbes / DensePointsToSets) are
-// deliberately NOT encoded — they describe the solver's internal strategy,
-// not the result, and must read as zero on a cache hit.
-constexpr uint64_t SolverStats::*StoredStats[] = {
-    &SolverStats::VarPointsToTuples,   &SolverStats::FieldPointsToTuples,
-    &SolverStats::ThrowPointsToTuples, &SolverStats::StaticFieldTuples,
-    &SolverStats::NumVarNodes,         &SolverStats::NumFieldNodes,
-    &SolverStats::NumObjects,          &SolverStats::NumContexts,
-    &SolverStats::NumHeapContexts,     &SolverStats::ReachableMethodContexts,
-    &SolverStats::CallGraphEdges,      &SolverStats::WorklistPops,
-    &SolverStats::ApproxBytes};
-
 /// The metric vectors in entry order.
 constexpr std::vector<uint64_t> IntrospectionMetrics::*StoredMetrics[] = {
     &IntrospectionMetrics::InFlow,
@@ -263,14 +248,14 @@ constexpr std::vector<uint64_t> IntrospectionMetrics::*StoredMetrics[] = {
 
 void encodeStats(ByteWriter &W, const SolverStats &Stats) {
   W.f64(Stats.Seconds);
-  for (uint64_t SolverStats::*Counter : StoredStats)
+  for (auto [Name, Counter] : SolverStatsFields)
     W.u64(Stats.*Counter);
 }
 
 SolverStats decodeStats(ByteReader &R) {
   SolverStats Stats;
   Stats.Seconds = R.f64();
-  for (uint64_t SolverStats::*Counter : StoredStats)
+  for (auto [Name, Counter] : SolverStatsFields)
     Stats.*Counter = R.u64();
   return Stats;
 }

@@ -94,7 +94,6 @@ intro::runIntrospective(const Program &Prog,
     SolverOptions SolverOpts;
     SolverOpts.Budget = Options.SecondPassBudget;
     SolverOpts.Cancel = Options.Cancel;
-    SolverOpts.Faults = Options.SecondPassFaults;
     Out.SecondPass = solvePointsTo(Prog, *Policy, Table, SolverOpts);
     Out.SecondPassSeconds = Clock.seconds();
   }

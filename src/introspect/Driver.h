@@ -46,9 +46,9 @@ struct IntrospectiveOptions {
   /// Optional cooperative cancellation, polled by both passes.  The token
   /// must outlive the run.
   const CancellationToken *Cancel = nullptr;
-  /// Deterministic fault injection per pass (tests only; inert by default).
+  /// Deterministic fault injection into the first pass (tests only; inert
+  /// by default).
   FaultPlan FirstPassFaults;
-  FaultPlan SecondPassFaults;
   /// Optional content-addressed Pass-A store (runtime-only, like Cancel:
   /// never serialized with options), handed to runPassA.  When both Cache
   /// and CacheKey are set, the first pass probes the cache — a hit

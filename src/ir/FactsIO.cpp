@@ -9,11 +9,10 @@
 #include "ir/Facts.h"
 #include "ir/Program.h"
 
+#include <array>
 #include <cstdint>
 #include <fstream>
-#include <limits>
 #include <string_view>
-#include <unordered_map>
 
 using namespace intro;
 
@@ -50,13 +49,11 @@ std::string_view sigName(const Program &P, uint32_t Raw) {
 constexpr ColumnNamer RawIndex = nullptr;
 
 /// Writes tuples of \p Rows into \p Path with one \p Namers entry per
-/// column (all columns numeric when \p NumericIds).  \returns false on I/O
-/// failure.
+/// column.  \returns false on I/O failure.
 template <size_t Arity>
 bool writeRelation(const Program &Prog, const std::string &Path,
                    const std::vector<std::array<uint32_t, Arity>> &Rows,
-                   const std::array<ColumnNamer, Arity> &Namers,
-                   bool NumericIds) {
+                   const std::array<ColumnNamer, Arity> &Namers) {
   std::ofstream Out(Path);
   if (!Out)
     return false;
@@ -64,7 +61,7 @@ bool writeRelation(const Program &Prog, const std::string &Path,
     for (size_t Col = 0; Col < Arity; ++Col) {
       if (Col > 0)
         Out << '\t';
-      if (NumericIds || Namers[Col] == RawIndex)
+      if (Namers[Col] == RawIndex)
         Out << Row[Col];
       else
         Out << Namers[Col](Prog, Row[Col]);
@@ -74,184 +71,22 @@ bool writeRelation(const Program &Prog, const std::string &Path,
   return Out.good();
 }
 
-//===----------------------------------------------------------------------===//
-// Validated reader (numeric-id directories only)
-//===----------------------------------------------------------------------===//
-
-/// The id space a relation column draws from; bounds its valid range.
-enum class Col : uint8_t { Var, Heap, Method, Field, Type, Site, Sig, Index };
-
-uint32_t columnLimit(const FactsShape &S, Col C) {
-  switch (C) {
-  case Col::Var:
-    return S.NumVars;
-  case Col::Heap:
-    return S.NumHeaps;
-  case Col::Method:
-    return S.NumMethods;
-  case Col::Field:
-    return S.NumFields;
-  case Col::Type:
-    return S.NumTypes;
-  case Col::Site:
-    return S.NumSites;
-  case Col::Sig:
-    return S.NumSigs;
-  case Col::Index:
-    return std::numeric_limits<uint32_t>::max();
-  }
-  return 0;
-}
-
-const char *columnEntity(Col C) {
-  switch (C) {
-  case Col::Var:
-    return "var";
-  case Col::Heap:
-    return "heap";
-  case Col::Method:
-    return "method";
-  case Col::Field:
-    return "field";
-  case Col::Type:
-    return "type";
-  case Col::Site:
-    return "site";
-  case Col::Sig:
-    return "signature";
-  case Col::Index:
-    return "index";
-  }
-  return "?";
-}
-
-/// Strict decimal uint32 parse: digits only, no sign, no whitespace, no
-/// overflow past UINT32_MAX.
-bool parseId(std::string_view Token, uint32_t &Value) {
-  if (Token.empty())
+/// Single-column variant of writeRelation().
+bool writeColumn(const Program &Prog, const std::string &Path,
+                 const std::vector<uint32_t> &Rows, ColumnNamer Namer) {
+  std::ofstream Out(Path);
+  if (!Out)
     return false;
-  uint64_t Parsed = 0;
-  for (char Ch : Token) {
-    if (Ch < '0' || Ch > '9')
-      return false;
-    Parsed = Parsed * 10 + static_cast<uint64_t>(Ch - '0');
-    if (Parsed > std::numeric_limits<uint32_t>::max())
-      return false;
-  }
-  Value = static_cast<uint32_t>(Parsed);
-  return true;
-}
-
-/// Splits \p Line on tabs into \p Tokens (a trailing '\r' from CRLF input
-/// is stripped first).  Never fails: empty tokens surface as parse errors
-/// downstream, with a better diagnostic than a split failure could give.
-void splitColumns(std::string_view Line, std::vector<std::string_view> &Tokens) {
-  Tokens.clear();
-  if (!Line.empty() && Line.back() == '\r')
-    Line.remove_suffix(1);
-  size_t Start = 0;
-  while (true) {
-    size_t Tab = Line.find('\t', Start);
-    if (Tab == std::string_view::npos) {
-      Tokens.push_back(Line.substr(Start));
-      return;
-    }
-    Tokens.push_back(Line.substr(Start, Tab - Start));
-    Start = Tab + 1;
-  }
-}
-
-/// Reads and validates one `.facts` relation file.  \p KeyCols > 0 marks a
-/// functional relation whose leading \p KeyCols columns must be unique
-/// (e.g. FormalReturn is keyed by its method, ActualArg by (site, index));
-/// supported keys are one or two uint32 columns, packed into a uint64.
-template <size_t Arity>
-bool readRelation(const std::string &Path, const FactsShape &Shape,
-                  const std::array<Col, Arity> &Cols, unsigned KeyCols,
-                  std::vector<std::array<uint32_t, Arity>> &Rows,
-                  std::string &Error) {
-  static_assert(Arity >= 1 && Arity <= 5, "unexpected relation arity");
-  std::ifstream In(Path);
-  if (!In) {
-    Error = "cannot open " + Path;
-    return false;
-  }
-  Rows.clear();
-  std::unordered_map<uint64_t, size_t> SeenKeys; // key -> first line.
-  std::string Line;
-  std::vector<std::string_view> Tokens;
-  size_t LineNo = 0;
-  auto Diag = [&](const std::string &Message) {
-    Error = Path + ":" + std::to_string(LineNo) + ": " + Message;
-    return false;
-  };
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    splitColumns(Line, Tokens);
-    if (Tokens.size() == 1 && Tokens[0].empty())
-      continue; // Blank line (e.g. trailing newline artifacts).
-    if (Tokens.size() != Arity)
-      return Diag("expected " + std::to_string(Arity) + " columns, got " +
-                  std::to_string(Tokens.size()));
-    std::array<uint32_t, Arity> Row;
-    for (size_t Index = 0; Index < Arity; ++Index) {
-      if (!parseId(Tokens[Index], Row[Index]))
-        return Diag("column " + std::to_string(Index + 1) + ": '" +
-                    std::string(Tokens[Index]) + "' is not a valid id");
-      uint32_t Limit = columnLimit(Shape, Cols[Index]);
-      if (Cols[Index] != Col::Index && Row[Index] >= Limit)
-        return Diag("column " + std::to_string(Index + 1) + ": " +
-                    columnEntity(Cols[Index]) + " id " +
-                    std::to_string(Row[Index]) + " out of range (have " +
-                    std::to_string(Limit) + ")");
-    }
-    if (KeyCols > 0) {
-      uint64_t Key = Row[0];
-      if (KeyCols > 1)
-        Key = (Key << 32) | Row[1];
-      auto [It, Inserted] = SeenKeys.emplace(Key, LineNo);
-      if (!Inserted)
-        return Diag("duplicate declaration (first at line " +
-                    std::to_string(It->second) + ")");
-    }
-    Rows.push_back(Row);
-  }
-  if (In.bad())
-    return Diag("read error");
-  return true;
-}
-
-/// Single-column variant for NoCatch / EntryMethod.
-bool readUnaryRelation(const std::string &Path, const FactsShape &Shape,
-                       Col Column, std::vector<uint32_t> &Rows,
-                       std::string &Error) {
-  std::vector<std::array<uint32_t, 1>> Wide;
-  if (!readRelation<1>(Path, Shape, {Column}, /*KeyCols=*/0, Wide, Error))
-    return false;
-  Rows.clear();
-  Rows.reserve(Wide.size());
-  for (const auto &Row : Wide)
-    Rows.push_back(Row[0]);
-  return true;
+  for (uint32_t Raw : Rows)
+    Out << Namer(Prog, Raw) << '\n';
+  return Out.good();
 }
 
 } // namespace
 
-FactsShape intro::shapeOf(const Program &Prog) {
-  FactsShape Shape;
-  Shape.NumVars = static_cast<uint32_t>(Prog.numVars());
-  Shape.NumHeaps = static_cast<uint32_t>(Prog.numHeaps());
-  Shape.NumMethods = static_cast<uint32_t>(Prog.numMethods());
-  Shape.NumFields = static_cast<uint32_t>(Prog.numFields());
-  Shape.NumTypes = static_cast<uint32_t>(Prog.numTypes());
-  Shape.NumSites = static_cast<uint32_t>(Prog.numSites());
-  Shape.NumSigs = static_cast<uint32_t>(Prog.numSignatures());
-  return Shape;
-}
-
 std::vector<std::string>
 intro::writeFactsDirectory(const Program &Prog, const std::string &Directory,
-                           std::string &Error, const FactsIOOptions &Options) {
+                           std::string &Error) {
   ProgramFacts Facts = extractFacts(Prog);
   std::vector<std::string> Written;
 
@@ -271,8 +106,7 @@ intro::writeFactsDirectory(const Program &Prog, const std::string &Directory,
     if (!Emit(NAME,                                                           \
               writeRelation<Arity>(Prog, Path, ROWS,                          \
                                    std::array<ColumnNamer, Arity>{            \
-                                       __VA_ARGS__},                          \
-                                   Options.NumericIds),                       \
+                                       __VA_ARGS__}),                         \
               Path))                                                          \
       return {};                                                              \
   } while (false)
@@ -301,84 +135,15 @@ intro::writeFactsDirectory(const Program &Prog, const std::string &Directory,
   WRITE_RELATION("Catch", Facts.Catch, siteName, typeName, varName);
 #undef WRITE_RELATION
 
-  auto WriteUnary = [&](const char *Name, const std::vector<uint32_t> &Rows,
-                        ColumnNamer Namer) {
+  // The single-column relations: call sites without a catch clause, and
+  // the entry methods.
+  auto WriteColumn = [&](const char *Name, const std::vector<uint32_t> &Rows,
+                         ColumnNamer Namer) {
     std::string Path = Directory + "/" + Name + ".facts";
-    std::ofstream Out(Path);
-    if (!Out) {
-      Error = std::string("failed to write ") + Name + " to " + Path;
-      return false;
-    }
-    for (uint32_t Raw : Rows) {
-      if (Options.NumericIds)
-        Out << Raw << '\n';
-      else
-        Out << Namer(Prog, Raw) << '\n';
-    }
-    if (!Out.good()) {
-      Error = std::string("failed to write ") + Name + " to " + Path;
-      return false;
-    }
-    Written.push_back(Path);
-    return true;
+    return Emit(Name, writeColumn(Prog, Path, Rows, Namer), Path);
   };
-
-  // NOCATCH: single-column relation of call sites without a catch clause.
-  if (!WriteUnary("NoCatch", Facts.NoCatch, siteName))
-    return {};
-  // Entry methods: single-column relation.
-  if (!WriteUnary("EntryMethod", Facts.EntryMethods, methodName))
+  if (!WriteColumn("NoCatch", Facts.NoCatch, siteName) ||
+      !WriteColumn("EntryMethod", Facts.EntryMethods, methodName))
     return {};
   return Written;
-}
-
-bool intro::readFactsDirectory(const std::string &Directory,
-                               const FactsShape &Shape, ProgramFacts &Facts,
-                               std::string &Error) {
-  Facts = ProgramFacts();
-
-#define READ_RELATION(NAME, ROWS, KEYCOLS, ...)                               \
-  do {                                                                        \
-    constexpr size_t Arity = decltype(Facts.ROWS)::value_type().size();       \
-    if (!readRelation<Arity>(Directory + "/" NAME ".facts", Shape,            \
-                             std::array<Col, Arity>{__VA_ARGS__}, KEYCOLS,    \
-                             Facts.ROWS, Error))                              \
-      return false;                                                           \
-  } while (false)
-
-  READ_RELATION("Alloc", Alloc, 0, Col::Var, Col::Heap, Col::Method);
-  READ_RELATION("Move", Move, 0, Col::Var, Col::Var);
-  READ_RELATION("Cast", Cast, 0, Col::Var, Col::Var, Col::Type);
-  READ_RELATION("Load", Load, 0, Col::Var, Col::Var, Col::Field);
-  READ_RELATION("Store", Store, 0, Col::Var, Col::Field, Col::Var);
-  READ_RELATION("VCall", VCall, 0, Col::Var, Col::Sig, Col::Site,
-                Col::Method);
-  READ_RELATION("SCall", SCall, 0, Col::Method, Col::Site, Col::Method);
-  // Functional relations: FormalArg is keyed by (method, index), ActualArg
-  // by (site, index), the two-column ones by their first column.  Duplicate
-  // rows here are genuine input corruption — a method cannot have two
-  // return variables or two formals in one slot.
-  READ_RELATION("FormalArg", FormalArg, 2, Col::Method, Col::Index,
-                Col::Var);
-  READ_RELATION("ActualArg", ActualArg, 2, Col::Site, Col::Index, Col::Var);
-  READ_RELATION("FormalReturn", FormalReturn, 1, Col::Method, Col::Var);
-  READ_RELATION("ActualReturn", ActualReturn, 1, Col::Site, Col::Var);
-  READ_RELATION("ThisVar", ThisVar, 1, Col::Method, Col::Var);
-  READ_RELATION("HeapType", HeapType, 1, Col::Heap, Col::Type);
-  READ_RELATION("Lookup", Lookup, 0, Col::Type, Col::Sig, Col::Method);
-  READ_RELATION("Subtype", Subtype, 0, Col::Type, Col::Type);
-  READ_RELATION("SLoad", SLoad, 0, Col::Var, Col::Field, Col::Method);
-  READ_RELATION("SStore", SStore, 0, Col::Field, Col::Var);
-  READ_RELATION("Throw", Throw, 0, Col::Var, Col::Method);
-  READ_RELATION("SiteInMethod", SiteInMethod, 1, Col::Site, Col::Method);
-  READ_RELATION("Catch", Catch, 0, Col::Site, Col::Type, Col::Var);
-#undef READ_RELATION
-
-  if (!readUnaryRelation(Directory + "/NoCatch.facts", Shape, Col::Site,
-                         Facts.NoCatch, Error))
-    return false;
-  if (!readUnaryRelation(Directory + "/EntryMethod.facts", Shape,
-                         Col::Method, Facts.EntryMethods, Error))
-    return false;
-  return true;
 }

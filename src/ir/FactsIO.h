@@ -8,75 +8,28 @@
 /// Writes a program's input relations as a Doop-style facts directory: one
 /// tab-separated `.facts` file per relation, using human-readable entity
 /// names, so external Datalog engines (Souffle, LogicBlox) can consume the
-/// same inputs this framework analyzes.
-///
-/// A second, numeric-id format (FactsIOOptions::NumericIds) round-trips
-/// through readFactsDirectory(), which validates its input defensively:
-/// truncated or over-long records, non-numeric or out-of-range ids, and
-/// duplicate declarations in functional relations all produce a
-/// `<file>:<line>:`-prefixed diagnostic instead of a crash or a silently
-/// corrupted fact base.
+/// same inputs this framework analyzes.  The in-process Datalog reference
+/// builds its facts from the Program directly, so nothing reads them back.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IR_FACTSIO_H
 #define IR_FACTSIO_H
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace intro {
 
 class Program;
-struct ProgramFacts;
-
-/// Options of writeFactsDirectory().
-struct FactsIOOptions {
-  /// Write raw numeric ids instead of entity names.  Numeric directories
-  /// round-trip through readFactsDirectory(); named ones are for external
-  /// Datalog engines (which intern the strings themselves).
-  bool NumericIds = false;
-};
-
-/// The entity-space sizes a facts directory is validated against: every id
-/// of a relation column must be below the size of its column's id space.
-struct FactsShape {
-  uint32_t NumVars = 0;
-  uint32_t NumHeaps = 0;
-  uint32_t NumMethods = 0;
-  uint32_t NumFields = 0;
-  uint32_t NumTypes = 0;
-  uint32_t NumSites = 0;
-  uint32_t NumSigs = 0;
-};
-
-/// \returns the entity-space sizes of \p Prog.
-FactsShape shapeOf(const Program &Prog);
 
 /// Writes one `<Relation>.facts` TSV file per input relation of \p Prog
 /// into directory \p Directory (which must exist).
 /// \returns the paths of the files written, or an empty vector with
 /// \p Error set on I/O failure.
-std::vector<std::string>
-writeFactsDirectory(const Program &Prog, const std::string &Directory,
-                    std::string &Error,
-                    const FactsIOOptions &Options = FactsIOOptions());
-
-/// Reads a numeric-id facts directory (written with
-/// FactsIOOptions::NumericIds) back into \p Facts, validating every record
-/// against \p Shape.  Rejected with a diagnostic in \p Error (and \p Facts
-/// left unspecified):
-///   - a missing or unreadable relation file,
-///   - a record with too few or too many columns (truncation/corruption),
-///   - a column that is not a decimal uint32, or an id at or beyond its
-///     column's entity-space size,
-///   - a duplicate declaration in a functional relation (e.g. two
-///     FormalReturn rows for one method, or two ActualArg rows for one
-///     (site, index) pair).
-/// \returns true on success.
-bool readFactsDirectory(const std::string &Directory, const FactsShape &Shape,
-                        ProgramFacts &Facts, std::string &Error);
+std::vector<std::string> writeFactsDirectory(const Program &Prog,
+                                             const std::string &Directory,
+                                             std::string &Error);
 
 } // namespace intro
 

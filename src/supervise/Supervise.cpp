@@ -123,7 +123,9 @@ bool intro::supervise::parseSharedBatchFlag(const std::string &Arg,
   if (flagValue(Arg, "--cache-dir", Options.CacheDir))
     return true;
   if (flagValue(Arg, "--workers", Value)) {
-    parseU32("--workers", Value, 1, U32Max, Options.Workers, Error);
+    // Each worker is a thread started up front (intro_serve's pool), so
+    // the count is capped, at the bench harnesses' limit.
+    parseU32("--workers", Value, 1, 1024, Options.Workers, Error);
     return true;
   }
   if (flagValue(Arg, "--max-attempts", Value)) {

@@ -216,8 +216,9 @@ struct BatchOptions {
   /// Hard limits applied to every child.
   ChildLimits Limits;
   RetryPolicy Retry;
-  /// Supervisor threads running jobs concurrently (1 = serial).  The
-  /// deterministic report section is identical for any value.
+  /// Supervisor threads running jobs concurrently (1 = serial; the
+  /// `--workers` flag accepts 1..1024).  The deterministic report section
+  /// is identical for any value.
   unsigned Workers = 1;
   /// Injectable sleeper for backoff delays; tests swap in a no-op to prove
   /// the deterministic report does not depend on retry timing.  Null means

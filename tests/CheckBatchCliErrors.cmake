@@ -41,6 +41,9 @@ check_rejects("--workers"      --workers=)
 # Out-of-range / overflow: must be rejected, not silently truncated.
 check_rejects("--max-attempts" --max-attempts=0)
 check_rejects("--workers"      --workers=4294967296)
+check_rejects("--workers"      --workers=1025)
+# The largest worker count is accepted: the run gets as far as the input.
+check_rejects("nonexistent.intro" --workers=1024)
 check_rejects("--seed"         --seed=18446744073709551616)
 
 # --mem-limit=0 means "no address space at all", not "no limit": rejected.

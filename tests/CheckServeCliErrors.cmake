@@ -37,6 +37,7 @@ endfunction()
 
 # Malformed and out-of-range values of per-tool and shared flags.
 check_rejects("--workers"   --workers=0)
+check_rejects("--workers"   --workers=1025)
 check_rejects("--seed"      --seed=12q)
 check_rejects("--deadline"  --deadline=0)
 check_rejects("--mem-limit" --mem-limit=0)
@@ -50,3 +51,7 @@ check_rejects("--cache-max-entries=3 needs --cache-dir" --cache-max-entries=3)
 # A default deadline above the clamp is rejected, naming both flags.
 check_rejects("--deadline=900"     --deadline=900 --max-deadline=600)
 check_rejects("--max-deadline=600" --deadline=900 --max-deadline=600)
+
+# The largest worker count parses: the run fails at the deadline check
+# that follows flag parsing, before any worker thread starts.
+check_rejects("--deadline=900" --workers=1024 --deadline=900 --max-deadline=600)

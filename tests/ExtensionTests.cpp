@@ -7,8 +7,7 @@
 /// \file
 /// Tests for the features beyond the paper's core model: checked-cast
 /// semantics, hybrid context-sensitivity, composable heuristics, Datalog
-/// aggregation (the paper's INFLOW query verbatim), result reports, and the
-/// Doop-style facts export.
+/// aggregation (the paper's INFLOW query verbatim) and result reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +19,6 @@
 #include "fuzz/Generator.h"
 #include "introspect/Custom.h"
 #include "introspect/Metrics.h"
-#include "ir/FactsIO.h"
 #include "ir/Interpreter.h"
 #include "workload/DaCapo.h"
 
@@ -28,9 +26,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 using namespace intro;
@@ -349,40 +344,3 @@ TEST(Reports, PointsToListing) {
   EXPECT_NE(Text.find("new Meow"), std::string::npos);
 }
 
-// --- Facts export ------------------------------------------------------------------
-
-TEST(FactsIO, WritesDoopStyleDirectory) {
-  TwoBoxes T = makeTwoBoxes();
-  std::filesystem::path Dir =
-      std::filesystem::temp_directory_path() / "intro_facts_test";
-  std::filesystem::remove_all(Dir);
-  std::filesystem::create_directories(Dir);
-
-  std::string Error;
-  auto Files = writeFactsDirectory(T.Prog, Dir.string(), Error);
-  ASSERT_FALSE(Files.empty()) << Error;
-  EXPECT_EQ(Files.size(), 22u); // 21 relations + EntryMethod.
-
-  // Spot-check Alloc.facts: four allocations with names.
-  std::ifstream Alloc(Dir / "Alloc.facts");
-  ASSERT_TRUE(Alloc.good());
-  std::string Line;
-  size_t Lines = 0;
-  bool SawBoxAlloc = false;
-  while (std::getline(Alloc, Line)) {
-    ++Lines;
-    if (Line.find("new Box") != std::string::npos &&
-        Line.find("b1\t") == 0)
-      SawBoxAlloc = true;
-  }
-  EXPECT_EQ(Lines, 4u);
-  EXPECT_TRUE(SawBoxAlloc);
-
-  // Entry method listed by name.
-  std::ifstream Entry(Dir / "EntryMethod.facts");
-  std::string EntryName;
-  std::getline(Entry, EntryName);
-  EXPECT_EQ(EntryName, "main");
-
-  std::filesystem::remove_all(Dir);
-}

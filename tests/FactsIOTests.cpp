@@ -1,15 +1,12 @@
-//===- tests/FactsIOTests.cpp - Facts-directory round-trip and hardening --===//
+//===- tests/FactsIOTests.cpp - Doop-style facts-directory export ---------===//
 //
 // Part of the introspective-analysis project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The numeric-id facts format must round-trip exactly, and the reader
-/// must reject — with a diagnostic, never a crash or a silent mis-read —
-/// every malformed-input class: truncated or over-long records,
-/// non-numeric ids, out-of-range ids, duplicate functional declarations,
-/// and missing relation files.
+/// The facts writer emits one named TSV file per input relation, with one
+/// line per row of the matching extractFacts() relation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 using namespace intro;
@@ -29,167 +28,98 @@ using namespace intro::testing;
 
 namespace {
 
-/// A fresh facts directory holding the Dispatch program in numeric form.
-class FactsIOTest : public ::testing::Test {
-protected:
-  void SetUp() override {
-    Dir = std::filesystem::temp_directory_path() /
-          ("intro_factsio_" +
-           std::string(::testing::UnitTest::GetInstance()
-                           ->current_test_info()
-                           ->name()));
-    std::filesystem::remove_all(Dir);
-    std::filesystem::create_directories(Dir);
-    FactsIOOptions Options;
-    Options.NumericIds = true;
-    std::string Error;
-    ASSERT_FALSE(
-        writeFactsDirectory(T.Prog, Dir.string(), Error, Options).empty())
-        << Error;
+/// A fresh, empty directory named after the running test; removed again
+/// when the scope ends.
+struct ScratchDir {
+  ScratchDir()
+      : Path(std::filesystem::temp_directory_path() /
+             ("intro_facts_" + std::string(::testing::UnitTest::GetInstance()
+                                               ->current_test_info()
+                                               ->name()))) {
+    std::filesystem::remove_all(Path);
+    std::filesystem::create_directories(Path);
   }
-
-  void TearDown() override { std::filesystem::remove_all(Dir); }
-
-  void append(const std::string &Relation, const std::string &Line) {
-    std::ofstream Out(Dir / (Relation + ".facts"), std::ios::app);
-    Out << Line << '\n';
-  }
-
-  /// Reads the directory back, expecting failure whose diagnostic contains
-  /// every fragment in \p Fragments.
-  void expectRejected(std::initializer_list<const char *> Fragments) {
-    ProgramFacts Read;
-    std::string Error;
-    EXPECT_FALSE(
-        readFactsDirectory(Dir.string(), shapeOf(T.Prog), Read, Error));
-    for (const char *Fragment : Fragments)
-      EXPECT_NE(Error.find(Fragment), std::string::npos)
-          << "diagnostic '" << Error << "' lacks '" << Fragment << "'";
-  }
-
-  Dispatch T = makeDispatch();
-  std::filesystem::path Dir;
+  ~ScratchDir() { std::filesystem::remove_all(Path); }
+  std::filesystem::path Path;
 };
+
+size_t countLines(const std::filesystem::path &File) {
+  std::ifstream In(File);
+  return std::count(std::istreambuf_iterator<char>(In),
+                    std::istreambuf_iterator<char>(), '\n');
+}
+
+/// Writes \p Prog into \p Dir (replacing the files there) and expects one
+/// line per row of each relation.
+void expectOneLinePerRow(const Program &Prog,
+                         const std::filesystem::path &Dir) {
+  std::string Error;
+  ASSERT_EQ(writeFactsDirectory(Prog, Dir.string(), Error).size(), 22u)
+      << Error;
+  ProgramFacts Facts = extractFacts(Prog);
+  const std::pair<const char *, size_t> Expected[] = {
+      {"Alloc", Facts.Alloc.size()},
+      {"Move", Facts.Move.size()},
+      {"Cast", Facts.Cast.size()},
+      {"Load", Facts.Load.size()},
+      {"Store", Facts.Store.size()},
+      {"VCall", Facts.VCall.size()},
+      {"SCall", Facts.SCall.size()},
+      {"FormalArg", Facts.FormalArg.size()},
+      {"ActualArg", Facts.ActualArg.size()},
+      {"FormalReturn", Facts.FormalReturn.size()},
+      {"ActualReturn", Facts.ActualReturn.size()},
+      {"ThisVar", Facts.ThisVar.size()},
+      {"HeapType", Facts.HeapType.size()},
+      {"Lookup", Facts.Lookup.size()},
+      {"Subtype", Facts.Subtype.size()},
+      {"SLoad", Facts.SLoad.size()},
+      {"SStore", Facts.SStore.size()},
+      {"Throw", Facts.Throw.size()},
+      {"SiteInMethod", Facts.SiteInMethod.size()},
+      {"Catch", Facts.Catch.size()},
+      {"NoCatch", Facts.NoCatch.size()},
+      {"EntryMethod", Facts.EntryMethods.size()},
+  };
+  for (const auto &[Name, Rows] : Expected)
+    EXPECT_EQ(countLines(Dir / (std::string(Name) + ".facts")), Rows)
+        << Name;
+}
 
 } // namespace
 
-TEST_F(FactsIOTest, NumericDirectoryRoundTripsExactly) {
-  ProgramFacts Expected = extractFacts(T.Prog);
-  ProgramFacts Read;
+TEST(FactsIO, WritesDoopStyleDirectory) {
+  TwoBoxes T = makeTwoBoxes();
+  ScratchDir Dir;
+
   std::string Error;
-  ASSERT_TRUE(readFactsDirectory(Dir.string(), shapeOf(T.Prog), Read, Error))
-      << Error;
+  auto Files = writeFactsDirectory(T.Prog, Dir.Path.string(), Error);
+  ASSERT_FALSE(Files.empty()) << Error;
+  EXPECT_EQ(Files.size(), 22u); // 21 relations + EntryMethod.
 
-  EXPECT_EQ(Read.Alloc, Expected.Alloc);
-  EXPECT_EQ(Read.Move, Expected.Move);
-  EXPECT_EQ(Read.Cast, Expected.Cast);
-  EXPECT_EQ(Read.Subtype, Expected.Subtype);
-  EXPECT_EQ(Read.Load, Expected.Load);
-  EXPECT_EQ(Read.Store, Expected.Store);
-  EXPECT_EQ(Read.SLoad, Expected.SLoad);
-  EXPECT_EQ(Read.SStore, Expected.SStore);
-  EXPECT_EQ(Read.Throw, Expected.Throw);
-  EXPECT_EQ(Read.SiteInMethod, Expected.SiteInMethod);
-  EXPECT_EQ(Read.Catch, Expected.Catch);
-  EXPECT_EQ(Read.NoCatch, Expected.NoCatch);
-  EXPECT_EQ(Read.VCall, Expected.VCall);
-  EXPECT_EQ(Read.SCall, Expected.SCall);
-  EXPECT_EQ(Read.FormalArg, Expected.FormalArg);
-  EXPECT_EQ(Read.ActualArg, Expected.ActualArg);
-  EXPECT_EQ(Read.FormalReturn, Expected.FormalReturn);
-  EXPECT_EQ(Read.ActualReturn, Expected.ActualReturn);
-  EXPECT_EQ(Read.ThisVar, Expected.ThisVar);
-  EXPECT_EQ(Read.HeapType, Expected.HeapType);
-  EXPECT_EQ(Read.Lookup, Expected.Lookup);
-  EXPECT_EQ(Read.EntryMethods, Expected.EntryMethods);
-}
-
-TEST_F(FactsIOTest, RejectsTruncatedRecord) {
-  append("Alloc", "0\t1"); // Alloc has arity 3.
-  expectRejected({"Alloc.facts", "expected 3 columns, got 2"});
-}
-
-TEST_F(FactsIOTest, RejectsOverlongRecord) {
-  append("Move", "0\t0\t0");
-  expectRejected({"Move.facts", "expected 2 columns, got 3"});
-}
-
-TEST_F(FactsIOTest, RejectsNonNumericId) {
-  append("Move", "0\tbogus");
-  expectRejected({"Move.facts", "column 2", "'bogus' is not a valid id"});
-}
-
-TEST_F(FactsIOTest, RejectsNegativeId) {
-  append("Move", "-1\t0");
-  expectRejected({"Move.facts", "'-1' is not a valid id"});
-}
-
-TEST_F(FactsIOTest, RejectsIdOverflowingUint32) {
-  // A value past uint32 must not wrap into a small, in-range id.
-  append("Load", "99999999999\t0\t0");
-  expectRejected({"Load.facts", "'99999999999' is not a valid id"});
-}
-
-TEST_F(FactsIOTest, RejectsOutOfRangeId) {
-  uint32_t BadVar = static_cast<uint32_t>(T.Prog.numVars());
-  append("Move", std::to_string(BadVar) + "\t0");
-  expectRejected({"Move.facts", "var id", "out of range"});
-}
-
-TEST_F(FactsIOTest, RejectsDuplicateFunctionalDeclaration) {
-  ProgramFacts Expected = extractFacts(T.Prog);
-  ASSERT_FALSE(Expected.FormalReturn.empty());
-  const auto &Row = Expected.FormalReturn.front();
-  append("FormalReturn",
-         std::to_string(Row[0]) + "\t" + std::to_string(Row[1]));
-  expectRejected({"FormalReturn.facts", "duplicate declaration",
-                  "first at line 1"});
-}
-
-TEST_F(FactsIOTest, RejectsDuplicateKeyedArgumentSlot) {
-  // Two rows for the same (site, index) slot — even with different
-  // variables — are a duplicate declaration.  A site can only pass one
-  // actual in each position.
-  append("ActualArg", "0\t0\t0");
-  append("ActualArg", "0\t0\t1");
-  expectRejected({"ActualArg.facts", "duplicate declaration"});
-}
-
-TEST_F(FactsIOTest, RejectsMissingRelationFile) {
-  std::filesystem::remove(Dir / "HeapType.facts");
-  expectRejected({"cannot open", "HeapType.facts"});
-}
-
-TEST_F(FactsIOTest, DiagnosticsCarryLineNumbers) {
-  // The appended bad row lands on a specific line; the diagnostic must
-  // name it so a user can find the corruption in a million-line file.
-  std::ifstream In(Dir / "Move.facts");
-  size_t Lines = 0;
+  // Spot-check Alloc.facts: four allocations with names.
+  std::ifstream Alloc(Dir.Path / "Alloc.facts");
+  ASSERT_TRUE(Alloc.good());
   std::string Line;
-  while (std::getline(In, Line))
+  size_t Lines = 0;
+  bool SawBoxAlloc = false;
+  while (std::getline(Alloc, Line)) {
     ++Lines;
-  In.close();
-  append("Move", "0\tbogus");
-  ProgramFacts Read;
-  std::string Error;
-  EXPECT_FALSE(
-      readFactsDirectory(Dir.string(), shapeOf(T.Prog), Read, Error));
-  EXPECT_NE(Error.find(":" + std::to_string(Lines + 1) + ":"),
-            std::string::npos)
-      << Error;
-}
-
-TEST_F(FactsIOTest, ToleratesBlankLinesAndCrLf) {
-  append("Move", "");
-  {
-    std::ofstream Out(Dir / "Move.facts", std::ios::app);
-    Out << "0\t0\r\n"; // CRLF row, ids in range.
+    if (Line.find("new Box") != std::string::npos &&
+        Line.find("b1\t") == 0)
+      SawBoxAlloc = true;
   }
-  ProgramFacts Read;
-  std::string Error;
-  EXPECT_TRUE(readFactsDirectory(Dir.string(), shapeOf(T.Prog), Read, Error))
-      << Error;
-  ProgramFacts Expected = extractFacts(T.Prog);
-  ASSERT_EQ(Read.Move.size(), Expected.Move.size() + 1);
-  EXPECT_EQ(Read.Move.back(), (std::array<uint32_t, 2>{0, 0}));
+  EXPECT_EQ(Lines, 4u);
+  EXPECT_TRUE(SawBoxAlloc);
+
+  // Entry method listed by name.
+  std::ifstream Entry(Dir.Path / "EntryMethod.facts");
+  std::string EntryName;
+  std::getline(Entry, EntryName);
+  EXPECT_EQ(EntryName, "main");
+
+  // Every relation is written in full.
+  expectOneLinePerRow(T.Prog, Dir.Path);
+  expectOneLinePerRow(makeDispatch().Prog, Dir.Path);
+  expectOneLinePerRow(makeMixed().Prog, Dir.Path);
 }

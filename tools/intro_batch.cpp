@@ -22,7 +22,7 @@
 ///   --mem-limit=MB       per-child RLIMIT_AS (default 0 = off; huge
 ///                        values saturate instead of wrapping)
 ///   --seed=N             retry-jitter seed (default 0x5eed)
-///   --workers=N          supervisor threads (default 1)
+///   --workers=N          supervisor threads, 1..1024 (default 1)
 ///   --cache-dir=DIR      content-addressed Pass-A cache shared across
 ///                        jobs, retries, and repeated runs
 ///   --cache-max-entries=N  cap on cached entries (default 0 = no cap;

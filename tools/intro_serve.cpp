@@ -14,7 +14,7 @@
 ///   intro_serve --socket=PATH [options]
 ///
 ///   --socket=PATH        Unix-domain socket to listen on (required)
-///   --workers=N          concurrent supervised jobs (default 2)
+///   --workers=N          concurrent supervised jobs, 1..1024 (default 2)
 ///   --deadline=SECONDS   default per-job wall watchdog (default 60)
 ///   --max-deadline=SECONDS  clamp on a request's deadline_seconds
 ///                        (default 600; --deadline may not exceed it)
