@@ -154,6 +154,9 @@ Fingerprint cache::fingerprintProgram(const Program &Prog) {
   // One more mix round so the final state is not a raw accumulator value.
   Fp.Hi = mix64(H.Hi ^ H.Lo);
   Fp.Lo = mix64(H.Lo + 0x9e3779b97f4a7c15ull * H.Hi);
+  Fp.NumSites = static_cast<uint32_t>(Prog.numSites());
+  Fp.NumMethods = static_cast<uint32_t>(Prog.numMethods());
+  Fp.NumHeaps = static_cast<uint32_t>(Prog.numHeaps());
   return Fp;
 }
 

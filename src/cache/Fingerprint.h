@@ -41,6 +41,9 @@ namespace cache {
 struct Fingerprint {
   uint64_t Hi = 0;
   uint64_t Lo = 0;
+  /// Entity counts a cache entry's vectors must fit; already hashed, so
+  /// they are not part of equality or the entry name.
+  uint32_t NumSites = 0, NumMethods = 0, NumHeaps = 0;
 
   friend bool operator==(const Fingerprint &A, const Fingerprint &B) {
     return A.Hi == B.Hi && A.Lo == B.Lo;

@@ -101,13 +101,6 @@ struct ByteWriter {
     for (bool Value : Values)
       u8(Value ? 1 : 0);
   }
-  template <size_t N>
-  void tupleVector(const std::vector<std::array<uint32_t, N>> &Rows) {
-    u64(Rows.size());
-    for (const std::array<uint32_t, N> &Row : Rows)
-      for (uint32_t Column : Row)
-        u32(Column);
-  }
 };
 
 /// Bounds-checked reader.  Every accessor fails soft: once Ok is false all
@@ -215,20 +208,6 @@ struct ByteReader {
       Values.push_back(u8() != 0);
     return Values;
   }
-  template <size_t N> std::vector<std::array<uint32_t, N>> tupleVector() {
-    uint64_t Count = u64();
-    std::vector<std::array<uint32_t, N>> Rows;
-    if (!plausibleCount(Count, 4 * N))
-      return Rows;
-    Rows.reserve(Count);
-    for (uint64_t Index = 0; Index < Count && Ok; ++Index) {
-      std::array<uint32_t, N> Row;
-      for (size_t Column = 0; Column < N; ++Column)
-        Row[Column] = u32();
-      Rows.push_back(Row);
-    }
-    return Rows;
-  }
 };
 
 //===----------------------------------------------------------------------===//
@@ -260,30 +239,14 @@ SolverStats decodeStats(ByteReader &R) {
   return Stats;
 }
 
+/// The result section: the members passASummary keeps, in this order.
 std::vector<uint8_t> encodeResultSection(const PointsToResult &Result) {
   ByteWriter W;
   W.u8(static_cast<uint8_t>(Result.Status));
   encodeStats(W, Result.Stats);
   W.str(Result.AnalysisName);
-  W.idSetVector(Result.VarHeaps);
-
-  W.u64(Result.FieldHeaps.size());
-  for (const FieldCell &Cell : Result.FieldHeaps) {
-    W.u32(Cell.BaseHeap);
-    W.u32(Cell.Field);
-    W.idSet(Cell.Heaps);
-  }
   W.boolVector(Result.MethodReachable);
-  W.idSetVector(Result.StaticFieldHeaps);
-  W.idSetVector(Result.MethodThrows);
   W.idSetVector(Result.SiteTargets);
-
-  W.tupleVector(Result.VarPointsTo);
-  W.tupleVector(Result.FieldPointsTo);
-  W.tupleVector(Result.Reachable);
-  W.tupleVector(Result.CallGraph);
-  W.tupleVector(Result.ThrowPointsTo);
-  W.tupleVector(Result.StaticFieldPointsTo);
   return std::move(W.Bytes);
 }
 
@@ -296,29 +259,8 @@ bool decodeResultSection(const uint8_t *Data, size_t Size,
   Result.Status = static_cast<SolveStatus>(RawStatus);
   Result.Stats = decodeStats(R);
   Result.AnalysisName = R.str();
-  Result.VarHeaps = R.idSetVector();
-
-  uint64_t Cells = R.u64();
-  if (!R.plausibleCount(Cells, 16))
-    return false;
-  Result.FieldHeaps.resize(Cells);
-  for (FieldCell &Cell : Result.FieldHeaps) {
-    Cell.BaseHeap = R.u32();
-    Cell.Field = R.u32();
-    Cell.Heaps = R.idSet();
-  }
   Result.MethodReachable = R.boolVector();
-  Result.StaticFieldHeaps = R.idSetVector();
-  Result.MethodThrows = R.idSetVector();
   Result.SiteTargets = R.idSetVector();
-
-  Result.VarPointsTo = R.tupleVector<4>();
-  Result.FieldPointsTo = R.tupleVector<5>();
-  Result.Reachable = R.tupleVector<2>();
-  Result.CallGraph = R.tupleVector<4>();
-  Result.ThrowPointsTo = R.tupleVector<4>();
-  Result.StaticFieldPointsTo = R.tupleVector<3>();
-
   return R.Ok && R.Pos == R.Size;
 }
 
@@ -337,7 +279,43 @@ bool decodeMetricsSection(const uint8_t *Data, size_t Size,
   return R.Ok && R.Pos == R.Size;
 }
 
+/// \returns true if \p Entry fits the program \p Fp was computed from:
+/// every per-site, per-method and per-heap vector has that program's
+/// length, and every call target is one of its methods.  The heuristics
+/// index their arrays with these ids unchecked.
+bool fitsProgram(const CachedPassA &Entry, const Fingerprint &Fp) {
+  const PointsToResult &R = Entry.Insens;
+  const IntrospectionMetrics &M = Entry.Metrics;
+  auto HaveLength = [](uint32_t Length, const auto &...Vectors) {
+    return ((Vectors.size() == Length) && ...);
+  };
+  if (!HaveLength(Fp.NumSites, R.SiteTargets, M.InFlow) ||
+      !HaveLength(Fp.NumMethods, R.MethodReachable, M.MethodTotalVolume,
+                  M.MethodMaxVarPointsTo, M.MethodMaxVarFieldPointsTo) ||
+      !HaveLength(Fp.NumHeaps, M.ObjectMaxFieldPointsTo,
+                  M.ObjectTotalFieldPointsTo, M.PointedByVars,
+                  M.PointedByObjs))
+    return false;
+  for (const SortedIdSet &Targets : R.SiteTargets)
+    for (uint32_t Target : Targets)
+      if (Target >= Fp.NumMethods)
+        return false;
+  return true;
+}
+
 } // namespace
+
+PointsToResult cache::passASummary(PointsToResult Insens) {
+  PointsToResult Summary;
+  Summary.Status = Insens.Status;
+  Summary.Stats.Seconds = Insens.Stats.Seconds;
+  for (auto [Name, Counter] : SolverStatsFields)
+    Summary.Stats.*Counter = Insens.Stats.*Counter;
+  Summary.AnalysisName = std::move(Insens.AnalysisName);
+  Summary.MethodReachable = std::move(Insens.MethodReachable);
+  Summary.SiteTargets = std::move(Insens.SiteTargets);
+  return Summary;
+}
 
 //===----------------------------------------------------------------------===//
 // Whole-entry encode/decode.
@@ -413,7 +391,8 @@ bool cache::decodeEntry(const std::vector<uint8_t> &Bytes,
       break;
     }
   }
-  if (!R.Ok || R.Pos != R.Size || !HaveResult || !HaveMetrics)
+  if (!R.Ok || R.Pos != R.Size || !HaveResult || !HaveMetrics ||
+      !fitsProgram(Decoded, Expect))
     return false;
   Out = std::move(Decoded);
   return true;

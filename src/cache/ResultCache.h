@@ -6,9 +6,9 @@
 ///
 /// \file
 /// An on-disk, content-addressed store for the expensive half of the
-/// two-pass analysis: the context-insensitive Pass-A PointsToResult plus
-/// the IntrospectionMetrics computed from it.  Entries are keyed by the
-/// canonical Fingerprint of the analyzed Program (cache/Fingerprint.h), so
+/// two-pass analysis: the summary (passASummary) of the context-insensitive
+/// Pass-A PointsToResult plus its IntrospectionMetrics.  Entries are keyed
+/// by the canonical Fingerprint of the analyzed Program, so
 /// a warm run — a repeated batch job, a supervised retry, an escalateBelow
 /// relaunch, or a flavor sweep that shares one insensitive pre-analysis —
 /// reloads Pass A with one read instead of re-solving it.
@@ -25,14 +25,14 @@
 ///     checksum   u64       FNV-1a over the payload
 ///     payload    length bytes
 ///
-/// Version 2 writes every PointsToResult projection in its stored order:
-/// the id-indexed arrays, then the FieldHeaps cells (base heap, field,
-/// heap set) in (base heap, field) order.  A version-1 entry, whose field
-/// projections were keyed maps, is a corrupt miss and is re-stored.
+/// Version 3's result section holds what passASummary keeps.  Version-1
+/// and version-2 entries, which held the whole PointsToResult, are corrupt
+/// misses and are re-stored.
 ///
 /// **Corruption is a miss, never a crash.**  Every decode failure — short
 /// file, bad magic, version skew, fingerprint mismatch, checksum mismatch,
-/// truncated or over-long payload — makes lookup() return false; the
+/// truncated or over-long payload, ids or lengths that do not fit the key's
+/// entity counts — makes lookup() return false; the
 /// caller re-solves and re-stores.  The cache can therefore be deleted,
 /// truncated, or bit-flipped at any time without affecting correctness.
 ///
@@ -64,20 +64,25 @@ namespace cache {
 
 /// On-disk format version; bumped whenever the entry encoding changes.
 /// Entries with any other version are misses.
-constexpr uint32_t FormatVersion = 2;
+constexpr uint32_t FormatVersion = 3;
 
 /// Entry magic: identifies the file type and, informally, the format era.
 constexpr char EntryMagic[8] = {'I', 'P', 'A', 'C', 'H', 'E', '0', '1'};
 
 /// Section tags.
-constexpr uint32_t SectionResult = 1;  ///< Serialized PointsToResult.
+constexpr uint32_t SectionResult = 1;  ///< The Pass-A summary.
 constexpr uint32_t SectionMetrics = 2; ///< Serialized IntrospectionMetrics.
 
-/// What one cache entry holds: the Pass-A result and its metrics.
+/// What one cache entry holds: the Pass-A summary and its metrics.
 struct CachedPassA {
-  PointsToResult Insens;
+  PointsToResult Insens; ///< passASummary of the Pass-A result.
   IntrospectionMetrics Metrics;
 };
+
+/// What an entry keeps of the Pass-A result \p Insens, all a hit reads:
+/// status, stats (Seconds and SolverStatsFields), analysis name,
+/// MethodReachable and SiteTargets.  Every other member is empty.
+PointsToResult passASummary(PointsToResult Insens);
 
 /// Monotonic counters of one ResultCache instance.
 struct CacheStats {
@@ -123,8 +128,9 @@ public:
 
   explicit ResultCache(Options Opts) : Opts(std::move(Opts)) {}
 
-  /// Probes the cache for \p Fp.  On a hit, fills \p Out and \returns
-  /// true.  Unreadable entries of any kind are a miss.
+  /// Probes the cache for \p Fp (a fingerprintProgram key).  On a hit,
+  /// fills \p Out and \returns true.  Unreadable entries of any kind are a
+  /// miss.
   bool lookup(const Fingerprint &Fp, CachedPassA &Out);
 
   /// Persists \p Entry under \p Fp (temp file + rename; last write wins).
@@ -153,16 +159,16 @@ private:
   std::atomic<uint64_t> NEvictions{0};
 };
 
-/// Encodes \p Entry into the on-disk byte format for key \p Fp.
+/// Encodes passASummary(Entry.Insens) and Entry.Metrics for key \p Fp.
 /// Deterministic: every container is written in its stored (id) order, so
 /// equal entries encode to identical bytes.  Exposed for the adversarial
 /// tests, which corrupt the bytes directly.
 std::vector<uint8_t> encodeEntry(const Fingerprint &Fp,
                                  const CachedPassA &Entry);
 
-/// Decodes \p Bytes, verifying magic, version, the fingerprint echo
-/// against \p Expect, and every section checksum.  \returns true and fills
-/// \p Out only when the whole entry is intact.
+/// Decodes \p Bytes, verifying magic, version, the fingerprint echo and
+/// entity counts of \p Expect, and every section checksum.  \returns true
+/// and fills \p Out only when the whole entry is intact.
 bool decodeEntry(const std::vector<uint8_t> &Bytes, const Fingerprint &Expect,
                  CachedPassA &Out);
 

@@ -10,8 +10,8 @@
 /// concrete: a small declarative description of a heuristic — threshold
 /// rules over single metrics or metric products, OR-combined — from which
 /// refinement exceptions are computed.  The paper's Heuristics A and B are
-/// two instances (provided as constructors and tested for equivalence with
-/// the hand-written versions in introspect/Heuristics.h).
+/// two instances (heuristicASpec/heuristicBSpec); applyHeuristicA/B in
+/// introspect/Heuristics.h evaluate them here.
 ///
 /// Example — "exclude objects that many variables point to, and call sites
 /// whose target hoards points-to facts or whose arguments are fat":

@@ -26,6 +26,7 @@ PassAOutcome intro::runPassA(const Program &Prog, const SolverOptions &Solver,
       Out.Insens = std::move(Entry.Insens);
       Out.Metrics = std::move(Entry.Metrics);
       Out.Seconds = Clock.seconds();
+      Out.Summary = true;
       return Out;
     }
   }
@@ -43,11 +44,15 @@ PassAOutcome intro::runPassA(const Program &Prog, const SolverOptions &Solver,
   Out.Metrics = computeIntrospectionMetrics(Prog, Out.Insens);
   Out.MetricSeconds = Clock.seconds();
 
+  // A completed miss hands back the summary it stores, exactly what the
+  // next run's hit returns.
   if (UseCache && isCompleted(Out.Insens.Status)) {
-    cache::CachedPassA Entry;
-    Entry.Insens = Out.Insens;
-    Entry.Metrics = Out.Metrics;
+    cache::CachedPassA Entry{cache::passASummary(std::move(Out.Insens)),
+                             std::move(Out.Metrics)};
     Cache->store(*CacheKey, Entry);
+    Out.Insens = std::move(Entry.Insens);
+    Out.Metrics = std::move(Entry.Metrics);
+    Out.Summary = true;
   }
   return Out;
 }

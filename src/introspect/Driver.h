@@ -52,8 +52,9 @@ struct IntrospectiveOptions {
   /// Optional content-addressed Pass-A store (runtime-only, like Cancel:
   /// never serialized with options), handed to runPassA.  When both Cache
   /// and CacheKey are set, the first pass probes the cache — a hit
-  /// restores the stored result and metrics without solving; a completed
-  /// miss is stored for the next run.  CacheKey must be
+  /// restores the stored summary and metrics without solving; a completed
+  /// miss is stored for the next run.  FirstPass is then the summary
+  /// (cache::passASummary) either way.  CacheKey must be
   /// fingerprintProgram(Prog) of the program being analyzed, and both
   /// pointers must outlive the run.  Ignored while FirstPassFaults is
   /// armed, so fault injection is never masked by a warm cache.
@@ -63,7 +64,7 @@ struct IntrospectiveOptions {
 
 /// Everything an introspective run produces.
 struct IntrospectiveOutcome {
-  PointsToResult FirstPass;  ///< The context-insensitive pre-analysis.
+  PointsToResult FirstPass;  ///< The pre-analysis (summary if cached).
   PointsToResult SecondPass; ///< The introspectively refined analysis.
   IntrospectionMetrics Metrics;
   RefinementExceptions Exceptions;
@@ -78,6 +79,8 @@ struct IntrospectiveOutcome {
 struct PassAOutcome {
   PointsToResult Insens;
   IntrospectionMetrics Metrics;
+  /// Insens is cache::passASummary of the solve (a hit or a stored miss).
+  bool Summary = false;
   /// Wall-clock of the solve, or of the cache load on a hit.
   double Seconds = 0;
   /// Wall-clock of the metric computation; 0 on a hit.
@@ -91,11 +94,12 @@ struct PassAOutcome {
 ///    (CacheKey must be fingerprintProgram(Prog)), and is bypassed — not
 ///    even probed — while Solver.Faults is armed, so a warm entry never
 ///    masks an injected failure;
-///  - a hit returns the stored result (with its stored solver stats) and
+///  - a hit returns the stored summary (with its stored solver stats) and
 ///    metrics, and the load wall-clock as Seconds;
 ///  - a miss solves inside a \p SolveSpan trace span, computes the metrics
 ///    (also of a partial result), and stores the entry only if the solve
-///    completed, so a retry with more headroom re-solves.
+///    completed, so a retry with more headroom re-solves.  A stored miss
+///    returns the summary it stored, as a hit would.
 /// \p SolveSpan must have static storage (support/Trace.h).
 PassAOutcome runPassA(const Program &Prog,
                       const SolverOptions &Solver = SolverOptions(),

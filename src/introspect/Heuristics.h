@@ -48,14 +48,16 @@ struct HeuristicBParams {
 /// Which heuristic an introspective run uses.
 enum class HeuristicKind : uint8_t { A, B };
 
-/// Applies Heuristic A.  \p Insens must be the first-pass result that
-/// \p Metrics was computed from.
+/// Applies Heuristic A: applyCustomHeuristic with heuristicASpec(Params)
+/// (introspect/Custom.h).  \p Insens must be the first-pass result that
+/// \p Metrics was computed from, or its cache summary: only its call
+/// targets are read.
 RefinementExceptions applyHeuristicA(const Program &Prog,
                                      const PointsToResult &Insens,
                                      const IntrospectionMetrics &Metrics,
                                      const HeuristicAParams &Params = {});
 
-/// Applies Heuristic B.
+/// Applies Heuristic B: applyCustomHeuristic with heuristicBSpec(Params).
 RefinementExceptions applyHeuristicB(const Program &Prog,
                                      const PointsToResult &Insens,
                                      const IntrospectionMetrics &Metrics,

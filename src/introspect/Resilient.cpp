@@ -122,6 +122,30 @@ SolverOptions rungSolverOptions(const ResilientOptions &Options,
   return SolverOpts;
 }
 
+/// Pass A's solver options: its budget, the caller's token and the
+/// Insensitive fault plan.
+SolverOptions passASolverOptions(const ResilientOptions &Options) {
+  return rungSolverOptions(Options, DegradationLevel::Insensitive,
+                           Options.FirstPassBudget, Options.Cancel);
+}
+
+/// Pass A as the fallback outcome: a cache \p Summary is re-solved without
+/// the cache.  A cancelled run keeps the summary, also when the token
+/// stops the re-solve, which sets \p Cancelled.
+PointsToResult insensitiveFallback(const Program &Prog,
+                                   const ResilientOptions &Options,
+                                   PointsToResult PassA, bool Summary,
+                                   bool &Cancelled) {
+  if (!Summary || Cancelled)
+    return PassA;
+  trace::ScopedSpan Span(rungSpanName(DegradationLevel::Insensitive));
+  ContextTable Table;
+  PointsToResult Full = solvePointsTo(Prog, *makeInsensitivePolicy(), Table,
+                                      passASolverOptions(Options));
+  Cancelled = Full.Status == SolveStatus::Cancelled;
+  return Cancelled ? std::move(PassA) : std::move(Full);
+}
+
 /// The deep rung's budget: \p Absolute, its tuple limit capped by
 /// deepTupleCap when \p PassA completed.
 SolveBudget deepBudget(const SolveBudget &Absolute,
@@ -153,12 +177,9 @@ public:
     // OnRungStart that the pre-analysis is underway.
     if (Options.OnRungStart)
       Options.OnRungStart(DegradationLevel::Insensitive, 0);
-    PassAOutcome PassA = runPassA(
-        Prog,
-        rungSolverOptions(Options, DegradationLevel::Insensitive,
-                          Options.FirstPassBudget, Options.Cancel),
-        Options.Cache, Options.CacheKey,
-        rungSpanName(DegradationLevel::Insensitive));
+    PassAOutcome PassA =
+        runPassA(Prog, passASolverOptions(Options), Options.Cache,
+                 Options.CacheKey, rungSpanName(DegradationLevel::Insensitive));
     PointsToResult &FirstPass = PassA.Insens;
     Out.Trace.push_back({DegradationLevel::Insensitive,
                          FirstPass.AnalysisName, FirstPass.Status,
@@ -185,7 +206,8 @@ public:
 
     // Every refined rung failed (or the ladder was cancelled): fall back to
     // Pass A — completed, or the partial result whose Status says why.
-    Out.Result = std::move(FirstPass);
+    Out.Result = insensitiveFallback(Prog, Options, std::move(FirstPass),
+                                     PassA.Summary, Out.Cancelled);
     Out.Level = DegradationLevel::Insensitive;
     Out.Exceptions = RefinementExceptions();
     return seal(Total);
@@ -356,12 +378,9 @@ private:
     // introspective rungs need its metrics.  It runs (or reloads from the
     // Pass-A cache) here and is recorded as a pre-harvested rung, in its
     // ladder-walk position.
-    PassAOutcome PassA = runPassA(
-        Prog,
-        rungSolverOptions(Options, DegradationLevel::Insensitive,
-                          Options.FirstPassBudget, Options.Cancel),
-        Options.Cache, Options.CacheKey,
-        rungSpanName(DegradationLevel::Insensitive));
+    PassAOutcome PassA =
+        runPassA(Prog, passASolverOptions(Options), Options.Cache,
+                 Options.CacheKey, rungSpanName(DegradationLevel::Insensitive));
     Rungs.emplace_back();
     PortfolioRung &First = Rungs.back();
     First.Level = DegradationLevel::Insensitive;
@@ -441,7 +460,8 @@ private:
       // sequential fallback to Pass A, completed or partial.
       Out.Cancelled =
           Cancelled || (Options.Cancel && Options.Cancel->isCancelled());
-      Out.Result = std::move(First.Result);
+      Out.Result = insensitiveFallback(Prog, Options, std::move(First.Result),
+                                       PassA.Summary, Out.Cancelled);
       Out.Level = DegradationLevel::Insensitive;
     }
     Out.TotalSeconds = Total.seconds();

@@ -137,8 +137,8 @@ struct ResilientOptions {
   /// that asked to stop does not want a cheaper answer — and the outcome
   /// is the insensitive pre-analysis: its completed result when the cancel
   /// came after it (Level Insensitive, Cancelled set), else its partial
-  /// one.  The solver polls it every CancelPollInterval iterations.  The
-  /// token must outlive the run.
+  /// one (with a cache, its summary).  The solver polls it every
+  /// CancelPollInterval iterations.  The token must outlive the run.
   const CancellationToken *Cancel = nullptr;
 
   /// Fired just before each rung's solver attempt starts (the rung level
@@ -166,10 +166,11 @@ struct ResilientOptions {
   /// and OnRungStart: never serialized by writeResilientOptionsJson; a
   /// supervisor re-creates it in the child from its own --cache-dir),
   /// handed to runPassA.  When both Cache and CacheKey are set, the
-  /// insensitive pre-analysis probes the cache: a hit restores the stored result and metrics —
-  /// every introspective rung then shares the cached Pass A, and an
-  /// escalateBelow relaunch reloads instead of re-solving — while a
-  /// completed miss is stored for the next run.  The trace row of a
+  /// insensitive pre-analysis probes the cache: a hit restores the stored
+  /// summary and metrics — every introspective rung then shares the cached
+  /// Pass A, and an escalateBelow relaunch reloads instead of re-solving —
+  /// while a completed miss is stored for the next run.  The Insensitive
+  /// fallback re-solves the summary without the cache.  The trace row of a
   /// cache-served pre-analysis carries the *stored* solver stats, so the
   /// deterministic report columns are identical to a cold run's.  The
   /// cache is bypassed while the Insensitive fault plan is armed, so
@@ -196,7 +197,7 @@ struct ResilientOptions {
 struct ResilientOutcome {
   /// The deepest completed result — or, if nothing completed (every rung
   /// failed or the run was cancelled), Pass A's partial result, whose
-  /// Status says why.
+  /// Status says why.  Never a cache summary unless Cancelled.
   PointsToResult Result;
   /// The rung Result came from.
   DegradationLevel Level = DegradationLevel::Insensitive;

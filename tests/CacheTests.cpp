@@ -32,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -48,9 +49,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// A synthetic Pass-A entry exercising every serialized field, including
-/// the unordered maps (whose keys must encode in sorted order) and the
-/// optional tuple dumps.
+/// A synthetic Pass-A entry of a program with 2 sites, 3 methods and 3
+/// heaps (sampleKey).  Its result fills every projection, so the tests see
+/// an entry keep only the summary.
 cache::CachedPassA samplePassA() {
   cache::CachedPassA Entry;
   PointsToResult &R = Entry.Insens;
@@ -82,15 +83,21 @@ cache::CachedPassA samplePassA() {
   R.CallGraph = {{0, 0, 1, 0}};
   R.ThrowPointsTo = {{1, 0, 4, 0}};
   R.StaticFieldPointsTo = {{3, 1, 0}};
-  Entry.Metrics.InFlow = {1, 2, 3};
-  Entry.Metrics.MethodTotalVolume = {4, 5};
-  Entry.Metrics.MethodMaxVarPointsTo = {6};
-  Entry.Metrics.ObjectMaxFieldPointsTo = {7, 8};
-  Entry.Metrics.ObjectTotalFieldPointsTo = {9};
-  Entry.Metrics.MethodMaxVarFieldPointsTo = {10, 11};
-  Entry.Metrics.PointedByVars = {12};
+  Entry.Metrics.InFlow = {1, 2};
+  Entry.Metrics.MethodTotalVolume = {4, 5, 6};
+  Entry.Metrics.MethodMaxVarPointsTo = {6, 7, 8};
+  Entry.Metrics.ObjectMaxFieldPointsTo = {7, 8, 9};
+  Entry.Metrics.ObjectTotalFieldPointsTo = {9, 10, 11};
+  Entry.Metrics.MethodMaxVarFieldPointsTo = {10, 11, 12};
+  Entry.Metrics.PointedByVars = {12, 13, 14};
   Entry.Metrics.PointedByObjs = {13, 14, 15};
   return Entry;
+}
+
+/// A key with samplePassA's entity counts.
+cache::Fingerprint sampleKey(uint64_t Hi, uint64_t Lo) {
+  return cache::Fingerprint{Hi, Lo, /*NumSites=*/2, /*NumMethods=*/3,
+                            /*NumHeaps=*/3};
 }
 
 // Deliberately skips Stats.Seconds: a re-solved pass records fresh
@@ -254,11 +261,13 @@ TEST(Fingerprint, HexRoundTrips) {
 
 TEST(EntryFormat, RoundTripsEveryField) {
   cache::CachedPassA Entry = samplePassA();
-  cache::Fingerprint Fp{0x1234'5678'9abc'def0ull, 0x0fed'cba9'8765'4321ull};
+  cache::Fingerprint Fp =
+      sampleKey(0x1234'5678'9abc'def0ull, 0x0fed'cba9'8765'4321ull);
   std::vector<uint8_t> Bytes = cache::encodeEntry(Fp, Entry);
   cache::CachedPassA Decoded;
   ASSERT_TRUE(cache::decodeEntry(Bytes, Fp, Decoded));
-  expectResultsEqual(Entry.Insens, Decoded.Insens);
+  expectResultsEqual(cache::passASummary(Entry.Insens), Decoded.Insens);
+  EXPECT_TRUE(Decoded.Insens.VarHeaps.empty()) << "an entry keeps the summary";
   expectMetricsEqual(Entry.Metrics, Decoded.Metrics);
   EXPECT_EQ(Decoded.Insens.Stats.Seconds, 1.25)
       << "stored wall-clock restores bit-exactly";
@@ -267,7 +276,7 @@ TEST(EntryFormat, RoundTripsEveryField) {
 TEST(EntryFormat, EncodingIsDeterministic) {
   // Every container is written in its stored (id) order, so an entry and
   // its decoded copy encode to identical bytes.
-  cache::Fingerprint Fp{1, 2};
+  cache::Fingerprint Fp = sampleKey(1, 2);
   std::vector<uint8_t> Bytes = cache::encodeEntry(Fp, samplePassA());
   cache::CachedPassA Decoded;
   ASSERT_TRUE(cache::decodeEntry(Bytes, Fp, Decoded));
@@ -275,7 +284,7 @@ TEST(EntryFormat, EncodingIsDeterministic) {
 }
 
 TEST(EntryFormat, EveryTruncationIsAMissNeverACrash) {
-  cache::Fingerprint Fp{42, 43};
+  cache::Fingerprint Fp = sampleKey(42, 43);
   std::vector<uint8_t> Bytes = cache::encodeEntry(Fp, samplePassA());
   for (size_t Length = 0; Length < Bytes.size(); ++Length) {
     std::vector<uint8_t> Prefix(Bytes.begin(), Bytes.begin() + Length);
@@ -290,7 +299,7 @@ TEST(EntryFormat, EveryFlippedByteIsAMissNeverACrash) {
   // echo are compared directly, and every payload byte is checksummed.
   // Section headers (tag/length/checksum) either fail the checksum, break
   // framing, or orphan a required section.
-  cache::Fingerprint Fp{7, 9};
+  cache::Fingerprint Fp = sampleKey(7, 9);
   std::vector<uint8_t> Bytes = cache::encodeEntry(Fp, samplePassA());
   for (size_t Index = 0; Index < Bytes.size(); ++Index) {
     std::vector<uint8_t> Mutated = Bytes;
@@ -302,9 +311,10 @@ TEST(EntryFormat, EveryFlippedByteIsAMissNeverACrash) {
 }
 
 TEST(EntryFormat, WrongFormatVersionIsAMiss) {
-  cache::Fingerprint Fp{1, 1};
-  // An entry an earlier build wrote and one a later build will write.
-  for (uint32_t Version : {cache::FormatVersion - 1, cache::FormatVersion + 1}) {
+  cache::Fingerprint Fp = sampleKey(1, 1);
+  // Entries earlier builds wrote and one a later build will write.
+  for (uint32_t Version :
+       {1u, cache::FormatVersion - 1, cache::FormatVersion + 1}) {
     std::vector<uint8_t> Bytes = cache::encodeEntry(Fp, samplePassA());
     // The u32 version sits right after the 8-byte magic (little-endian).
     Bytes[8] = static_cast<uint8_t>(Version);
@@ -314,13 +324,47 @@ TEST(EntryFormat, WrongFormatVersionIsAMiss) {
 }
 
 TEST(EntryFormat, WrongFingerprintEchoIsAMiss) {
-  cache::Fingerprint Stored{100, 200};
+  cache::Fingerprint Stored = sampleKey(100, 200);
   std::vector<uint8_t> Bytes = cache::encodeEntry(Stored, samplePassA());
   cache::CachedPassA Out;
-  cache::Fingerprint Other{100, 201};
+  cache::Fingerprint Other = sampleKey(100, 201);
   EXPECT_FALSE(cache::decodeEntry(Bytes, Other, Out))
       << "an entry renamed onto another key must not be served";
   EXPECT_TRUE(cache::decodeEntry(Bytes, Stored, Out));
+}
+
+TEST(EntryFormat, EntryThatDoesNotFitTheProgramIsAMiss) {
+  // Checksum-valid entries that do not fit the key's program would index
+  // past the heuristics' arrays: a vector of another length, or a call
+  // target that is not one of the program's methods.
+  cache::Fingerprint Fp = sampleKey(3, 4);
+  cache::CachedPassA Out;
+  std::vector<uint8_t> Bytes = cache::encodeEntry(Fp, samplePassA());
+  ASSERT_TRUE(cache::decodeEntry(Bytes, Fp, Out));
+  for (cache::Fingerprint Misfit : {cache::Fingerprint{3, 4, 3, 3, 3},
+                                    cache::Fingerprint{3, 4, 2, 4, 3},
+                                    cache::Fingerprint{3, 4, 2, 3, 2}})
+    EXPECT_FALSE(cache::decodeEntry(Bytes, Misfit, Out))
+        << Misfit.NumSites << " sites, " << Misfit.NumMethods
+        << " methods, " << Misfit.NumHeaps << " heaps";
+
+  auto DecodesEdited = [&](auto Edit) {
+    cache::CachedPassA Entry = samplePassA();
+    Edit(Entry);
+    return cache::decodeEntry(cache::encodeEntry(Fp, Entry), Fp, Out);
+  };
+  EXPECT_FALSE(DecodesEdited([](cache::CachedPassA &E) {
+    E.Insens.SiteTargets[1].back() = 3; // the program has 3 methods
+  }));
+  EXPECT_FALSE(DecodesEdited(
+      [](cache::CachedPassA &E) { E.Metrics.InFlow.pop_back(); }));
+  EXPECT_FALSE(DecodesEdited([](cache::CachedPassA &E) {
+    E.Metrics.MethodMaxVarFieldPointsTo.push_back(0);
+  }));
+  EXPECT_FALSE(DecodesEdited(
+      [](cache::CachedPassA &E) { E.Metrics.PointedByObjs.pop_back(); }));
+  EXPECT_FALSE(DecodesEdited(
+      [](cache::CachedPassA &E) { E.Insens.MethodReachable.pop_back(); }));
 }
 
 // --- The on-disk store -------------------------------------------------------
@@ -328,7 +372,7 @@ TEST(EntryFormat, WrongFingerprintEchoIsAMiss) {
 TEST(ResultCache, StoreThenLookupRoundTripsAndCounts) {
   TempDir Dir;
   cache::ResultCache Cache({Dir.Path, 0});
-  cache::Fingerprint Fp{11, 22};
+  cache::Fingerprint Fp = sampleKey(11, 22);
 
   cache::CachedPassA Missed;
   EXPECT_FALSE(Cache.lookup(Fp, Missed)) << "empty cache must miss";
@@ -338,7 +382,7 @@ TEST(ResultCache, StoreThenLookupRoundTripsAndCounts) {
 
   cache::CachedPassA Out;
   ASSERT_TRUE(Cache.lookup(Fp, Out));
-  expectResultsEqual(samplePassA().Insens, Out.Insens);
+  expectResultsEqual(cache::passASummary(samplePassA().Insens), Out.Insens);
 
   cache::CacheStats Stats = Cache.stats();
   EXPECT_EQ(Stats.Probes, 2u);
@@ -351,7 +395,7 @@ TEST(ResultCache, StoreThenLookupRoundTripsAndCounts) {
 TEST(ResultCache, CorruptFileOnDiskIsAMissAndRestorable) {
   TempDir Dir;
   cache::ResultCache Cache({Dir.Path, 0});
-  cache::Fingerprint Fp{5, 6};
+  cache::Fingerprint Fp = sampleKey(5, 6);
   ASSERT_TRUE(Cache.store(Fp, samplePassA()));
 
   // Truncate the entry mid-payload, as a crashed writer without the
@@ -371,7 +415,7 @@ TEST(ResultCache, CorruptFileOnDiskIsAMissAndRestorable) {
 
 TEST(ResultCache, ConcurrentWritersAreLastWriteWinsNeverTorn) {
   TempDir Dir;
-  cache::Fingerprint Fp{77, 88};
+  cache::Fingerprint Fp = sampleKey(77, 88);
   constexpr unsigned NumWriters = 8;
   constexpr unsigned RoundsPerWriter = 8;
 
@@ -392,7 +436,7 @@ TEST(ResultCache, ConcurrentWritersAreLastWriteWinsNeverTorn) {
     if (Reader.lookup(Fp, Out)) {
       EXPECT_GE(Out.Insens.Stats.WorklistPops, 1000u);
       EXPECT_LT(Out.Insens.Stats.WorklistPops, 1000u + NumWriters);
-      EXPECT_EQ(Out.Insens.VarHeaps, samplePassA().Insens.VarHeaps);
+      EXPECT_EQ(Out.Insens.SiteTargets, samplePassA().Insens.SiteTargets);
     }
   }
   for (std::thread &Writer : Writers)
@@ -408,7 +452,8 @@ TEST(ResultCache, ConcurrentWritersAreLastWriteWinsNeverTorn) {
 TEST(ResultCache, EvictionEnforcesTheCapDeterministically) {
   TempDir Dir;
   cache::ResultCache Cache({Dir.Path, 2});
-  cache::Fingerprint A{1, 0}, B{2, 0}, C{3, 0};
+  cache::Fingerprint A = sampleKey(1, 0), B = sampleKey(2, 0),
+                     C = sampleKey(3, 0);
   ASSERT_TRUE(Cache.store(A, samplePassA()));
   ASSERT_TRUE(Cache.store(B, samplePassA()));
   ASSERT_TRUE(Cache.store(C, samplePassA()));
@@ -443,7 +488,7 @@ TEST(ResultCache, CacheDirectoryThatIsAFileFailsTheStoreNotTheProcess) {
   std::string NotADir = Dir.Path + "/cachefile";
   std::ofstream(NotADir) << "occupied";
   cache::ResultCache Cache({NotADir, 0});
-  cache::Fingerprint Fp{31, 41};
+  cache::Fingerprint Fp = sampleKey(31, 41);
 
   EXPECT_FALSE(Cache.store(Fp, samplePassA()));
   EXPECT_EQ(Cache.stats().StoreFailures, 1u);
@@ -458,7 +503,7 @@ TEST(ResultCache, CacheDirectoryThatIsAFileFailsTheStoreNotTheProcess) {
 TEST(ResultCache, RenameFailureIsCountedTracedAndLeavesNoTempFile) {
   TempDir Dir;
   cache::ResultCache Cache({Dir.Path, 0});
-  cache::Fingerprint Fp{59, 26};
+  cache::Fingerprint Fp = sampleKey(59, 26);
   // A directory at the final entry path makes fs::rename(file, dir) fail
   // with EISDIR after the temp file was written successfully.
   ASSERT_TRUE(fs::create_directories(Cache.entryPath(Fp)));
@@ -596,9 +641,10 @@ TEST(PassA, WarmHitReturnsTheColdResultMetricsAndSolverStats) {
   EXPECT_EQ(Warm.Insens.Stats.WorklistPops, Cold.Insens.Stats.WorklistPops);
   EXPECT_EQ(Warm.MetricSeconds, 0.0);
 
-  // And it is the same Pass A an uncached run computes.
+  // And it is the summary of the Pass A an uncached run computes.
   PassAOutcome Plain = runPassA(Prog);
-  expectResultsEqual(Plain.Insens, Warm.Insens);
+  EXPECT_TRUE(Cold.Summary && Warm.Summary && !Plain.Summary);
+  expectResultsEqual(cache::passASummary(Plain.Insens), Warm.Insens);
   expectMetricsEqual(Plain.Metrics, Warm.Metrics);
 }
 
@@ -760,6 +806,96 @@ TEST(LadderCache, ArmedInsensitiveFaultBypassesTheCache) {
   EXPECT_FALSE(Faulted.completed());
   EXPECT_EQ(Cache.stats().Probes, 1u)
       << "the fault-armed run must not have probed";
+}
+
+TEST(LadderCache, MisfitEntryUnderTheRightKeyIsACountedMissNotACrash) {
+  // A checksum-valid entry under the program's own key, with one call
+  // target far outside the program: decoding must reject it before the
+  // heuristics index their arrays with it.
+  TwoBoxes T = makeTwoBoxes();
+  TempDir Dir;
+  cache::ResultCache Cache({Dir.Path, 0});
+  cache::Fingerprint Fp = cache::fingerprintProgram(T.Prog);
+  PassAOutcome Plain = runPassA(T.Prog);
+  cache::CachedPassA Entry{cache::passASummary(Plain.Insens), Plain.Metrics};
+  auto Site = std::ranges::find_if(
+      Entry.Insens.SiteTargets,
+      [](const SortedIdSet &Targets) { return !Targets.empty(); });
+  ASSERT_NE(Site, Entry.Insens.SiteTargets.end());
+  Site->back() = 0x7ffffff0;
+  std::vector<uint8_t> Bytes = cache::encodeEntry(Fp, Entry);
+  std::ofstream(Cache.entryPath(Fp), std::ios::binary)
+      .write(reinterpret_cast<const char *>(Bytes.data()),
+             static_cast<std::streamsize>(Bytes.size()));
+
+  ResilientOptions Options;
+  Options.AttemptDeep = false;
+  auto Refined = makeObjectPolicy(T.Prog, 2, 1);
+  ResilientOutcome Uncached = runResilient(T.Prog, *Refined, Options);
+  Options.Cache = &Cache;
+  Options.CacheKey = &Fp;
+  ResilientOutcome Out = runResilient(T.Prog, *Refined, Options);
+
+  EXPECT_EQ(Cache.stats().CorruptEntries, 1u);
+  EXPECT_EQ(Cache.stats().Stores, 1u) << "the misfit entry is replaced";
+  ASSERT_TRUE(Out.completed());
+  EXPECT_EQ(Out.Level, Uncached.Level);
+  expectResultsEqual(Out.Result, Uncached.Result);
+  EXPECT_EQ(Out.Exceptions, Uncached.Exceptions);
+}
+
+TEST(LadderCache, InsensitiveFallbackReSolvesTheSummarizedPassA) {
+  // With every introspective rung faulted the ladder falls back to Pass A.
+  // The cache hands out only its summary, on the cold run (stored miss) and
+  // on the warm one (hit), so the fallback re-solves: the outcome holds
+  // every projection of an uncached Pass A.
+  TwoBoxes T = makeTwoBoxes();
+  TempDir Dir;
+  cache::ResultCache Cache({Dir.Path, 0});
+  cache::Fingerprint Fp = cache::fingerprintProgram(T.Prog);
+  PassAOutcome Plain = runPassA(T.Prog);
+
+  ResilientOptions Options;
+  Options.AttemptDeep = false;
+  Options.Cache = &Cache;
+  Options.CacheKey = &Fp;
+  for (DegradationLevel Level :
+       {DegradationLevel::IntroB, DegradationLevel::IntroA,
+        DegradationLevel::TightenedIntroA}) {
+    Options.faultsFor(Level).FailAtPop = 1;
+    Options.faultsFor(Level).FailStatus = SolveStatus::TupleBudgetExceeded;
+  }
+  auto Refined = makeObjectPolicy(T.Prog, 2, 1);
+  ResilientOutcome Cold = runResilient(T.Prog, *Refined, Options);
+  ResilientOutcome Warm = runResilient(T.Prog, *Refined, Options);
+  Options.Portfolio = true;
+  Options.Workers = 2;
+  ResilientOutcome Racing = runResilient(T.Prog, *Refined, Options);
+  EXPECT_EQ(Cache.stats().Stores, 1u);
+  EXPECT_EQ(Cache.stats().Hits, 2u);
+  for (const ResilientOutcome *Out : {&Cold, &Warm, &Racing}) {
+    EXPECT_EQ(Out->Level, DegradationLevel::Insensitive);
+    EXPECT_TRUE(Out->completed());
+    EXPECT_FALSE(Out->Cancelled);
+    expectResultsEqual(Plain.Insens, Out->Result);
+    ASSERT_FALSE(Out->Result.VarHeaps.empty()) << "the full result";
+  }
+
+  // A cancelled run stops before the fallback would re-solve: it keeps
+  // the summary.  The cancel lands while the faulted IntroB rung runs, so
+  // the ladder stops at the next between-rung check.
+  CancellationToken Cancel;
+  Options.Portfolio = false;
+  Options.Cancel = &Cancel;
+  Options.OnRungStart = [&](DegradationLevel Level, uint32_t) {
+    if (Level == DegradationLevel::IntroB)
+      Cancel.cancel();
+  };
+  ResilientOutcome Cancelled = runResilient(T.Prog, *Refined, Options);
+  EXPECT_TRUE(Cancelled.Cancelled);
+  EXPECT_EQ(Cancelled.Level, DegradationLevel::Insensitive);
+  EXPECT_TRUE(Cancelled.completed());
+  expectResultsEqual(cache::passASummary(Plain.Insens), Cancelled.Result);
 }
 
 // --- Supervised-batch integration --------------------------------------------
