@@ -169,25 +169,3 @@ std::string cache::toHex(const Fingerprint &Fp) {
   }
   return Text;
 }
-
-bool cache::fingerprintFromHex(std::string_view Text, Fingerprint &Fp) {
-  if (Text.size() != 32)
-    return false;
-  uint64_t Words[2] = {0, 0};
-  for (size_t Index = 0; Index < 32; ++Index) {
-    char C = Text[Index];
-    uint64_t Nibble;
-    if (C >= '0' && C <= '9')
-      Nibble = static_cast<uint64_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      Nibble = static_cast<uint64_t>(C - 'a' + 10);
-    else if (C >= 'A' && C <= 'F')
-      Nibble = static_cast<uint64_t>(C - 'A' + 10);
-    else
-      return false;
-    Words[Index / 16] = (Words[Index / 16] << 4) | Nibble;
-  }
-  Fp.Hi = Words[0];
-  Fp.Lo = Words[1];
-  return true;
-}

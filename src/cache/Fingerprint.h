@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 namespace intro {
 
@@ -62,10 +61,6 @@ Fingerprint fingerprintProgram(const Program &Prog);
 /// \returns \p Fp as 32 lowercase hex digits (Hi then Lo); the cache's
 /// on-disk entry name.
 std::string toHex(const Fingerprint &Fp);
-
-/// Inverse of toHex.  \returns false if \p Text is not exactly 32 hex
-/// digits.
-bool fingerprintFromHex(std::string_view Text, Fingerprint &Fp);
 
 } // namespace cache
 } // namespace intro

@@ -404,17 +404,6 @@ const char *intro::fuzz::fuzzBiasName(FuzzBias Bias) {
   return "unknown";
 }
 
-bool intro::fuzz::fuzzBiasFromName(std::string_view Name, FuzzBias &Bias) {
-  for (size_t Index = 0; Index < NumFuzzBiases; ++Index) {
-    FuzzBias Candidate = static_cast<FuzzBias>(Index);
-    if (Name == fuzzBiasName(Candidate)) {
-      Bias = Candidate;
-      return true;
-    }
-  }
-  return false;
-}
-
 FuzzBias intro::fuzz::biasForSeed(uint64_t Seed) {
   return static_cast<FuzzBias>(Seed % NumFuzzBiases);
 }

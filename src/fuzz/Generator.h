@@ -30,7 +30,6 @@
 #include "ir/Program.h"
 
 #include <cstdint>
-#include <string_view>
 
 namespace intro::fuzz {
 
@@ -57,10 +56,6 @@ inline constexpr size_t NumFuzzBiases = 6;
 
 /// \returns a stable kebab-case name for \p Bias (reports, repro names).
 const char *fuzzBiasName(FuzzBias Bias);
-
-/// Inverse of fuzzBiasName.  \returns true and stores into \p Bias when
-/// \p Name matches exactly.
-bool fuzzBiasFromName(std::string_view Name, FuzzBias &Bias);
 
 /// The default campaign rotation: seed N gets bias N mod NumFuzzBiases, so
 /// any contiguous seed range covers every knob.

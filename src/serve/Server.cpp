@@ -33,17 +33,15 @@ constexpr std::chrono::milliseconds HangupPollInterval{50};
 // Internal state
 //===----------------------------------------------------------------------===//
 
-/// One submitted job, visible to every session (status/cancel cross
-/// connections).  Phase moves Queued -> Running -> Done; CancelRequested is
-/// both the queued-stage tombstone and the running-stage kill switch
-/// (wired into ChildLimits::Cancel).
+/// One live job, visible to every session (status/cancel cross
+/// connections) while it sits in Jobs.  Phase moves Queued -> Running ->
+/// Done or Cancelled; CancelRequested is both the queued-stage tombstone
+/// and the running-stage kill switch (wired into ChildLimits::Cancel).
 struct Server::JobState {
   uint64_t Id = 0;
   std::string Name;
   std::atomic<bool> CancelRequested{false};
-  std::atomic<uint8_t> Phase{0}; // 0 queued, 1 running, 2 done.
-  std::mutex Mutex;              // Guards Result.
-  supervise::JobResult Result;
+  std::atomic<JobPhase> Phase{JobPhase::Queued};
 };
 
 /// One accepted connection: a reader thread plus a send mutex, because job
@@ -172,7 +170,7 @@ int Server::run(const std::atomic<bool> &Stop) {
 
   // Shutdown: no new jobs can exist (drained), every session must wind
   // down.  shutdown(2) wakes sessions blocked in poll/read; their job
-  // futures already resolved because drainJobs() waited for ActiveJobs.
+  // futures already resolved because drainJobs() waited for an empty Jobs.
   drainJobs();
   Stopping.store(true, std::memory_order_relaxed);
   ::close(ListenFd);
@@ -293,22 +291,6 @@ bool Server::handleRequest(Session &S, const std::string &Payload) {
   return sendError(S, "unknown_op", "unknown op '" + Op + "'", 0);
 }
 
-std::shared_ptr<Server::JobState> Server::findJob(uint64_t Id) {
-  std::lock_guard<std::mutex> Lock(JobsMutex);
-  auto It = Jobs.find(Id);
-  return It == Jobs.end() ? nullptr : It->second;
-}
-
-const char *Server::jobStateName(const JobState &Job) {
-  uint8_t Phase = Job.Phase.load(std::memory_order_acquire);
-  if (Phase == 2)
-    return Job.CancelRequested.load(std::memory_order_relaxed) ? "cancelled"
-                                                               : "done";
-  if (Job.CancelRequested.load(std::memory_order_relaxed))
-    return "cancelling";
-  return Phase == 1 ? "running" : "queued";
-}
-
 bool Server::handleSubmit(Session &S, const JsonValue &Doc) {
   supervise::JobSpec Spec;
   if (!Doc.getString("name", Spec.Name) ||
@@ -338,10 +320,10 @@ bool Server::handleSubmit(Session &S, const JsonValue &Doc) {
       return sendError(S, "draining",
                        "server is draining and accepts no new jobs", 0);
     Job = std::make_shared<JobState>();
-    Job->Id = NextJobId++;
+    Phases.push_back(JobPhase::Queued);
+    Job->Id = Phases.size();
     Job->Name = Spec.Name;
     Jobs.emplace(Job->Id, Job);
-    ++ActiveJobs;
   }
   NSubmits.fetch_add(1, std::memory_order_relaxed);
   TRACE_COUNTER("serve.submit", 1);
@@ -362,16 +344,17 @@ bool Server::handleSubmit(Session &S, const JsonValue &Doc) {
     sendFrame(S, Out.str());
   }
 
-  // The session thread waits on the worker future — responses to this
-  // connection stay in request order — while other sessions keep being
-  // served (each has its own thread) and other jobs keep running (the
-  // pool has Batch.Workers slots).  The jitter seed is the job id, so a
-  // job's planned backoff schedule is reproducible from its done frame.
+  // The session thread waits on the worker future, which carries the
+  // job's result — responses to this connection stay in request order —
+  // while other sessions keep being served (each has its own thread) and
+  // other jobs keep running (the pool has Batch.Workers slots).  The
+  // jitter seed is the job id, so a job's planned backoff schedule is
+  // reproducible from its done frame.
   size_t JobIndex = static_cast<size_t>(Job->Id - 1);
   auto Future =
       Pool->submit([this, &S, Job, Spec = std::move(Spec), Deadline,
                     JobIndex]() mutable {
-        runJob(S, *Job, Spec, Deadline, JobIndex);
+        return runJob(S, *Job, Spec, Deadline, JobIndex);
       });
   // While it waits, the session polls its connection: a client that hung
   // up has orphaned the job, which is cancelled rather than run for nobody
@@ -383,26 +366,25 @@ bool Server::handleSubmit(Session &S, const JsonValue &Doc) {
       S.PeerGone.store(true, std::memory_order_relaxed);
       Job->CancelRequested.store(true, std::memory_order_release);
     }
-  Future.get();
+  supervise::JobResult Result = Future.get();
 
-  bool Sent = sendFrame(S, doneFrameFor(*Job));
+  bool Sent = sendFrame(S, doneFrameFor(*Job, Result));
   return Sent && !Stopping.load(std::memory_order_relaxed);
 }
 
-void Server::runJob(Session &S, JobState &Job, const supervise::JobSpec &Spec,
-                    double DeadlineSeconds, size_t JobIndex) {
+supervise::JobResult Server::runJob(Session &S, JobState &Job,
+                                    const supervise::JobSpec &Spec,
+                                    double DeadlineSeconds, size_t JobIndex) {
   TRACE_SPAN("serve.job");
+  supervise::JobResult Result;
   if (Job.CancelRequested.load(std::memory_order_acquire)) {
     // Cancelled while still queued: never launch a child.
-    {
-      std::lock_guard<std::mutex> Lock(Job.Mutex);
-      Job.Result.Name = Spec.Name;
-      Job.Result.Aborted = true;
-    }
+    Result.Name = Spec.Name;
+    Result.Aborted = true;
     finishJob(Job);
-    return;
+    return Result;
   }
-  Job.Phase.store(1, std::memory_order_release);
+  Job.Phase.store(JobPhase::Running, std::memory_order_release);
 
   supervise::BatchOptions JobOptions = Options.Batch;
   // The server never runs an unwatched child; a hung analysis must not pin
@@ -454,41 +436,45 @@ void Server::runJob(Session &S, JobState &Job, const supervise::JobSpec &Spec,
     }
   };
 
-  supervise::JobResult Result;
   try {
     Result = supervise::runSupervisedJob(Spec, JobIndex, JobOptions, Hooks);
   } catch (...) {
     // Supervision itself failed (fork, pipe, allocation).  The job still
-    // has to settle — a leaked ActiveJobs slot would deadlock drain.
+    // has to settle — a job left in Jobs would deadlock drain.
     Result.Name = Spec.Name;
     Result.FinalClass = supervise::JobOutcomeClass::NonzeroExit;
     Result.Aborted = true;
   }
-  {
-    std::lock_guard<std::mutex> Lock(Job.Mutex);
-    Job.Result = std::move(Result);
-  }
   finishJob(Job);
+  return Result;
 }
 
 void Server::finishJob(JobState &Job) {
-  Job.Phase.store(2, std::memory_order_release);
-  if (Job.CancelRequested.load(std::memory_order_relaxed)) {
+  std::lock_guard<std::mutex> Lock(JobsMutex);
+  // Under JobsMutex, so a concurrent cancel either lands before the freeze
+  // (and the job ends cancelled) or finds the id finished and changes
+  // nothing.
+  bool Cancelled = Job.CancelRequested.load(std::memory_order_acquire);
+  JobPhase End = Cancelled ? JobPhase::Cancelled : JobPhase::Done;
+  Job.Phase.store(End, std::memory_order_release);
+  Phases[Job.Id - 1] = End;
+  Jobs.erase(Job.Id);
+  if (Cancelled) {
     NCancelled.fetch_add(1, std::memory_order_relaxed);
     TRACE_COUNTER("serve.cancelled", 1);
   } else {
     NCompleted.fetch_add(1, std::memory_order_relaxed);
     TRACE_COUNTER("serve.completed", 1);
   }
-  std::lock_guard<std::mutex> Lock(JobsMutex);
-  --ActiveJobs;
   JobsIdle.notify_all();
 }
 
-std::string Server::doneFrameFor(JobState &Job) {
-  std::lock_guard<std::mutex> Lock(Job.Mutex);
-  const supervise::JobResult &R = Job.Result;
-  bool Cancelled = Job.CancelRequested.load(std::memory_order_relaxed);
+std::string Server::doneFrameFor(const JobState &Job,
+                                 const supervise::JobResult &R) {
+  // The frozen terminal phase, not CancelRequested: a hangup noticed after
+  // the job finished must not turn a completed job into a cancelled one.
+  bool Cancelled =
+      Job.Phase.load(std::memory_order_acquire) == JobPhase::Cancelled;
 
   std::ostringstream Out;
   JsonWriter J(Out);
@@ -554,12 +540,35 @@ std::string Server::doneFrameFor(JobState &Job) {
   return Out.str();
 }
 
+const char *Server::jobStateNameLocked(uint64_t Id, JobState *&Live) {
+  auto It = Jobs.find(Id);
+  Live = It == Jobs.end() ? nullptr : It->second.get();
+  if (Live) {
+    if (Live->CancelRequested.load(std::memory_order_relaxed))
+      return "cancelling";
+    return Live->Phase.load(std::memory_order_acquire) == JobPhase::Running
+               ? "running"
+               : "queued";
+  }
+  if (Id == 0 || Id > Phases.size())
+    return nullptr;
+  return Phases[Id - 1] == JobPhase::Cancelled ? "cancelled" : "done";
+}
+
 bool Server::handleStatus(Session &S, const JsonValue &Doc) {
   uint64_t Id = 0;
   if (!Doc.getUint("job", Id))
     return sendError(S, "bad_request", "status needs a numeric \"job\"", 0);
-  std::shared_ptr<JobState> Job = findJob(Id);
-  if (!Job) {
+  const char *State;
+  std::string Name;
+  {
+    std::lock_guard<std::mutex> Lock(JobsMutex);
+    JobState *Live;
+    State = jobStateNameLocked(Id, Live);
+    if (Live)
+      Name = Live->Name;
+  }
+  if (!State) {
     NErrors.fetch_add(1, std::memory_order_relaxed);
     return sendError(S, "unknown_job", "no such job id: " + std::to_string(Id),
                      0);
@@ -572,11 +581,13 @@ bool Server::handleStatus(Session &S, const JsonValue &Doc) {
   J.key("event");
   J.value("status");
   J.key("job");
-  J.value(Job->Id);
-  J.key("name");
-  J.value(Job->Name);
+  J.value(Id);
+  if (!Name.empty()) { // Only a live job keeps its name.
+    J.key("name");
+    J.value(Name);
+  }
   J.key("state");
-  J.value(jobStateName(*Job));
+  J.value(State);
   J.endObject();
   return sendFrame(S, Out.str());
 }
@@ -585,14 +596,21 @@ bool Server::handleCancel(Session &S, const JsonValue &Doc) {
   uint64_t Id = 0;
   if (!Doc.getUint("job", Id))
     return sendError(S, "bad_request", "cancel needs a numeric \"job\"", 0);
-  std::shared_ptr<JobState> Job = findJob(Id);
-  if (!Job) {
+  const char *Was;
+  {
+    std::lock_guard<std::mutex> Lock(JobsMutex);
+    JobState *Live;
+    Was = jobStateNameLocked(Id, Live);
+    // Under the lock that finishJob freezes the state with, so a cancel
+    // reaches a live job or none: a finished job's state never changes.
+    if (Live)
+      Live->CancelRequested.store(true, std::memory_order_release);
+  }
+  if (!Was) {
     NErrors.fetch_add(1, std::memory_order_relaxed);
     return sendError(S, "unknown_job", "no such job id: " + std::to_string(Id),
                      0);
   }
-  const char *Was = jobStateName(*Job);
-  Job->CancelRequested.store(true, std::memory_order_release);
   TRACE_INSTANT("serve.cancel", 1);
   std::ostringstream Out;
   JsonWriter J(Out);
@@ -602,7 +620,7 @@ bool Server::handleCancel(Session &S, const JsonValue &Doc) {
   J.key("event");
   J.value("cancel");
   J.key("job");
-  J.value(Job->Id);
+  J.value(Id);
   J.key("was");
   J.value(Was);
   J.endObject();
@@ -610,13 +628,11 @@ bool Server::handleCancel(Session &S, const JsonValue &Doc) {
 }
 
 bool Server::handleStats(Session &S) {
-  size_t Active;
-  size_t TotalJobs;
+  size_t LiveJobs;
   bool IsDraining;
   {
     std::lock_guard<std::mutex> Lock(JobsMutex);
-    Active = ActiveJobs;
-    TotalJobs = Jobs.size();
+    LiveJobs = Jobs.size();
     IsDraining = Draining;
   }
   ServerCounters C = counters();
@@ -643,10 +659,8 @@ bool Server::handleStats(Session &S) {
   J.value(C.Cancelled);
   J.key("errors");
   J.value(C.Errors);
-  J.key("active_jobs");
-  J.value(static_cast<uint64_t>(Active));
   J.key("jobs");
-  J.value(static_cast<uint64_t>(TotalJobs));
+  J.value(static_cast<uint64_t>(LiveJobs));
   J.key("draining");
   J.value(IsDraining);
   J.key("cache_enabled");
@@ -658,7 +672,7 @@ bool Server::handleStats(Session &S) {
 void Server::drainJobs() {
   std::unique_lock<std::mutex> Lock(JobsMutex);
   Draining = true;
-  JobsIdle.wait(Lock, [this] { return ActiveJobs == 0; });
+  JobsIdle.wait(Lock, [this] { return Jobs.empty(); });
 }
 
 bool Server::handleDrain(Session &S) {

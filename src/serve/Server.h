@@ -31,6 +31,10 @@
 ///   - **Clean drain.**  A drain request (or SIGTERM in intro_serve)
 ///     refuses new submits, waits for in-flight jobs, answers, and shuts
 ///     down with every child reaped and the socket file removed.
+///   - **Bounded retention.**  The job registry holds queued and running
+///     jobs only.  A job's result travels to its submitting session through
+///     the pool future; once the job finishes, the server keeps one byte
+///     per id (done or cancelled) so status and cancel can still name it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,6 +54,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 namespace intro::serve {
 
@@ -101,6 +106,10 @@ public:
   ServerCounters counters() const;
 
 private:
+  /// A job's lifecycle.  Done and Cancelled are terminal: finishJob freezes
+  /// one of them, and nothing changes it afterwards.
+  enum class JobPhase : uint8_t { Queued, Running, Done, Cancelled };
+
   struct JobState;
   struct Session;
 
@@ -113,17 +122,21 @@ private:
   bool handleStats(Session &S);
   bool handleDrain(Session &S);
 
-  void runJob(Session &S, JobState &Job, const supervise::JobSpec &Spec,
-              double DeadlineSeconds, size_t JobIndex);
+  supervise::JobResult runJob(Session &S, JobState &Job,
+                              const supervise::JobSpec &Spec,
+                              double DeadlineSeconds, size_t JobIndex);
   void finishJob(JobState &Job);
-  std::string doneFrameFor(JobState &Job);
+  std::string doneFrameFor(const JobState &Job,
+                           const supervise::JobResult &Result);
 
   bool sendFrame(Session &S, std::string_view Payload);
   bool sendError(Session &S, const char *Code, const std::string &Message,
                  uint32_t Line);
 
-  std::shared_ptr<JobState> findJob(uint64_t Id);
-  const char *jobStateName(const JobState &Job);
+  /// \returns the state name of job \p Id, or nullptr for an id never
+  /// issued; \p Live is its record while it is queued or running, else
+  /// null.  The caller holds JobsMutex.
+  const char *jobStateNameLocked(uint64_t Id, JobState *&Live);
   void drainJobs();
   void reapSessions(bool JoinAll);
 
@@ -133,9 +146,11 @@ private:
 
   mutable std::mutex JobsMutex;
   std::condition_variable JobsIdle;
+  /// The queued and running jobs; finishJob erases each one.
   std::unordered_map<uint64_t, std::shared_ptr<JobState>> Jobs;
-  uint64_t NextJobId = 1;
-  size_t ActiveJobs = 0;
+  /// Indexed by job id - 1, one entry per id ever issued: the terminal
+  /// phase of a finished job (a live job's entry is unused).
+  std::vector<JobPhase> Phases;
   bool Draining = false;
 
   std::atomic<bool> Stopping{false};

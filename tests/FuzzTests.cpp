@@ -31,7 +31,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string>
 
 using namespace intro;
 using namespace intro::fuzz;
@@ -106,15 +108,13 @@ TEST(FuzzGenerator, OptionsControlSize) {
   EXPECT_LT(A.numTypes(), B.numTypes());
 }
 
-TEST(FuzzGenerator, BiasNamesRoundTrip) {
+TEST(FuzzGenerator, BiasNamesAreDistinct) {
+  std::set<std::string> Names;
   for (size_t BiasIndex = 0; BiasIndex < NumFuzzBiases; ++BiasIndex) {
-    FuzzBias Bias = static_cast<FuzzBias>(BiasIndex);
-    FuzzBias Parsed;
-    ASSERT_TRUE(fuzzBiasFromName(fuzzBiasName(Bias), Parsed));
-    EXPECT_EQ(Parsed, Bias);
+    std::string Name = fuzzBiasName(static_cast<FuzzBias>(BiasIndex));
+    EXPECT_NE(Name, "unknown");
+    EXPECT_TRUE(Names.insert(Name).second) << Name;
   }
-  FuzzBias Ignored;
-  EXPECT_FALSE(fuzzBiasFromName("no-such-bias", Ignored));
 }
 
 // --- Mutator ----------------------------------------------------------------

@@ -11,6 +11,8 @@
 ///   - solver == Datalog reference, tuple for tuple, per context flavor;
 ///   - soundness: dynamic facts are a subset of every analysis result;
 ///   - abstraction: context-sensitive results project into insensitive ones;
+///   - a budget-tripped run is a prefix of the completed run: every
+///     projection a subset, every counter no larger;
 ///   - frontend round-trip preserves analysis outcomes.
 ///
 //===----------------------------------------------------------------------===//
@@ -29,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 using namespace intro;
 
@@ -216,6 +219,73 @@ TEST_P(RandomProgramProperty, FrontendRoundTripPreservesAnalysis) {
   PrecisionMetrics M2 = computePrecision(Reparsed.Prog, R2);
   EXPECT_EQ(M1.PolymorphicVirtualCallSites, M2.PolymorphicVirtualCallSites);
   EXPECT_EQ(M1.CastsThatMayFail, M2.CastsThatMayFail);
+}
+
+TEST_P(RandomProgramProperty, BudgetTrippedRunIsAPrefixOfTheCompletedRun) {
+  // The worklist only ever adds facts, so a run stopped at any pop has
+  // derived a subset of the fixpoint; partial results are what the
+  // degradation ladder reads, so this is what makes them safe to read.
+  Program Prog = makeProgram();
+  std::vector<std::unique_ptr<ContextPolicy>> Policies;
+  Policies.push_back(makeInsensitivePolicy());
+  Policies.push_back(makeObjectPolicy(Prog, 2, 1));
+  auto Subset = [](const SortedIdSet &Part, const SortedIdSet &Whole) {
+    return std::includes(Whole.begin(), Whole.end(), Part.begin(), Part.end());
+  };
+  for (auto &Policy : Policies) {
+    ContextTable FullTable;
+    PointsToResult Full = solvePointsTo(Prog, *Policy, FullTable);
+    ASSERT_EQ(Full.Status, SolveStatus::Completed);
+    uint64_t Pops = Full.Stats.WorklistPops;
+    std::set<uint64_t> StopPops;
+    for (uint64_t At : {uint64_t(1), Pops / 4, Pops / 2, Pops - 1})
+      if (At >= 1 && At < Pops)
+        StopPops.insert(At);
+    for (uint64_t At : StopPops) {
+      std::string Where = "seed " + std::to_string(GetParam()) + " flavor " +
+                          Policy->name() + " stopped at pop " +
+                          std::to_string(At) + " of " + std::to_string(Pops);
+      ContextTable Table;
+      SolverOptions Options;
+      Options.Faults.FailAtPop = At;
+      Options.Faults.FailStatus = SolveStatus::TupleBudgetExceeded;
+      PointsToResult Part = solvePointsTo(Prog, *Policy, Table, Options);
+      ASSERT_EQ(Part.Status, SolveStatus::TupleBudgetExceeded) << Where;
+
+      for (uint32_t Var = 0; Var < Part.VarHeaps.size(); ++Var)
+        EXPECT_TRUE(Subset(Part.VarHeaps[Var], Full.pointsTo(VarId(Var))))
+            << Where << ": var " << Var;
+      for (const FieldCell &Cell : Part.FieldHeaps)
+        EXPECT_TRUE(Subset(Cell.Heaps,
+                           Full.fieldPointsTo(HeapId(Cell.BaseHeap),
+                                              FieldId(Cell.Field))))
+            << Where << ": field cell (" << Cell.BaseHeap << ", "
+            << Cell.Field << ")";
+      for (uint32_t Field = 0; Field < Part.StaticFieldHeaps.size(); ++Field)
+        EXPECT_TRUE(Subset(Part.StaticFieldHeaps[Field],
+                           Full.staticPointsTo(FieldId(Field))))
+            << Where << ": static field " << Field;
+      for (uint32_t Method = 0; Method < Part.MethodThrows.size(); ++Method)
+        EXPECT_TRUE(Subset(Part.MethodThrows[Method],
+                           Full.throwsOf(MethodId(Method))))
+            << Where << ": throws of method " << Method;
+      for (uint32_t Method = 0; Method < Part.MethodReachable.size();
+           ++Method)
+        if (Part.MethodReachable[Method])
+          EXPECT_TRUE(Full.isReachable(MethodId(Method)))
+              << Where << ": method " << Method;
+      for (uint32_t Site = 0; Site < Part.SiteTargets.size(); ++Site)
+        EXPECT_TRUE(Subset(Part.SiteTargets[Site],
+                           Full.callTargets(SiteId(Site))))
+            << Where << ": site " << Site;
+
+      // Every persisted counter tallies something the run only adds to:
+      // tuples, nodes, contexts, pops, edges, bytes.
+      for (auto [Name, Counter] : SolverStatsFields)
+        EXPECT_LE(Part.Stats.*Counter, Full.Stats.*Counter)
+            << Where << ": " << Name;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramProperty,

@@ -11,9 +11,10 @@
 /// length headers, binary garbage, pipelined requests, clients vanishing
 /// mid-stream — all answered with coded errors while the server keeps
 /// serving), end-to-end submits with the byte-identity contract against a
-/// local supervised run, cross-connection cancellation, the shared warm
-/// Pass-A cache, chaos-injected crash retries, and drain/SIGTERM shutdown
-/// with no leaked children.
+/// local supervised run, cross-connection cancellation, frozen terminal
+/// states and a registry that keeps only live jobs, the shared warm Pass-A
+/// cache, chaos-injected crash retries, and drain/SIGTERM shutdown with no
+/// leaked children.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -226,6 +227,29 @@ void expectServerStillServes(const std::string &SocketPath) {
   std::string Event;
   ASSERT_TRUE(Parsed.Value.getString("event", Event));
   EXPECT_EQ(Event, "stats");
+}
+
+/// Sends one request on \p C and \returns its parsed reply.
+JsonValue request(Client &C, const std::string &Json) {
+  std::string Error, Payload;
+  EXPECT_TRUE(C.send(Json, Error)) << Error;
+  EXPECT_TRUE(C.recv(Payload, Error)) << Error;
+  JsonParseResult Parsed = parseJson(Payload);
+  EXPECT_TRUE(Parsed.ok()) << Parsed.Error;
+  return Parsed.Value;
+}
+
+/// The "state" member of a status reply for job \p Id, or the error code
+/// when the server answers with one.
+std::string statusOf(Client &C, uint64_t Id) {
+  JsonValue Reply =
+      request(C, R"({"op":"status","job":)" + std::to_string(Id) + "}");
+  std::string State;
+  if (Reply.getString("state", State))
+    return State;
+  if (const JsonValue *Detail = Reply.get("error"))
+    Detail->getString("code", State);
+  return State;
 }
 
 /// The run report's deterministic section, as raw bytes: everything from
@@ -720,6 +744,39 @@ TEST(Serve, CancelFromAnotherConnectionAbortsARunningJob) {
   expectNoLeakedChildren();
 }
 
+TEST(Serve, CancelAfterDoneLeavesTheJobDone) {
+  TempDir Dir;
+  std::string Socket = Dir.Path + "/serve.sock";
+  Harness H(testOptions(Socket));
+
+  Client C;
+  std::string Error;
+  ASSERT_TRUE(C.connect(Socket, Error)) << Error;
+  SubmitOutcome Outcome;
+  ASSERT_TRUE(C.submit("tiny", TinySource, 0, "", nullptr, Outcome, Error))
+      << Error;
+  ASSERT_EQ(Outcome.State, "done");
+  ServerCounters Before = H.Daemon.counters();
+
+  // A finished job's state is frozen: the cancel names it and changes
+  // nothing, neither later status answers nor the counters.
+  JsonValue Reply = request(C, R"({"op":"cancel","job":1})");
+  std::string Event, Was;
+  ASSERT_TRUE(Reply.getString("event", Event));
+  EXPECT_EQ(Event, "cancel");
+  ASSERT_TRUE(Reply.getString("was", Was));
+  EXPECT_EQ(Was, "done");
+  EXPECT_EQ(statusOf(C, 1), "done");
+
+  ServerCounters After = H.Daemon.counters();
+  EXPECT_EQ(After.Completed, Before.Completed);
+  EXPECT_EQ(After.Cancelled, Before.Cancelled);
+
+  C.close();
+  H.stop();
+  expectNoLeakedChildren();
+}
+
 TEST(Serve, ClientGoneMidStreamCancelsTheOrphanedJob) {
   TempDir Dir;
   std::string Socket = Dir.Path + "/serve.sock";
@@ -786,6 +843,58 @@ TEST(Serve, ClientGoneAfterTheLastLineCancelsTheOrphanedJob) {
   EXPECT_TRUE(Settled) << "orphaned job was left to its watchdog";
 
   expectServerStillServes(Socket);
+  H.stop();
+  EXPECT_EQ(H.Exit, ExitSuccess);
+  expectNoLeakedChildren();
+}
+
+// --- Retention ---------------------------------------------------------------
+
+TEST(Serve, FinishedJobsLeaveTheRegistryButKeepTheirState) {
+  TempDir Dir;
+  std::string Socket = Dir.Path + "/serve.sock";
+  Harness H(testOptions(Socket));
+
+  constexpr int JobsPerConnection = 25;
+  std::string Errors[2];
+  std::thread Submitters[2];
+  for (int Conn = 0; Conn < 2; ++Conn)
+    Submitters[Conn] = std::thread([&, Conn] {
+      Client C;
+      if (!C.connect(Socket, Errors[Conn]))
+        return;
+      for (int Index = 0; Index < JobsPerConnection; ++Index) {
+        SubmitOutcome Outcome;
+        if (!C.submit("tiny", TinySource, 0, "", nullptr, Outcome,
+                      Errors[Conn]))
+          return;
+        if (Outcome.State != "done")
+          Errors[Conn] = "job " + std::to_string(Outcome.JobId) + " ended " +
+                         Outcome.State;
+      }
+    });
+  for (std::thread &T : Submitters)
+    T.join();
+  ASSERT_TRUE(Errors[0].empty()) << Errors[0];
+  ASSERT_TRUE(Errors[1].empty()) << Errors[1];
+
+  Client C;
+  std::string Error;
+  ASSERT_TRUE(C.connect(Socket, Error)) << Error;
+  JsonValue Stats = request(C, R"({"op":"stats"})");
+  uint64_t LiveJobs = 1, Submits = 0;
+  ASSERT_TRUE(Stats.getUint("jobs", LiveJobs));
+  ASSERT_TRUE(Stats.getUint("submits", Submits));
+  EXPECT_EQ(LiveJobs, 0u) << "finished jobs stayed in the registry";
+  EXPECT_EQ(Submits, 2u * JobsPerConnection);
+
+  // Every finished id still names its terminal state; the next id was
+  // never issued.
+  for (uint64_t Id = 1; Id <= 2 * JobsPerConnection; ++Id)
+    EXPECT_EQ(statusOf(C, Id), "done") << "job " << Id;
+  EXPECT_EQ(statusOf(C, 2 * JobsPerConnection + 1), "unknown_job");
+
+  C.close();
   H.stop();
   EXPECT_EQ(H.Exit, ExitSuccess);
   expectNoLeakedChildren();

@@ -168,15 +168,6 @@ TEST(SetUtils, InsertAndContains) {
   EXPECT_EQ(Set, (SortedIdSet{1, 5, 9}));
 }
 
-TEST(SetUtils, UnionInto) {
-  SortedIdSet Set = {1, 3, 5};
-  SortedIdSet Delta = {2, 3, 6};
-  SortedIdSet NewElements;
-  setUnionInto(Set, Delta, NewElements);
-  EXPECT_EQ(Set, (SortedIdSet{1, 2, 3, 5, 6}));
-  EXPECT_EQ(NewElements, (SortedIdSet{2, 6}));
-}
-
 TEST(SetUtils, NormalizeSortsAndDedupes) {
   SortedIdSet Values = {5, 1, 5, 3, 1};
   setNormalize(Values);
@@ -237,15 +228,6 @@ TEST(Overflow, SaturatingMulClampsOnOverflow) {
   EXPECT_EQ(saturatingMul(std::numeric_limits<uint64_t>::max(), 2),
             std::numeric_limits<uint64_t>::max());
   EXPECT_EQ(saturatingMul(std::numeric_limits<uint64_t>::max(),
-                          std::numeric_limits<uint64_t>::max()),
-            std::numeric_limits<uint64_t>::max());
-}
-
-TEST(Overflow, SaturatingAdd) {
-  EXPECT_EQ(saturatingAdd(40, 2), 42u);
-  EXPECT_EQ(saturatingAdd(std::numeric_limits<uint64_t>::max(), 1),
-            std::numeric_limits<uint64_t>::max());
-  EXPECT_EQ(saturatingAdd(std::numeric_limits<uint64_t>::max(),
                           std::numeric_limits<uint64_t>::max()),
             std::numeric_limits<uint64_t>::max());
 }
