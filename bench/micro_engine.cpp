@@ -186,9 +186,7 @@ BENCHMARK(BM_DatalogTransitiveClosure);
 //
 // BM_TraceOffEventSite prices one TRACE_* site with no recorder installed:
 // the documented cost is a relaxed atomic load plus a predictable branch.
-// Compare against an -DINTRO_TRACE=OFF build (where the site compiles to
-// nothing) to verify the "zero-cost when disabled" claim; compare
-// BM_SolveInsensChart before/after instrumented builds for the < 2%
+// Compare BM_SolveInsensChart before/after instrumented builds for the < 2%
 // whole-solver criterion.
 
 static void BM_TraceOffEventSite(benchmark::State &State) {

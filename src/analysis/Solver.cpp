@@ -14,27 +14,29 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace intro;
 
 namespace {
 
-constexpr uint8_t NodeKindVar = 0;
-constexpr uint8_t NodeKindField = 1;
-constexpr uint8_t NodeKindStaticField = 2;
-constexpr uint8_t NodeKindThrow = 3;
-
 /// Empty slot of a dense node index.
 constexpr uint32_t NoNode = UINT32_MAX;
+
+/// Bytes one entry of a std::unordered_map<uint64_t, uint32_t> allocates:
+/// its node (a next pointer and the key/value pair) plus one bucket pointer
+/// at the default maximum load factor of 1.
+constexpr uint64_t HashEntryBytes =
+    2 * sizeof(void *) + sizeof(std::pair<const uint64_t, uint32_t>);
 
 uint64_t pack(uint32_t High, uint32_t Low) {
   return (static_cast<uint64_t>(High) << 32) | Low;
 }
 
-/// One constraint-graph node: a (var, ctx) pair or an (object, field) pair.
+/// One constraint-graph node: a (var, ctx) pair, an (object, field) pair, a
+/// static field or the exceptions escaping a (method, ctx) pair.
 ///
 /// Pts and Delta are adaptive sets (support/IdSet.h): sorted vectors while
 /// small, packed bitmaps once a hub node's set grows large and dense.  The
@@ -57,8 +59,27 @@ struct Node {
   std::vector<std::pair<uint32_t, uint32_t>> StoreUses;
   /// For var nodes that are virtual-call receivers: the call sites.
   std::vector<uint32_t> CallUses;
-  uint32_t CtxRaw = 0; ///< Calling context (var nodes only).
+  uint32_t Owner = 0; ///< Owning method-context entry (var nodes only).
   bool InWorklist = false;
+};
+
+/// One REACHABLE(meth, ctx) fact.  It owns the method's VARPOINTSTO nodes
+/// under ctx, one slot per local, and its THROWPOINTSTO node; a slot is
+/// NoNode until first use.
+struct MethodContext {
+  MethodId Method;
+  CtxId Ctx;
+  uint32_t ThrowNode = NoNode;
+  uint32_t FirstVarSlot; ///< Start of the entry's run in VarSlots.
+};
+
+/// One abstract object, a (heap, hctx) pair, with its FLDPOINTSTO nodes.
+struct ObjectInfo {
+  uint32_t Heap;
+  uint32_t HCtx;
+  /// (field, node) of every field node based on the object; a short list,
+  /// scanned linearly.
+  std::vector<std::pair<uint32_t, uint32_t>> FieldNodes;
 };
 
 class Solver {
@@ -83,9 +104,9 @@ public:
       if (stopRequested(Checkpoint))
         break;
       if (!PendingReachable.empty()) {
-        auto [Method, Ctx] = PendingReachable.back();
+        uint32_t MC = PendingReachable.back();
         PendingReachable.pop_back();
-        instantiate(MethodId(Method), CtxId(Ctx));
+        instantiate(MC);
         continue;
       }
       processNode(popWorklist());
@@ -143,48 +164,47 @@ private:
     return false;
   }
 
-  /// Estimated bytes of hash-map bookkeeping per index entry (bucket slot,
-  /// key/value pair, chaining pointer).  A constant so that the memory
-  /// budget is deterministic across platforms and allocators.
-  static constexpr uint64_t IndexEntryBytes = 48;
-
   // --- Node and object interning ------------------------------------------
 
   uint32_t getObject(HeapId Heap, HCtxId HCtx) {
-    uint64_t Key = pack(Heap.index(), HCtx.index());
-    auto [It, Inserted] = ObjIndex.emplace(Key, Objects.size());
+    auto [It, Inserted] =
+        ObjIndex.try_emplace(pack(Heap.index(), HCtx.index()),
+                             static_cast<uint32_t>(Objects.size()));
     if (Inserted) {
-      Objects.push_back({Heap.index(), HCtx.index()});
-      ApproxBytes += sizeof(Objects[0]) + IndexEntryBytes;
+      Objects.push_back({Heap.index(), HCtx.index(), {}});
+      ApproxBytes += sizeof(ObjectInfo) + HashEntryBytes;
     }
     return It->second;
   }
 
-  uint32_t newNode(uint8_t Kind, uint64_t Key, uint32_t CtxRaw) {
+  uint32_t newNode() {
     uint32_t Index = static_cast<uint32_t>(Nodes.size());
     Nodes.emplace_back();
-    Nodes.back().CtxRaw = CtxRaw;
-    NodeKind.push_back(Kind);
-    NodeKey.push_back(Key);
-    ApproxBytes += sizeof(Node) + sizeof(uint8_t) + sizeof(uint64_t) +
-                   IndexEntryBytes;
+    ApproxBytes += sizeof(Node);
     return Index;
   }
 
-  uint32_t varNode(VarId Var, CtxId Ctx) {
-    uint64_t Key = pack(Var.index(), Ctx.index());
-    auto [It, Inserted] = VarNodeIndex.emplace(Key, 0);
-    if (Inserted)
-      It->second = newNode(NodeKindVar, Key, Ctx.index());
-    return It->second;
+  /// The node of \p Var under method-context entry \p MC, which must be an
+  /// entry of the method owning \p Var.
+  uint32_t varNode(VarId Var, uint32_t MC) {
+    assert(Prog.var(Var).Owner == MethodContexts[MC].Method);
+    uint32_t &Slot =
+        VarSlots[MethodContexts[MC].FirstVarSlot + Prog.var(Var).Local];
+    if (Slot == NoNode) {
+      Slot = newNode();
+      Nodes[Slot].Owner = MC;
+    }
+    return Slot;
   }
 
-  uint32_t fieldNode(uint32_t Object, FieldId Field) {
-    uint64_t Key = pack(Object, Field.index());
-    auto [It, Inserted] = FieldNodeIndex.emplace(Key, 0);
-    if (Inserted)
-      It->second = newNode(NodeKindField, Key, 0);
-    return It->second;
+  uint32_t fieldNode(uint32_t Obj, FieldId Field) {
+    for (auto [FieldRaw, N] : Objects[Obj].FieldNodes)
+      if (FieldRaw == Field.index())
+        return N;
+    uint32_t N = newNode();
+    Objects[Obj].FieldNodes.push_back({Field.index(), N});
+    ApproxBytes += sizeof(Objects[Obj].FieldNodes[0]);
+    return N;
   }
 
   /// Static fields are single global cells (Doop: StaticFieldPointsTo has
@@ -192,18 +212,17 @@ private:
   uint32_t staticFieldNode(FieldId Field) {
     uint32_t &Slot = StaticFieldNodes[Field.index()];
     if (Slot == NoNode)
-      Slot = newNode(NodeKindStaticField, Field.index(), 0);
+      Slot = newNode();
     return Slot;
   }
 
-  /// The set of exception objects escaping (method, ctx) — the paper
-  /// [11]-style THROWPOINTSTO relation.
-  uint32_t throwNode(MethodId Method, CtxId Ctx) {
-    uint64_t Key = pack(Method.index(), Ctx.index());
-    auto [It, Inserted] = ThrowNodeIndex.emplace(Key, 0);
-    if (Inserted)
-      It->second = newNode(NodeKindThrow, Key, Ctx.index());
-    return It->second;
+  /// The set of exception objects escaping method-context entry \p MC — the
+  /// paper [11]-style THROWPOINTSTO relation.
+  uint32_t throwNode(uint32_t MC) {
+    uint32_t &Slot = MethodContexts[MC].ThrowNode;
+    if (Slot == NoNode)
+      Slot = newNode();
+    return Slot;
   }
 
   // --- Core propagation ----------------------------------------------------
@@ -292,7 +311,7 @@ private:
   /// \returns true if \p Object (a (heap, hctx) pair) is a subtype of
   /// \p CastTypeRaw — the checked-cast filter.
   bool castAdmits(uint32_t Object, uint32_t CastTypeRaw) const {
-    return Prog.isSubtypeOf(Prog.heap(HeapId(Objects[Object].first)).Type,
+    return Prog.isSubtypeOf(Prog.heap(HeapId(Objects[Object].Heap)).Type,
                             TypeId(CastTypeRaw));
   }
 
@@ -343,10 +362,11 @@ private:
       });
     }
     // VCALL rule: dispatch on every new receiver object.
-    CtxId Ctx(Nodes[N].CtxRaw);
+    uint32_t CallerMC = Nodes[N].Owner;
     for (size_t I = 0, E = Nodes[N].CallUses.size(); I < E; ++I) {
       SiteId Site(Nodes[N].CallUses[I]);
-      Delta.forEach([&](uint32_t Object) { dispatch(Site, Ctx, Object); });
+      Delta.forEach(
+          [&](uint32_t Object) { dispatch(Site, CallerMC, Object); });
     }
     // The remaining loops only call unionInto, which creates no node and no
     // edge, so they read Nodes[N]'s edge lists in place.
@@ -384,83 +404,97 @@ private:
           {Site.index(), CallerCtx.index(), Callee.index(), CalleeCtx.index()});
   }
 
-  void bindArguments(const SiteInfo &Site, CtxId CallerCtx, MethodId Callee,
-                     CtxId CalleeCtx) {
-    const MethodInfo &Target = Prog.method(Callee);
+  /// Binds the actuals, result and catch variable of \p Site, in caller
+  /// entry \p CallerMC, to callee entry \p CalleeMC.
+  void bindArguments(const SiteInfo &Site, uint32_t CallerMC,
+                     uint32_t CalleeMC) {
+    const MethodInfo &Target = Prog.method(MethodContexts[CalleeMC].Method);
     size_t NumArgs = std::min(Site.Actuals.size(), Target.Formals.size());
     for (size_t Index = 0; Index < NumArgs; ++Index)
-      addEdge(varNode(Site.Actuals[Index], CallerCtx),
-              varNode(Target.Formals[Index], CalleeCtx));
+      addEdge(varNode(Site.Actuals[Index], CallerMC),
+              varNode(Target.Formals[Index], CalleeMC));
     if (Site.Result.isValid() && Target.Return.isValid())
-      addEdge(varNode(Target.Return, CalleeCtx),
-              varNode(Site.Result, CallerCtx));
+      addEdge(varNode(Target.Return, CalleeMC),
+              varNode(Site.Result, CallerMC));
 
     // Exception flow: objects escaping the callee either bind to the
     // site's catch variable (subtype of the catch type) or escape the
     // caller as well (complement).  Without a catch clause, everything
     // escapes upward.
-    uint32_t CalleeThrow = throwNode(Callee, CalleeCtx);
+    uint32_t CalleeThrow = throwNode(CalleeMC);
     if (Site.CatchVar.isValid()) {
-      addFilteredEdge(CalleeThrow, varNode(Site.CatchVar, CallerCtx),
+      addFilteredEdge(CalleeThrow, varNode(Site.CatchVar, CallerMC),
                       Site.CatchType);
-      addFilteredEdge(CalleeThrow, throwNode(Site.InMethod, CallerCtx),
-                      Site.CatchType, /*Negated=*/true);
+      addFilteredEdge(CalleeThrow, throwNode(CallerMC), Site.CatchType,
+                      /*Negated=*/true);
     } else {
-      addEdge(CalleeThrow, throwNode(Site.InMethod, CallerCtx));
+      addEdge(CalleeThrow, throwNode(CallerMC));
     }
   }
 
-  void dispatch(SiteId SiteHandle, CtxId CallerCtx, uint32_t Object) {
+  void dispatch(SiteId SiteHandle, uint32_t CallerMC, uint32_t Object) {
     const SiteInfo &Site = Prog.site(SiteHandle);
-    auto [HeapRaw, HCtxRaw] = Objects[Object];
-    HeapId Heap(HeapRaw);
+    HeapId Heap(Objects[Object].Heap);
     MethodId Callee = Prog.lookup(Prog.heap(Heap).Type, Site.Sig);
     if (!Callee.isValid())
       return; // No method matches the signature: dispatch failure.
 
-    CtxId CalleeCtx = Policy.merge(Heap, HCtxId(HCtxRaw), SiteHandle, Callee,
-                                   CallerCtx, Ctxs);
+    CtxId CallerCtx = MethodContexts[CallerMC].Ctx;
+    CtxId CalleeCtx = Policy.merge(Heap, HCtxId(Objects[Object].HCtx),
+                                   SiteHandle, Callee, CallerCtx, Ctxs);
     recordCallEdge(SiteHandle, CallerCtx, Callee, CalleeCtx);
-    enqueueReachable(Callee, CalleeCtx);
-    addObjectTo(varNode(Prog.method(Callee).This, CalleeCtx), Object);
-    bindArguments(Site, CallerCtx, Callee, CalleeCtx);
+    uint32_t CalleeMC = enqueueReachable(Callee, CalleeCtx);
+    addObjectTo(varNode(Prog.method(Callee).This, CalleeMC), Object);
+    bindArguments(Site, CallerMC, CalleeMC);
   }
 
   // --- Method instantiation --------------------------------------------------
 
-  void enqueueReachable(MethodId Method, CtxId Ctx) {
-    if (!ReachableSet.insert(pack(Method.index(), Ctx.index())).second)
-      return;
-    ReachableList.push_back({Method.index(), Ctx.index()});
-    PendingReachable.push_back({Method.index(), Ctx.index()});
-    ApproxBytes += 2 * sizeof(ReachableList[0]) + IndexEntryBytes;
+  /// \returns the method-context entry of (\p Method, \p Ctx), adding it
+  /// and queueing its instantiation on first discovery.
+  uint32_t enqueueReachable(MethodId Method, CtxId Ctx) {
+    auto [It, Inserted] = MethodContextIndex.try_emplace(
+        pack(Method.index(), Ctx.index()),
+        static_cast<uint32_t>(MethodContexts.size()));
+    if (!Inserted)
+      return It->second;
+    size_t NumLocals = Prog.method(Method).Locals.size();
+    MethodContexts.push_back(
+        {Method, Ctx, NoNode, static_cast<uint32_t>(VarSlots.size())});
+    VarSlots.resize(VarSlots.size() + NumLocals, NoNode);
+    PendingReachable.push_back(It->second);
+    ApproxBytes += sizeof(MethodContext) + HashEntryBytes + sizeof(uint32_t) +
+                   NumLocals * sizeof(uint32_t);
+    return It->second;
   }
 
-  /// Applies the body of \p Method under \p Ctx: the ALLOC/MOVE rules fire
-  /// immediately; LOAD/STORE/VCALL register trigger lists on their base
-  /// variables; static calls resolve on the spot.
-  void instantiate(MethodId Method, CtxId Ctx) {
+  /// Applies the body of entry \p MC's method under its context: the
+  /// ALLOC/MOVE rules fire immediately; LOAD/STORE/VCALL register trigger
+  /// lists on their base variables; static calls resolve on the spot.
+  void instantiate(uint32_t MC) {
+    MethodId Method = MethodContexts[MC].Method;
+    CtxId Ctx = MethodContexts[MC].Ctx;
     const MethodInfo &Info = Prog.method(Method);
     for (const Instruction &Instr : Info.Body) {
       switch (Instr.Kind) {
       case InstrKind::Alloc: {
         HCtxId HCtx = Policy.record(Instr.Heap, Ctx, Ctxs);
-        addObjectTo(varNode(Instr.To, Ctx), getObject(Instr.Heap, HCtx));
+        addObjectTo(varNode(Instr.To, MC), getObject(Instr.Heap, HCtx));
         break;
       }
       case InstrKind::Move:
-        addEdge(varNode(Instr.From, Ctx), varNode(Instr.To, Ctx));
+        addEdge(varNode(Instr.From, MC), varNode(Instr.To, MC));
         break;
       case InstrKind::Cast:
         if (Opts.FilterCasts)
-          addFilteredEdge(varNode(Instr.From, Ctx), varNode(Instr.To, Ctx),
+          addFilteredEdge(varNode(Instr.From, MC), varNode(Instr.To, MC),
                           Instr.CastType);
         else
-          addEdge(varNode(Instr.From, Ctx), varNode(Instr.To, Ctx));
+          addEdge(varNode(Instr.From, MC), varNode(Instr.To, MC));
         break;
       case InstrKind::Load: {
-        uint32_t Base = varNode(Instr.Base, Ctx);
-        uint32_t Dst = varNode(Instr.To, Ctx);
+        uint32_t Base = varNode(Instr.Base, MC);
+        uint32_t Dst = varNode(Instr.To, MC);
         Nodes[Base].LoadUses.push_back({Instr.Field.index(), Dst});
         ApproxBytes += sizeof(Nodes[Base].LoadUses[0]);
         SortedIdSet Snapshot = Nodes[Base].Pts.toVector();
@@ -469,8 +503,8 @@ private:
         break;
       }
       case InstrKind::Store: {
-        uint32_t Base = varNode(Instr.Base, Ctx);
-        uint32_t Src = varNode(Instr.From, Ctx);
+        uint32_t Base = varNode(Instr.Base, MC);
+        uint32_t Src = varNode(Instr.From, MC);
         Nodes[Base].StoreUses.push_back({Instr.Field.index(), Src});
         ApproxBytes += sizeof(Nodes[Base].StoreUses[0]);
         SortedIdSet Snapshot = Nodes[Base].Pts.toVector();
@@ -479,13 +513,13 @@ private:
         break;
       }
       case InstrKind::SLoad:
-        addEdge(staticFieldNode(Instr.Field), varNode(Instr.To, Ctx));
+        addEdge(staticFieldNode(Instr.Field), varNode(Instr.To, MC));
         break;
       case InstrKind::SStore:
-        addEdge(varNode(Instr.From, Ctx), staticFieldNode(Instr.Field));
+        addEdge(varNode(Instr.From, MC), staticFieldNode(Instr.Field));
         break;
       case InstrKind::Throw:
-        addEdge(varNode(Instr.From, Ctx), throwNode(Method, Ctx));
+        addEdge(varNode(Instr.From, MC), throwNode(MC));
         break;
       case InstrKind::Call: {
         const SiteInfo &Site = Prog.site(Instr.Site);
@@ -493,16 +527,15 @@ private:
           MethodId Callee = Site.StaticTarget;
           CtxId CalleeCtx = Policy.mergeStatic(Instr.Site, Callee, Ctx, Ctxs);
           recordCallEdge(Instr.Site, Ctx, Callee, CalleeCtx);
-          enqueueReachable(Callee, CalleeCtx);
-          bindArguments(Site, Ctx, Callee, CalleeCtx);
+          bindArguments(Site, MC, enqueueReachable(Callee, CalleeCtx));
           break;
         }
-        uint32_t Base = varNode(Site.Base, Ctx);
+        uint32_t Base = varNode(Site.Base, MC);
         Nodes[Base].CallUses.push_back(Instr.Site.index());
         ApproxBytes += sizeof(uint32_t);
         SortedIdSet Snapshot = Nodes[Base].Pts.toVector();
         for (uint32_t Object : Snapshot)
-          dispatch(Instr.Site, Ctx, Object);
+          dispatch(Instr.Site, MC, Object);
         break;
       }
       }
@@ -511,6 +544,31 @@ private:
 
   // --- Result assembly ---------------------------------------------------------
 
+  /// Appends the heap of every object of node \p N to \p Heaps.
+  /// \returns |pts(N)|, the node's context-sensitive tuple count.
+  uint64_t appendHeaps(uint32_t N, SortedIdSet &Heaps) const {
+    for (uint32_t Object : Nodes[N].Pts)
+      Heaps.push_back(Objects[Object].Heap);
+    return Nodes[N].Pts.size();
+  }
+
+  /// With KeepTuples, appends (\p Key..., heap, hctx) to \p Tuples for
+  /// every object of node \p N.
+  template <size_t Width>
+  void appendTuples(uint32_t N,
+                    std::vector<std::array<uint32_t, Width>> &Tuples,
+                    const std::array<uint32_t, Width - 2> &Key) const {
+    if (!Opts.KeepTuples)
+      return;
+    std::array<uint32_t, Width> Tuple;
+    std::copy(Key.begin(), Key.end(), Tuple.begin());
+    for (uint32_t Object : Nodes[N].Pts) {
+      Tuple[Width - 2] = Objects[Object].Heap;
+      Tuple[Width - 1] = Objects[Object].HCtx;
+      Tuples.push_back(Tuple);
+    }
+  }
+
   PointsToResult finish() {
     // Counters are accumulated in the existing locals (Pops, TotalTuples,
     // ...) and published once here — the hot loop pays nothing for them.
@@ -518,7 +576,7 @@ private:
     TRACE_COUNTER("solve.pops", Pops);
     TRACE_COUNTER("solve.tuples", TotalTuples);
     TRACE_COUNTER("solve.budget_checks", BudgetChecks);
-    TRACE_COUNTER("solve.reachable_method_contexts", ReachableList.size());
+    TRACE_COUNTER("solve.reachable_method_contexts", MethodContexts.size());
     uint64_t CallGraphEdges = 0;
     for (const SortedIdSet &Targets : SiteTargets)
       CallGraphEdges += Targets.size();
@@ -535,68 +593,46 @@ private:
     Result.SiteTargets = std::move(SiteTargets);
     Result.StaticFieldHeaps.resize(Prog.numFields());
     Result.MethodThrows.resize(Prog.numMethods());
-    // (base heap, field, node) of every field node, sorted below so that
-    // the nodes of one cell (one per heap context of the base) merge.
-    std::vector<std::array<uint32_t, 3>> FieldCellNodes;
     uint64_t VarTuples = 0;
     uint64_t FieldTuples = 0;
     uint64_t ThrowTuples = 0;
     uint64_t StaticTuples = 0;
+    uint64_t NumVarNodes = 0;
     uint64_t DenseSets = 0;
-    for (uint32_t N = 0; N < Nodes.size(); ++N) {
-      const Node &NodeRef = Nodes[N];
+    for (const Node &NodeRef : Nodes)
       DenseSets += NodeRef.Pts.isDense() ? 1 : 0;
-      switch (NodeKind[N]) {
-      case NodeKindVar: {
-        VarTuples += NodeRef.Pts.size();
-        uint32_t VarRaw = static_cast<uint32_t>(NodeKey[N] >> 32);
-        SortedIdSet &Heaps = Result.VarHeaps[VarRaw];
-        for (uint32_t Object : NodeRef.Pts)
-          Heaps.push_back(Objects[Object].first);
-        if (Opts.KeepTuples)
-          for (uint32_t Object : NodeRef.Pts)
-            Result.VarPointsTo.push_back({VarRaw, NodeRef.CtxRaw,
-                                          Objects[Object].first,
-                                          Objects[Object].second});
-        break;
+
+    for (const MethodContext &MC : MethodContexts) {
+      uint32_t MethodRaw = MC.Method.index();
+      uint32_t CtxRaw = MC.Ctx.index();
+      Result.MethodReachable[MethodRaw] = true;
+      if (Opts.KeepTuples)
+        Result.Reachable.push_back({MethodRaw, CtxRaw});
+      const std::vector<VarId> &Locals = Prog.method(MC.Method).Locals;
+      for (size_t Local = 0; Local < Locals.size(); ++Local) {
+        uint32_t N = VarSlots[MC.FirstVarSlot + Local];
+        if (N == NoNode)
+          continue;
+        ++NumVarNodes;
+        uint32_t VarRaw = Locals[Local].index();
+        VarTuples += appendHeaps(N, Result.VarHeaps[VarRaw]);
+        appendTuples(N, Result.VarPointsTo, {VarRaw, CtxRaw});
       }
-      case NodeKindField: {
-        FieldTuples += NodeRef.Pts.size();
-        uint32_t BaseObject = static_cast<uint32_t>(NodeKey[N] >> 32);
-        uint32_t FieldRaw = static_cast<uint32_t>(NodeKey[N]);
-        FieldCellNodes.push_back({Objects[BaseObject].first, FieldRaw, N});
-        if (Opts.KeepTuples)
-          for (uint32_t Object : NodeRef.Pts)
-            Result.FieldPointsTo.push_back(
-                {Objects[BaseObject].first, Objects[BaseObject].second,
-                 FieldRaw, Objects[Object].first, Objects[Object].second});
-        break;
+      if (MC.ThrowNode != NoNode) {
+        ThrowTuples +=
+            appendHeaps(MC.ThrowNode, Result.MethodThrows[MethodRaw]);
+        appendTuples(MC.ThrowNode, Result.ThrowPointsTo, {MethodRaw, CtxRaw});
       }
-      case NodeKindStaticField: {
-        StaticTuples += NodeRef.Pts.size();
-        uint32_t FieldRaw = static_cast<uint32_t>(NodeKey[N]);
-        SortedIdSet &Heaps = Result.StaticFieldHeaps[FieldRaw];
-        for (uint32_t Object : NodeRef.Pts)
-          Heaps.push_back(Objects[Object].first);
-        if (Opts.KeepTuples)
-          for (uint32_t Object : NodeRef.Pts)
-            Result.StaticFieldPointsTo.push_back(
-                {FieldRaw, Objects[Object].first, Objects[Object].second});
-        break;
-      }
-      case NodeKindThrow: {
-        ThrowTuples += NodeRef.Pts.size();
-        uint32_t MethodRaw = static_cast<uint32_t>(NodeKey[N] >> 32);
-        SortedIdSet &Heaps = Result.MethodThrows[MethodRaw];
-        for (uint32_t Object : NodeRef.Pts)
-          Heaps.push_back(Objects[Object].first);
-        if (Opts.KeepTuples)
-          for (uint32_t Object : NodeRef.Pts)
-            Result.ThrowPointsTo.push_back({MethodRaw, NodeRef.CtxRaw,
-                                            Objects[Object].first,
-                                            Objects[Object].second});
-        break;
-      }
+    }
+
+    // (base heap, field, node) of every field node, sorted so that the
+    // nodes of one cell (one per heap context of the base) merge.
+    std::vector<std::array<uint32_t, 3>> FieldCellNodes;
+    for (const ObjectInfo &Base : Objects) {
+      for (auto [FieldRaw, N] : Base.FieldNodes) {
+        FieldCellNodes.push_back({Base.Heap, FieldRaw, N});
+        appendTuples(N, Result.FieldPointsTo,
+                     {Base.Heap, Base.HCtx, FieldRaw});
       }
     }
     std::sort(FieldCellNodes.begin(), FieldCellNodes.end());
@@ -604,9 +640,18 @@ private:
       if (Result.FieldHeaps.empty() ||
           Result.FieldHeaps.back().key() != std::pair(BaseHeap, FieldRaw))
         Result.FieldHeaps.push_back({BaseHeap, FieldRaw, {}});
-      for (uint32_t Object : Nodes[N].Pts)
-        Result.FieldHeaps.back().Heaps.push_back(Objects[Object].first);
+      FieldTuples += appendHeaps(N, Result.FieldHeaps.back().Heaps);
     }
+
+    for (uint32_t FieldRaw = 0; FieldRaw < StaticFieldNodes.size();
+         ++FieldRaw) {
+      uint32_t N = StaticFieldNodes[FieldRaw];
+      if (N == NoNode)
+        continue;
+      StaticTuples += appendHeaps(N, Result.StaticFieldHeaps[FieldRaw]);
+      appendTuples(N, Result.StaticFieldPointsTo, {FieldRaw});
+    }
+
     for (SortedIdSet &Heaps : Result.VarHeaps)
       setNormalize(Heaps);
     for (FieldCell &Cell : Result.FieldHeaps)
@@ -615,12 +660,6 @@ private:
       setNormalize(Heaps);
     for (SortedIdSet &Heaps : Result.MethodThrows)
       setNormalize(Heaps);
-
-    for (auto [MethodRaw, CtxRaw] : ReachableList) {
-      Result.MethodReachable[MethodRaw] = true;
-      if (Opts.KeepTuples)
-        Result.Reachable.push_back({MethodRaw, CtxRaw});
-    }
     if (Opts.KeepTuples)
       Result.CallGraph.assign(CallGraphTuples.begin(), CallGraphTuples.end());
 
@@ -629,13 +668,12 @@ private:
     Result.Stats.FieldPointsToTuples = FieldTuples;
     Result.Stats.ThrowPointsToTuples = ThrowTuples;
     Result.Stats.StaticFieldTuples = StaticTuples;
-    uint64_t NumFieldNodes = FieldNodeIndex.size();
-    Result.Stats.NumVarNodes = VarNodeIndex.size();
-    Result.Stats.NumFieldNodes = NumFieldNodes;
+    Result.Stats.NumVarNodes = NumVarNodes;
+    Result.Stats.NumFieldNodes = FieldCellNodes.size();
     Result.Stats.NumObjects = Objects.size();
     Result.Stats.NumContexts = Ctxs.numContexts();
     Result.Stats.NumHeapContexts = Ctxs.numHeapContexts();
-    Result.Stats.ReachableMethodContexts = ReachableList.size();
+    Result.Stats.ReachableMethodContexts = MethodContexts.size();
     Result.Stats.CallGraphEdges = CallGraphEdges;
     Result.Stats.WorklistPops = Pops;
     Result.Stats.ApproxBytes = ApproxBytes;
@@ -652,22 +690,25 @@ private:
   Timer Clock;
 
   std::vector<Node> Nodes;
-  std::vector<uint8_t> NodeKind;
-  std::vector<uint64_t> NodeKey;
-  std::unordered_map<uint64_t, uint32_t> VarNodeIndex;
-  std::unordered_map<uint64_t, uint32_t> FieldNodeIndex;
   /// Node of each static field, NoNode until first use.
   std::vector<uint32_t> StaticFieldNodes =
       std::vector<uint32_t>(Prog.numFields(), NoNode);
-  std::unordered_map<uint64_t, uint32_t> ThrowNodeIndex;
 
+  /// The REACHABLE relation in discovery order, found through
+  /// MethodContextIndex (keyed by packed (method, ctx)).
+  std::vector<MethodContext> MethodContexts;
+  std::unordered_map<uint64_t, uint32_t> MethodContextIndex;
+  /// Var-node slots: one run per entry, indexed by VarInfo::Local.
+  std::vector<uint32_t> VarSlots;
+  /// Entries discovered but not yet instantiated.
+  std::vector<uint32_t> PendingReachable;
+
+  /// Objects in discovery order, found through ObjIndex (keyed by packed
+  /// (heap, hctx): the one truly sparse key space).
+  std::vector<ObjectInfo> Objects;
   std::unordered_map<uint64_t, uint32_t> ObjIndex;
-  std::vector<std::pair<uint32_t, uint32_t>> Objects;
 
   std::vector<uint32_t> Worklist;
-  std::vector<std::pair<uint32_t, uint32_t>> PendingReachable;
-  std::unordered_set<uint64_t> ReachableSet;
-  std::vector<std::pair<uint32_t, uint32_t>> ReachableList;
 
   /// Per-site sorted callees: the insensitive call graph, built in place.
   std::vector<SortedIdSet> SiteTargets =

@@ -68,6 +68,7 @@ VarId Program::addVar(std::string_view Name, MethodId Owner) {
   VarInfo Info;
   Info.Name = Names.intern(Name);
   Info.Owner = Owner;
+  Info.Local = static_cast<uint32_t>(Methods[Owner.index()].Locals.size());
   Vars.push_back(Info);
   VarId Id(static_cast<uint32_t>(Vars.size() - 1));
   Methods[Owner.index()].Locals.push_back(Id);

@@ -55,6 +55,7 @@ struct SigInfo {
 struct VarInfo {
   uint32_t Name;  ///< Interned variable name (unique within its method).
   MethodId Owner; ///< Enclosing method.
+  uint32_t Local; ///< Position in the owner's MethodInfo::Locals.
 };
 
 /// A method definition.

@@ -70,6 +70,12 @@ private:
     if (!Info.IsStatic && !Info.This.isValid())
       report("virtual method '" + std::string(Prog.methodName(Method)) +
              "' is missing its `this` variable");
+    if (Info.This.isValid())
+      checkVarIn(Info.This, Method, "`this`");
+    for (VarId Formal : Info.Formals)
+      checkVarIn(Formal, Method, "formal parameter");
+    if (Info.Return.isValid())
+      checkVarIn(Info.Return, Method, "return variable");
 
     for (const Instruction &Instr : Info.Body) {
       switch (Instr.Kind) {

@@ -13,11 +13,10 @@
 ///
 /// Design constraints, in order:
 ///
-///  1. **Zero cost when off.**  Compiling with INTRO_TRACE_DISABLED turns
-///     every TRACE_* macro into nothing.  In the default (enabled) build,
-///     an event site with no recorder installed costs one relaxed atomic
-///     load and a predictable branch — no allocation, no lock (asserted by
-///     trace_tests and priced by bench/micro_engine).
+///  1. **Near-zero cost when off.**  An event site with no recorder
+///     installed costs one relaxed atomic load and a predictable branch —
+///     no allocation, no lock (asserted by trace_tests and priced by
+///     bench/micro_engine).
 ///
 ///  2. **Lock-free-enough when on.**  Each recording thread appends to its
 ///     own buffer and bumps its own counter table; the recorder's mutex is
@@ -209,27 +208,14 @@ inline void instant(const char *Name, uint64_t Value) {
 // TRACE_INSTANT("name", value)  — point event carrying a value.
 //
 // Names MUST be string literals (static storage; the recorder stores the
-// pointer).  Compiling with -DINTRO_TRACE_DISABLED removes every call site
-// entirely.
+// pointer).
 
 #define INTRO_TRACE_CONCAT_IMPL(A, B) A##B
 #define INTRO_TRACE_CONCAT(A, B) INTRO_TRACE_CONCAT_IMPL(A, B)
 
-#ifndef INTRO_TRACE_DISABLED
 #define TRACE_SPAN(NAME)                                                       \
   ::intro::trace::ScopedSpan INTRO_TRACE_CONCAT(TraceSpan_, __LINE__)(NAME)
 #define TRACE_COUNTER(NAME, DELTA) ::intro::trace::counterAdd(NAME, DELTA)
 #define TRACE_INSTANT(NAME, VALUE) ::intro::trace::instant(NAME, VALUE)
-#else
-#define TRACE_SPAN(NAME)                                                       \
-  do {                                                                         \
-  } while (false)
-#define TRACE_COUNTER(NAME, DELTA)                                             \
-  do {                                                                         \
-  } while (false)
-#define TRACE_INSTANT(NAME, VALUE)                                             \
-  do {                                                                         \
-  } while (false)
-#endif
 
 #endif // SUPPORT_TRACE_H

@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Alias.h"
 #include "analysis/ContextPolicy.h"
 #include "analysis/Escape.h"
 #include "analysis/Solver.h"
@@ -153,41 +152,4 @@ TEST(Statistics, WithoutKeepTuplesIsEmpty) {
   ContextStatistics Stats = computeContextStatistics(T.Prog, R);
   EXPECT_EQ(Stats.TotalMethodContexts, 0u);
   EXPECT_TRUE(Stats.TopByContexts.empty());
-}
-
-TEST(Alias, IntersectionSemantics) {
-  TwoBoxes T = makeTwoBoxes();
-  PointsToResult R = solveInsens(T.Prog);
-  // Insensitively oa and ob both hold {A, B}: they may alias.
-  EXPECT_TRUE(mayAlias(R, T.OutA, T.OutB));
-  // A box variable and a payload variable never share objects.
-  const MethodInfo &Main = T.Prog.method(T.Prog.entries()[0]);
-  VarId B1 = Main.Locals[0]; // b1
-  EXPECT_FALSE(mayAlias(R, B1, T.OutA));
-  // Reflexive for non-empty sets.
-  EXPECT_TRUE(mayAlias(R, T.OutA, T.OutA));
-}
-
-TEST(Alias, DeepContextRemovesSpuriousPairs) {
-  TwoBoxes T = makeTwoBoxes();
-  PointsToResult Insens = solveInsens(T.Prog);
-  EXPECT_TRUE(mayAlias(Insens, T.OutA, T.OutB));
-
-  auto Deep = makeObjectPolicy(T.Prog, 2, 1);
-  ContextTable Table;
-  PointsToResult Precise = solvePointsTo(T.Prog, *Deep, Table);
-  EXPECT_FALSE(mayAlias(Precise, T.OutA, T.OutB))
-      << "2objH separates the two box payloads";
-
-  EXPECT_LT(countIntraMethodAliasPairs(T.Prog, Precise),
-            countIntraMethodAliasPairs(T.Prog, Insens));
-}
-
-TEST(Alias, EmptySetsNeverAlias) {
-  Mixed T = makeMixed();
-  PointsToResult R = solveInsens(T.Prog);
-  // orphan()'s local never gets a points-to set.
-  const MethodInfo &Orphan = T.Prog.method(T.Unreachable);
-  ASSERT_FALSE(Orphan.Locals.empty());
-  EXPECT_FALSE(mayAlias(R, Orphan.Locals[0], Orphan.Locals[0]));
 }

@@ -141,6 +141,33 @@ TEST(Validator, RejectsCrossMethodVariableUse) {
   EXPECT_NE(Errors[0].find("outside its owning method"), std::string::npos);
 }
 
+TEST(Validator, RejectsForeignThisFormalAndReturn) {
+  ProgramBuilder B;
+  TypeId Object = B.cls("Object");
+  MethodBuilder G = B.method(Object, "g", 1, /*IsStatic=*/false);
+  G.returnVar();
+  MethodBuilder Main = B.method(Object, "main", 0, true);
+  B.entry(Main.id());
+  VarId X = Main.local("x");
+  VarId Y = Main.local("y");
+  VarId Z = Main.local("z");
+  Program P = B.take();
+  ASSERT_TRUE(validateProgram(P).empty());
+  // Illegal: g's `this`, formal and return variable belong to main.
+  MethodInfo &Info = P.method(G.id());
+  Info.This = X;
+  Info.Formals[0] = Y;
+  Info.Return = Z;
+  auto Errors = validateProgram(P);
+  ASSERT_EQ(Errors.size(), 3u);
+  EXPECT_NE(Errors[0].find("'x' used as `this` outside its owning method"),
+            std::string::npos);
+  EXPECT_NE(Errors[1].find("'y' used as formal parameter outside"),
+            std::string::npos);
+  EXPECT_NE(Errors[2].find("'z' used as return variable outside"),
+            std::string::npos);
+}
+
 TEST(Interpreter, RecordsAllocationsAndDispatch) {
   Dispatch T = makeDispatch();
   DynamicFacts Facts = interpret(T.Prog);

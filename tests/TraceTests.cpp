@@ -18,6 +18,7 @@
 ///   - a no-allocation assertion for the disabled (no recorder) path,
 ///   - solver / resilient-driver integration (counters, rung spans, trip
 ///     instants, normalization notes, win/loss flags),
+///   - the solver's ApproxBytes estimate against the peak live heap,
 ///   - empty-program statistics, zero-knob options, and empty attempt
 ///     traces.
 ///
@@ -33,6 +34,7 @@
 #include "support/TableWriter.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
+#include "workload/DaCapo.h"
 
 #include "TestPrograms.h"
 
@@ -45,6 +47,7 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <malloc.h>
 #include <new>
 #include <sstream>
 
@@ -53,11 +56,16 @@ using intro::testing::makeTwoBoxes;
 using intro::testing::TwoBoxes;
 
 //===----------------------------------------------------------------------===//
-// Allocation counting (for the disabled-path no-allocation assertion).
+// Allocation counting (for the disabled-path no-allocation assertion) and
+// live-heap tracking (for the memory-estimate bounds).
 //===----------------------------------------------------------------------===//
 
 namespace {
 std::atomic<uint64_t> GlobalAllocCount{0};
+/// Bytes of operator-new blocks currently allocated, as malloc sized them.
+std::atomic<int64_t> LiveBytes{0};
+/// High-water mark of LiveBytes; tests reset it to LiveBytes to start.
+std::atomic<int64_t> PeakLiveBytes{0};
 } // namespace
 
 // GCC's allocator pairing analysis cannot see that these replacements form
@@ -66,13 +74,25 @@ std::atomic<uint64_t> GlobalAllocCount{0};
 
 void *operator new(std::size_t Size) {
   GlobalAllocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void *Ptr = std::malloc(Size ? Size : 1))
-    return Ptr;
-  throw std::bad_alloc();
+  void *Ptr = std::malloc(Size ? Size : 1);
+  if (!Ptr)
+    throw std::bad_alloc();
+  int64_t Bytes = static_cast<int64_t>(malloc_usable_size(Ptr));
+  int64_t Live = LiveBytes.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
+  int64_t Peak = PeakLiveBytes.load(std::memory_order_relaxed);
+  while (Live > Peak && !PeakLiveBytes.compare_exchange_weak(
+                            Peak, Live, std::memory_order_relaxed)) {
+  }
+  return Ptr;
 }
 
-void operator delete(void *Ptr) noexcept { std::free(Ptr); }
-void operator delete(void *Ptr, std::size_t) noexcept { std::free(Ptr); }
+void operator delete(void *Ptr) noexcept {
+  if (Ptr)
+    LiveBytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(Ptr)),
+                        std::memory_order_relaxed);
+  std::free(Ptr);
+}
+void operator delete(void *Ptr, std::size_t) noexcept { operator delete(Ptr); }
 
 namespace {
 
@@ -499,6 +519,26 @@ TEST(TraceSolverTest, SolverStatsJsonIsValid) {
   writeSolverStatsJson(J, Result.Stats);
   EXPECT_TRUE(isValidJson(Out.str())) << Out.str();
   EXPECT_NE(Out.str().find("\"worklist_pops\":"), std::string::npos);
+}
+
+// ApproxBytes is a deterministic estimate, not a measurement; this pins it
+// between a fifth of the solve's real peak live heap and that peak, so the
+// memory budget neither overshoots real allocation nor drifts far below it.
+TEST(TraceSolverTest, ApproxBytesBoundsThePeakLiveHeap) {
+  Program Prog = generateWorkload(dacapoProfile("chart"));
+  std::unique_ptr<ContextPolicy> Policies[] = {makeInsensitivePolicy(),
+                                               makeObjectPolicy(Prog, 2, 1)};
+  for (const auto &Policy : Policies) {
+    ContextTable Table;
+    int64_t Before = LiveBytes.load(std::memory_order_relaxed);
+    PeakLiveBytes.store(Before, std::memory_order_relaxed);
+    PointsToResult Result = solvePointsTo(Prog, *Policy, Table);
+    uint64_t Peak = static_cast<uint64_t>(
+        PeakLiveBytes.load(std::memory_order_relaxed) - Before);
+    ASSERT_TRUE(isCompleted(Result.Status)) << Policy->name();
+    EXPECT_LE(Result.Stats.ApproxBytes, Peak) << Policy->name();
+    EXPECT_GE(Result.Stats.ApproxBytes * 5, Peak) << Policy->name();
+  }
 }
 
 //===----------------------------------------------------------------------===//
