@@ -89,8 +89,6 @@ void intro::writePointsToReport(const Program &Prog,
 
 void intro::writeSolverStatsJson(JsonWriter &J, const SolverStats &Stats) {
   J.beginObject();
-  J.key("seconds");
-  J.value(Stats.Seconds);
   for (auto [Name, Counter] : SolverStatsFields) {
     J.key(Name);
     J.value(Stats.*Counter);
@@ -101,7 +99,6 @@ void intro::writeSolverStatsJson(JsonWriter &J, const SolverStats &Stats) {
 bool intro::parseSolverStatsJson(const JsonValue &Value, SolverStats &Stats) {
   if (!Value.isObject())
     return false;
-  Value.getDouble("seconds", Stats.Seconds);
   for (auto [Name, Counter] : SolverStatsFields)
     Value.getUint(Name, Stats.*Counter);
   return true;

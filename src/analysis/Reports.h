@@ -34,15 +34,17 @@ void writeCallGraphDot(const Program &Prog, const PointsToResult &Result,
 void writePointsToReport(const Program &Prog, const PointsToResult &Result,
                          std::ostream &Out);
 
-/// Writes \p Stats as one JSON object: `seconds`, then SolverStatsFields.
-/// `seconds` is wall-clock and therefore run-dependent; everything else is
-/// deterministic for a deterministic solve.  Used by the machine-readable
-/// run reports (`--trace=FILE`).
+/// Writes \p Stats as one JSON object holding the SolverStatsFields
+/// counters, which are deterministic for a deterministic solve.  The
+/// wall-clock Stats.Seconds is not written: the run reports keep wall clock
+/// in their `timing` section, outside the bytes that must not differ
+/// between runs.
 void writeSolverStatsJson(JsonWriter &J, const SolverStats &Stats);
 
 /// Inverse of writeSolverStatsJson: decodes a stats object parsed from a
 /// run report back into \p Stats.  Missing members keep their zero default
-/// (a report truncated by a dying child still yields its decodable prefix);
+/// (a report truncated by a dying child still yields its decodable prefix),
+/// and so does Stats.Seconds, which the report does not carry.
 /// \returns false only when \p Value is not an object.
 bool parseSolverStatsJson(const JsonValue &Value, SolverStats &Stats);
 

@@ -10,7 +10,6 @@
 #include "ir/Program.h"
 #include "support/Json.h"
 #include "support/Overflow.h"
-#include "support/TableWriter.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
@@ -18,7 +17,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <sstream>
 #include <utility>
 
 using namespace intro;
@@ -51,28 +49,6 @@ bool intro::degradationLevelFromName(std::string_view Name,
       return true;
     }
   return false;
-}
-
-std::string intro::formatAttemptTrace(const AttemptTrace &Trace) {
-  if (Trace.empty())
-    return "(no attempts)\n";
-  TableWriter Table(
-      {"#", "level", "analysis", "status", "seconds", "tuples", "pops"});
-  for (size_t Index = 0; Index < Trace.size(); ++Index) {
-    const Attempt &A = Trace[Index];
-    std::string Level = degradationLevelName(A.Level);
-    if (A.TightenedRound > 0)
-      Level += "#" + std::to_string(A.TightenedRound);
-    Table.addRow({TableWriter::num(static_cast<uint64_t>(Index + 1)), Level,
-                  A.AnalysisName, statusName(A.Status),
-                  TableWriter::num(A.Seconds, 3),
-                  TableWriter::num(A.Stats.VarPointsToTuples +
-                                   A.Stats.FieldPointsToTuples),
-                  TableWriter::num(A.Stats.WorklistPops)});
-  }
-  std::ostringstream Out;
-  Table.print(Out);
-  return Out.str();
 }
 
 namespace {
@@ -555,8 +531,6 @@ void writeAttemptJson(JsonWriter &J, const Attempt &A, size_t Index,
   J.value(statusName(A.Status));
   J.key("won");
   J.value(Won);
-  J.key("seconds");
-  J.value(A.Seconds);
   J.key("stats");
   writeSolverStatsJson(J, A.Stats);
   J.endObject();
@@ -598,16 +572,27 @@ void intro::writeResilientOutcomeJson(JsonWriter &J,
   J.value(Outcome.completed());
   J.key("cancelled");
   J.value(Outcome.Cancelled);
-  J.key("metric_seconds");
-  J.value(Outcome.MetricSeconds);
-  J.key("total_seconds");
-  J.value(Outcome.TotalSeconds);
   J.key("stats");
   writeSolverStatsJson(J, Outcome.Result.Stats);
   J.key("attempts");
   J.beginArray();
   for (size_t Index = 0; Index < Outcome.Trace.size(); ++Index)
     writeAttemptJson(J, Outcome.Trace[Index], Index, Index == WinnerIndex);
+  J.endArray();
+  J.endObject();
+}
+
+void intro::writeResilientTimingJson(JsonWriter &J,
+                                     const ResilientOutcome &Outcome) {
+  J.beginObject();
+  J.key("total_seconds");
+  J.value(Outcome.TotalSeconds);
+  J.key("metric_seconds");
+  J.value(Outcome.MetricSeconds);
+  J.key("attempt_seconds");
+  J.beginArray();
+  for (const Attempt &A : Outcome.Trace)
+    J.value(A.Seconds);
   J.endArray();
   J.endObject();
 }
@@ -714,7 +699,6 @@ bool intro::parseAttemptTraceJson(const JsonValue &Value, AttemptTrace &Trace,
       return false;
     }
     Entry.getString("analysis", A.AnalysisName);
-    Entry.getDouble("seconds", A.Seconds);
     uint64_t Round = 0;
     if (Entry.getUint("tightened_round", Round))
       A.TightenedRound = static_cast<uint32_t>(Round);

@@ -104,10 +104,6 @@ struct Attempt {
 /// it is recorded at that position with Level == Insensitive.
 using AttemptTrace = std::vector<Attempt>;
 
-/// Renders \p Trace as an aligned ASCII table (one row per attempt), or a
-/// stable "(no attempts)" placeholder when \p Trace is empty.
-std::string formatAttemptTrace(const AttemptTrace &Trace);
-
 /// Options of a resilient run.
 struct ResilientOptions {
   /// Absolute budget of the deep (rung 1) attempt.  When Pass A completes,
@@ -234,10 +230,19 @@ inline constexpr uint64_t DeepCapFloorTuples = 1'000'000;
 /// PassATuples)), the product saturating instead of wrapping.
 uint64_t deepTupleCap(const SolveBudget &Absolute, uint64_t PassATuples);
 
-/// Writes \p Outcome as one JSON object: winning level/status, cancellation
-/// flag, timing, and the attempt trace where each attempt carries a
-/// `"won"` flag (exactly one attempt wins unless nothing completed).
+/// Writes the deterministic part of \p Outcome as one JSON object: winning
+/// level/analysis/status, completion and cancellation flags, the winner's
+/// solver counters, and the attempt trace where each attempt carries a
+/// `"won"` flag (exactly one attempt wins unless nothing completed).  No
+/// wall-clock value is written, so two runs of the same job give the same
+/// bytes; writeResilientTimingJson writes the rest.
 void writeResilientOutcomeJson(JsonWriter &J, const ResilientOutcome &Outcome);
+
+/// Writes the wall-clock part of \p Outcome as one JSON object:
+/// `total_seconds`, `metric_seconds`, and `attempt_seconds` (one value per
+/// trace row, in trace order).  A run report places it in its `timing`
+/// section, next to the deterministic writeResilientOutcomeJson object.
+void writeResilientTimingJson(JsonWriter &J, const ResilientOutcome &Outcome);
 
 /// Writes the *configuration* part of \p Options as one JSON object —
 /// budgets, rung toggles, tightening rounds, heuristic parameters,
@@ -250,7 +255,8 @@ void writeResilientOptionsJson(JsonWriter &J, const ResilientOptions &Options);
 /// Decodes the `attempts` array of writeResilientOutcomeJson (as embedded
 /// in `intro-run-report-v1` reports) back into an AttemptTrace, so the
 /// supervisor can splice a child's partial ladder history into the batch
-/// report.  The `"won"` member is accepted and ignored.  \returns false
+/// report.  The `"won"` member is accepted and ignored; the report carries
+/// no wall clock, so every Seconds stays 0.  \returns false
 /// and sets \p Error on malformed input; \p Trace then holds the attempts
 /// decoded before the error.
 bool parseAttemptTraceJson(const JsonValue &Value, AttemptTrace &Trace,

@@ -297,7 +297,10 @@ void maybeFireChaos(const ChaosPlan &Chaos, DegradationLevel Level,
 }
 
 /// Writes the child's final `intro-run-report-v1` line.  \p Outcome may be
-/// null (bad-input reports carry diagnostics instead).  \p Cache (when the
+/// null (bad-input reports carry diagnostics instead).  Every wall-clock
+/// value goes to the "timing" section (writeResilientTimingJson), so the
+/// "deterministic" section is byte-identical across runs of the same job,
+/// served or local, cold or warm.  \p Cache (when the
 /// child ran with a Pass-A cache) contributes a top-level "cache" object —
 /// a sibling of "deterministic", not part of it: the counters are
 /// deterministic for a given starting cache state but necessarily differ
@@ -337,10 +340,14 @@ void writeChildReport(std::ostream &Report, const JobSpec &Job,
     cache::writeCacheStatsJson(J, Cache->stats());
   }
   J.key("timing");
-  J.beginObject();
-  J.key("total_seconds");
-  J.value(Outcome ? Outcome->TotalSeconds : 0.0);
-  J.endObject();
+  if (Outcome) {
+    writeResilientTimingJson(J, *Outcome);
+  } else {
+    J.beginObject();
+    J.key("total_seconds");
+    J.value(0.0);
+    J.endObject();
+  }
   J.endObject();
   Report << '\n';
   Report.flush();

@@ -40,7 +40,8 @@
 /// counters — from a "timing" section holding every wall-clock value, so
 /// the deterministic bytes are identical across retry timing and worker
 /// counts for deterministic child behavior (the same contract the fig
-/// harness reports follow).
+/// harness reports follow).  The child's `intro-run-report-v1` line keeps
+/// the same split: its ladder wall clock sits in its own "timing" object.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -266,26 +266,6 @@ std::string deterministicSlice(const std::string &ReportLine) {
   return ReportLine.substr(Begin, End - Begin);
 }
 
-/// The child report embeds per-attempt wall clock inside its outcome (the
-/// batch parent folds it into the timing section).  Those values are the
-/// only legitimately nondeterministic bytes in the deterministic slice, so
-/// the identity contract is byte equality *after* pinning each one.
-std::string scrubWallClock(std::string Slice) {
-  for (const char *Key : {"\"seconds\":", "\"total_seconds\":",
-                          "\"metric_seconds\":"}) {
-    size_t KeyLen = std::strlen(Key);
-    for (size_t At = Slice.find(Key); At != std::string::npos;
-         At = Slice.find(Key, At + KeyLen)) {
-      size_t ValueBegin = At + KeyLen;
-      size_t ValueEnd = Slice.find_first_of(",}]", ValueBegin);
-      if (ValueEnd == std::string::npos)
-        break;
-      Slice.replace(ValueBegin, ValueEnd - ValueBegin, "#");
-    }
-  }
-  return Slice;
-}
-
 } // namespace
 
 // --- Frame codec -------------------------------------------------------------
@@ -442,10 +422,10 @@ TEST(Serve, ServedReportIsByteIdenticalToALocalRun) {
   ASSERT_EQ(Local.FinalClass, supervise::JobOutcomeClass::Clean);
   ASSERT_FALSE(Local.ReportLine.empty());
 
-  // The determinism contract: byte equality of the deterministic section
-  // modulo wall-clock fields, not structural equivalence.
-  EXPECT_EQ(scrubWallClock(deterministicSlice(Served.FinalReportLine)),
-            scrubWallClock(deterministicSlice(Local.ReportLine)));
+  // The determinism contract: byte equality of the deterministic section,
+  // not structural equivalence.
+  EXPECT_EQ(deterministicSlice(Served.FinalReportLine),
+            deterministicSlice(Local.ReportLine));
   expectNoLeakedChildren();
 }
 

@@ -595,10 +595,6 @@ TEST(TraceResilientTest, PortfolioRecordsDeterministicRungSet) {
 // Empty-input robustness (the bugfix sweep)
 //===----------------------------------------------------------------------===//
 
-TEST(EmptyInputTest, FormatAttemptTraceEmpty) {
-  EXPECT_EQ(formatAttemptTrace(AttemptTrace()), "(no attempts)\n");
-}
-
 TEST(EmptyInputTest, AttemptTraceJsonEmpty) {
   std::ostringstream Out;
   JsonWriter J(Out);

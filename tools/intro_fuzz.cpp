@@ -405,7 +405,6 @@ int main(int argc, char **argv) try {
   CampaignOutcome Outcome;
   std::vector<std::string> Labels;
   if (!Cli.Inputs.empty()) {
-    std::vector<fs::path> Files;
     if (int Code = runReplayMode(Cli, Outcome); Code >= 0)
       return Code;
     for (size_t Index = 0; Index < Outcome.Seeds.size(); ++Index)
