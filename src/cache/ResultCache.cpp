@@ -214,7 +214,7 @@ struct ByteReader {
 // Section payloads.
 //===----------------------------------------------------------------------===//
 
-/// The metric vectors in entry order.
+/// The metric vectors in entry order; DeepTuplesEstimate follows them.
 constexpr std::vector<uint64_t> IntrospectionMetrics::*StoredMetrics[] = {
     &IntrospectionMetrics::InFlow,
     &IntrospectionMetrics::MethodTotalVolume,
@@ -268,6 +268,7 @@ std::vector<uint8_t> encodeMetricsSection(const IntrospectionMetrics &M) {
   ByteWriter W;
   for (std::vector<uint64_t> IntrospectionMetrics::*Metric : StoredMetrics)
     W.u64Vector(M.*Metric);
+  W.u64(M.DeepTuplesEstimate);
   return std::move(W.Bytes);
 }
 
@@ -276,6 +277,7 @@ bool decodeMetricsSection(const uint8_t *Data, size_t Size,
   ByteReader R(Data, Size);
   for (std::vector<uint64_t> IntrospectionMetrics::*Metric : StoredMetrics)
     M.*Metric = R.u64Vector();
+  M.DeepTuplesEstimate = R.u64();
   return R.Ok && R.Pos == R.Size;
 }
 

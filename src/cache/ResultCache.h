@@ -25,9 +25,10 @@
 ///     checksum   u64       FNV-1a over the payload
 ///     payload    length bytes
 ///
-/// Version 3's result section holds what passASummary keeps.  Version-1
-/// and version-2 entries, which held the whole PointsToResult, are corrupt
-/// misses and are re-stored.
+/// The result section holds what passASummary keeps.  The metrics section
+/// holds the metric vectors, then DeepTuplesEstimate (new in version 4: a
+/// hit has no points-to sets to recompute it from).  Entries of any older
+/// version are misses and are re-stored.
 ///
 /// **Corruption is a miss, never a crash.**  Every decode failure — short
 /// file, bad magic, version skew, fingerprint mismatch, checksum mismatch,
@@ -64,7 +65,7 @@ namespace cache {
 
 /// On-disk format version; bumped whenever the entry encoding changes.
 /// Entries with any other version are misses.
-constexpr uint32_t FormatVersion = 3;
+constexpr uint32_t FormatVersion = 4;
 
 /// Entry magic: identifies the file type and, informally, the format era.
 constexpr char EntryMagic[8] = {'I', 'P', 'A', 'C', 'H', 'E', '0', '1'};

@@ -691,9 +691,16 @@ void Harness::checkDeepCap() {
   ResilientOutcome Ladder = runResilient(Prog, *Refined, Options);
   ++Out.ChecksRun;
   if (Ladder.Level != DegradationLevel::Deep) {
-    const SolverStats &PassA = Ladder.Trace.front().Stats;
+    const Attempt &PassA = Ladder.Trace.front();
     uint64_t PassATuples =
-        PassA.VarPointsToTuples + PassA.FieldPointsToTuples;
+        PassA.Stats.VarPointsToTuples + PassA.Stats.FieldPointsToTuples;
+    uint64_t Cap = deepTupleCap(Options.DeepBudget, PassATuples);
+    uint64_t Estimate = Ladder.Metrics.DeepTuplesEstimate;
+    std::string Cause =
+        skipDeepRung(PassA.Status, Estimate, Cap)
+            ? "skipped: estimate " + std::to_string(Estimate) + " > " +
+                  std::to_string(DeepSkipFactor) + " x cap"
+            : "cut at the cap";
     finding(OracleKind::DeepCap, Absolute.AnalysisName,
             "completes with " +
                 std::to_string(Absolute.Stats.VarPointsToTuples +
@@ -701,8 +708,7 @@ void Harness::checkDeepCap() {
                 " tuples under the absolute budget, but the ladder won at " +
                 degradationLevelName(Ladder.Level) + " (Pass A " +
                 std::to_string(PassATuples) + " tuples, deep cap " +
-                std::to_string(deepTupleCap(Options.DeepBudget, PassATuples)) +
-                ")");
+                std::to_string(Cap) + ", deep rung " + Cause + ")");
     return;
   }
   if (std::string Diff = describeResultDiff(Absolute, Ladder.Result);

@@ -28,8 +28,9 @@
 ///    metrics and exceptions as the sequential walk (metamorphic).
 ///  - **DeepCap**: when 2objH completes under the harness's absolute
 ///    budget, the ladder — whose deep rung runs under the Pass-A-derived
-///    deepTupleCap — wins at the deep rung with the same result.  A cut
-///    would be a silent loss of precision.
+///    deepTupleCap, or is skipped when skipDeepRung predicts it passes
+///    twice that — wins at the deep rung with the same result.  A cut or a
+///    skip would be a silent loss of precision; the finding says which.
 ///  - **ServedLocalParity**: a job submitted through the serve daemon
 ///    reports the same deterministic bytes as the same job run locally
 ///    (metamorphic; forks children, so opt-in).

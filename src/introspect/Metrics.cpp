@@ -8,9 +8,11 @@
 
 #include "analysis/Result.h"
 #include "ir/Program.h"
+#include "support/Overflow.h"
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <utility>
 
 using namespace intro;
 
@@ -84,6 +86,78 @@ void computeMethods(const Program &Prog, const PointsToResult &Insens,
   }
 }
 
+/// The static step of the estimate: each non-entry callee in \p Callers
+/// (distinct (callee, caller) pairs sorted by callee) takes max(1, the sum
+/// of its callers' \p Values as they were before this step).  One level
+/// only: a recursive static chain does not feed itself.
+void sumOverStaticCallers(
+    const std::vector<std::pair<uint32_t, uint32_t>> &Callers,
+    const std::vector<bool> &IsEntry, std::vector<uint64_t> &Values) {
+  std::vector<uint64_t> Before = Values;
+  for (size_t Begin = 0, End; Begin < Callers.size(); Begin = End) {
+    uint32_t Callee = Callers[Begin].first;
+    uint64_t Sum = 0;
+    for (End = Begin; End < Callers.size() && Callers[End].first == Callee;
+         ++End)
+      Sum = saturatingAdd(Sum, Before[Callers[End].second]);
+    if (!IsEntry[Callee])
+      Values[Callee] = std::max<uint64_t>(1, Sum);
+  }
+}
+
+/// The deep-analysis size estimate (IntrospectionMetrics::
+/// DeepTuplesEstimate).  Reads MethodTotalVolume, so it runs after the
+/// method sweep.
+uint64_t estimateDeepTuples(const Program &Prog, const PointsToResult &Insens,
+                            const IntrospectionMetrics &M) {
+  size_t NumMethods = Prog.numMethods();
+  std::vector<bool> IsEntry(NumMethods, false);
+  for (MethodId Entry : Prog.entries())
+    IsEntry[Entry.raw()] = true;
+  // Distinct (callee, caller) pairs of static calls in reachable callers.
+  std::vector<std::pair<uint32_t, uint32_t>> StaticCallers;
+  for (uint32_t SiteIndex = 0; SiteIndex < Prog.numSites(); ++SiteIndex) {
+    const SiteInfo &Site = Prog.site(SiteId(SiteIndex));
+    if (Site.IsStatic && !Insens.callTargets(SiteId(SiteIndex)).empty())
+      StaticCallers.emplace_back(Site.StaticTarget.raw(),
+                                 Site.InMethod.raw());
+  }
+  std::sort(StaticCallers.begin(), StaticCallers.end());
+  StaticCallers.erase(std::unique(StaticCallers.begin(), StaticCallers.end()),
+                      StaticCallers.end());
+
+  auto thisHeaps = [&](uint32_t MethodIndex) -> const SortedIdSet * {
+    const MethodInfo &Info = Prog.method(MethodId(MethodIndex));
+    if (Info.IsStatic || !Insens.isReachable(MethodId(MethodIndex)))
+      return nullptr;
+    return &Insens.pointsTo(Info.This);
+  };
+  std::vector<uint64_t> Recv(NumMethods, 1);
+  for (uint32_t MethodIndex = 0; MethodIndex < NumMethods; ++MethodIndex)
+    if (const SortedIdSet *This = thisHeaps(MethodIndex))
+      Recv[MethodIndex] = std::max<uint64_t>(1, This->size());
+  sumOverStaticCallers(StaticCallers, IsEntry, Recv);
+
+  std::vector<uint64_t> Ctx(NumMethods, 1);
+  for (uint32_t MethodIndex = 0; MethodIndex < NumMethods; ++MethodIndex)
+    if (const SortedIdSet *This = thisHeaps(MethodIndex)) {
+      uint64_t Sum = 0;
+      for (uint32_t HeapRaw : *This)
+        Sum = saturatingAdd(
+            Sum, Recv[Prog.heap(HeapId(HeapRaw)).InMethod.raw()]);
+      Ctx[MethodIndex] = std::max<uint64_t>(1, Sum);
+    }
+  sumOverStaticCallers(StaticCallers, IsEntry, Ctx);
+
+  uint64_t Estimate = 0;
+  for (uint32_t MethodIndex = 0; MethodIndex < NumMethods; ++MethodIndex)
+    if (Insens.isReachable(MethodId(MethodIndex)))
+      Estimate = saturatingAdd(
+          Estimate,
+          saturatingMul(M.MethodTotalVolume[MethodIndex], Ctx[MethodIndex]));
+  return Estimate;
+}
+
 } // namespace
 
 IntrospectionMetrics
@@ -102,6 +176,7 @@ intro::computeIntrospectionMetrics(const Program &Prog,
   {
     TRACE_SPAN("metrics.methods");
     computeMethods(Prog, Insens, M);
+    M.DeepTuplesEstimate = estimateDeepTuples(Prog, Insens, M);
   }
   return M;
 }

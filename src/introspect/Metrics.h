@@ -16,6 +16,11 @@
 ///   5. pointed-by-vars of an object,
 ///   6. pointed-by-objects of an object.
 ///
+/// Beside them sits one whole-program scalar, DeepTuplesEstimate: a
+/// prediction of the deep (2objH) analysis's tuple count, which the
+/// degradation ladder (introspect/Resilient.h) checks before it runs the
+/// deep rung.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef INTROSPECT_METRICS_H
@@ -57,12 +62,22 @@ struct IntrospectionMetrics {
   /// #6: per object, the number of (object, field) pairs pointing to it.
   std::vector<uint64_t> PointedByObjs;
 
+  /// Predicted 2objH tuple count (DESIGN.md §6; the size estimate of
+  /// Scaler, Li et al., FSE 2018): the sum over reachable methods m of
+  /// MethodTotalVolume[m] × ctx(m), saturating.  With recv(m) =
+  /// max(1, |pts(this_m)|) for an instance method, ctx(m) =
+  /// max(1, Σ_{h ∈ pts(this_m)} recv(InMethod(h))).  A static method takes
+  /// the sum of its reachable static callers' recv and ctx, read before
+  /// this static step (one level, no fixpoint); an entry method takes 1.
+  uint64_t DeepTuplesEstimate = 0;
+
   bool operator==(const IntrospectionMetrics &) const = default;
 };
 
 /// Computes all metrics from \p Insens, the result of a (context-
 /// insensitive) first analysis pass over \p Prog.  Three sequential
-/// sweeps (sites, field cells, methods), each one trace span.  Pipelines
+/// sweeps (sites, field cells, methods), each one trace span; the methods
+/// span also derives DeepTuplesEstimate.  Pipelines
 /// reach this through runPassA (introspect/Driver.h), which also caches
 /// the result.
 IntrospectionMetrics computeIntrospectionMetrics(const Program &Prog,

@@ -134,6 +134,15 @@ SolveBudget deepBudget(const SolveBudget &Absolute,
   return Budget;
 }
 
+/// The trace result of a deep rung that skipDeepRung skipped: the cap it
+/// was predicted to pass, no solver work.
+PointsToResult skippedDeepResult(const ContextPolicy &Refined) {
+  PointsToResult R;
+  R.AnalysisName = Refined.name();
+  R.Status = SolveStatus::TupleBudgetExceeded;
+  return R;
+}
+
 /// Shared per-run state of the ladder walk.
 class Ladder {
 public:
@@ -169,12 +178,20 @@ public:
       Stopped = true;
     }
 
-    // Rung 1: the refined deep analysis as given, capped by Pass A's size.
-    if (Options.AttemptDeep && !ladderCancelled() &&
-        finished(DegradationLevel::Deep,
-                 attempt(DegradationLevel::Deep, Refined,
-                         deepBudget(Options.DeepBudget, FirstPass))))
-      return seal(Total);
+    // Rung 1: the refined deep analysis as given, capped by Pass A's size,
+    // or recorded as over that cap when Pass A predicts it explodes.
+    if (Options.AttemptDeep && !ladderCancelled()) {
+      SolveBudget Budget = deepBudget(Options.DeepBudget, FirstPass);
+      if (skipDeepRung(FirstPass.Status, Out.Metrics.DeepTuplesEstimate,
+                       Budget.MaxTuples)) {
+        PointsToResult R = skippedDeepResult(Refined);
+        Out.Trace.push_back({DegradationLevel::Deep, R.AnalysisName, R.Status,
+                             R.Stats, 0, 0});
+      } else if (finished(DegradationLevel::Deep,
+                          attempt(DegradationLevel::Deep, Refined, Budget))) {
+        return seal(Total);
+      }
+    }
 
     // The introspective rungs need the metrics of a completed Pass A.
     if (PassAOk && !Stopped && introRungsWin(FirstPass, *Insensitive))
@@ -376,10 +393,19 @@ private:
     std::vector<PortfolioRung *> LadderOrder;
     bool Cancelled = First.Result.Status == SolveStatus::Cancelled ||
                      (Options.Cancel && Options.Cancel->isCancelled());
-    if (!Cancelled && Options.AttemptDeep)
-      LadderOrder.push_back(
-          &launch(Pool, DegradationLevel::Deep, Refined,
-                  deepBudget(Options.DeepBudget, First.Result)));
+    if (!Cancelled && Options.AttemptDeep) {
+      SolveBudget Budget = deepBudget(Options.DeepBudget, First.Result);
+      if (skipDeepRung(First.Result.Status, Out.Metrics.DeepTuplesEstimate,
+                       Budget.MaxTuples)) {
+        PortfolioRung &Skipped = Rungs.emplace_back();
+        Skipped.Level = DegradationLevel::Deep;
+        Skipped.Result = skippedDeepResult(Refined);
+        Skipped.Harvested = true;
+      } else {
+        LadderOrder.push_back(
+            &launch(Pool, DegradationLevel::Deep, Refined, Budget));
+      }
+    }
     if (!Cancelled && FirstOk) {
       if (Options.AttemptIntroB)
         LadderOrder.push_back(&launchIntro(
@@ -545,6 +571,12 @@ uint64_t intro::deepTupleCap(const SolveBudget &Absolute,
                            saturatingMul(DeepCapRatio, PassATuples)));
 }
 
+bool intro::skipDeepRung(SolveStatus PassAStatus, uint64_t Estimate,
+                         uint64_t DeepCap) {
+  return isCompleted(PassAStatus) &&
+         Estimate > saturatingMul(DeepSkipFactor, DeepCap);
+}
+
 void intro::writeResilientOutcomeJson(JsonWriter &J,
                                       const ResilientOutcome &Outcome) {
   // The winning attempt: the first trace row that completed on the winning
@@ -574,6 +606,8 @@ void intro::writeResilientOutcomeJson(JsonWriter &J,
   J.value(Outcome.Cancelled);
   J.key("stats");
   writeSolverStatsJson(J, Outcome.Result.Stats);
+  J.key("deep_estimate");
+  J.value(Outcome.Metrics.DeepTuplesEstimate);
   J.key("attempts");
   J.beginArray();
   for (size_t Index = 0; Index < Outcome.Trace.size(); ++Index)

@@ -16,7 +16,10 @@
 ///
 ///   1. the refined deep analysis as given (e.g. plain 2objH), under a
 ///      tuple cap derived from Pass A's size (deepTupleCap) — the paper's
-///      §3 point that the cheap pass tells scaling runs from exploding ones,
+///      §3 point that the cheap pass tells scaling runs from exploding ones.
+///      When Pass A's DeepTuplesEstimate predicts more than DeepSkipFactor
+///      times that cap (skipDeepRung), the rung is not run at all: the trace
+///      records it as TupleBudgetExceeded with zero stats,
 ///   2. introspective Heuristic B (sacrifices the least precision),
 ///   3. introspective Heuristic A (more aggressive),
 ///   4. Heuristic A with exponentially tightened thresholds (round r
@@ -107,7 +110,8 @@ using AttemptTrace = std::vector<Attempt>;
 /// Options of a resilient run.
 struct ResilientOptions {
   /// Absolute budget of the deep (rung 1) attempt.  When Pass A completes,
-  /// the attempt's tuple limit is further capped by deepTupleCap.
+  /// the attempt's tuple limit is further capped by deepTupleCap, and the
+  /// attempt is skipped when skipDeepRung predicts it passes that cap.
   SolveBudget DeepBudget;
   /// Budget of each introspective second pass (rungs 2-4).
   SolveBudget RefinedBudget;
@@ -230,12 +234,26 @@ inline constexpr uint64_t DeepCapFloorTuples = 1'000'000;
 /// PassATuples)), the product saturating instead of wrapping.
 uint64_t deepTupleCap(const SolveBudget &Absolute, uint64_t PassATuples);
 
+/// The deep rung is skipped when Pass A predicts more than this many times
+/// the tuples of its cap (DESIGN.md §6).  Completed 2objH runs predict at
+/// most about 1× their cap; exploding ones 3× and more.
+inline constexpr uint64_t DeepSkipFactor = 2;
+
+/// \returns true if the ladder skips a deep rung capped at \p DeepCap
+/// tuples: Pass A ended with \p PassAStatus completed and its
+/// DeepTuplesEstimate \p Estimate exceeds DeepSkipFactor × DeepCap (the
+/// product saturating).  Sequential and portfolio ladders both decide
+/// through this.
+bool skipDeepRung(SolveStatus PassAStatus, uint64_t Estimate,
+                  uint64_t DeepCap);
+
 /// Writes the deterministic part of \p Outcome as one JSON object: winning
 /// level/analysis/status, completion and cancellation flags, the winner's
-/// solver counters, and the attempt trace where each attempt carries a
-/// `"won"` flag (exactly one attempt wins unless nothing completed).  No
-/// wall-clock value is written, so two runs of the same job give the same
-/// bytes; writeResilientTimingJson writes the rest.
+/// solver counters, Pass A's `deep_estimate` (0 when it did not complete),
+/// and the attempt trace where each attempt carries a `"won"` flag
+/// (exactly one attempt wins unless nothing completed).  No wall-clock
+/// value is written, so two runs of the same job give the same bytes;
+/// writeResilientTimingJson writes the rest.
 void writeResilientOutcomeJson(JsonWriter &J, const ResilientOutcome &Outcome);
 
 /// Writes the wall-clock part of \p Outcome as one JSON object:

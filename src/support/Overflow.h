@@ -36,6 +36,12 @@ inline uint64_t saturatingMul(uint64_t A, uint64_t B) {
 #endif
 }
 
+/// \returns A + B, or UINT64_MAX if the sum does not fit in 64 bits.
+inline uint64_t saturatingAdd(uint64_t A, uint64_t B) {
+  uint64_t Sum = A + B;
+  return Sum < A ? std::numeric_limits<uint64_t>::max() : Sum;
+}
+
 } // namespace intro
 
 #endif // SUPPORT_OVERFLOW_H

@@ -36,6 +36,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -91,6 +92,7 @@ cache::CachedPassA samplePassA() {
   Entry.Metrics.MethodMaxVarFieldPointsTo = {10, 11, 12};
   Entry.Metrics.PointedByVars = {12, 13, 14};
   Entry.Metrics.PointedByObjs = {13, 14, 15};
+  Entry.Metrics.DeepTuplesEstimate = 0x0123'4567'89ab'cdefull;
   return Entry;
 }
 
@@ -133,6 +135,7 @@ void expectMetricsEqual(const IntrospectionMetrics &A,
   EXPECT_EQ(A.MethodMaxVarFieldPointsTo, B.MethodMaxVarFieldPointsTo);
   EXPECT_EQ(A.PointedByVars, B.PointedByVars);
   EXPECT_EQ(A.PointedByObjs, B.PointedByObjs);
+  EXPECT_EQ(A.DeepTuplesEstimate, B.DeepTuplesEstimate);
 }
 
 /// Builds a minimal finalized Program by hand.  \p InternerNoise interns
@@ -261,6 +264,21 @@ TEST(EntryFormat, RoundTripsEveryField) {
   expectMetricsEqual(Entry.Metrics, Decoded.Metrics);
   EXPECT_EQ(Decoded.Insens.Stats.Seconds, 1.25)
       << "stored wall-clock restores bit-exactly";
+}
+
+TEST(EntryFormat, DeepEstimateSurvivesTheRoundTrip) {
+  // A hit has no points-to sets to recompute the estimate from, so the
+  // entry must carry it, saturated values included.
+  cache::Fingerprint Fp = sampleKey(3, 4);
+  for (uint64_t Estimate :
+       {uint64_t{0}, uint64_t{74}, std::numeric_limits<uint64_t>::max()}) {
+    cache::CachedPassA Entry = samplePassA();
+    Entry.Metrics.DeepTuplesEstimate = Estimate;
+    cache::CachedPassA Decoded;
+    ASSERT_TRUE(
+        cache::decodeEntry(cache::encodeEntry(Fp, Entry), Fp, Decoded));
+    EXPECT_EQ(Decoded.Metrics.DeepTuplesEstimate, Estimate);
+  }
 }
 
 TEST(EntryFormat, EncodingIsDeterministic) {

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 using namespace intro;
 using namespace intro::testing;
@@ -75,6 +76,74 @@ TEST(Metrics, UnreachableCodeHasZeroMetrics) {
   PointsToResult Insens = firstPass(T.Prog);
   IntrospectionMetrics M = computeIntrospectionMetrics(T.Prog, Insens);
   EXPECT_EQ(M.MethodTotalVolume[T.Unreachable.index()], 0u);
+}
+
+TEST(Metrics, DeepTuplesEstimateHandComputed) {
+  // main: a1 = new A; a2 = new A; b = a1.make(); b2 = a2.make();
+  //       y = b.id(a1); h = help(a1); h2 = help(a2); ping(a1)
+  // A.make(): r = new B; t = help(this)        (an instance allocator)
+  // B.id(p): r = p
+  // help(p): q = new B; s = q.id(p); r = p     (a static helper)
+  // ping(p): pong(p)    pong(p): ping(p)       (a recursive static pair)
+  // dead(): d = new A; help(d)                 (unreachable)
+  ProgramBuilder B;
+  TypeId Object = B.cls("Object");
+  TypeId A = B.cls("A", Object);
+  TypeId BT = B.cls("B", Object);
+  TypeId S = B.cls("S", Object);
+
+  MethodBuilder Id = B.method(BT, "id", 1);
+  Id.move(Id.returnVar(), Id.formal(0));
+  MethodBuilder Help = B.method(S, "help", 1, /*IsStatic=*/true);
+  VarId Q = Help.local("q");
+  Help.alloc(Q, BT);
+  Help.vcall(Help.local("s"), Q, "id", {Help.formal(0)});
+  Help.move(Help.returnVar(), Help.formal(0));
+  MethodBuilder Make = B.method(A, "make", 0);
+  Make.alloc(Make.returnVar(), BT);
+  Make.scall(Make.local("t"), Help.id(), {Make.thisVar()});
+  MethodBuilder Ping = B.method(S, "ping", 1, /*IsStatic=*/true);
+  MethodBuilder Pong = B.method(S, "pong", 1, /*IsStatic=*/true);
+  Ping.scall(VarId::invalid(), Pong.id(), {Ping.formal(0)});
+  Pong.scall(VarId::invalid(), Ping.id(), {Pong.formal(0)});
+  MethodBuilder Dead = B.method(S, "dead", 0, /*IsStatic=*/true);
+  VarId D = Dead.local("d");
+  Dead.alloc(D, A);
+  Dead.scall(VarId::invalid(), Help.id(), {D});
+
+  MethodBuilder Main = B.method(Object, "main", 0, /*IsStatic=*/true);
+  B.entry(Main.id());
+  VarId A1 = Main.local("a1"), A2 = Main.local("a2");
+  VarId B1 = Main.local("b"), B2 = Main.local("b2");
+  Main.alloc(A1, A);
+  Main.alloc(A2, A);
+  Main.vcall(B1, A1, "make", {});
+  Main.vcall(B2, A2, "make", {});
+  Main.vcall(Main.local("y"), B1, "id", {A1});
+  Main.scall(Main.local("h"), Help.id(), {A1});
+  Main.scall(Main.local("h2"), Help.id(), {A2});
+  Main.scall(VarId::invalid(), Ping.id(), {A1});
+  Program Prog = B.take();
+
+  PointsToResult Insens = firstPass(Prog);
+  IntrospectionMetrics M = computeIntrospectionMetrics(Prog, Insens);
+  // Volumes: main 1+1+1+1 (a1 a2 b b2) + 2+2+2 (y h h2) = 10; make 2+1+2
+  // (this r t) = 5; id 2+2+2 (this p r) = 6; help 2+2+1+2 (p r q s) = 7;
+  // ping 1; pong 1.
+  const std::pair<MethodId, uint64_t> Volumes[] = {
+      {Main.id(), 10}, {Make.id(), 5}, {Id.id(), 6},
+      {Help.id(), 7},  {Ping.id(), 1}, {Pong.id(), 1}};
+  for (auto [Method, Volume] : Volumes)
+    EXPECT_EQ(M.MethodTotalVolume[Method.index()], Volume);
+  // recv: make 2 and id 2 (|pts(this)|); help = recv(main) + recv(make)
+  // = 3, main's two sites counting once and dead's not at all; ping =
+  // recv(main) + recv(pong) = 2; pong = recv(ping) read before the static
+  // step = 1.
+  // ctx: make = recv(main) per A object = 2; id = recv(make) for make's B +
+  // recv(help) for help's B = 5; help = 1 + ctx(make) = 3; ping = 2;
+  // pong = 1; main (entry) = 1.
+  // Estimate: 10*1 + 5*2 + 6*5 + 7*3 + 1*2 + 1*1 = 74.
+  EXPECT_EQ(M.DeepTuplesEstimate, 74u);
 }
 
 TEST(HeuristicA, ThresholdsAreStrict) {

@@ -662,18 +662,7 @@ void expectSameOutcome(const ResilientOutcome &Seq,
   EXPECT_EQ(Seq.Level, Par.Level);
   EXPECT_EQ(Seq.Cancelled, Par.Cancelled);
   expectSamePayload(Seq.Result, Par.Result);
-  EXPECT_EQ(Seq.Metrics.InFlow, Par.Metrics.InFlow);
-  EXPECT_EQ(Seq.Metrics.MethodTotalVolume, Par.Metrics.MethodTotalVolume);
-  EXPECT_EQ(Seq.Metrics.MethodMaxVarPointsTo,
-            Par.Metrics.MethodMaxVarPointsTo);
-  EXPECT_EQ(Seq.Metrics.ObjectMaxFieldPointsTo,
-            Par.Metrics.ObjectMaxFieldPointsTo);
-  EXPECT_EQ(Seq.Metrics.ObjectTotalFieldPointsTo,
-            Par.Metrics.ObjectTotalFieldPointsTo);
-  EXPECT_EQ(Seq.Metrics.MethodMaxVarFieldPointsTo,
-            Par.Metrics.MethodMaxVarFieldPointsTo);
-  EXPECT_EQ(Seq.Metrics.PointedByVars, Par.Metrics.PointedByVars);
-  EXPECT_EQ(Seq.Metrics.PointedByObjs, Par.Metrics.PointedByObjs);
+  EXPECT_TRUE(Seq.Metrics == Par.Metrics);
   EXPECT_TRUE(Seq.Exceptions == Par.Exceptions);
 }
 
@@ -1101,4 +1090,132 @@ TEST(PortfolioFaults, TupleInflationTripsBudgetsIdenticallyInTheRace) {
   for (const Attempt &A : Par.Trace)
     if (A.Level == DegradationLevel::IntroB)
       EXPECT_EQ(A.Status, SolveStatus::TupleBudgetExceeded);
+}
+
+// --- Skipping the deep rung Pass A predicts to explode ----------------------
+
+namespace {
+
+/// chart under a 100k-tuple deep budget: its DeepTuplesEstimate (about
+/// 1.3M) is more than DeepSkipFactor times that cap, so the deep rung is
+/// skipped; the refined rungs keep their default budget.
+ResilientOptions skippingDeepOptions() {
+  ResilientOptions Options;
+  Options.DeepBudget.MaxTuples = 100'000;
+  return Options;
+}
+
+/// The rungs whose OnRungStart fired, in order.
+std::vector<DegradationLevel> startedRungs(const Program &Prog,
+                                           const ContextPolicy &Refined,
+                                           ResilientOptions Options,
+                                           ResilientOutcome &Out) {
+  std::vector<DegradationLevel> Started;
+  Options.OnRungStart = [&Started](DegradationLevel Level, uint32_t) {
+    Started.push_back(Level);
+  };
+  Out = runResilient(Prog, Refined, Options);
+  return Started;
+}
+
+/// The `deep_estimate` member of \p Out's outcome JSON.
+uint64_t outcomeDeepEstimate(const ResilientOutcome &Out) {
+  std::ostringstream Text;
+  JsonWriter J(Text);
+  writeResilientOutcomeJson(J, Out);
+  JsonParseResult Parsed = parseJson(Text.str());
+  EXPECT_TRUE(Parsed.ok()) << Parsed.Error;
+  uint64_t Estimate = std::numeric_limits<uint64_t>::max();
+  EXPECT_TRUE(Parsed.Value.getUint("deep_estimate", Estimate));
+  return Estimate;
+}
+
+} // namespace
+
+TEST(DeepSkip, ThresholdIsTwiceTheCapExclusiveAndSaturates) {
+  const uint64_t Cap = 1'000'000;
+  EXPECT_FALSE(skipDeepRung(SolveStatus::Completed, 2 * Cap, Cap));
+  EXPECT_TRUE(skipDeepRung(SolveStatus::Completed, 2 * Cap + 1, Cap));
+  EXPECT_FALSE(skipDeepRung(SolveStatus::Completed, 0, 0));
+  EXPECT_TRUE(skipDeepRung(SolveStatus::Completed, 1, 0));
+  // Only a completed Pass A predicts anything.
+  const uint64_t Max = std::numeric_limits<uint64_t>::max();
+  for (SolveStatus Partial :
+       {SolveStatus::TupleBudgetExceeded, SolveStatus::TimeBudgetExceeded,
+        SolveStatus::MemoryBudgetExceeded, SolveStatus::Cancelled})
+    EXPECT_FALSE(skipDeepRung(Partial, Max, Cap)) << statusName(Partial);
+  // A cap whose double overflows saturates: no estimate is above it.  A
+  // wrapped product (2 x (Max / 2 + 1) = 0) would skip every deep rung.
+  EXPECT_FALSE(skipDeepRung(SolveStatus::Completed, Max, Max / 2 + 1));
+  EXPECT_FALSE(skipDeepRung(SolveStatus::Completed, Max, Max));
+  EXPECT_TRUE(skipDeepRung(SolveStatus::Completed, Max, Max / 2 - 1));
+}
+
+TEST(DeepSkip, SkippedRungIsAZeroRowWithoutRungStartAndIntroBWins) {
+  Program Prog = chartProgram();
+  auto Refined = makeObjectPolicy(Prog, 2, 1);
+  ResilientOptions Options = skippingDeepOptions();
+  ResilientOutcome Out;
+  std::vector<DegradationLevel> Started =
+      startedRungs(Prog, *Refined, Options, Out);
+
+  EXPECT_GT(Out.Metrics.DeepTuplesEstimate,
+            DeepSkipFactor * Options.DeepBudget.MaxTuples);
+  EXPECT_EQ(outcomeDeepEstimate(Out), Out.Metrics.DeepTuplesEstimate);
+  EXPECT_EQ(Started, (std::vector<DegradationLevel>{
+                         DegradationLevel::Insensitive,
+                         DegradationLevel::IntroB}));
+  ASSERT_EQ(Out.Trace.size(), 3u);
+  const Attempt &Deep = Out.Trace[1];
+  EXPECT_EQ(Deep.Level, DegradationLevel::Deep);
+  EXPECT_EQ(Deep.AnalysisName, Refined->name());
+  EXPECT_EQ(Deep.Status, SolveStatus::TupleBudgetExceeded);
+  for (auto [Name, Counter] : SolverStatsFields)
+    EXPECT_EQ(Deep.Stats.*Counter, 0u) << Name;
+  EXPECT_EQ(Deep.Stats.Seconds, 0.0);
+  EXPECT_EQ(Deep.Seconds, 0.0);
+  EXPECT_TRUE(Out.completed());
+  EXPECT_EQ(Out.Level, DegradationLevel::IntroB);
+}
+
+TEST(DeepSkip, PortfolioSkipsLikeTheSequentialWalk) {
+  Program Prog = chartProgram();
+  auto Refined = makeObjectPolicy(Prog, 2, 1);
+  ResilientOptions Sequential = skippingDeepOptions();
+  ResilientOptions Racing = Sequential;
+  Racing.Portfolio = true;
+  Racing.Workers = 2;
+
+  ResilientOutcome Seq = runResilient(Prog, *Refined, Sequential);
+  ResilientOutcome Par = runResilient(Prog, *Refined, Racing);
+  EXPECT_EQ(Seq.Level, DegradationLevel::IntroB);
+  expectSameOutcome(Seq, Par);
+  // The race records the skipped row in its ladder position, unlaunched.
+  ASSERT_GE(Par.Trace.size(), 3u);
+  EXPECT_EQ(Par.Trace[1].Level, DegradationLevel::Deep);
+  EXPECT_EQ(Par.Trace[1].Status, SolveStatus::TupleBudgetExceeded);
+  EXPECT_EQ(Par.Trace[1].Stats.WorklistPops, 0u);
+  EXPECT_EQ(Par.Trace[1].Seconds, 0.0);
+}
+
+TEST(DeepSkip, PartialPassARunsTheDeepRungUnderItsAbsoluteBudget) {
+  // Without a completed Pass A there is no estimate: the deep rung runs
+  // (and here trips the 100k budget chart's 2objH needs 3x of).
+  Program Prog = chartProgram();
+  auto Refined = makeObjectPolicy(Prog, 2, 1);
+  ResilientOptions Options = skippingDeepOptions();
+  Options.faultsFor(DegradationLevel::Insensitive) = failFast();
+  ResilientOutcome Out;
+  std::vector<DegradationLevel> Started =
+      startedRungs(Prog, *Refined, Options, Out);
+
+  EXPECT_EQ(Out.Metrics.DeepTuplesEstimate, 0u);
+  EXPECT_EQ(outcomeDeepEstimate(Out), 0u);
+  EXPECT_EQ(Started, (std::vector<DegradationLevel>{
+                         DegradationLevel::Insensitive,
+                         DegradationLevel::Deep}));
+  ASSERT_EQ(Out.Trace.size(), 2u);
+  EXPECT_EQ(Out.Trace[1].Level, DegradationLevel::Deep);
+  EXPECT_EQ(Out.Trace[1].Status, SolveStatus::TupleBudgetExceeded);
+  EXPECT_GT(Out.Trace[1].Stats.WorklistPops, 0u);
 }

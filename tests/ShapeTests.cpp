@@ -111,6 +111,27 @@ TEST(Fig1Shape, PassACapKeepsObjectSensitivityBimodal) {
   }
 }
 
+TEST(Fig1Shape, PassAEstimateSkipsOnlyTheExplodingDeepRungs) {
+  // Pass A's DeepTuplesEstimate predicts 2objH's size: the ladder skips the
+  // deep rung of exactly the two programs the cap would cut, and the seven
+  // that complete stay well clear of the skip threshold (DeepSkipFactor x
+  // cap), at no more than half the cap.
+  for (const WorkloadProfile &Profile : dacapoProfiles()) {
+    const Program &Prog = benchmark(Profile.Name);
+    PassAOutcome PassA = runPassA(Prog);
+    uint64_t Cap = deepTupleCap(
+        SolveBudget{}, PassA.Insens.Stats.VarPointsToTuples +
+                           PassA.Insens.Stats.FieldPointsToTuples);
+    uint64_t Estimate = PassA.Metrics.DeepTuplesEstimate;
+    bool ShouldSkip = Profile.Name == "hsqldb" || Profile.Name == "jython";
+    EXPECT_EQ(skipDeepRung(PassA.Insens.Status, Estimate, Cap), ShouldSkip)
+        << Profile.Name << ": estimate " << Estimate << ", cap " << Cap;
+    if (!ShouldSkip) {
+      EXPECT_LE(2 * Estimate, Cap) << Profile.Name;
+    }
+  }
+}
+
 TEST(Fig6Shape, TypeSensitivityFailsOnlyOnJython) {
   for (const WorkloadProfile &Profile : scalabilitySubjects()) {
     const Program &Prog = benchmark(Profile.Name);

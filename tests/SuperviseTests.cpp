@@ -791,12 +791,16 @@ TEST(ResilientJson, AttemptTraceSurvivesARoundTrip) {
   Second.Status = SolveStatus::Completed;
   Second.TightenedRound = 2;
   Outcome.Trace.push_back(Second);
+  Outcome.Metrics.DeepTuplesEstimate = 12345;
 
   std::ostringstream Out;
   JsonWriter J(Out);
   writeResilientOutcomeJson(J, Outcome);
   JsonParseResult Parsed = parseJson(Out.str());
   ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
+  uint64_t Estimate = 0;
+  EXPECT_TRUE(Parsed.Value.getUint("deep_estimate", Estimate));
+  EXPECT_EQ(Estimate, 12345u);
   const JsonValue *Attempts = Parsed.Value.get("attempts");
   ASSERT_NE(Attempts, nullptr);
 
