@@ -110,7 +110,7 @@ struct SolverStats {
 
 /// The persisted counters with their JSON names, in order: the single table
 /// the stats JSON (Reports.cpp) and the Pass-A cache entry (ResultCache.cpp)
-/// walk, both after Seconds.  The order is part of the on-disk entry
+/// walk; neither stores Seconds.  The order is part of the on-disk entry
 /// format, so adding a row orphans every entry written by earlier builds.
 /// The propagation diagnostics (BatchUnions, ElementProbes,
 /// DensePointsToSets) are deliberately not listed: they describe how the

@@ -71,12 +71,6 @@ struct ByteWriter {
     for (int Shift = 0; Shift < 64; Shift += 8)
       Bytes.push_back(static_cast<uint8_t>(V >> Shift));
   }
-  void f64(double V) {
-    uint64_t Raw;
-    static_assert(sizeof(Raw) == sizeof(V));
-    std::memcpy(&Raw, &V, sizeof(Raw));
-    u64(Raw);
-  }
   void str(const std::string &Text) {
     u64(Text.size());
     Bytes.insert(Bytes.end(), Text.begin(), Text.end());
@@ -143,12 +137,6 @@ struct ByteReader {
       V |= static_cast<uint64_t>(Data[Pos++]) << Shift;
     return V;
   }
-  double f64() {
-    uint64_t Raw = u64();
-    double V;
-    std::memcpy(&V, &Raw, sizeof(V));
-    return V;
-  }
   std::string str() {
     uint64_t Count = u64();
     if (!take(Count))
@@ -211,10 +199,10 @@ struct ByteReader {
 };
 
 //===----------------------------------------------------------------------===//
-// Section payloads.
+// The payload.
 //===----------------------------------------------------------------------===//
 
-/// The metric vectors in entry order; DeepTuplesEstimate follows them.
+/// The metric vectors in payload order; DeepTuplesEstimate follows them.
 constexpr std::vector<uint64_t> IntrospectionMetrics::*StoredMetrics[] = {
     &IntrospectionMetrics::InFlow,
     &IntrospectionMetrics::MethodTotalVolume,
@@ -225,59 +213,38 @@ constexpr std::vector<uint64_t> IntrospectionMetrics::*StoredMetrics[] = {
     &IntrospectionMetrics::PointedByVars,
     &IntrospectionMetrics::PointedByObjs};
 
-void encodeStats(ByteWriter &W, const SolverStats &Stats) {
-  W.f64(Stats.Seconds);
-  for (auto [Name, Counter] : SolverStatsFields)
-    W.u64(Stats.*Counter);
-}
-
-SolverStats decodeStats(ByteReader &R) {
-  SolverStats Stats;
-  Stats.Seconds = R.f64();
-  for (auto [Name, Counter] : SolverStatsFields)
-    Stats.*Counter = R.u64();
-  return Stats;
-}
-
-/// The result section: the members passASummary keeps, in this order.
-std::vector<uint8_t> encodeResultSection(const PointsToResult &Result) {
+/// The payload: the members passASummary keeps, then the metrics.
+std::vector<uint8_t> encodePayload(const CachedPassA &Entry) {
+  const PointsToResult &Result = Entry.Insens;
   ByteWriter W;
   W.u8(static_cast<uint8_t>(Result.Status));
-  encodeStats(W, Result.Stats);
+  for (auto [Name, Counter] : SolverStatsFields)
+    W.u64(Result.Stats.*Counter);
   W.str(Result.AnalysisName);
   W.boolVector(Result.MethodReachable);
   W.idSetVector(Result.SiteTargets);
+  for (std::vector<uint64_t> IntrospectionMetrics::*Metric : StoredMetrics)
+    W.u64Vector(Entry.Metrics.*Metric);
+  W.u64(Entry.Metrics.DeepTuplesEstimate);
   return std::move(W.Bytes);
 }
 
-bool decodeResultSection(const uint8_t *Data, size_t Size,
-                         PointsToResult &Result) {
-  ByteReader R(Data, Size);
+/// Inverse of encodePayload; \returns false unless \p R's bytes are
+/// exactly one payload.
+bool decodePayload(ByteReader &R, CachedPassA &Entry) {
+  PointsToResult &Result = Entry.Insens;
   uint8_t RawStatus = R.u8();
   if (RawStatus > static_cast<uint8_t>(SolveStatus::Cancelled))
     return false;
   Result.Status = static_cast<SolveStatus>(RawStatus);
-  Result.Stats = decodeStats(R);
+  for (auto [Name, Counter] : SolverStatsFields)
+    Result.Stats.*Counter = R.u64();
   Result.AnalysisName = R.str();
   Result.MethodReachable = R.boolVector();
   Result.SiteTargets = R.idSetVector();
-  return R.Ok && R.Pos == R.Size;
-}
-
-std::vector<uint8_t> encodeMetricsSection(const IntrospectionMetrics &M) {
-  ByteWriter W;
   for (std::vector<uint64_t> IntrospectionMetrics::*Metric : StoredMetrics)
-    W.u64Vector(M.*Metric);
-  W.u64(M.DeepTuplesEstimate);
-  return std::move(W.Bytes);
-}
-
-bool decodeMetricsSection(const uint8_t *Data, size_t Size,
-                          IntrospectionMetrics &M) {
-  ByteReader R(Data, Size);
-  for (std::vector<uint64_t> IntrospectionMetrics::*Metric : StoredMetrics)
-    M.*Metric = R.u64Vector();
-  M.DeepTuplesEstimate = R.u64();
+    Entry.Metrics.*Metric = R.u64Vector();
+  Entry.Metrics.DeepTuplesEstimate = R.u64();
   return R.Ok && R.Pos == R.Size;
 }
 
@@ -310,7 +277,6 @@ bool fitsProgram(const CachedPassA &Entry, const Fingerprint &Fp) {
 PointsToResult cache::passASummary(PointsToResult Insens) {
   PointsToResult Summary;
   Summary.Status = Insens.Status;
-  Summary.Stats.Seconds = Insens.Stats.Seconds;
   for (auto [Name, Counter] : SolverStatsFields)
     Summary.Stats.*Counter = Insens.Stats.*Counter;
   Summary.AnalysisName = std::move(Insens.AnalysisName);
@@ -325,76 +291,37 @@ PointsToResult cache::passASummary(PointsToResult Insens) {
 
 std::vector<uint8_t> cache::encodeEntry(const Fingerprint &Fp,
                                         const CachedPassA &Entry) {
+  std::vector<uint8_t> Payload = encodePayload(Entry);
   ByteWriter W;
   W.Bytes.insert(W.Bytes.end(), EntryMagic, EntryMagic + sizeof(EntryMagic));
   W.u32(FormatVersion);
   W.u64(Fp.Hi);
   W.u64(Fp.Lo);
-
-  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> Sections;
-  Sections.emplace_back(SectionResult, encodeResultSection(Entry.Insens));
-  Sections.emplace_back(SectionMetrics, encodeMetricsSection(Entry.Metrics));
-
-  W.u32(static_cast<uint32_t>(Sections.size()));
-  for (const auto &[Tag, Payload] : Sections) {
-    W.u32(Tag);
-    W.u64(Payload.size());
-    W.u64(fnv1a(Payload.data(), Payload.size()));
-    W.Bytes.insert(W.Bytes.end(), Payload.begin(), Payload.end());
-  }
+  W.u64(Payload.size());
+  W.u64(fnv1a(Payload.data(), Payload.size()));
+  W.Bytes.insert(W.Bytes.end(), Payload.begin(), Payload.end());
   return std::move(W.Bytes);
 }
 
 bool cache::decodeEntry(const std::vector<uint8_t> &Bytes,
                         const Fingerprint &Expect, CachedPassA &Out) {
   ByteReader R(Bytes.data(), Bytes.size());
-  if (!R.take(sizeof(EntryMagic)))
-    return false;
-  if (std::memcmp(Bytes.data(), EntryMagic, sizeof(EntryMagic)) != 0)
+  if (!R.take(sizeof(EntryMagic)) ||
+      std::memcmp(Bytes.data(), EntryMagic, sizeof(EntryMagic)) != 0)
     return false;
   R.Pos = sizeof(EntryMagic);
-
   if (R.u32() != FormatVersion)
     return false;
   Fingerprint Echo;
   Echo.Hi = R.u64();
   Echo.Lo = R.u64();
-  if (!R.Ok || Echo != Expect)
+  uint64_t Length = R.u64();
+  uint64_t Checksum = R.u64();
+  if (!R.Ok || Echo != Expect || Length != R.Size - R.Pos ||
+      fnv1a(Bytes.data() + R.Pos, Length) != Checksum)
     return false;
-
-  uint32_t SectionCount = R.u32();
-  bool HaveResult = false, HaveMetrics = false;
   CachedPassA Decoded;
-  for (uint32_t Index = 0; Index < SectionCount && R.Ok; ++Index) {
-    uint32_t Tag = R.u32();
-    uint64_t Length = R.u64();
-    uint64_t Checksum = R.u64();
-    if (!R.take(Length))
-      return false;
-    const uint8_t *Payload = Bytes.data() + R.Pos;
-    R.Pos += Length;
-    if (fnv1a(Payload, Length) != Checksum)
-      return false;
-    switch (Tag) {
-    case SectionResult:
-      if (!decodeResultSection(Payload, Length, Decoded.Insens))
-        return false;
-      HaveResult = true;
-      break;
-    case SectionMetrics:
-      if (!decodeMetricsSection(Payload, Length, Decoded.Metrics))
-        return false;
-      HaveMetrics = true;
-      break;
-    default:
-      // Unknown (future) sections are skipped: the checksum already
-      // validated them, and version skew in the other direction is caught
-      // by FormatVersion.
-      break;
-    }
-  }
-  if (!R.Ok || R.Pos != R.Size || !HaveResult || !HaveMetrics ||
-      !fitsProgram(Decoded, Expect))
+  if (!decodePayload(R, Decoded) || !fitsProgram(Decoded, Expect))
     return false;
   Out = std::move(Decoded);
   return true;
@@ -413,41 +340,25 @@ bool ResultCache::lookup(const Fingerprint &Fp, CachedPassA &Out) {
   TRACE_COUNTER("cache.probe", 1);
   NProbes.fetch_add(1, std::memory_order_relaxed);
 
-  std::string Path = entryPath(Fp);
+  // A missing file is a plain miss.  A file that exists but cannot be
+  // read or decoded (short write, bit rot, foreign format, version skew) is
+  // also counted corrupt; for the caller every kind is the same miss.
+  std::ifstream In(entryPath(Fp), std::ios::binary | std::ios::ate);
+  bool Found = static_cast<bool>(In);
   std::vector<uint8_t> Bytes;
-  {
-    std::ifstream In(Path, std::ios::binary);
-    if (!In) {
-      TRACE_COUNTER("cache.miss", 1);
-      NMisses.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    In.seekg(0, std::ios::end);
-    std::streamoff Size = In.tellg();
-    if (Size < 0) {
-      TRACE_COUNTER("cache.miss", 1);
-      NMisses.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    In.seekg(0, std::ios::beg);
-    Bytes.resize(static_cast<size_t>(Size));
-    if (Size > 0 && !In.read(reinterpret_cast<char *>(Bytes.data()), Size)) {
-      TRACE_COUNTER("cache.miss", 1);
-      TRACE_COUNTER("cache.miss_corrupt", 1);
-      NMisses.fetch_add(1, std::memory_order_relaxed);
-      NCorrupt.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
+  if (Found) {
+    Bytes.resize(static_cast<size_t>(std::max<std::streamoff>(In.tellg(), 0)));
+    In.seekg(0);
+    In.read(reinterpret_cast<char *>(Bytes.data()),
+            static_cast<std::streamsize>(Bytes.size()));
   }
-
-  if (!decodeEntry(Bytes, Fp, Out)) {
-    // The file existed but did not decode: short write, bit rot, foreign
-    // format, or version skew.  All of these are "corrupt" for counting
-    // purposes — and all are a plain miss for the caller.
+  if (!Found || !In || !decodeEntry(Bytes, Fp, Out)) {
     TRACE_COUNTER("cache.miss", 1);
-    TRACE_COUNTER("cache.miss_corrupt", 1);
     NMisses.fetch_add(1, std::memory_order_relaxed);
-    NCorrupt.fetch_add(1, std::memory_order_relaxed);
+    if (Found) {
+      TRACE_COUNTER("cache.miss_corrupt", 1);
+      NCorrupt.fetch_add(1, std::memory_order_relaxed);
+    }
     return false;
   }
 

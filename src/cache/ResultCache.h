@@ -18,16 +18,15 @@
 ///   magic        8 bytes   "IPACHE01"
 ///   version      u32       FormatVersion
 ///   fingerprint  2 × u64   Hi, Lo — echo of the key, re-checked on load
-///   sections     u32       section count
-///   per section:
-///     tag        u32       SectionResult / SectionMetrics
-///     length     u64       payload bytes
-///     checksum   u64       FNV-1a over the payload
-///     payload    length bytes
+///   length       u64       payload bytes; the payload ends the file
+///   checksum     u64       FNV-1a over the payload
+///   payload      length bytes
 ///
-/// The result section holds what passASummary keeps.  The metrics section
-/// holds the metric vectors, then DeepTuplesEstimate (new in version 4: a
-/// hit has no points-to sets to recompute it from).  Entries of any older
+/// The payload holds what passASummary keeps (status, the
+/// SolverStatsFields counters, analysis name, MethodReachable,
+/// SiteTargets), then the eight metric vectors and DeepTuplesEstimate (a
+/// hit has no points-to sets to recompute it from).  No wall clock is
+/// stored, so equal programs store equal bytes.  Entries of any other
 /// version are misses and are re-stored.
 ///
 /// **Corruption is a miss, never a crash.**  Every decode failure — short
@@ -65,14 +64,10 @@ namespace cache {
 
 /// On-disk format version; bumped whenever the entry encoding changes.
 /// Entries with any other version are misses.
-constexpr uint32_t FormatVersion = 4;
+constexpr uint32_t FormatVersion = 5;
 
 /// Entry magic: identifies the file type and, informally, the format era.
 constexpr char EntryMagic[8] = {'I', 'P', 'A', 'C', 'H', 'E', '0', '1'};
-
-/// Section tags.
-constexpr uint32_t SectionResult = 1;  ///< The Pass-A summary.
-constexpr uint32_t SectionMetrics = 2; ///< Serialized IntrospectionMetrics.
 
 /// What one cache entry holds: the Pass-A summary and its metrics.
 struct CachedPassA {
@@ -81,8 +76,9 @@ struct CachedPassA {
 };
 
 /// What an entry keeps of the Pass-A result \p Insens, all a hit reads:
-/// status, stats (Seconds and SolverStatsFields), analysis name,
-/// MethodReachable and SiteTargets.  Every other member is empty.
+/// status, the SolverStatsFields counters, analysis name, MethodReachable
+/// and SiteTargets.  Every other member is empty, and Stats.Seconds is 0:
+/// a hit and a stored miss return equal summaries.
 PointsToResult passASummary(PointsToResult Insens);
 
 /// Monotonic counters of one ResultCache instance.
@@ -168,8 +164,8 @@ std::vector<uint8_t> encodeEntry(const Fingerprint &Fp,
                                  const CachedPassA &Entry);
 
 /// Decodes \p Bytes, verifying magic, version, the fingerprint echo and
-/// entity counts of \p Expect, and every section checksum.  \returns true
-/// and fills \p Out only when the whole entry is intact.
+/// entity counts of \p Expect, the payload length and its checksum.
+/// \returns true and fills \p Out only when the whole entry is intact.
 bool decodeEntry(const std::vector<uint8_t> &Bytes, const Fingerprint &Expect,
                  CachedPassA &Out);
 

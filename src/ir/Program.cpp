@@ -34,14 +34,16 @@ FieldId Program::addField(std::string_view Name, TypeId Owner) {
 
 SigId Program::addSignature(std::string_view Name, uint32_t Arity) {
   uint32_t NameHandle = Names.intern(Name);
-  // Signatures are deduplicated by (name, arity); linear scan is fine since
-  // builders call this once per distinct signature via their own caches.
-  for (size_t Index = 0; Index < Sigs.size(); ++Index)
-    if (Sigs[Index].Name == NameHandle && Sigs[Index].Arity == Arity)
-      return SigId(static_cast<uint32_t>(Index));
-  assert(!Finalized && "program already finalized");
-  Sigs.push_back(SigInfo{NameHandle, Arity});
-  return SigId(static_cast<uint32_t>(Sigs.size() - 1));
+  // Builders call this for every method and every virtual call site, so
+  // the (name, arity) dedup is a hash probe; ids stay in first-seen order.
+  auto [It, Inserted] = SigIndex.try_emplace(
+      (static_cast<uint64_t>(NameHandle) << 32) | Arity,
+      static_cast<uint32_t>(Sigs.size()));
+  if (Inserted) {
+    assert(!Finalized && "program already finalized");
+    Sigs.push_back(SigInfo{NameHandle, Arity});
+  }
+  return It->second;
 }
 
 MethodId Program::addMethod(std::string_view Name, TypeId Owner, SigId Sig,

@@ -180,6 +180,9 @@ private:
   std::vector<SiteInfo> Sites;
   std::vector<MethodId> EntryMethods;
 
+  /// (name handle, arity) -> signature, deduplicating addSignature.
+  std::unordered_map<uint64_t, SigId> SigIndex;
+
   /// Flattened dispatch: (type, sig) -> method, including inherited methods.
   std::unordered_map<uint64_t, MethodId> DispatchCache;
   bool Finalized = false;

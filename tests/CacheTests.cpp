@@ -36,6 +36,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -103,7 +104,7 @@ cache::Fingerprint sampleKey(uint64_t Hi, uint64_t Lo) {
 }
 
 // Deliberately skips Stats.Seconds: a re-solved pass records fresh
-// wall-clock.  The verbatim round-trip tests check Seconds explicitly.
+// wall-clock, and an entry stores none (RoundTripsEveryField checks it).
 void expectResultsEqual(const PointsToResult &A, const PointsToResult &B) {
   EXPECT_EQ(A.Status, B.Status);
   EXPECT_EQ(A.AnalysisName, B.AnalysisName);
@@ -262,8 +263,8 @@ TEST(EntryFormat, RoundTripsEveryField) {
   expectResultsEqual(cache::passASummary(Entry.Insens), Decoded.Insens);
   EXPECT_TRUE(Decoded.Insens.VarHeaps.empty()) << "an entry keeps the summary";
   expectMetricsEqual(Entry.Metrics, Decoded.Metrics);
-  EXPECT_EQ(Decoded.Insens.Stats.Seconds, 1.25)
-      << "stored wall-clock restores bit-exactly";
+  EXPECT_EQ(Decoded.Insens.Stats.Seconds, 0.0)
+      << "an entry stores no wall clock";
 }
 
 TEST(EntryFormat, DeepEstimateSurvivesTheRoundTrip) {
@@ -304,9 +305,8 @@ TEST(EntryFormat, EveryTruncationIsAMissNeverACrash) {
 
 TEST(EntryFormat, EveryFlippedByteIsAMissNeverACrash) {
   // There is no unprotected region: magic, version, and the fingerprint
-  // echo are compared directly, and every payload byte is checksummed.
-  // Section headers (tag/length/checksum) either fail the checksum, break
-  // framing, or orphan a required section.
+  // echo are compared directly, the payload length must match the bytes
+  // that follow it, and every payload byte is checksummed.
   cache::Fingerprint Fp = sampleKey(7, 9);
   std::vector<uint8_t> Bytes = cache::encodeEntry(Fp, samplePassA());
   for (size_t Index = 0; Index < Bytes.size(); ++Index) {
@@ -643,9 +643,11 @@ TEST(PassA, WarmHitReturnsTheColdResultMetricsAndSolverStats) {
 
   expectResultsEqual(Cold.Insens, Warm.Insens);
   expectMetricsEqual(Cold.Metrics, Warm.Metrics);
-  // The stored solver stats come back verbatim, wall-clock included; the
-  // outcome's own Seconds is the load time and no metrics were computed.
-  EXPECT_EQ(Warm.Insens.Stats.Seconds, Cold.Insens.Stats.Seconds);
+  // The stored solver counters come back verbatim, and neither summary
+  // keeps a wall clock; the outcome's own Seconds is the load time and no
+  // metrics were computed.
+  EXPECT_EQ(Warm.Insens.Stats.Seconds, 0.0);
+  EXPECT_EQ(Cold.Insens.Stats.Seconds, 0.0);
   EXPECT_EQ(Warm.Insens.Stats.WorklistPops, Cold.Insens.Stats.WorklistPops);
   EXPECT_EQ(Warm.MetricSeconds, 0.0);
 
@@ -654,6 +656,27 @@ TEST(PassA, WarmHitReturnsTheColdResultMetricsAndSolverStats) {
   EXPECT_TRUE(Cold.Summary && Warm.Summary && !Plain.Summary);
   expectResultsEqual(cache::passASummary(Plain.Insens), Warm.Insens);
   expectMetricsEqual(Plain.Metrics, Warm.Metrics);
+}
+
+TEST(PassA, ColdStoresOfOneProgramWriteIdenticalBytes) {
+  // No wall clock reaches an entry, so two cold solves of one program,
+  // each stored into its own fresh directory, leave the same file.
+  Program Prog = generateWorkload(dacapoProfile("chart"));
+  cache::Fingerprint Fp = cache::fingerprintProgram(Prog);
+  auto ColdEntry = [&](const TempDir &Dir) {
+    cache::ResultCache Cache({Dir.Path, 0});
+    PassAOutcome Cold = runPassA(Prog, SolverOptions(), &Cache, &Fp);
+    EXPECT_TRUE(isCompleted(Cold.Insens.Status));
+    EXPECT_EQ(Cache.stats().Stores, 1u);
+    std::ifstream In(Cache.entryPath(Fp), std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(In),
+                       std::istreambuf_iterator<char>());
+  };
+  TempDir First, Second;
+  std::string FirstBytes = ColdEntry(First);
+  ASSERT_FALSE(FirstBytes.empty());
+  EXPECT_TRUE(FirstBytes == ColdEntry(Second))
+      << "equal programs must store equal bytes";
 }
 
 // --- Driver integration ------------------------------------------------------

@@ -72,6 +72,27 @@ TEST(ClassHierarchy, SignatureDedupByNameAndArity) {
   EXPECT_NE(P.method(M1.id()).Sig, P.method(M3.id()).Sig);
 }
 
+TEST(ClassHierarchy, SignatureIdsFollowFirstSeenOrder) {
+  // Repeats return the first id; new (name, arity) pairs take the next one.
+  // A name interned earlier for another entity is still a fresh signature.
+  Program P;
+  P.names().intern("g");
+  SigId F2 = P.addSignature("f", 2);
+  SigId G0 = P.addSignature("g", 0);
+  SigId F3 = P.addSignature("f", 3);
+  EXPECT_EQ(F2, SigId(0));
+  EXPECT_EQ(G0, SigId(1));
+  EXPECT_EQ(F3, SigId(2));
+  for (int Repeat = 0; Repeat < 3; ++Repeat) {
+    EXPECT_EQ(P.addSignature("g", 0), G0);
+    EXPECT_EQ(P.addSignature("f", 3), F3);
+    EXPECT_EQ(P.addSignature("f", 2), F2);
+  }
+  EXPECT_EQ(P.numSignatures(), 3u);
+  EXPECT_EQ(P.name(P.signature(F3).Name), "f");
+  EXPECT_EQ(P.signature(F3).Arity, 3u);
+}
+
 TEST(ProgramBuilder, MethodScaffolding) {
   ProgramBuilder B;
   TypeId Object = B.cls("Object");
