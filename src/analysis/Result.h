@@ -240,9 +240,9 @@ public:
   /// The shared empty set returned for ids outside the analyzed program.
   /// Deliberately a function-local `static const`: initialization is
   /// guaranteed thread-safe (C++11 magic statics) and the object is
-  /// immutable afterwards, so concurrent readers — e.g. the portfolio
-  /// engine's racing rungs, or clients querying a result from several
-  /// threads — can all hold references to it without synchronization.
+  /// immutable afterwards, so concurrent readers — e.g. clients querying a
+  /// result from several threads — can all hold references to it without
+  /// synchronization.
   static const SortedIdSet &emptySet() {
     static const SortedIdSet Empty;
     return Empty;

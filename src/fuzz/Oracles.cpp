@@ -47,8 +47,8 @@ const char *intro::fuzz::oracleKindName(OracleKind Kind) {
     return "introspective-subset";
   case OracleKind::CacheWarmColdParity:
     return "cache-parity";
-  case OracleKind::PortfolioParity:
-    return "portfolio-parity";
+  case OracleKind::BudgetPrefix:
+    return "budget-prefix";
   case OracleKind::DeepCap:
     return "deep-cap";
   case OracleKind::ServedLocalParity:
@@ -76,7 +76,7 @@ OracleSet OracleSet::defaults() {
       .enable(OracleKind::ReferenceEquivalence)
       .enable(OracleKind::IntrospectiveSubset)
       .enable(OracleKind::CacheWarmColdParity)
-      .enable(OracleKind::PortfolioParity)
+      .enable(OracleKind::BudgetPrefix)
       .enable(OracleKind::DeepCap);
   return Set;
 }
@@ -170,6 +170,65 @@ void intro::fuzz::applyPlantedBug(PlantedBug Bug, PointsToResult &Result) {
 
 namespace {
 
+/// The violations one check found: the first one's description and a
+/// count, so a finding stays bounded however many points disagree.
+struct Violations {
+  std::string First;
+  uint64_t Count = 0;
+
+  void add(std::string Description) {
+    if (First.empty())
+      First = std::move(Description);
+    ++Count;
+  }
+
+  /// \returns the first violation plus a count of further ones.
+  std::string summary() const {
+    return Count > 1 ? First + " (and " + std::to_string(Count - 1) + " more)"
+                     : First;
+  }
+};
+
+/// Adds to \p V every point where a context-insensitive projection of
+/// \p Part is not a subset of \p Whole's: variables, field cells, static
+/// fields, escaping exceptions, reachable methods and call targets.  Each
+/// description starts with \p Label, which names the smaller run.
+void collectSubsetViolations(const Program &Prog, const PointsToResult &Part,
+                             const PointsToResult &Whole,
+                             const std::string &Label, Violations &V) {
+  auto Subset = [](const SortedIdSet &Small, const SortedIdSet &Large) {
+    return std::includes(Large.begin(), Large.end(), Small.begin(),
+                         Small.end());
+  };
+  for (uint32_t Var = 0; Var < Part.VarHeaps.size(); ++Var)
+    if (!Subset(Part.VarHeaps[Var], Whole.pointsTo(VarId(Var))))
+      V.add(Label + " points-to not a subset at " +
+            std::string(Prog.varName(VarId(Var))));
+  for (const FieldCell &Cell : Part.FieldHeaps)
+    if (!Subset(Cell.Heaps, Whole.fieldPointsTo(HeapId(Cell.BaseHeap),
+                                                FieldId(Cell.Field))))
+      V.add(Label + " field points-to not a subset at " +
+            std::string(Prog.heapName(HeapId(Cell.BaseHeap))) + "." +
+            std::string(Prog.fieldName(FieldId(Cell.Field))));
+  for (uint32_t Field = 0; Field < Part.StaticFieldHeaps.size(); ++Field)
+    if (!Subset(Part.StaticFieldHeaps[Field],
+                Whole.staticPointsTo(FieldId(Field))))
+      V.add(Label + " static-field points-to not a subset at " +
+            std::string(Prog.fieldName(FieldId(Field))));
+  for (uint32_t Method = 0; Method < Part.MethodThrows.size(); ++Method)
+    if (!Subset(Part.MethodThrows[Method], Whole.throwsOf(MethodId(Method))))
+      V.add(Label + " escaping exceptions not a subset at " +
+            std::string(Prog.methodName(MethodId(Method))));
+  for (uint32_t Method = 0; Method < Part.MethodReachable.size(); ++Method)
+    if (Part.MethodReachable[Method] && !Whole.isReachable(MethodId(Method)))
+      V.add(Label + " reachability not a subset at " +
+            std::string(Prog.methodName(MethodId(Method))));
+  for (uint32_t Site = 0; Site < Part.SiteTargets.size(); ++Site)
+    if (!Subset(Part.SiteTargets[Site], Whole.callTargets(SiteId(Site))))
+      V.add(Label + " call targets not a subset at " +
+            std::string(Prog.siteName(SiteId(Site))));
+}
+
 /// State threaded through one checkProgram call.
 struct Harness {
   const Program &Prog;
@@ -223,7 +282,7 @@ struct Harness {
   void checkReferenceEquivalence();
   void checkIntrospectiveSubset();
   void checkCacheParity();
-  void checkPortfolioParity();
+  void checkBudgetPrefix();
   void checkDeepCap();
   void checkServedParity();
 };
@@ -306,40 +365,30 @@ void Harness::checkSoundness() {
       continue;
     }
     ++Out.ChecksRun;
-    std::string First;
-    uint64_t Violations = 0;
-    auto Violation = [&](std::string Description) {
-      if (First.empty())
-        First = std::move(Description);
-      ++Violations;
-    };
+    Violations V;
     for (auto [Var, Heap] : Facts.VarPointsTo)
       if (!setContains(Result.pointsTo(Var), Heap.index()))
-        Violation("dynamic fact lost: " + std::string(Prog.varName(Var)) +
-                  " -> " + std::string(Prog.heapName(Heap)));
+        V.add("dynamic fact lost: " + std::string(Prog.varName(Var)) + " -> " +
+              std::string(Prog.heapName(Heap)));
     for (MethodId Method : Facts.ReachedMethods)
       if (!Result.isReachable(Method))
-        Violation("executed method unreachable: " +
-                  std::string(Prog.methodName(Method)));
+        V.add("executed method unreachable: " +
+              std::string(Prog.methodName(Method)));
     for (auto [Site, Target] : Facts.CallEdges)
       if (!setContains(Result.callTargets(Site), Target.index()))
-        Violation("dispatched edge lost: " + std::string(Prog.siteName(Site)) +
-                  " -> " + std::string(Prog.methodName(Target)));
+        V.add("dispatched edge lost: " + std::string(Prog.siteName(Site)) +
+              " -> " + std::string(Prog.methodName(Target)));
     for (auto [Field, Heap] : Facts.StaticFieldPointsTo)
       if (!setContains(Result.staticPointsTo(Field), Heap.index()))
-        Violation("static-field fact lost: " +
-                  std::string(Prog.fieldName(Field)) + " -> " +
-                  std::string(Prog.heapName(Heap)));
+        V.add("static-field fact lost: " + std::string(Prog.fieldName(Field)) +
+              " -> " + std::string(Prog.heapName(Heap)));
     for (auto [Method, Heap] : Facts.MethodThrows)
       if (!setContains(Result.throwsOf(Method), Heap.index()))
-        Violation("escaping exception lost: " +
-                  std::string(Prog.methodName(Method)) + " throws " +
-                  std::string(Prog.heapName(Heap)));
-    if (Violations > 0) {
-      if (Violations > 1)
-        First += " (and " + std::to_string(Violations - 1) + " more)";
-      finding(OracleKind::Soundness, Policy->name(), std::move(First));
-    }
+        V.add("escaping exception lost: " +
+              std::string(Prog.methodName(Method)) + " throws " +
+              std::string(Prog.heapName(Heap)));
+    if (V.Count > 0)
+      finding(OracleKind::Soundness, Policy->name(), V.summary());
   }
 }
 
@@ -549,33 +598,11 @@ void Harness::checkIntrospectiveSubset() {
     return;
   }
   ++Out.ChecksRun;
-  std::string First;
-  uint64_t Violations = 0;
-  auto Violation = [&](std::string Description) {
-    if (First.empty())
-      First = std::move(Description);
-    ++Violations;
-  };
-  for (uint32_t Var = 0; Var < Prog.numVars(); ++Var)
-    for (uint32_t Heap : Outcome.SecondPass.pointsTo(VarId(Var)))
-      if (!setContains(Outcome.FirstPass.pointsTo(VarId(Var)), Heap))
-        Violation("refined points-to not a subset at " +
-                  std::string(Prog.varName(VarId(Var))));
-  for (uint32_t Site = 0; Site < Prog.numSites(); ++Site)
-    for (uint32_t Target : Outcome.SecondPass.callTargets(SiteId(Site)))
-      if (!setContains(Outcome.FirstPass.callTargets(SiteId(Site)), Target))
-        Violation("refined call targets not a subset at " +
-                  std::string(Prog.siteName(SiteId(Site))));
-  for (uint32_t Method = 0; Method < Prog.numMethods(); ++Method)
-    if (Outcome.SecondPass.isReachable(MethodId(Method)) &&
-        !Outcome.FirstPass.isReachable(MethodId(Method)))
-      Violation("refined reachability not a subset at " +
-                std::string(Prog.methodName(MethodId(Method))));
-  if (Violations > 0) {
-    if (Violations > 1)
-      First += " (and " + std::to_string(Violations - 1) + " more)";
-    finding(OracleKind::IntrospectiveSubset, "2objH-IntroA", std::move(First));
-  }
+  Violations V;
+  collectSubsetViolations(Prog, Outcome.SecondPass, Outcome.FirstPass,
+                          "refined", V);
+  if (V.Count > 0)
+    finding(OracleKind::IntrospectiveSubset, "2objH-IntroA", V.summary());
 }
 
 void Harness::checkCacheParity() {
@@ -646,30 +673,38 @@ void Harness::checkCacheParity() {
             "warm != cold: " + Diff);
 }
 
-void Harness::checkPortfolioParity() {
-  if (!Opt.Oracles.has(OracleKind::PortfolioParity))
+void Harness::checkBudgetPrefix() {
+  if (!Opt.Oracles.has(OracleKind::BudgetPrefix))
     return;
-  auto Refined = makeObjectPolicy(Prog, 2, 1);
-  // Without the deep rung an introspective rung wins, so the comparison
-  // also covers the metrics and exceptions of the portfolio's Pass A.
-  for (bool AttemptDeep : {true, false}) {
-    ResilientOptions Options;
-    Options.AttemptDeep = AttemptDeep;
-    Options.DeepBudget = cappedBudget();
-    Options.RefinedBudget = cappedBudget();
-    Options.FirstPassBudget = cappedBudget();
-    ResilientOutcome Sequential = runResilient(Prog, *Refined, Options);
-    Options.Portfolio = true;
-    Options.Workers = 2;
-    ResilientOutcome Racing = runResilient(Prog, *Refined, Options);
-    ++Out.ChecksRun;
-    if (std::string Diff = describeLadderDiff(Sequential, Racing);
-        !Diff.empty()) {
-      finding(OracleKind::PortfolioParity,
-              degradationLevelName(Sequential.Level),
-              "portfolio != sequential: " + Diff);
-      return;
+  std::unique_ptr<ContextPolicy> Policies[] = {makeInsensitivePolicy(),
+                                               makeObjectPolicy(Prog, 2, 1)};
+  for (auto &Policy : Policies) {
+    ContextTable FullTable;
+    PointsToResult Full =
+        solvePointsTo(Prog, *Policy, FullTable, cappedOptions());
+    uint64_t StopAt = Full.Stats.WorklistPops / 2;
+    if (!isCompleted(Full.Status) || StopAt == 0) {
+      ++Out.ChecksSkipped; // No fixpoint, or no pop to stop halfway at.
+      continue;
     }
+    SolverOptions Options = cappedOptions();
+    Options.Faults.FailAtPop = StopAt;
+    ContextTable Table;
+    PointsToResult Part = solvePointsTo(Prog, *Policy, Table, Options);
+    ++Out.ChecksRun;
+    Violations V;
+    if (isCompleted(Part.Status))
+      V.add("run armed to stop at pop " + std::to_string(StopAt) +
+            " completed");
+    collectSubsetViolations(Prog, Part, Full, "stopped", V);
+    // Every persisted counter tallies something the run only adds to.
+    for (auto [Name, Counter] : SolverStatsFields)
+      if (Part.Stats.*Counter > Full.Stats.*Counter)
+        V.add(std::string("stopped ") + Name + " " +
+              std::to_string(Part.Stats.*Counter) + " exceeds completed " +
+              std::to_string(Full.Stats.*Counter));
+    if (V.Count > 0)
+      finding(OracleKind::BudgetPrefix, Policy->name(), V.summary());
   }
 }
 
@@ -812,7 +847,7 @@ OracleOutcome intro::fuzz::checkProgram(const Program &Prog,
   H.checkReferenceEquivalence();
   H.checkIntrospectiveSubset();
   H.checkCacheParity();
-  H.checkPortfolioParity();
+  H.checkBudgetPrefix();
   H.checkDeepCap();
   H.checkServedParity();
   return std::move(H.Out);

@@ -19,13 +19,16 @@
 ///    and checked-cast semantics in thorough mode); and each of the
 ///    solver's context-insensitive projections equals the projection of
 ///    its own tuple dump.
-///  - **IntrospectiveSubset**: the refined second pass is pointwise at
-///    least as precise as the insensitive first pass (metamorphic).
+///  - **IntrospectiveSubset**: every projection of the refined second pass
+///    is pointwise a subset of the insensitive first pass's (metamorphic).
 ///  - **CacheWarmColdParity**: a Pass-A cache hit reproduces the cold run's
 ///    results exactly, through the driver and through the ladder (same
 ///    rung, result, metrics and exceptions; metamorphic).
-///  - **PortfolioParity**: the racing ladder returns the same rung, result,
-///    metrics and exceptions as the sequential walk (metamorphic).
+///  - **BudgetPrefix**: for insens and 2objH, a run stopped halfway
+///    (FaultPlan::FailAtPop at half the completed run's worklist pops) is a
+///    sound prefix of the fixpoint: every projection is pointwise a subset
+///    of the completed run's, and no SolverStatsFields counter exceeds it.
+///    The ladder's fallback reads such partial results (metamorphic).
 ///  - **DeepCap**: when 2objH completes under the harness's absolute
 ///    budget, the ladder — whose deep rung runs under the Pass-A-derived
 ///    deepTupleCap, or is skipped when skipDeepRung predicts it passes
@@ -36,7 +39,9 @@
 ///    (metamorphic; forks children, so opt-in).
 ///
 /// Budget-capped runs that do not complete are *skipped*, not findings — a
-/// partial fixpoint cannot be compared (the PropertyTests convention).
+/// partial fixpoint cannot be compared (the PropertyTests convention);
+/// BudgetPrefix stops its second run on purpose and compares it with a
+/// completed first one.
 ///
 /// A PlantedBug deliberately corrupts the solver-under-test's results so
 /// the end-to-end pipeline (detect, reduce, triage) can be exercised and
@@ -68,7 +73,7 @@ enum class OracleKind : uint8_t {
   ReferenceEquivalence,
   IntrospectiveSubset,
   CacheWarmColdParity,
-  PortfolioParity,
+  BudgetPrefix,
   DeepCap,
   ServedLocalParity,
 };

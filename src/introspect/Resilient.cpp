@@ -10,13 +10,11 @@
 #include "ir/Program.h"
 #include "support/Json.h"
 #include "support/Overflow.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <utility>
 
 using namespace intro;
@@ -86,14 +84,13 @@ HeuristicAParams tightened(const HeuristicAParams &Base, uint32_t Round) {
   return Params;
 }
 
-/// The solver options of one rung's attempt, polling \p Cancel.
+/// The solver options of one rung's attempt, polling the caller's token.
 SolverOptions rungSolverOptions(const ResilientOptions &Options,
                                 DegradationLevel Level,
-                                const SolveBudget &Budget,
-                                const CancellationToken *Cancel) {
+                                const SolveBudget &Budget) {
   SolverOptions SolverOpts;
   SolverOpts.Budget = Budget;
-  SolverOpts.Cancel = Cancel;
+  SolverOpts.Cancel = Options.Cancel;
   SolverOpts.Faults = Options.faultsFor(Level);
   return SolverOpts;
 }
@@ -102,7 +99,7 @@ SolverOptions rungSolverOptions(const ResilientOptions &Options,
 /// Insensitive fault plan.
 SolverOptions passASolverOptions(const ResilientOptions &Options) {
   return rungSolverOptions(Options, DegradationLevel::Insensitive,
-                           Options.FirstPassBudget, Options.Cancel);
+                           Options.FirstPassBudget);
 }
 
 /// Pass A as the fallback outcome: a cache \p Summary is re-solved without
@@ -242,8 +239,7 @@ private:
   PointsToResult attempt(DegradationLevel Level, const ContextPolicy &Policy,
                          const SolveBudget &Budget, uint32_t Round = 0) {
     ContextTable Table;
-    SolverOptions SolverOpts =
-        rungSolverOptions(Options, Level, Budget, Options.Cancel);
+    SolverOptions SolverOpts = rungSolverOptions(Options, Level, Budget);
     if (Options.OnRungStart)
       Options.OnRungStart(Level, Round);
     trace::ScopedSpan RungSpan(rungSpanName(Level));
@@ -308,236 +304,6 @@ private:
   const ResilientOptions &Options;
   ResilientOutcome Out;
   bool Stopped = false; ///< Cancellation fired; no further rungs.
-};
-
-//===----------------------------------------------------------------------===//
-// Portfolio mode: race the rungs instead of walking them.
-//===----------------------------------------------------------------------===//
-
-/// One racing rung: its own linked cancellation token (so losers can be
-/// stopped individually while the caller's token still reaches everyone),
-/// the policy it solves under (owned for introspective rungs), and the
-/// pending / harvested result.
-struct PortfolioRung {
-  DegradationLevel Level;
-  uint32_t Round = 0;
-  CancellationToken Cancel;
-  std::unique_ptr<ContextPolicy> OwnedPolicy; ///< Null for borrowed policies.
-  RefinementExceptions Exceptions; ///< Installed exceptions (intro rungs).
-  std::future<std::pair<PointsToResult, double>> Pending;
-  PointsToResult Result;
-  double Seconds = 0;
-  bool Harvested = false;
-};
-
-/// The concurrent counterpart of Ladder.  Runs Pass A (runPassA) on the
-/// calling thread, then launches the capped deep attempt and every
-/// introspective rung on the pool at once.  The winner is then decided
-/// by harvesting in ladder order — the first completed rung is exactly the
-/// one the sequential walk would have stopped at, because the rungs above
-/// it all failed their (deterministic) budgets.  Everything below the
-/// winner is cancelled.
-class Portfolio {
-public:
-  Portfolio(const Program &Prog, const ContextPolicy &RefinedPolicy,
-            const ResilientOptions &Options)
-      : Prog(Prog), Refined(RefinedPolicy), Options(Options) {}
-
-  ResilientOutcome run() {
-    Timer Total;
-    auto Insensitive = makeInsensitivePolicy();
-    // Never more workers than pool tasks that can exist (the deep rung and
-    // the introspective rungs); never fewer than one.
-    unsigned MaxTasks = 1 + (Options.AttemptIntroB ? 1 : 0) +
-                        (Options.AttemptIntroA ? 1 : 0) +
-                        Options.TightenedRounds;
-    unsigned Workers =
-        Options.Workers ? Options.Workers : ThreadPool::defaultWorkerCount();
-    ThreadPool Pool(std::max(1u, std::min(Workers, MaxTasks)));
-    try {
-      return race(Pool, *Insensitive, Total);
-    } catch (...) {
-      // A throwing rung must not leave the others running for their full
-      // budgets while the pool drains.
-      cancelAll();
-      throw;
-    }
-  }
-
-private:
-  ResilientOutcome race(ThreadPool &Pool, const ContextPolicy &Insensitive,
-                        const Timer &Total) {
-    // Pass A gates every other rung: its size caps the deep rung and the
-    // introspective rungs need its metrics.  It runs (or reloads from the
-    // Pass-A cache) here and is recorded as a pre-harvested rung, in its
-    // ladder-walk position.
-    PassAOutcome PassA =
-        runPassA(Prog, passASolverOptions(Options), Options.Cache,
-                 Options.CacheKey, rungSpanName(DegradationLevel::Insensitive));
-    Rungs.emplace_back();
-    PortfolioRung &First = Rungs.back();
-    First.Level = DegradationLevel::Insensitive;
-    First.Result = std::move(PassA.Insens);
-    First.Seconds = PassA.Seconds;
-    First.Harvested = true;
-    bool FirstOk = isCompleted(First.Result.Status);
-    if (FirstOk) {
-      Out.Metrics = std::move(PassA.Metrics);
-      Out.MetricSeconds = PassA.MetricSeconds;
-    }
-
-    // Like the sequential walk, launch nothing once the caller cancelled.
-    // Launch order IS the sequential ladder-walk order (the pre-analysis,
-    // deep, introB, introA, tightened rounds), so the trace order is
-    // deterministic even though completion order is not.
-    std::vector<PortfolioRung *> LadderOrder;
-    bool Cancelled = First.Result.Status == SolveStatus::Cancelled ||
-                     (Options.Cancel && Options.Cancel->isCancelled());
-    if (!Cancelled && Options.AttemptDeep) {
-      SolveBudget Budget = deepBudget(Options.DeepBudget, First.Result);
-      if (skipDeepRung(First.Result.Status, Out.Metrics.DeepTuplesEstimate,
-                       Budget.MaxTuples)) {
-        PortfolioRung &Skipped = Rungs.emplace_back();
-        Skipped.Level = DegradationLevel::Deep;
-        Skipped.Result = skippedDeepResult(Refined);
-        Skipped.Harvested = true;
-      } else {
-        LadderOrder.push_back(
-            &launch(Pool, DegradationLevel::Deep, Refined, Budget));
-      }
-    }
-    if (!Cancelled && FirstOk) {
-      if (Options.AttemptIntroB)
-        LadderOrder.push_back(&launchIntro(
-            Pool, DegradationLevel::IntroB, "-IntroB",
-            applyHeuristicB(Prog, First.Result, Out.Metrics, Options.ParamsB),
-            Insensitive));
-      if (Options.AttemptIntroA)
-        LadderOrder.push_back(&launchIntro(
-            Pool, DegradationLevel::IntroA, "-IntroA",
-            applyHeuristicA(Prog, First.Result, Out.Metrics, Options.ParamsA),
-            Insensitive));
-      for (uint32_t Round = 1; Round <= Options.TightenedRounds; ++Round) {
-        HeuristicAParams Params =
-            tightened(Options.ParamsA, Round);
-        std::string Suffix = "-IntroA-tight" + std::to_string(Round);
-        LadderOrder.push_back(&launchIntro(
-            Pool, DegradationLevel::TightenedIntroA, Suffix.c_str(),
-            applyHeuristicA(Prog, First.Result, Out.Metrics, Params),
-            Insensitive, Round));
-      }
-    }
-
-    // Decide the race in ladder order.  Budgets and fault plans are
-    // deterministic, so the rungs above the first completed one fail in
-    // both execution modes, making this exactly the sequential winner.
-    PortfolioRung *Winner = nullptr;
-    for (PortfolioRung *R : LadderOrder) {
-      harvest(*R);
-      if (isCompleted(R->Result.Status)) {
-        Winner = R;
-        break;
-      }
-    }
-    TRACE_COUNTER("portfolio.rungs_launched", Rungs.size());
-    if (Winner)
-      TRACE_INSTANT("portfolio.winner_level",
-                    static_cast<uint64_t>(Winner->Level));
-
-    // The race is decided: stop the losers, then collect them for the
-    // trace.
-    cancelAll();
-    for (PortfolioRung &R : Rungs)
-      harvest(R);
-    for (PortfolioRung &R : Rungs)
-      Out.Trace.push_back({R.Level, R.Result.AnalysisName, R.Result.Status,
-                           R.Result.Stats, R.Seconds, R.Round});
-
-    if (Winner) {
-      Out.Result = std::move(Winner->Result);
-      Out.Level = Winner->Level;
-      Out.Exceptions = std::move(Winner->Exceptions);
-    } else {
-      // Every refined rung failed, or the caller cancelled: mirror the
-      // sequential fallback to Pass A, completed or partial.
-      Out.Cancelled =
-          Cancelled || (Options.Cancel && Options.Cancel->isCancelled());
-      Out.Result = insensitiveFallback(Prog, Options, std::move(First.Result),
-                                       PassA.Summary, Out.Cancelled);
-      Out.Level = DegradationLevel::Insensitive;
-    }
-    Out.TotalSeconds = Total.seconds();
-    return std::move(Out);
-  }
-
-  /// Launches one rung on \p Pool.  \p Owned (if any) transfers policy
-  /// ownership into the rung; \p Policy must otherwise outlive the run.
-  PortfolioRung &launch(ThreadPool &Pool, DegradationLevel Level,
-                        const ContextPolicy &Policy, const SolveBudget &Budget,
-                        uint32_t Round = 0,
-                        std::unique_ptr<ContextPolicy> Owned = nullptr,
-                        RefinementExceptions Exceptions = {}) {
-    Rungs.emplace_back();
-    PortfolioRung &R = Rungs.back(); // deque: address stays valid.
-    R.Level = Level;
-    R.Round = Round;
-    R.OwnedPolicy = std::move(Owned);
-    R.Exceptions = std::move(Exceptions);
-    R.Cancel.linkTo(Options.Cancel);
-
-    SolverOptions SolverOpts =
-        rungSolverOptions(Options, Level, Budget, &R.Cancel);
-    const Program *ProgPtr = &Prog;
-    const ContextPolicy *PolicyPtr = &Policy;
-    R.Pending = Pool.submit([ProgPtr, PolicyPtr, SolverOpts, Level] {
-      // The rung span is recorded on the worker thread; the recorder merges
-      // per-thread buffers at flush, and summaries key on the name alone,
-      // so the merged content does not depend on which worker ran the rung.
-      trace::ScopedSpan RungSpan(rungSpanName(Level));
-      Timer Clock;
-      ContextTable Table;
-      PointsToResult Result =
-          solvePointsTo(*ProgPtr, *PolicyPtr, Table, SolverOpts);
-      return std::make_pair(std::move(Result), Clock.seconds());
-    });
-    return R;
-  }
-
-  PortfolioRung &launchIntro(ThreadPool &Pool, DegradationLevel Level,
-                             const char *NameSuffix,
-                             RefinementExceptions Exceptions,
-                             const ContextPolicy &Insensitive,
-                             uint32_t Round = 0) {
-    auto Policy = makeIntrospectivePolicy(Refined.name() + NameSuffix,
-                                          Insensitive, Refined, Exceptions);
-    const ContextPolicy &Ref = *Policy;
-    return launch(Pool, Level, Ref, Options.RefinedBudget, Round,
-                  std::move(Policy), std::move(Exceptions));
-  }
-
-  void harvest(PortfolioRung &R) {
-    if (R.Harvested)
-      return;
-    auto [Result, Seconds] = R.Pending.get();
-    R.Result = std::move(Result);
-    R.Seconds = Seconds;
-    R.Harvested = true;
-  }
-
-  void cancelAll() {
-    // One fan-out event for the whole sweep (count = rungs reached), not
-    // one per rung: the number of *launched* rungs is deterministic, and
-    // a single instant keeps it that way in the trace content.
-    TRACE_INSTANT("portfolio.cancel_fanout", Rungs.size());
-    for (PortfolioRung &R : Rungs)
-      R.Cancel.cancel();
-  }
-
-  const Program &Prog;
-  const ContextPolicy &Refined;
-  const ResilientOptions &Options;
-  ResilientOutcome Out;
-  std::deque<PortfolioRung> Rungs; ///< In ladder-walk (launch) order.
 };
 
 /// One attempt as a JSON object; \p Won marks the rung the outcome came
@@ -680,10 +446,6 @@ void intro::writeResilientOptionsJson(JsonWriter &J,
   J.key("q");
   J.value(Options.ParamsB.Q);
   J.endObject();
-  J.key("portfolio");
-  J.value(Options.Portfolio);
-  J.key("workers");
-  J.value(static_cast<uint64_t>(Options.Workers));
   // Only armed fault plans are written, keyed by level name.
   J.key("level_faults");
   J.beginArray();
@@ -749,6 +511,5 @@ bool intro::parseAttemptTraceJson(const JsonValue &Value, AttemptTrace &Trace,
 ResilientOutcome intro::runResilient(const Program &Prog,
                                      const ContextPolicy &RefinedPolicy,
                                      const ResilientOptions &Options) {
-  return Options.Portfolio ? Portfolio(Prog, RefinedPolicy, Options).run()
-                           : Ladder(Prog, RefinedPolicy, Options).run();
+  return Ladder(Prog, RefinedPolicy, Options).run();
 }

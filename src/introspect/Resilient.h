@@ -39,19 +39,6 @@
 /// Deterministic fault injection (FaultPlan, per rung) lets tests exercise
 /// every rung without constructing programs that genuinely blow up.
 ///
-/// **Portfolio mode** (ResilientOptions::Portfolio) races the rungs
-/// concurrently on a thread pool instead of paying for each failed rung in
-/// wall-clock: the calling thread runs Pass A, then the deep attempt and
-/// every introspective rung launch on the pool at once.  The winner is
-/// decided in ladder order — exactly the rung the sequential walk would
-/// have returned — and the losing rungs are cancelled through per-rung
-/// tokens linked to the caller's.  Completed solver runs are
-/// single-threaded and deterministic, so the winning PointsToResult, the
-/// metrics, and the exceptions are bit-identical to the sequential path;
-/// only wall-clock (and the Stats of *cancelled* losers in the trace)
-/// differ.  The trace records every launched attempt in the fixed
-/// ladder-walk order regardless of completion order.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef INTROSPECT_RESILIENT_H
@@ -146,20 +133,15 @@ struct ResilientOptions {
   /// supervision layer uses this from a forked child to stream per-rung
   /// progress over its report pipe, so a parent that sees the child die a
   /// hard death (segfault, OOM kill, watchdog) knows the rung the child was
-  /// in and can resume the ladder strictly below it.  Sequential
-  /// ladder only: portfolio mode launches rungs concurrently and does not
-  /// invoke the callback (supervised children always run sequentially).
+  /// in and can resume the ladder strictly below it.
   std::function<void(DegradationLevel Level, uint32_t TightenedRound)>
       OnRungStart;
 
-  /// Race the rungs concurrently instead of walking them one by one.  The
-  /// returned result, level, metrics, and exceptions are bit-identical to
-  /// the sequential walk (see the file comment); the win is wall-clock:
-  /// failed rungs no longer serialize in front of the rung that completes.
+  /// Ignored; the ladder is sequential. Kept only because perfbench/driver
+  /// assigns it; deleted with the next benchmark change.
   bool Portfolio = false;
-  /// Worker threads for portfolio mode's pool, which runs the deep and
-  /// introspective rungs (the pre-analysis runs on the calling thread).
-  /// 0 means one per hardware thread.
+  /// Ignored; the ladder is sequential. Kept only because perfbench/driver
+  /// assigns it; deleted with the next benchmark change.
   unsigned Workers = 0;
 
   /// Optional content-addressed Pass-A store (runtime-only, like Cancel
@@ -242,8 +224,7 @@ inline constexpr uint64_t DeepSkipFactor = 2;
 /// \returns true if the ladder skips a deep rung capped at \p DeepCap
 /// tuples: Pass A ended with \p PassAStatus completed and its
 /// DeepTuplesEstimate \p Estimate exceeds DeepSkipFactor × DeepCap (the
-/// product saturating).  Sequential and portfolio ladders both decide
-/// through this.
+/// product saturating).
 bool skipDeepRung(SolveStatus PassAStatus, uint64_t Estimate,
                   uint64_t DeepCap);
 
@@ -263,10 +244,10 @@ void writeResilientOutcomeJson(JsonWriter &J, const ResilientOutcome &Outcome);
 void writeResilientTimingJson(JsonWriter &J, const ResilientOutcome &Outcome);
 
 /// Writes the *configuration* part of \p Options as one JSON object —
-/// budgets, rung toggles, tightening rounds, heuristic parameters,
-/// portfolio/worker knobs, and any armed fault plans — so a run report
-/// records the ladder it ran.  Runtime-only members (Cancel, OnRungStart,
-/// Cache) are not represented.  The JSON is a record, not a transport: a
+/// budgets, rung toggles, tightening rounds, heuristic parameters, and
+/// any armed fault plans — so a run report records the ladder it ran.
+/// Runtime-only members (Cancel, OnRungStart, Cache) and the two ignored
+/// fields are not represented.  The JSON is a record, not a transport: a
 /// supervised child is forked and inherits its options in memory.
 void writeResilientOptionsJson(JsonWriter &J, const ResilientOptions &Options);
 

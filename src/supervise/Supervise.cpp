@@ -542,13 +542,10 @@ JobOutcomeClass classifyAttempt(const ChildResult &Child,
   return JobOutcomeClass::NonzeroExit;
 }
 
-/// Strips supervisor-owned members from the configured ladder: children
-/// are single-threaded after fork (no portfolio), and callbacks/tokens
-/// cannot cross the process boundary.
+/// Strips supervisor-owned members from the configured ladder: callbacks
+/// and tokens cannot cross the process boundary.
 ResilientOptions sanitizeLadder(const ResilientOptions &Ladder) {
   ResilientOptions Clean = Ladder;
-  Clean.Portfolio = false;
-  Clean.Workers = 1;
   Clean.Cancel = nullptr;
   Clean.OnRungStart = nullptr;
   // Cache pointers are per-process: the child opens its own ResultCache

@@ -211,8 +211,8 @@ struct JobResult {
 /// Batch-level configuration.
 struct BatchOptions {
   /// The base degradation-ladder configuration every job starts from.
-  /// Cancel/OnRungStart/Portfolio are supervisor-owned and ignored:
-  /// children always run the sequential ladder (one thread after fork).
+  /// Cancel/OnRungStart/Cache are per-process and ignored: each child
+  /// installs its own progress callback and cache handle.
   ResilientOptions Ladder;
   /// Hard limits applied to every child.
   ChildLimits Limits;

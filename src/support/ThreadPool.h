@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A deliberately small thread pool for the portfolio engine's racing
-/// rungs and the benchmark sweep runners: a fixed number of workers, a FIFO task
-/// queue, and std::future-based results.  No work stealing, no priorities,
+/// A deliberately small thread pool for the analysis service, the batch
+/// supervisor, the fuzz campaign and the benchmark sweep runners: a fixed
+/// number of workers, a FIFO task queue, and std::future-based results.  No work stealing, no priorities,
 /// no resizing — the analysis workloads are a handful of long-running,
 /// independent solver calls, so a single shared queue is both sufficient
 /// and easy to reason about.

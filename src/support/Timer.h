@@ -6,8 +6,7 @@
 ///
 /// \file
 /// A monotonic stopwatch used by the solver's resource budget, the
-/// degradation-ladder / portfolio attempt accounting, and the benchmark
-/// harnesses.
+/// degradation ladder's attempt accounting, and the benchmark harnesses.
 ///
 /// The clock is required to be std::chrono::steady_clock — never the wall
 /// clock — so that elapsed readings cannot jump backwards (or forwards)

@@ -31,8 +31,7 @@
 ///
 /// Flush contract: finish() (and the exporters, which call it) must only
 /// run after every recording thread has quiesced with a happens-before
-/// edge to the caller — join the threads or destroy the pool first.  This
-/// is the same contract the portfolio engine already obeys for results.
+/// edge to the caller — join the threads or destroy the pool first.
 ///
 /// Event taxonomy and the determinism argument are documented in
 /// DESIGN.md §8.

@@ -794,29 +794,6 @@ TEST(LadderCache, WarmLadderSharesPassAWithIdenticalTraceColumns) {
   expectMetricsEqual(Cold.Metrics, Warm.Metrics);
 }
 
-TEST(LadderCache, PortfolioWarmRunIsBitIdenticalToSequential) {
-  TwoBoxes T = makeTwoBoxes();
-  TempDir Dir;
-  cache::ResultCache Cache({Dir.Path, 0});
-  cache::Fingerprint Fp = cache::fingerprintProgram(T.Prog);
-
-  ResilientOptions Options;
-  Options.AttemptDeep = false;
-  Options.Cache = &Cache;
-  Options.CacheKey = &Fp;
-  auto Refined = makeObjectPolicy(T.Prog, 2, 1);
-  ResilientOutcome Sequential = runResilient(T.Prog, *Refined, Options);
-  ASSERT_EQ(Cache.stats().Stores, 1u);
-
-  Options.Portfolio = true;
-  Options.Workers = 4;
-  ResilientOutcome Portfolio = runResilient(T.Prog, *Refined, Options);
-  EXPECT_GE(Cache.stats().Hits, 1u);
-  EXPECT_EQ(Portfolio.Level, Sequential.Level);
-  expectResultsEqual(Portfolio.Result, Sequential.Result);
-  expectMetricsEqual(Portfolio.Metrics, Sequential.Metrics);
-}
-
 TEST(LadderCache, ArmedInsensitiveFaultBypassesTheCache) {
   TwoBoxes T = makeTwoBoxes();
   TempDir Dir;
@@ -899,12 +876,9 @@ TEST(LadderCache, InsensitiveFallbackReSolvesTheSummarizedPassA) {
   auto Refined = makeObjectPolicy(T.Prog, 2, 1);
   ResilientOutcome Cold = runResilient(T.Prog, *Refined, Options);
   ResilientOutcome Warm = runResilient(T.Prog, *Refined, Options);
-  Options.Portfolio = true;
-  Options.Workers = 2;
-  ResilientOutcome Racing = runResilient(T.Prog, *Refined, Options);
   EXPECT_EQ(Cache.stats().Stores, 1u);
-  EXPECT_EQ(Cache.stats().Hits, 2u);
-  for (const ResilientOutcome *Out : {&Cold, &Warm, &Racing}) {
+  EXPECT_EQ(Cache.stats().Hits, 1u);
+  for (const ResilientOutcome *Out : {&Cold, &Warm}) {
     EXPECT_EQ(Out->Level, DegradationLevel::Insensitive);
     EXPECT_TRUE(Out->completed());
     EXPECT_FALSE(Out->Cancelled);
@@ -916,7 +890,6 @@ TEST(LadderCache, InsensitiveFallbackReSolvesTheSummarizedPassA) {
   // the summary.  The cancel lands while the faulted IntroB rung runs, so
   // the ladder stops at the next between-rung check.
   CancellationToken Cancel;
-  Options.Portfolio = false;
   Options.Cancel = &Cancel;
   Options.OnRungStart = [&](DegradationLevel Level, uint32_t) {
     if (Level == DegradationLevel::IntroB)

@@ -84,8 +84,9 @@ if(POS EQUAL -1)
 endif()
 
 # 4. CLI contract: malformed flags are diagnosed with exit 2.
+# The name of a retired oracle is refused like any unknown one.
 foreach(BAD --seed=x --count=0 --fuzz-budget=nan --oracles=bogus
-        --plant-bug=bogus)
+        --oracles=portfolio-parity --plant-bug=bogus)
   execute_process(
     COMMAND ${INTRO_FUZZ} ${BAD}
     RESULT_VARIABLE CODE
@@ -93,6 +94,12 @@ foreach(BAD --seed=x --count=0 --fuzz-budget=nan --oracles=bogus
     ERROR_VARIABLE ERR)
   if(NOT CODE EQUAL 2)
     message(SEND_ERROR "${BAD}: expected exit 2, got ${CODE}\n${ERR}")
+  endif()
+  if(BAD MATCHES "^--oracles=")
+    string(FIND "${ERR}" "unknown oracle" POS)
+    if(POS EQUAL -1)
+      message(SEND_ERROR "${BAD}: expected 'unknown oracle', got:\n${ERR}")
+    endif()
   endif()
 endforeach()
 

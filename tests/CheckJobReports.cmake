@@ -71,8 +71,8 @@ else()
   else()
     json_keys(OPTIONS "${TEXT}" deterministic options)
     set(WANT "attempt_deep;attempt_intro_a;attempt_intro_b;deep_budget;\
-first_pass_budget;level_faults;params_a;params_b;portfolio;refined_budget;\
-tightened_rounds;workers")
+first_pass_budget;level_faults;params_a;params_b;refined_budget;\
+tightened_rounds")
     if(NOT OPTIONS STREQUAL WANT)
       message(SEND_ERROR "deterministic.options keys are '${OPTIONS}', "
                          "expected '${WANT}'")

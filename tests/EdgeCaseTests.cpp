@@ -9,8 +9,12 @@
 #include "datalog/Engine.h"
 #include "ir/ProgramBuilder.h"
 #include "ir/Validator.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
+
+#include <future>
+#include <vector>
 
 using namespace intro;
 
@@ -387,4 +391,28 @@ TEST(SolverEdge, OutOfRangeIdsYieldSharedEmptySets) {
   EXPECT_FALSE(R.isReachable(MethodId::invalid()));
   // In-range queries still answer from the real tables.
   EXPECT_EQ(R.pointsTo(X).size(), 1u);
+}
+
+TEST(SolverEdge, SharedEmptySetIsSafeForConcurrentReaders) {
+  // PointsToResult::emptySet() is the shared fallback of every query on a
+  // result; readers on several threads must all observe one
+  // fully-constructed object at a single address (C++11 magic statics).
+  PointsToResult Result; // No tables: every query hits the fallback.
+  const SortedIdSet *Addresses[8] = {};
+  {
+    ThreadPool Pool(4);
+    std::vector<std::future<void>> Reads;
+    for (size_t Reader = 0; Reader < 8; ++Reader)
+      Reads.push_back(Pool.submit([&Result, &Addresses, Reader] {
+        const SortedIdSet &Empty = Result.pointsTo(VarId(12345));
+        EXPECT_TRUE(Empty.empty());
+        EXPECT_TRUE(Result.callTargets(SiteId(7)).empty());
+        EXPECT_TRUE(Result.throwsOf(MethodId(9)).empty());
+        Addresses[Reader] = &Empty;
+      }));
+    for (auto &Read : Reads)
+      Read.get();
+  }
+  for (size_t Reader = 1; Reader < 8; ++Reader)
+    EXPECT_EQ(Addresses[Reader], Addresses[0]);
 }

@@ -225,6 +225,31 @@ TEST(FuzzOracles, EveryPlantedBugIsDetected) {
   }
 }
 
+TEST(FuzzOracles, BudgetPrefixHoldsOnBiasedProgramsAndSkipsCappedOnes) {
+  // A run stopped at half the completed run's pops must be a sound prefix
+  // of it, for insens and 2objH, over every generator bias.
+  OracleOptions Options;
+  Options.Oracles = OracleSet().enable(OracleKind::BudgetPrefix);
+  uint32_t ChecksRun = 0;
+  for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
+    Program Prog = generateFuzzProgram(Seed, biasForSeed(Seed));
+    OracleOutcome Out = checkProgram(Prog, Options);
+    for (const Finding &F : Out.Findings)
+      ADD_FAILURE() << "seed " << Seed << " " << F.Policy << ": " << F.Detail;
+    EXPECT_EQ(Out.ChecksRun + Out.ChecksSkipped, 2u) << "seed " << Seed;
+    ChecksRun += Out.ChecksRun;
+  }
+  EXPECT_GE(ChecksRun, 20u);
+
+  // A completed run is what the stopped one is compared with: under a cap
+  // neither flavor fits, both are skipped, and nothing is filed.
+  Options.MaxTuples = 1;
+  OracleOutcome Capped = checkProgram(makeMixed().Prog, Options);
+  EXPECT_TRUE(Capped.clean());
+  EXPECT_EQ(Capped.ChecksRun, 0u);
+  EXPECT_EQ(Capped.ChecksSkipped, 2u);
+}
+
 TEST(FuzzOracles, PlantedBugNamesRoundTrip) {
   for (PlantedBug Bug : {PlantedBug::None, PlantedBug::DropMaxHeapPerVar,
                          PlantedBug::DropMaxCallTarget,

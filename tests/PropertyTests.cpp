@@ -271,9 +271,10 @@ TEST_P(RandomProgramProperty, BudgetTrippedRunIsAPrefixOfTheCompletedRun) {
             << Where << ": throws of method " << Method;
       for (uint32_t Method = 0; Method < Part.MethodReachable.size();
            ++Method)
-        if (Part.MethodReachable[Method])
+        if (Part.MethodReachable[Method]) {
           EXPECT_TRUE(Full.isReachable(MethodId(Method)))
               << Where << ": method " << Method;
+        }
       for (uint32_t Site = 0; Site < Part.SiteTargets.size(); ++Site)
         EXPECT_TRUE(Subset(Part.SiteTargets[Site],
                            Full.callTargets(SiteId(Site))))
