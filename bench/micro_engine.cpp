@@ -19,6 +19,7 @@
 #include "datalog/Engine.h"
 #include "introspect/Metrics.h"
 #include "ir/ProgramBuilder.h"
+#include "support/Concat.h"
 #include "support/Rng.h"
 #include "support/SetUtils.h"
 #include "support/Trace.h"
@@ -47,7 +48,7 @@ Program hubHeavyProgram(uint32_t NumObjects, uint32_t NumSources,
   std::vector<VarId> Sources;
   Sources.reserve(NumSources);
   for (uint32_t Index = 0; Index < NumSources; ++Index)
-    Sources.push_back(Main.local("s" + std::to_string(Index)));
+    Sources.push_back(Main.local(concat("s", Index)));
   // Round-robin allocation: source k owns heap ids k, k+S, k+2S, ... so the
   // per-source sets interleave when merged.
   for (uint32_t Index = 0; Index < NumObjects; ++Index)
@@ -57,7 +58,7 @@ Program hubHeavyProgram(uint32_t NumObjects, uint32_t NumSources,
   for (VarId Source : Sources)
     Main.move(Hub, Source);
   for (uint32_t Index = 0; Index < NumConsumers; ++Index)
-    Main.move(Main.local("c" + std::to_string(Index)), Hub);
+    Main.move(Main.local(concat("c", Index)), Hub);
   return B.take();
 }
 
@@ -143,7 +144,7 @@ static void BM_DatalogManyIndexedJoins(benchmark::State &State) {
     uint32_t Out = E.addRelation("out", 2);
     std::vector<uint32_t> Edges;
     for (uint32_t Rel = 0; Rel < NumEdgeRelations; ++Rel) {
-      uint32_t Edge = E.addRelation("edge" + std::to_string(Rel), 2);
+      uint32_t Edge = E.addRelation(concat("edge", Rel), 2);
       Edges.push_back(Edge);
       // out(x, z) :- out(x, y), edgeR(y, z).  The second atom is looked up
       // with position 0 bound, so every edge relation gets its own index.

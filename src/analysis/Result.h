@@ -33,7 +33,6 @@ enum class SolveStatus : uint8_t {
   TupleBudgetExceeded,  ///< Relation sizes blew past the budget ("timeout").
   TimeBudgetExceeded,   ///< Wall clock blew past the budget ("timeout").
   MemoryBudgetExceeded, ///< Approximate solver footprint blew past MaxBytes.
-  Cancelled,            ///< Aborted via a CancellationToken, not a budget.
 };
 
 /// \returns true if \p Status denotes a completed (non-timeout) run.
@@ -52,8 +51,6 @@ inline const char *statusName(SolveStatus Status) {
     return "TimeBudgetExceeded";
   case SolveStatus::MemoryBudgetExceeded:
     return "MemoryBudgetExceeded";
-  case SolveStatus::Cancelled:
-    return "Cancelled";
   }
   return "?";
 }
@@ -63,8 +60,7 @@ inline const char *statusName(SolveStatus Status) {
 inline bool statusFromName(std::string_view Name, SolveStatus &Status) {
   static constexpr SolveStatus All[] = {
       SolveStatus::Completed, SolveStatus::TupleBudgetExceeded,
-      SolveStatus::TimeBudgetExceeded, SolveStatus::MemoryBudgetExceeded,
-      SolveStatus::Cancelled};
+      SolveStatus::TimeBudgetExceeded, SolveStatus::MemoryBudgetExceeded};
   for (SolveStatus Candidate : All)
     if (Name == statusName(Candidate)) {
       Status = Candidate;

@@ -98,8 +98,7 @@ public:
     while (!PendingReachable.empty() || !Worklist.empty()) {
       // The tuple/memory budgets and the fault plan are cheap integer tests,
       // so test them every iteration; the clock costs a syscall and runs
-      // only every 1024 iterations; cancellation is a relaxed atomic load,
-      // polled every CancelPollInterval iterations.
+      // only every 1024 iterations.
       ++Checkpoint;
       if (stopRequested(Checkpoint))
         break;
@@ -115,7 +114,7 @@ public:
   }
 
 private:
-  // --- Budget, fault injection, and cancellation -------------------------
+  // --- Budget and fault injection ----------------------------------------
 
   /// Tests every stop condition, cheapest first.  Sets Status and \returns
   /// true if the run must abort at this iteration.
@@ -154,12 +153,6 @@ private:
         TRACE_INSTANT("solve.trip.time_budget", Pops);
         return true;
       }
-    }
-    if (Opts.Cancel && Checkpoint % CancelPollInterval == 0 &&
-        Opts.Cancel->isCancelled()) {
-      Status = SolveStatus::Cancelled;
-      TRACE_INSTANT("solve.trip.cancelled", Pops);
-      return true;
     }
     return false;
   }

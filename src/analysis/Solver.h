@@ -30,7 +30,6 @@
 
 #include "analysis/Context.h"
 #include "analysis/Result.h"
-#include "support/Cancellation.h"
 
 namespace intro {
 
@@ -61,11 +60,6 @@ struct FaultPlan {
   }
 };
 
-/// Worklist iterations between two polls of SolverOptions::Cancel.  The
-/// poll is a relaxed atomic load, so a cancel is seen within a few hundred
-/// pops at negligible cost.
-inline constexpr uint32_t CancelPollInterval = 64;
-
 /// Options controlling a solver run.
 struct SolverOptions {
   SolveBudget Budget;
@@ -78,11 +72,6 @@ struct SolverOptions {
   /// the dataflow).  Off by default — the paper's model treats casts as
   /// moves.
   bool FilterCasts = false;
-  /// Optional cooperative cancellation.  When set, the worklist loop polls
-  /// the token every CancelPollInterval iterations and stops with
-  /// SolveStatus::Cancelled (a sound-prefix result, like a budget stop).
-  /// The token must outlive the run.
-  const CancellationToken *Cancel = nullptr;
   /// Deterministic fault injection (tests only; inert by default).
   FaultPlan Faults;
 };

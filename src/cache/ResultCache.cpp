@@ -234,7 +234,7 @@ std::vector<uint8_t> encodePayload(const CachedPassA &Entry) {
 bool decodePayload(ByteReader &R, CachedPassA &Entry) {
   PointsToResult &Result = Entry.Insens;
   uint8_t RawStatus = R.u8();
-  if (RawStatus > static_cast<uint8_t>(SolveStatus::Cancelled))
+  if (RawStatus > static_cast<uint8_t>(SolveStatus::MemoryBudgetExceeded))
     return false;
   Result.Status = static_cast<SolveStatus>(RawStatus);
   for (auto [Name, Counter] : SolverStatsFields)

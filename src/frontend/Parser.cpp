@@ -11,6 +11,7 @@
 
 #include <map>
 #include <optional>
+#include <tuple>
 
 using namespace intro;
 
@@ -230,6 +231,17 @@ private:
         FieldsByName[Key] = Builder.field(Owner, Field);
       }
       for (const MethodDecl &Method : Decl.Methods) {
+        // Keyed like buildBody's lookup: static or not, a second m/N
+        // would take over the first one's body.
+        auto Arity = static_cast<uint32_t>(Method.Params.size());
+        auto [Slot, Fresh] =
+            MethodsByName.try_emplace({Owner.index(), Method.Name, Arity});
+        if (!Fresh) {
+          Errors.push_back("line " + std::to_string(Method.Line) +
+                           ": duplicate method '" + Decl.Name + "." +
+                           Method.Name + "/" + std::to_string(Arity) + "'");
+          continue;
+        }
         MethodBuilder MB = Builder.methodNamed(
             Owner, Method.Name, Method.Params, Method.IsStatic,
             Method.ReturnName);
@@ -240,8 +252,7 @@ private:
                              "' must be static");
           Builder.entry(MB.id());
         }
-        MethodsByName[{Owner.index(), Method.Name,
-                       static_cast<uint32_t>(Method.Params.size())}] = MB.id();
+        Slot->second = MB.id();
       }
     }
   }

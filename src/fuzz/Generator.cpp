@@ -7,6 +7,7 @@
 #include "fuzz/Generator.h"
 
 #include "ir/ProgramBuilder.h"
+#include "support/Concat.h"
 #include "support/Rng.h"
 
 #include <optional>
@@ -101,7 +102,7 @@ private:
     std::vector<MethodBuilder> Steps;
     for (uint32_t Index = 0; Index < Depth; ++Index)
       Steps.push_back(
-          B.method(Root, "step" + std::to_string(Index), 1, /*IsStatic=*/true));
+          B.method(Root, concat("step", Index), 1, /*IsStatic=*/true));
     bool Cyclic = R.chance(500);
     for (uint32_t Index = 0; Index < Depth; ++Index) {
       MethodBuilder &M = Steps[Index];
@@ -145,7 +146,7 @@ private:
       M.alloc(Mixed, T);
     VarId Prev = Mixed;
     for (uint32_t Index = 0; Index < Opt.CastChainLength; ++Index) {
-      VarId Next = M.local("cast" + std::to_string(Index));
+      VarId Next = M.local(concat("cast", Index));
       M.cast(Next, Prev, Lattice[R.below(4)]);
       // Occasionally re-widen so the chain does not drain to empty.
       if (R.chance(300))
@@ -165,7 +166,7 @@ private:
     std::vector<TypeId> Chain;
     TypeId Prev = Root;
     for (uint32_t Index = 0; Index < Opt.HierarchyDepth; ++Index) {
-      TypeId T = B.cls("Deep" + std::to_string(Index), Prev);
+      TypeId T = B.cls(concat("Deep", Index), Prev);
       Chain.push_back(T);
       Types.push_back(T);
       Prev = T;
@@ -177,7 +178,7 @@ private:
         Ids.push_back(B.method(Chain[Index], "id", 0, /*IsStatic=*/false));
     std::vector<TypeId> Leaves;
     for (uint32_t Index = 0; Index < Opt.HierarchyWidth; ++Index) {
-      TypeId Leaf = B.cls("Wide" + std::to_string(Index), Chain.back());
+      TypeId Leaf = B.cls(concat("Wide", Index), Chain.back());
       Leaves.push_back(Leaf);
       Types.push_back(Leaf);
     }
@@ -234,16 +235,16 @@ private:
   void makeNoiseClasses() {
     for (uint32_t Index = 0; Index < Opt.NumClasses; ++Index) {
       TypeId Super = Types[R.below(static_cast<uint32_t>(Types.size()))];
-      Types.push_back(B.cls("N" + std::to_string(Index), Super));
+      Types.push_back(B.cls(concat("N", Index), Super));
     }
     for (TypeId Type : Types)
       if (R.chance(400))
-        Fields.push_back(B.field(Type, "g" + std::to_string(Fields.size())));
+        Fields.push_back(B.field(Type, concat("g", Fields.size())));
   }
 
   void declareNoiseMethods() {
     for (uint32_t Sig = 0; Sig < Opt.NumVirtualSigs; ++Sig) {
-      std::string Name = "v" + std::to_string(Sig);
+      std::string Name = concat("v", Sig);
       uint32_t Arity = R.below(3);
       SigArities.push_back(Arity);
       for (TypeId Type : Types)
@@ -253,7 +254,7 @@ private:
     for (uint32_t Index = 0; Index < Opt.NumStaticMethods; ++Index) {
       MethodBuilder M =
           B.method(Types[R.below(static_cast<uint32_t>(Types.size()))],
-                   "h" + std::to_string(Index), R.below(3), /*IsStatic=*/true);
+                   concat("h", Index), R.below(3), /*IsStatic=*/true);
       Statics.push_back(M.id());
       Bodies.push_back(M);
     }
@@ -261,7 +262,7 @@ private:
 
   VarId randomVar(MethodBuilder &MB, std::vector<VarId> &Pool) {
     if (Pool.empty() || (Pool.size() < Opt.LocalsPerMethod && R.chance(300)))
-      Pool.push_back(MB.local("t" + std::to_string(Pool.size())));
+      Pool.push_back(MB.local(concat("t", Pool.size())));
     return Pool[R.below(static_cast<uint32_t>(Pool.size()))];
   }
 
@@ -308,7 +309,7 @@ private:
           Args.push_back(randomVar(MB, Pool));
         VarId Result = R.chance(600) ? randomVar(MB, Pool) : VarId::invalid();
         SiteId Site = MB.vcall(Result, randomVar(MB, Pool),
-                               "v" + std::to_string(Sig), Args);
+                               concat("v", Sig), Args);
         if (R.chance(250))
           MB.attachCatch(Site, randomType(), randomVar(MB, Pool));
         break;
@@ -358,7 +359,7 @@ private:
     // Guarantee receivers even for Uniform (the planted shapes already
     // allocated into MainPool for the other biases).
     for (uint32_t Index = 0; Index < 2 + R.below(3); ++Index) {
-      VarId Var = M.local("r" + std::to_string(Index));
+      VarId Var = M.local(concat("r", Index));
       M.alloc(Var, randomType());
       MainPool.push_back(Var);
     }

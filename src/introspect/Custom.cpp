@@ -68,26 +68,19 @@ uint64_t objectMetric(const IntrospectionMetrics &M, Metric Kind,
 } // namespace
 
 CustomHeuristic intro::heuristicASpec(const HeuristicAParams &Params) {
-  CustomHeuristic H;
-  H.Name = "A";
-  H.ObjectRules.push_back(
-      ObjectRule{Metric::PointedByVars, Metric::None, Params.K});
-  H.SiteRules.push_back(
-      SiteRule{SiteProperty::CallSite, Metric::InFlow, Params.L});
-  H.SiteRules.push_back(SiteRule{SiteProperty::TargetMethod,
-                                 Metric::MethodMaxVarFieldPointsTo,
-                                 Params.M});
-  return H;
+  return {.Name = "A",
+          .SiteRules = {{SiteProperty::CallSite, Metric::InFlow, Params.L},
+                        {SiteProperty::TargetMethod,
+                         Metric::MethodMaxVarFieldPointsTo, Params.M}},
+          .ObjectRules = {{Metric::PointedByVars, Metric::None, Params.K}}};
 }
 
 CustomHeuristic intro::heuristicBSpec(const HeuristicBParams &Params) {
-  CustomHeuristic H;
-  H.Name = "B";
-  H.SiteRules.push_back(SiteRule{SiteProperty::TargetMethod,
-                                 Metric::MethodTotalVolume, Params.P});
-  H.ObjectRules.push_back(ObjectRule{Metric::ObjectTotalFieldPointsTo,
-                                     Metric::PointedByVars, Params.Q});
-  return H;
+  return {.Name = "B",
+          .SiteRules = {{SiteProperty::TargetMethod, Metric::MethodTotalVolume,
+                         Params.P}},
+          .ObjectRules = {{Metric::ObjectTotalFieldPointsTo,
+                           Metric::PointedByVars, Params.Q}}};
 }
 
 RefinementExceptions

@@ -64,7 +64,6 @@ intro::runIntrospective(const Program &Prog,
   IntrospectiveOutcome Out;
   SolverOptions FirstPassOpts;
   FirstPassOpts.Budget = Options.FirstPassBudget;
-  FirstPassOpts.Cancel = Options.Cancel;
   FirstPassOpts.Faults = Options.FirstPassFaults;
   PassAOutcome PassA =
       runPassA(Prog, FirstPassOpts, Options.Cache, Options.CacheKey);
@@ -98,7 +97,6 @@ intro::runIntrospective(const Program &Prog,
     ContextTable Table;
     SolverOptions SolverOpts;
     SolverOpts.Budget = Options.SecondPassBudget;
-    SolverOpts.Cancel = Options.Cancel;
     Out.SecondPass = solvePointsTo(Prog, *Policy, Table, SolverOpts);
     Out.SecondPassSeconds = Clock.seconds();
   }

@@ -43,14 +43,11 @@ struct IntrospectiveOptions {
   SolveBudget FirstPassBudget;
   /// Budget for the refined second pass (the paper's 90-min timeout).
   SolveBudget SecondPassBudget;
-  /// Optional cooperative cancellation, polled by both passes.  The token
-  /// must outlive the run.
-  const CancellationToken *Cancel = nullptr;
   /// Deterministic fault injection into the first pass (tests only; inert
   /// by default).
   FaultPlan FirstPassFaults;
-  /// Optional content-addressed Pass-A store (runtime-only, like Cancel:
-  /// never serialized with options), handed to runPassA.  When both Cache
+  /// Optional content-addressed Pass-A store (runtime-only: never
+  /// serialized with options), handed to runPassA.  When both Cache
   /// and CacheKey are set, the first pass probes the cache — a hit
   /// restores the stored summary and metrics without solving; a completed
   /// miss is stored for the next run.  FirstPass is then the summary
@@ -87,9 +84,9 @@ struct PassAOutcome {
   double MetricSeconds = 0;
 };
 
-/// Runs Pass A of \p Prog under \p Solver (its Budget, Cancel and
-/// Faults), or reloads it from \p Cache.  This is the only code that
-/// probes or fills the Pass-A cache:
+/// Runs Pass A of \p Prog under \p Solver (its Budget and Faults), or
+/// reloads it from \p Cache.  This is the only code that probes or fills
+/// the Pass-A cache:
 ///  - the cache is used only when both \p Cache and \p CacheKey are set
 ///    (CacheKey must be fingerprintProgram(Prog)), and is bypassed — not
 ///    even probed — while Solver.Faults is armed, so a warm entry never

@@ -84,39 +84,34 @@ HeuristicAParams tightened(const HeuristicAParams &Base, uint32_t Round) {
   return Params;
 }
 
-/// The solver options of one rung's attempt, polling the caller's token.
+/// The solver options of one rung's attempt: \p Budget and \p Level's
+/// fault plan.
 SolverOptions rungSolverOptions(const ResilientOptions &Options,
                                 DegradationLevel Level,
                                 const SolveBudget &Budget) {
   SolverOptions SolverOpts;
   SolverOpts.Budget = Budget;
-  SolverOpts.Cancel = Options.Cancel;
   SolverOpts.Faults = Options.faultsFor(Level);
   return SolverOpts;
 }
 
-/// Pass A's solver options: its budget, the caller's token and the
-/// Insensitive fault plan.
+/// Pass A's solver options: its budget and the Insensitive fault plan.
 SolverOptions passASolverOptions(const ResilientOptions &Options) {
   return rungSolverOptions(Options, DegradationLevel::Insensitive,
                            Options.FirstPassBudget);
 }
 
 /// Pass A as the fallback outcome: a cache \p Summary is re-solved without
-/// the cache.  A cancelled run keeps the summary, also when the token
-/// stops the re-solve, which sets \p Cancelled.
+/// the cache.
 PointsToResult insensitiveFallback(const Program &Prog,
                                    const ResilientOptions &Options,
-                                   PointsToResult PassA, bool Summary,
-                                   bool &Cancelled) {
-  if (!Summary || Cancelled)
+                                   PointsToResult PassA, bool Summary) {
+  if (!Summary)
     return PassA;
   trace::ScopedSpan Span(rungSpanName(DegradationLevel::Insensitive));
   ContextTable Table;
-  PointsToResult Full = solvePointsTo(Prog, *makeInsensitivePolicy(), Table,
-                                      passASolverOptions(Options));
-  Cancelled = Full.Status == SolveStatus::Cancelled;
-  return Cancelled ? std::move(PassA) : std::move(Full);
+  return solvePointsTo(Prog, *makeInsensitivePolicy(), Table,
+                       passASolverOptions(Options));
 }
 
 /// The deep rung's budget: \p Absolute, its tuple limit capped by
@@ -170,14 +165,11 @@ public:
     if (PassAOk) {
       Out.Metrics = std::move(PassA.Metrics);
       Out.MetricSeconds = PassA.MetricSeconds;
-    } else if (FirstPass.Status == SolveStatus::Cancelled) {
-      Out.Cancelled = true;
-      Stopped = true;
     }
 
     // Rung 1: the refined deep analysis as given, capped by Pass A's size,
     // or recorded as over that cap when Pass A predicts it explodes.
-    if (Options.AttemptDeep && !ladderCancelled()) {
+    if (Options.AttemptDeep) {
       SolveBudget Budget = deepBudget(Options.DeepBudget, FirstPass);
       if (skipDeepRung(FirstPass.Status, Out.Metrics.DeepTuplesEstimate,
                        Budget.MaxTuples)) {
@@ -191,15 +183,14 @@ public:
     }
 
     // The introspective rungs need the metrics of a completed Pass A.
-    if (PassAOk && !Stopped && introRungsWin(FirstPass, *Insensitive))
+    if (PassAOk && introRungsWin(FirstPass, *Insensitive))
       return seal(Total);
 
-    // Every refined rung failed (or the ladder was cancelled): fall back to
-    // Pass A — completed, or the partial result whose Status says why.
+    // Every refined rung failed: fall back to Pass A — completed, or the
+    // partial result whose Status says why.
     Out.Result = insensitiveFallback(Prog, Options, std::move(FirstPass),
-                                     PassA.Summary, Out.Cancelled);
+                                     PassA.Summary);
     Out.Level = DegradationLevel::Insensitive;
-    Out.Exceptions = RefinementExceptions();
     return seal(Total);
   }
 
@@ -215,17 +206,15 @@ private:
                      Insensitive))
       return true;
 
-    if (!Stopped && Options.AttemptIntroA &&
+    if (Options.AttemptIntroA &&
         introAttempt(DegradationLevel::IntroA, "-IntroA",
                      applyHeuristicA(Prog, FirstPass, Out.Metrics,
                                      Options.ParamsA),
                      Insensitive))
       return true;
 
-    for (uint32_t Round = 1; !Stopped && Round <= Options.TightenedRounds;
-         ++Round) {
-      HeuristicAParams Params =
-          tightened(Options.ParamsA, Round);
+    for (uint32_t Round = 1; Round <= Options.TightenedRounds; ++Round) {
+      HeuristicAParams Params = tightened(Options.ParamsA, Round);
       std::string Suffix = "-IntroA-tight" + std::to_string(Round);
       if (introAttempt(DegradationLevel::TightenedIntroA, Suffix.c_str(),
                        applyHeuristicA(Prog, FirstPass, Out.Metrics, Params),
@@ -251,33 +240,15 @@ private:
   }
 
   /// If \p R completed, installs it as the outcome (it is the deepest rung
-  /// reached so far, by construction).  If \p R was cancelled, stops the
-  /// ladder: the caller wants out, not a cheaper answer.  \returns true if
-  /// the walk is over with a completed result.
+  /// reached so far, by construction).  \returns true if the walk is over.
   bool finished(DegradationLevel Level, PointsToResult R,
                 RefinementExceptions Exceptions = {}) {
-    if (isCompleted(R.Status)) {
-      Out.Result = std::move(R);
-      Out.Level = Level;
-      Out.Exceptions = std::move(Exceptions);
-      return true;
-    }
-    if (R.Status == SolveStatus::Cancelled) {
-      Out.Cancelled = true;
-      Stopped = true;
-    }
-    return false;
-  }
-
-  /// Between-rung cancellation check: even if no solver poll observed the
-  /// token (an attempt shorter than CancelPollInterval iterations), the
-  /// ladder must not start another expensive attempt after a cancel.
-  bool ladderCancelled() {
-    if (!Stopped && Options.Cancel && Options.Cancel->isCancelled()) {
-      Out.Cancelled = true;
-      Stopped = true;
-    }
-    return Stopped;
+    if (!isCompleted(R.Status))
+      return false;
+    Out.Result = std::move(R);
+    Out.Level = Level;
+    Out.Exceptions = std::move(Exceptions);
+    return true;
   }
 
   /// Runs one introspective rung: installs \p Exceptions into the refined
@@ -286,8 +257,6 @@ private:
   bool introAttempt(DegradationLevel Level, const char *NameSuffix,
                     RefinementExceptions Exceptions,
                     const ContextPolicy &Insensitive, uint32_t Round = 0) {
-    if (ladderCancelled())
-      return false;
     auto Policy = makeIntrospectivePolicy(Refined.name() + NameSuffix,
                                           Insensitive, Refined, Exceptions);
     PointsToResult R = attempt(Level, *Policy, Options.RefinedBudget, Round);
@@ -303,7 +272,6 @@ private:
   const ContextPolicy &Refined;
   const ResilientOptions &Options;
   ResilientOutcome Out;
-  bool Stopped = false; ///< Cancellation fired; no further rungs.
 };
 
 /// One attempt as a JSON object; \p Won marks the rung the outcome came
@@ -347,7 +315,7 @@ void intro::writeResilientOutcomeJson(JsonWriter &J,
                                       const ResilientOutcome &Outcome) {
   // The winning attempt: the first trace row that completed on the winning
   // rung under the winning analysis name.  At most one row matches; none
-  // match when nothing completed (all-failed or cancelled runs).
+  // match when nothing completed.
   size_t WinnerIndex = Outcome.Trace.size();
   if (Outcome.completed())
     for (size_t Index = 0; Index < Outcome.Trace.size(); ++Index) {
@@ -368,8 +336,6 @@ void intro::writeResilientOutcomeJson(JsonWriter &J,
   J.value(statusName(Outcome.Result.Status));
   J.key("completed");
   J.value(Outcome.completed());
-  J.key("cancelled");
-  J.value(Outcome.Cancelled);
   J.key("stats");
   writeSolverStatsJson(J, Outcome.Result.Stats);
   J.key("deep_estimate");

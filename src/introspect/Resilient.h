@@ -32,9 +32,7 @@
 ///
 /// Every attempt — including failed ones — is recorded in an AttemptTrace;
 /// the outcome carries the deepest completed result tagged with its
-/// DegradationLevel.  Cancellation stops the ladder immediately instead of
-/// degrading further: a caller that asked to stop does not want a cheaper
-/// answer, it wants to stop.
+/// DegradationLevel.
 ///
 /// Deterministic fault injection (FaultPlan, per rung) lets tests exercise
 /// every rung without constructing programs that genuinely blow up.
@@ -119,15 +117,6 @@ struct ResilientOptions {
   HeuristicAParams ParamsA;
   HeuristicBParams ParamsB;
 
-  /// Optional cooperative cancellation, polled inside every attempt and
-  /// between rungs.  When it fires the ladder stops immediately — a caller
-  /// that asked to stop does not want a cheaper answer — and the outcome
-  /// is the insensitive pre-analysis: its completed result when the cancel
-  /// came after it (Level Insensitive, Cancelled set), else its partial
-  /// one (with a cache, its summary).  The solver polls it every
-  /// CancelPollInterval iterations.  The token must outlive the run.
-  const CancellationToken *Cancel = nullptr;
-
   /// Fired just before each rung's solver attempt starts (the rung level
   /// and, for TightenedIntroA, the 1-based tightening round).  The
   /// supervision layer uses this from a forked child to stream per-rung
@@ -144,8 +133,8 @@ struct ResilientOptions {
   /// assigns it; deleted with the next benchmark change.
   unsigned Workers = 0;
 
-  /// Optional content-addressed Pass-A store (runtime-only, like Cancel
-  /// and OnRungStart: never serialized by writeResilientOptionsJson; a
+  /// Optional content-addressed Pass-A store (runtime-only, like
+  /// OnRungStart: never serialized by writeResilientOptionsJson; a
   /// supervisor re-creates it in the child from its own --cache-dir),
   /// handed to runPassA.  When both Cache and CacheKey are set, the
   /// insensitive pre-analysis probes the cache: a hit restores the stored
@@ -177,16 +166,13 @@ struct ResilientOptions {
 
 /// Everything a resilient run produces.
 struct ResilientOutcome {
-  /// The deepest completed result — or, if nothing completed (every rung
-  /// failed or the run was cancelled), Pass A's partial result, whose
-  /// Status says why.  Never a cache summary unless Cancelled.
+  /// The deepest completed result — or, if every rung failed, Pass A's
+  /// partial result, whose Status says why.  Never a cache summary.
   PointsToResult Result;
   /// The rung Result came from.
   DegradationLevel Level = DegradationLevel::Insensitive;
   /// Chronological record of every attempt, completed or not.
   AttemptTrace Trace;
-  /// True if the ladder was stopped by the cancellation token.
-  bool Cancelled = false;
   /// Metrics of the insensitive pre-analysis whenever it completed, deep
   /// wins included; empty vectors otherwise.
   IntrospectionMetrics Metrics;
@@ -229,9 +215,9 @@ bool skipDeepRung(SolveStatus PassAStatus, uint64_t Estimate,
                   uint64_t DeepCap);
 
 /// Writes the deterministic part of \p Outcome as one JSON object: winning
-/// level/analysis/status, completion and cancellation flags, the winner's
-/// solver counters, Pass A's `deep_estimate` (0 when it did not complete),
-/// and the attempt trace where each attempt carries a `"won"` flag
+/// level/analysis/status, the completion flag, the winner's solver
+/// counters, Pass A's `deep_estimate` (0 when it did not complete), and
+/// the attempt trace where each attempt carries a `"won"` flag
 /// (exactly one attempt wins unless nothing completed).  No wall-clock
 /// value is written, so two runs of the same job give the same bytes;
 /// writeResilientTimingJson writes the rest.
@@ -246,7 +232,7 @@ void writeResilientTimingJson(JsonWriter &J, const ResilientOutcome &Outcome);
 /// Writes the *configuration* part of \p Options as one JSON object —
 /// budgets, rung toggles, tightening rounds, heuristic parameters, and
 /// any armed fault plans — so a run report records the ladder it ran.
-/// Runtime-only members (Cancel, OnRungStart, Cache) and the two ignored
+/// Runtime-only members (OnRungStart, Cache) and the two ignored
 /// fields are not represented.  The JSON is a record, not a transport: a
 /// supervised child is forked and inherits its options in memory.
 void writeResilientOptionsJson(JsonWriter &J, const ResilientOptions &Options);

@@ -6,6 +6,8 @@
 
 #include "ir/ProgramBuilder.h"
 
+#include "support/Concat.h"
+
 #include <cassert>
 
 using namespace intro;
@@ -143,7 +145,7 @@ MethodBuilder ProgramBuilder::method(TypeId Owner, std::string_view Name,
   std::vector<std::string> ParamNames;
   ParamNames.reserve(Arity);
   for (uint32_t Index = 0; Index < Arity; ++Index)
-    ParamNames.push_back("p" + std::to_string(Index));
+    ParamNames.push_back(concat("p", Index));
   return methodNamed(Owner, Name, ParamNames, IsStatic, /*ReturnName=*/"");
 }
 

@@ -543,10 +543,9 @@ JobOutcomeClass classifyAttempt(const ChildResult &Child,
 }
 
 /// Strips supervisor-owned members from the configured ladder: callbacks
-/// and tokens cannot cross the process boundary.
+/// cannot cross the process boundary.
 ResilientOptions sanitizeLadder(const ResilientOptions &Ladder) {
   ResilientOptions Clean = Ladder;
-  Clean.Cancel = nullptr;
   Clean.OnRungStart = nullptr;
   // Cache pointers are per-process: the child opens its own ResultCache
   // over BatchOptions::CacheDir instead of inheriting the parent's handle.

@@ -7,9 +7,9 @@
 /// \file
 /// The supervision layer: runs each analysis job in a forked, rlimit-guarded
 /// child process (support/Subprocess.h) and turns whatever happens to that
-/// child into a classified, retried, reported event.  The cooperative
-/// resilience stack (degradation ladder, budgets, cancellation) handles
-/// failures the solver can *see*; this layer handles the ones it cannot —
+/// child into a classified, retried, reported event.  The in-process
+/// resilience stack (degradation ladder, budgets) handles failures the
+/// solver can *see*; this layer handles the ones it cannot —
 /// segfaults, OOM kills, hangs, corrupted inputs — which is what a
 /// production service actually meets when it analyzes untrusted workloads.
 ///
@@ -211,7 +211,7 @@ struct JobResult {
 /// Batch-level configuration.
 struct BatchOptions {
   /// The base degradation-ladder configuration every job starts from.
-  /// Cancel/OnRungStart/Cache are per-process and ignored: each child
+  /// OnRungStart/Cache are per-process and ignored: each child
   /// installs its own progress callback and cache handle.
   ResilientOptions Ladder;
   /// Hard limits applied to every child.

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Hard, process-level isolation for one analysis job.  The cooperative
-/// layers (cancellation tokens, tuple/time/memory budgets) only help when
+/// Hard, process-level isolation for one analysis job.  The in-process
+/// layers (tuple/time/memory budgets, the degradation ladder) only help when
 /// the code under analysis cooperates; a segfault, a runaway allocation the
 /// book-keeping missed, or a hang in a pathological input kills the whole
 /// service.  runSupervisedChild() forks, applies setrlimit guards

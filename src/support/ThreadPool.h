@@ -17,9 +17,7 @@
 /// run surfaces in the submitting thread rather than terminating a worker.
 ///
 /// Destruction drains: the destructor runs every task already queued, then
-/// joins the workers.  Callers that want to abandon queued analysis work
-/// must cancel it cooperatively (CancellationToken) before destroying the
-/// pool.
+/// joins the workers.
 ///
 //===----------------------------------------------------------------------===//
 

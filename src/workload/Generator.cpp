@@ -7,6 +7,7 @@
 #include "workload/Generator.h"
 
 #include "ir/ProgramBuilder.h"
+#include "support/Concat.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -16,21 +17,6 @@
 using namespace intro;
 
 namespace {
-
-std::string concat(std::string_view Prefix, uint32_t A) {
-  std::string Out(Prefix);
-  Out += std::to_string(A);
-  return Out;
-}
-
-std::string concat(std::string_view Prefix, uint32_t A, std::string_view Mid,
-                   uint32_t B) {
-  std::string Out(Prefix);
-  Out += std::to_string(A);
-  Out += Mid;
-  Out += std::to_string(B);
-  return Out;
-}
 
 /// One class-hierarchy family: an abstract base, its variants, and the
 /// output classes their `workN()` methods allocate.
@@ -324,8 +310,7 @@ private:
     Drives.reserve(TotalUses / PerMod + 2);
     for (uint32_t N = 0; N < TotalUses; ++N) {
       if (Emitted % PerMod == 0) {
-        TypeId Mod = B.cls(concat("Mod", static_cast<uint32_t>(Mods.size())),
-                           Object);
+        TypeId Mod = B.cls(concat("Mod", Mods.size()), Object);
         Mods.push_back(Mod);
         Drives.push_back(B.method(Mod, "drive", 0));
         Drive = &Drives.back();
@@ -345,8 +330,7 @@ private:
     // override unreachable, a conflating one does not.
     for (uint32_t D = 0; D < P.DecoyVariants; ++D) {
       if (Emitted % PerMod == 0) {
-        TypeId Mod = B.cls(concat("Mod", static_cast<uint32_t>(Mods.size())),
-                           Object);
+        TypeId Mod = B.cls(concat("Mod", Mods.size()), Object);
         Mods.push_back(Mod);
         Drives.push_back(B.method(Mod, "drive", 0));
         Drive = &Drives.back();

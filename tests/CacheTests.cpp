@@ -881,25 +881,9 @@ TEST(LadderCache, InsensitiveFallbackReSolvesTheSummarizedPassA) {
   for (const ResilientOutcome *Out : {&Cold, &Warm}) {
     EXPECT_EQ(Out->Level, DegradationLevel::Insensitive);
     EXPECT_TRUE(Out->completed());
-    EXPECT_FALSE(Out->Cancelled);
     expectResultsEqual(Plain.Insens, Out->Result);
     ASSERT_FALSE(Out->Result.VarHeaps.empty()) << "the full result";
   }
-
-  // A cancelled run stops before the fallback would re-solve: it keeps
-  // the summary.  The cancel lands while the faulted IntroB rung runs, so
-  // the ladder stops at the next between-rung check.
-  CancellationToken Cancel;
-  Options.Cancel = &Cancel;
-  Options.OnRungStart = [&](DegradationLevel Level, uint32_t) {
-    if (Level == DegradationLevel::IntroB)
-      Cancel.cancel();
-  };
-  ResilientOutcome Cancelled = runResilient(T.Prog, *Refined, Options);
-  EXPECT_TRUE(Cancelled.Cancelled);
-  EXPECT_EQ(Cancelled.Level, DegradationLevel::Insensitive);
-  EXPECT_TRUE(Cancelled.completed());
-  expectResultsEqual(cache::passASummary(Plain.Insens), Cancelled.Result);
 }
 
 // --- Supervised-batch integration --------------------------------------------

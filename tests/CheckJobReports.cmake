@@ -5,10 +5,10 @@
 # (truncate chaos) once left a spliced, invalid JSON file behind: the
 # partial line of one attempt glued onto the next attempt's progress line.
 #
-# The same run pins the configuration keys the reports carry: a clean
-# job's "options", its "outcome" (no "notes"), and the batch report's
-# "retry_policy".  A setting that becomes a constant leaves these objects,
-# and this check keeps it from coming back unnoticed.
+# The same run pins the keys the reports carry: a clean job's "options"
+# and "outcome", and the batch report's "retry_policy".  A setting that
+# becomes a constant, or an outcome field that is dropped or re-added,
+# changes these lists, and this check keeps that from passing unnoticed.
 #
 # Run as: cmake -DINTRO_BATCH=<path> -DCORPUS_DIR=<dir> -DWORK_DIR=<dir>
 #               -P CheckJobReports.cmake
@@ -78,9 +78,10 @@ tightened_rounds")
                          "expected '${WANT}'")
     endif()
     json_keys(OUTCOME "${TEXT}" deterministic outcome)
-    list(FIND OUTCOME notes NOTES)
-    if(NOT NOTES EQUAL -1)
-      message(SEND_ERROR "deterministic.outcome still has 'notes'")
+    set(WANT "analysis;attempts;completed;deep_estimate;level;stats;status")
+    if(NOT OUTCOME STREQUAL WANT)
+      message(SEND_ERROR "deterministic.outcome keys are '${OUTCOME}', "
+                         "expected '${WANT}'")
     endif()
   endif()
 endif()

@@ -208,6 +208,22 @@ TEST(Parser, ErrorDuplicateClass) {
   EXPECT_NE(Result.Errors[0].find("duplicate class"), std::string::npos);
 }
 
+TEST(Parser, ErrorDuplicateMethod) {
+  // Same name and arity: virtual twice, or one virtual and one static
+  // (bodies are looked up by name and arity alone).
+  for (const char *Second :
+       {"  method m(a) { }\n", "  static method m(b) { }\n"}) {
+    std::string Source = "class Object\nclass A extends Object {\n"
+                         "  method m(x) { }\n";
+    Source += Second;
+    Source += "  method m() { }\n}\n";
+    ParseResult Result = parseProgram(Source);
+    ASSERT_FALSE(Result.ok()) << Second;
+    ASSERT_EQ(Result.Errors.size(), 1u);
+    EXPECT_EQ(Result.Errors[0], "line 4: duplicate method 'A.m/1'");
+  }
+}
+
 TEST(Parser, ErrorVirtualEntry) {
   ParseResult Result = parseProgram(R"(
 class A {

@@ -10,6 +10,7 @@
 #include "introspect/Driver.h"
 #include "introspect/Heuristics.h"
 #include "introspect/Metrics.h"
+#include "support/Concat.h"
 #include "workload/DaCapo.h"
 
 #include "TestPrograms.h"
@@ -159,7 +160,7 @@ TEST(HeuristicA, ThresholdsAreStrict) {
     HeapId Heap = Main.alloc(First, A);
     VarId Prev = First;
     for (uint32_t Index = 1; Index < Pointers; ++Index) {
-      VarId Next = Main.local("x" + std::to_string(Index));
+      VarId Next = Main.local(concat("x", Index));
       Main.move(Next, Prev);
       Prev = Next;
     }

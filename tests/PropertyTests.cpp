@@ -27,6 +27,7 @@
 #include "ir/Interpreter.h"
 #include "ir/ProgramBuilder.h"
 #include "ir/Validator.h"
+#include "support/Concat.h"
 
 #include <gtest/gtest.h>
 
@@ -374,7 +375,7 @@ TEST(DenseHubProperty, OracleAgreementWithPromotedSets) {
 
   std::vector<VarId> Sources;
   for (uint32_t Index = 0; Index < NumSources; ++Index)
-    Sources.push_back(Main.local("s" + std::to_string(Index)));
+    Sources.push_back(Main.local(concat("s", Index)));
   // Interleaved allocation over two sibling types so the cast filter below
   // genuinely splits the hub set.
   for (uint32_t Index = 0; Index < NumObjects; ++Index)
@@ -384,7 +385,7 @@ TEST(DenseHubProperty, OracleAgreementWithPromotedSets) {
   for (VarId Source : Sources)
     Main.move(Hub, Source);
   for (uint32_t Index = 0; Index < NumConsumers; ++Index)
-    Main.move(Main.local("c" + std::to_string(Index)), Hub);
+    Main.move(Main.local(concat("c", Index)), Hub);
   // Field flow through the dense set: every hub object's link field holds
   // the whole hub set, read back through a load.
   Main.store(Hub, Link, Hub);

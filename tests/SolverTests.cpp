@@ -9,6 +9,7 @@
 #include "analysis/PrecisionMetrics.h"
 #include "analysis/Result.h"
 #include "analysis/Solver.h"
+#include "support/Concat.h"
 
 #include "TestPrograms.h"
 
@@ -292,14 +293,14 @@ TEST(Solver, LateEdgesOnHubUseBatchedPropagation) {
   B.entry(Main.id());
   std::vector<VarId> Sources;
   for (uint32_t Index = 0; Index < NumSources; ++Index)
-    Sources.push_back(Main.local("s" + std::to_string(Index)));
+    Sources.push_back(Main.local(concat("s", Index)));
   for (uint32_t Index = 0; Index < NumObjects; ++Index)
     Main.alloc(Sources[Index % NumSources], Payload);
   VarId Hub = Main.local("hub");
   for (VarId Source : Sources)
     Main.move(Hub, Source);
   for (uint32_t Index = 0; Index < NumConsumers; ++Index)
-    Main.move(Main.local("c" + std::to_string(Index)), Hub);
+    Main.move(Main.local(concat("c", Index)), Hub);
   Program Prog = B.take();
 
   auto Policy = makeInsensitivePolicy();

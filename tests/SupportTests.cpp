@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Concat.h"
 #include "support/Ids.h"
 #include "support/Overflow.h"
 #include "support/ParseNum.h"
@@ -64,7 +65,7 @@ TEST(StringInterner, ViewsSurviveGrowth) {
   uint32_t First = Interner.intern("s0");
   std::string_view View = Interner.text(First);
   for (int Index = 0; Index < 1000; ++Index)
-    Interner.intern("s" + std::to_string(Index));
+    Interner.intern(concat("s", Index));
   EXPECT_EQ(View, "s0");
   EXPECT_EQ(Interner.text(First), "s0");
 }

@@ -29,7 +29,6 @@
 #include "analysis/Statistics.h"
 #include "introspect/Resilient.h"
 #include "ir/ProgramBuilder.h"
-#include "support/Cancellation.h"
 #include "support/Json.h"
 #include "support/TableWriter.h"
 #include "support/ThreadPool.h"
