@@ -109,6 +109,22 @@ static void BM_Solve2objHChart(benchmark::State &State) {
 }
 BENCHMARK(BM_Solve2objHChart);
 
+// BM_Solve2objHChart's solve under Assembly::Stats, the ladder rungs'
+// default: the difference between the two is what assembling the heap
+// projections costs per solve.
+static void BM_Solve2objHChartStats(benchmark::State &State) {
+  Program Prog = generateWorkload(dacapoProfile("chart"));
+  auto Policy = makeObjectPolicy(Prog, 2, 1);
+  SolverOptions Options;
+  Options.Assemble = Assembly::Stats;
+  for (auto _ : State) {
+    ContextTable Table;
+    PointsToResult Result = solvePointsTo(Prog, *Policy, Table, Options);
+    benchmark::DoNotOptimize(Result.Stats.VarPointsToTuples);
+  }
+}
+BENCHMARK(BM_Solve2objHChartStats);
+
 // The perf-trajectory benchmark behind BENCH_solver.json: throughput of the
 // solver on the hub-heavy flavor.  The items-per-second counter is objects
 // propagated (tuples derived), the quantity the adaptive representation is

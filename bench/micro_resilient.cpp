@@ -17,6 +17,9 @@
 ///     this delta is Pass A plus its metrics);
 ///   - the full forced ladder (every rung faulted) to price the worst case.
 ///
+/// The two comparisons opt in to Assembly::Projections, which the
+/// baselines assemble: the ladder's default skips the projections.
+///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/ContextPolicy.h"
@@ -57,6 +60,7 @@ static void BM_ResilientHappyIntroA(benchmark::State &State) {
   ResilientOptions Options;
   Options.AttemptDeep = false;
   Options.AttemptIntroB = false;
+  Options.Assemble = Assembly::Projections;
   for (auto _ : State) {
     ResilientOutcome Out = runResilient(Prog, *Refined, Options);
     benchmark::DoNotOptimize(Out.Result.Stats.VarPointsToTuples);
@@ -81,8 +85,10 @@ BENCHMARK(BM_PlainDeep);
 static void BM_ResilientHappyDeep(benchmark::State &State) {
   Program Prog = chartProgram();
   auto Refined = makeObjectPolicy(Prog, 2, 1);
+  ResilientOptions Options;
+  Options.Assemble = Assembly::Projections;
   for (auto _ : State) {
-    ResilientOutcome Out = runResilient(Prog, *Refined);
+    ResilientOutcome Out = runResilient(Prog, *Refined, Options);
     benchmark::DoNotOptimize(Out.Result.Stats.VarPointsToTuples);
   }
 }

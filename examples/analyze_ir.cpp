@@ -239,7 +239,8 @@ int main(int Argc, char **Argv) {
   SolverOptions Options;
   Options.Budget.MaxTuples = Cli.MaxTuples;
   Options.FilterCasts = Cli.FilterCasts;
-  Options.KeepTuples = Cli.ShowStats;
+  if (Cli.ShowStats)
+    Options.Assemble = Assembly::Tuples;
 
   // Introspective pipeline: "<flavor>-introA" / "<flavor>-introB".
   size_t IntroPos = Cli.Analysis.find("-intro");

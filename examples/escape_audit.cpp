@@ -32,7 +32,8 @@ int main() {
                           : makeInsensitivePolicy();
     ContextTable Table;
     SolverOptions Options;
-    Options.KeepTuples = UseDeep != 0; // For the diagnostics below.
+    if (UseDeep) // For the diagnostics below.
+      Options.Assemble = Assembly::Tuples;
     PointsToResult Result = solvePointsTo(Prog, *Policy, Table, Options);
     EscapeResult Escape = computeEscape(Prog, Result);
 

@@ -9,6 +9,7 @@
 /// moral equivalent of the paper's 90-minute timeout), size statistics, the
 /// context-insensitive projections every client consumes, and — optionally —
 /// the full context-sensitive tuple dump used by the Datalog oracle tests.
+/// SolverOptions::Assemble (an Assembly) picks how much of it a run fills.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,6 +69,19 @@ inline bool statusFromName(std::string_view Name, SolveStatus &Status) {
     }
   return false;
 }
+
+/// How much of a PointsToResult a solver run assembles; each level fills
+/// the members of the one before it and more.  The counters are the same
+/// at every level.
+enum class Assembly : uint8_t {
+  /// Status, AnalysisName, Stats, MethodReachable and SiteTargets: what a
+  /// Pass-A cache summary holds.  The four heap projections stay empty.
+  Stats,
+  /// Also VarHeaps, FieldHeaps, StaticFieldHeaps and MethodThrows.
+  Projections,
+  /// Also the context-sensitive tuple dumps (VarPointsTo ...).
+  Tuples,
+};
 
 /// Resource budget for a solver run.  Exceeding any limit aborts the run
 /// with the matching exhaustion status; the paper's blow-ups are detected
@@ -144,7 +158,8 @@ struct FieldCell {
 
 /// The result of a points-to analysis run.  Every projection is indexed by
 /// a dense id or sorted by one, so equal results hold equal bytes and
-/// iterate in the same order.
+/// iterate in the same order.  Under Assembly::Stats the four heap
+/// projections are empty, and the accessors answer the empty set.
 class PointsToResult {
 public:
   SolveStatus Status = SolveStatus::Completed;
@@ -176,7 +191,7 @@ public:
   /// fixed target once their caller is reachable.
   std::vector<SortedIdSet> SiteTargets;
 
-  /// Full tuple dumps; populated only when SolverOptions::KeepTuples.
+  /// Full tuple dumps; populated only under Assembly::Tuples.
   /// VARPOINTSTO(var, ctx, heap, hctx)
   std::vector<std::array<uint32_t, 4>> VarPointsTo;
   /// FLDPOINTSTO(baseHeap, baseHCtx, fld, heap, hctx)

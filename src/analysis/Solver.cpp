@@ -392,7 +392,7 @@ private:
   void recordCallEdge(SiteId Site, CtxId CallerCtx, MethodId Callee,
                       CtxId CalleeCtx) {
     setInsert(SiteTargets[Site.index()], Callee.index());
-    if (Opts.KeepTuples)
+    if (Opts.Assemble == Assembly::Tuples)
       CallGraphTuples.insert(
           {Site.index(), CallerCtx.index(), Callee.index(), CalleeCtx.index()});
   }
@@ -537,22 +537,12 @@ private:
 
   // --- Result assembly ---------------------------------------------------------
 
-  /// Appends the heap of every object of node \p N to \p Heaps.
-  /// \returns |pts(N)|, the node's context-sensitive tuple count.
-  uint64_t appendHeaps(uint32_t N, SortedIdSet &Heaps) const {
-    for (uint32_t Object : Nodes[N].Pts)
-      Heaps.push_back(Objects[Object].Heap);
-    return Nodes[N].Pts.size();
-  }
-
-  /// With KeepTuples, appends (\p Key..., heap, hctx) to \p Tuples for
-  /// every object of node \p N.
+  /// Appends (\p Key..., heap, hctx) to \p Tuples for every object of node
+  /// \p N.
   template <size_t Width>
   void appendTuples(uint32_t N,
                     std::vector<std::array<uint32_t, Width>> &Tuples,
                     const std::array<uint32_t, Width - 2> &Key) const {
-    if (!Opts.KeepTuples)
-      return;
     std::array<uint32_t, Width> Tuple;
     std::copy(Key.begin(), Key.end(), Tuple.begin());
     for (uint32_t Object : Nodes[N].Pts) {
@@ -560,6 +550,83 @@ private:
       Tuple[Width - 1] = Objects[Object].HCtx;
       Tuples.push_back(Tuple);
     }
+  }
+
+  /// Appends the heap of every object of node \p N to \p Heaps.
+  void appendHeaps(uint32_t N, SortedIdSet &Heaps) const {
+    for (uint32_t Object : Nodes[N].Pts)
+      Heaps.push_back(Objects[Object].Heap);
+  }
+
+  /// Fills the four heap projections: each var, method's throws, field cell
+  /// and static field gathers the heaps of its nodes (one per context),
+  /// then every vector is sorted and uniqued.
+  void assembleProjections(PointsToResult &Result) const {
+    Result.VarHeaps.resize(Prog.numVars());
+    Result.MethodThrows.resize(Prog.numMethods());
+    for (const MethodContext &MC : MethodContexts) {
+      const std::vector<VarId> &Locals = Prog.method(MC.Method).Locals;
+      for (size_t Local = 0; Local < Locals.size(); ++Local)
+        if (uint32_t N = VarSlots[MC.FirstVarSlot + Local]; N != NoNode)
+          appendHeaps(N, Result.VarHeaps[Locals[Local].index()]);
+      if (MC.ThrowNode != NoNode)
+        appendHeaps(MC.ThrowNode, Result.MethodThrows[MC.Method.index()]);
+    }
+
+    // (base heap, field, node) of every field node, sorted so that the
+    // nodes of one cell (one per heap context of the base) merge.
+    std::vector<std::array<uint32_t, 3>> FieldCellNodes;
+    for (const ObjectInfo &Base : Objects)
+      for (auto [FieldRaw, N] : Base.FieldNodes)
+        FieldCellNodes.push_back({Base.Heap, FieldRaw, N});
+    std::sort(FieldCellNodes.begin(), FieldCellNodes.end());
+    for (auto [BaseHeap, FieldRaw, N] : FieldCellNodes) {
+      if (Result.FieldHeaps.empty() ||
+          Result.FieldHeaps.back().key() != std::pair(BaseHeap, FieldRaw))
+        Result.FieldHeaps.push_back({BaseHeap, FieldRaw, {}});
+      appendHeaps(N, Result.FieldHeaps.back().Heaps);
+    }
+
+    Result.StaticFieldHeaps.resize(Prog.numFields());
+    for (uint32_t FieldRaw = 0; FieldRaw < StaticFieldNodes.size();
+         ++FieldRaw)
+      if (StaticFieldNodes[FieldRaw] != NoNode)
+        appendHeaps(StaticFieldNodes[FieldRaw],
+                    Result.StaticFieldHeaps[FieldRaw]);
+
+    for (SortedIdSet &Heaps : Result.VarHeaps)
+      setNormalize(Heaps);
+    for (FieldCell &Cell : Result.FieldHeaps)
+      setNormalize(Cell.Heaps);
+    for (SortedIdSet &Heaps : Result.StaticFieldHeaps)
+      setNormalize(Heaps);
+    for (SortedIdSet &Heaps : Result.MethodThrows)
+      setNormalize(Heaps);
+  }
+
+  /// Fills the context-sensitive relation dumps, in discovery order.
+  void assembleTuples(PointsToResult &Result) const {
+    for (const MethodContext &MC : MethodContexts) {
+      uint32_t MethodRaw = MC.Method.index();
+      uint32_t CtxRaw = MC.Ctx.index();
+      Result.Reachable.push_back({MethodRaw, CtxRaw});
+      const std::vector<VarId> &Locals = Prog.method(MC.Method).Locals;
+      for (size_t Local = 0; Local < Locals.size(); ++Local)
+        if (uint32_t N = VarSlots[MC.FirstVarSlot + Local]; N != NoNode)
+          appendTuples(N, Result.VarPointsTo, {Locals[Local].index(), CtxRaw});
+      if (MC.ThrowNode != NoNode)
+        appendTuples(MC.ThrowNode, Result.ThrowPointsTo, {MethodRaw, CtxRaw});
+    }
+    for (const ObjectInfo &Base : Objects)
+      for (auto [FieldRaw, N] : Base.FieldNodes)
+        appendTuples(N, Result.FieldPointsTo,
+                     {Base.Heap, Base.HCtx, FieldRaw});
+    for (uint32_t FieldRaw = 0; FieldRaw < StaticFieldNodes.size();
+         ++FieldRaw)
+      if (StaticFieldNodes[FieldRaw] != NoNode)
+        appendTuples(StaticFieldNodes[FieldRaw], Result.StaticFieldPointsTo,
+                     {FieldRaw});
+    Result.CallGraph.assign(CallGraphTuples.begin(), CallGraphTuples.end());
   }
 
   PointsToResult finish() {
@@ -580,81 +647,42 @@ private:
     PointsToResult Result;
     Result.Status = Status;
     Result.AnalysisName = Policy.name();
-
-    Result.VarHeaps.resize(Prog.numVars());
     Result.MethodReachable.assign(Prog.numMethods(), false);
     Result.SiteTargets = std::move(SiteTargets);
-    Result.StaticFieldHeaps.resize(Prog.numFields());
-    Result.MethodThrows.resize(Prog.numMethods());
+
+    // The tuple counts are node set sizes, whatever is assembled.
     uint64_t VarTuples = 0;
-    uint64_t FieldTuples = 0;
-    uint64_t ThrowTuples = 0;
-    uint64_t StaticTuples = 0;
     uint64_t NumVarNodes = 0;
+    for (uint32_t N : VarSlots)
+      if (N != NoNode) {
+        ++NumVarNodes;
+        VarTuples += Nodes[N].Pts.size();
+      }
+    uint64_t ThrowTuples = 0;
+    for (const MethodContext &MC : MethodContexts) {
+      Result.MethodReachable[MC.Method.index()] = true;
+      if (MC.ThrowNode != NoNode)
+        ThrowTuples += Nodes[MC.ThrowNode].Pts.size();
+    }
+    uint64_t FieldTuples = 0;
+    uint64_t NumFieldNodes = 0;
+    for (const ObjectInfo &Base : Objects) {
+      NumFieldNodes += Base.FieldNodes.size();
+      for (auto [FieldRaw, N] : Base.FieldNodes)
+        FieldTuples += Nodes[N].Pts.size();
+    }
+    uint64_t StaticTuples = 0;
+    for (uint32_t N : StaticFieldNodes)
+      if (N != NoNode)
+        StaticTuples += Nodes[N].Pts.size();
     uint64_t DenseSets = 0;
     for (const Node &NodeRef : Nodes)
       DenseSets += NodeRef.Pts.isDense() ? 1 : 0;
 
-    for (const MethodContext &MC : MethodContexts) {
-      uint32_t MethodRaw = MC.Method.index();
-      uint32_t CtxRaw = MC.Ctx.index();
-      Result.MethodReachable[MethodRaw] = true;
-      if (Opts.KeepTuples)
-        Result.Reachable.push_back({MethodRaw, CtxRaw});
-      const std::vector<VarId> &Locals = Prog.method(MC.Method).Locals;
-      for (size_t Local = 0; Local < Locals.size(); ++Local) {
-        uint32_t N = VarSlots[MC.FirstVarSlot + Local];
-        if (N == NoNode)
-          continue;
-        ++NumVarNodes;
-        uint32_t VarRaw = Locals[Local].index();
-        VarTuples += appendHeaps(N, Result.VarHeaps[VarRaw]);
-        appendTuples(N, Result.VarPointsTo, {VarRaw, CtxRaw});
-      }
-      if (MC.ThrowNode != NoNode) {
-        ThrowTuples +=
-            appendHeaps(MC.ThrowNode, Result.MethodThrows[MethodRaw]);
-        appendTuples(MC.ThrowNode, Result.ThrowPointsTo, {MethodRaw, CtxRaw});
-      }
-    }
-
-    // (base heap, field, node) of every field node, sorted so that the
-    // nodes of one cell (one per heap context of the base) merge.
-    std::vector<std::array<uint32_t, 3>> FieldCellNodes;
-    for (const ObjectInfo &Base : Objects) {
-      for (auto [FieldRaw, N] : Base.FieldNodes) {
-        FieldCellNodes.push_back({Base.Heap, FieldRaw, N});
-        appendTuples(N, Result.FieldPointsTo,
-                     {Base.Heap, Base.HCtx, FieldRaw});
-      }
-    }
-    std::sort(FieldCellNodes.begin(), FieldCellNodes.end());
-    for (auto [BaseHeap, FieldRaw, N] : FieldCellNodes) {
-      if (Result.FieldHeaps.empty() ||
-          Result.FieldHeaps.back().key() != std::pair(BaseHeap, FieldRaw))
-        Result.FieldHeaps.push_back({BaseHeap, FieldRaw, {}});
-      FieldTuples += appendHeaps(N, Result.FieldHeaps.back().Heaps);
-    }
-
-    for (uint32_t FieldRaw = 0; FieldRaw < StaticFieldNodes.size();
-         ++FieldRaw) {
-      uint32_t N = StaticFieldNodes[FieldRaw];
-      if (N == NoNode)
-        continue;
-      StaticTuples += appendHeaps(N, Result.StaticFieldHeaps[FieldRaw]);
-      appendTuples(N, Result.StaticFieldPointsTo, {FieldRaw});
-    }
-
-    for (SortedIdSet &Heaps : Result.VarHeaps)
-      setNormalize(Heaps);
-    for (FieldCell &Cell : Result.FieldHeaps)
-      setNormalize(Cell.Heaps);
-    for (SortedIdSet &Heaps : Result.StaticFieldHeaps)
-      setNormalize(Heaps);
-    for (SortedIdSet &Heaps : Result.MethodThrows)
-      setNormalize(Heaps);
-    if (Opts.KeepTuples)
-      Result.CallGraph.assign(CallGraphTuples.begin(), CallGraphTuples.end());
+    if (Opts.Assemble != Assembly::Stats)
+      assembleProjections(Result);
+    if (Opts.Assemble == Assembly::Tuples)
+      assembleTuples(Result);
 
     Result.Stats.Seconds = Clock.seconds();
     Result.Stats.VarPointsToTuples = VarTuples;
@@ -662,7 +690,7 @@ private:
     Result.Stats.ThrowPointsToTuples = ThrowTuples;
     Result.Stats.StaticFieldTuples = StaticTuples;
     Result.Stats.NumVarNodes = NumVarNodes;
-    Result.Stats.NumFieldNodes = FieldCellNodes.size();
+    Result.Stats.NumFieldNodes = NumFieldNodes;
     Result.Stats.NumObjects = Objects.size();
     Result.Stats.NumContexts = Ctxs.numContexts();
     Result.Stats.NumHeapContexts = Ctxs.numHeapContexts();

@@ -63,10 +63,9 @@ struct FaultPlan {
 /// Options controlling a solver run.
 struct SolverOptions {
   SolveBudget Budget;
-  /// Dump the full context-sensitive VARPOINTSTO / FLDPOINTSTO / REACHABLE /
-  /// CALLGRAPH relations into the result (used by the oracle tests; costs
-  /// memory, off by default).
-  bool KeepTuples = false;
+  /// Which members of the result to assemble (see Assembly).  Projections
+  /// by default; Tuples adds the full relation dumps the oracle tests read.
+  Assembly Assemble = Assembly::Projections;
   /// Doop-style checked-cast semantics: `to = (T) from` propagates only the
   /// objects whose type is a subtype of T (a failing cast throws, cutting
   /// the dataflow).  Off by default — the paper's model treats casts as

@@ -11,7 +11,7 @@
 /// analysis blows up — it points straight at the program elements the
 /// introspection heuristics should be catching.
 ///
-/// Requires a result produced with SolverOptions::KeepTuples.
+/// Requires a result produced under Assembly::Tuples.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,8 +43,8 @@ struct ContextStatistics {
 };
 
 /// Computes the statistics for \p Result (which must have been produced
-/// with KeepTuples, otherwise counts are zero), keeping the \p TopN worst
-/// methods per category.
+/// under Assembly::Tuples, otherwise counts are zero), keeping the \p TopN
+/// worst methods per category.
 ContextStatistics computeContextStatistics(const Program &Prog,
                                            const PointsToResult &Result,
                                            size_t TopN = 10);

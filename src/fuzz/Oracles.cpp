@@ -251,10 +251,10 @@ struct Harness {
     return Result;
   }
 
-  SolverOptions cappedOptions(bool KeepTuples = false) const {
+  SolverOptions cappedOptions(Assembly Assemble = Assembly::Projections) const {
     SolverOptions Options;
     Options.Budget.MaxTuples = Opt.MaxTuples;
-    Options.KeepTuples = KeepTuples;
+    Options.Assemble = Assemble;
     return Options;
   }
 
@@ -435,7 +435,7 @@ projectTuples(size_t Size, const std::vector<std::array<uint32_t, N>> &Tuples,
   return Sets;
 }
 
-/// Checks that every projection of a KeepTuples \p Result equals the
+/// Checks that every projection of an Assembly::Tuples \p Result equals the
 /// projection of its own tuple dump.  \returns empty when all agree, else
 /// the first projection that does not.  FieldHeaps keeps empty cells the
 /// dump cannot show, so only its non-empty cells are compared.
@@ -479,9 +479,9 @@ std::string describeProjectionDiff(const Program &Prog,
   return "";
 }
 
-/// Compares all six relations of a KeepTuples \p Solver result with the
-/// reference's, then the result's projections.  \returns empty when all
-/// agree, else the first difference.
+/// Compares all six relations of an Assembly::Tuples \p Solver result with
+/// the reference's, then the result's projections.  \returns empty when
+/// all agree, else the first difference.
 std::string describeReferenceDiff(const Program &Prog,
                                   const PointsToResult &Solver,
                                   const DatalogReferenceResult &Ref) {
@@ -511,7 +511,7 @@ void Harness::checkReferenceEquivalence() {
   auto Compare = [&](const ContextPolicy &Policy, std::string FlavorName,
                      bool FilterCasts) {
     ContextTable Table;
-    SolverOptions Options = cappedOptions(/*KeepTuples=*/true);
+    SolverOptions Options = cappedOptions(Assembly::Tuples);
     Options.FilterCasts = FilterCasts;
     PointsToResult Solver = solveUnderTest(Policy, Table, Options);
     if (!isCompleted(Solver.Status)) {
@@ -565,7 +565,7 @@ void Harness::checkReferenceEquivalence() {
         makeIntrospectivePolicy("fuzz-intro", *Coarse, *Refined, Exceptions);
     ContextTable Table;
     PointsToResult Solver =
-        solveUnderTest(*Intro, Table, cappedOptions(/*KeepTuples=*/true));
+        solveUnderTest(*Intro, Table, cappedOptions(Assembly::Tuples));
     if (!isCompleted(Solver.Status)) {
       ++Out.ChecksSkipped;
       return;
@@ -649,11 +649,13 @@ void Harness::checkCacheParity() {
 
   // The ladder shares the same Pass-A path.  Drop the driver's entry so its
   // cold run re-solves and stores, then require the warm run to decide the
-  // same rung with the same bits.
+  // same rung with the same bits.  The ladder assembles the projections, so
+  // warm == cold holds for the results and not only for the stats.
   std::error_code Ignored;
   std::filesystem::remove(Cache.entryPath(Fp), Ignored);
   ResilientOptions Ladder;
   Ladder.AttemptDeep = false;
+  Ladder.Assemble = Assembly::Projections;
   Ladder.RefinedBudget = cappedBudget();
   Ladder.FirstPassBudget = cappedBudget();
   Ladder.Cache = &Cache;
@@ -723,6 +725,7 @@ void Harness::checkDeepCap() {
   Options.DeepBudget = cappedBudget();
   Options.RefinedBudget = cappedBudget();
   Options.FirstPassBudget = cappedBudget();
+  Options.Assemble = Assembly::Projections; // Compared with Absolute below.
   ResilientOutcome Ladder = runResilient(Prog, *Refined, Options);
   ++Out.ChecksRun;
   if (Ladder.Level != DegradationLevel::Deep) {

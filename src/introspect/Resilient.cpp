@@ -7,6 +7,7 @@
 #include "introspect/Resilient.h"
 
 #include "analysis/Reports.h"
+#include "cache/ResultCache.h"
 #include "ir/Program.h"
 #include "support/Json.h"
 #include "support/Overflow.h"
@@ -84,28 +85,35 @@ HeuristicAParams tightened(const HeuristicAParams &Base, uint32_t Round) {
   return Params;
 }
 
-/// The solver options of one rung's attempt: \p Budget and \p Level's
-/// fault plan.
+/// The solver options of one rung's attempt: \p Budget, \p Level's fault
+/// plan and the ladder's assembly level, which never includes the dumps.
 SolverOptions rungSolverOptions(const ResilientOptions &Options,
                                 DegradationLevel Level,
                                 const SolveBudget &Budget) {
   SolverOptions SolverOpts;
   SolverOpts.Budget = Budget;
+  SolverOpts.Assemble = std::min(Options.Assemble, Assembly::Projections);
   SolverOpts.Faults = Options.faultsFor(Level);
   return SolverOpts;
 }
 
-/// Pass A's solver options: its budget and the Insensitive fault plan.
+/// Pass A's solver options: its budget, the Insensitive fault plan, and the
+/// projections that the metrics read.
 SolverOptions passASolverOptions(const ResilientOptions &Options) {
-  return rungSolverOptions(Options, DegradationLevel::Insensitive,
-                           Options.FirstPassBudget);
+  SolverOptions SolverOpts = rungSolverOptions(
+      Options, DegradationLevel::Insensitive, Options.FirstPassBudget);
+  SolverOpts.Assemble = Assembly::Projections;
+  return SolverOpts;
 }
 
-/// Pass A as the fallback outcome: a cache \p Summary is re-solved without
-/// the cache.
+/// Pass A as the fallback outcome, assembled as Options.Assemble asks:
+/// under Assembly::Stats its cache summary, which a cache \p Summary
+/// already is; otherwise a Summary is re-solved without the cache.
 PointsToResult insensitiveFallback(const Program &Prog,
                                    const ResilientOptions &Options,
                                    PointsToResult PassA, bool Summary) {
+  if (Options.Assemble == Assembly::Stats)
+    return cache::passASummary(std::move(PassA));
   if (!Summary)
     return PassA;
   trace::ScopedSpan Span(rungSpanName(DegradationLevel::Insensitive));

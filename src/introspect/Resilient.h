@@ -117,6 +117,15 @@ struct ResilientOptions {
   HeuristicAParams ParamsA;
   HeuristicBParams ParamsB;
 
+  /// What the deep, introspective and tightened rungs and the Insensitive
+  /// fallback assemble: Stats or Projections.  The ladder reads only their
+  /// status, name and stats, so by default they skip the heap projections;
+  /// a caller that reads Outcome.Result's projections asks for
+  /// Projections.  The ladder never dumps tuples: Tuples assembles as
+  /// Projections.  Pass A always assembles Projections, because the
+  /// metrics read them.  Not written by writeResilientOptionsJson.
+  Assembly Assemble = Assembly::Stats;
+
   /// Fired just before each rung's solver attempt starts (the rung level
   /// and, for TightenedIntroA, the 1-based tightening round).  The
   /// supervision layer uses this from a forked child to stream per-rung
@@ -141,7 +150,8 @@ struct ResilientOptions {
   /// summary and metrics — every introspective rung then shares the cached
   /// Pass A, and an escalateBelow relaunch reloads instead of re-solving —
   /// while a completed miss is stored for the next run.  The Insensitive
-  /// fallback re-solves the summary without the cache.  The trace row of a
+  /// fallback returns the summary under Assembly::Stats, and otherwise
+  /// re-solves it without the cache.  The trace row of a
   /// cache-served pre-analysis carries the *stored* solver stats, so the
   /// deterministic report columns are identical to a cold run's.  The
   /// cache is bypassed while the Insensitive fault plan is armed, so
@@ -167,7 +177,9 @@ struct ResilientOptions {
 /// Everything a resilient run produces.
 struct ResilientOutcome {
   /// The deepest completed result — or, if every rung failed, Pass A's
-  /// partial result, whose Status says why.  Never a cache summary.
+  /// partial result, whose Status says why — assembled as
+  /// ResilientOptions::Assemble asks: under Assembly::Stats it holds what a
+  /// cache summary holds, and may be one.
   PointsToResult Result;
   /// The rung Result came from.
   DegradationLevel Level = DegradationLevel::Insensitive;
@@ -232,8 +244,8 @@ void writeResilientTimingJson(JsonWriter &J, const ResilientOutcome &Outcome);
 /// Writes the *configuration* part of \p Options as one JSON object —
 /// budgets, rung toggles, tightening rounds, heuristic parameters, and
 /// any armed fault plans — so a run report records the ladder it ran.
-/// Runtime-only members (OnRungStart, Cache) and the two ignored
-/// fields are not represented.  The JSON is a record, not a transport: a
+/// Runtime-only members (OnRungStart, Cache), Assemble and the two
+/// ignored fields are not represented.  The JSON is a record, not a transport: a
 /// supervised child is forked and inherits its options in memory.
 void writeResilientOptionsJson(JsonWriter &J, const ResilientOptions &Options);
 

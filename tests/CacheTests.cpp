@@ -757,6 +757,7 @@ TEST(LadderCache, WarmLadderSharesPassAWithIdenticalTraceColumns) {
 
   ResilientOptions Options;
   Options.AttemptDeep = false; // force the pre-analysis + introspective path
+  Options.Assemble = Assembly::Projections; // the results are compared
   Options.Cache = &Cache;
   Options.CacheKey = &Fp;
   std::vector<DegradationLevel> Started;
@@ -838,6 +839,7 @@ TEST(LadderCache, MisfitEntryUnderTheRightKeyIsACountedMissNotACrash) {
 
   ResilientOptions Options;
   Options.AttemptDeep = false;
+  Options.Assemble = Assembly::Projections; // the results are compared
   auto Refined = makeObjectPolicy(T.Prog, 2, 1);
   ResilientOutcome Uncached = runResilient(T.Prog, *Refined, Options);
   Options.Cache = &Cache;
@@ -855,8 +857,8 @@ TEST(LadderCache, MisfitEntryUnderTheRightKeyIsACountedMissNotACrash) {
 TEST(LadderCache, InsensitiveFallbackReSolvesTheSummarizedPassA) {
   // With every introspective rung faulted the ladder falls back to Pass A.
   // The cache hands out only its summary, on the cold run (stored miss) and
-  // on the warm one (hit), so the fallback re-solves: the outcome holds
-  // every projection of an uncached Pass A.
+  // on the warm one (hit), so a ladder that asks for the projections
+  // re-solves: the outcome holds every projection of an uncached Pass A.
   TwoBoxes T = makeTwoBoxes();
   TempDir Dir;
   cache::ResultCache Cache({Dir.Path, 0});
@@ -865,6 +867,7 @@ TEST(LadderCache, InsensitiveFallbackReSolvesTheSummarizedPassA) {
 
   ResilientOptions Options;
   Options.AttemptDeep = false;
+  Options.Assemble = Assembly::Projections;
   Options.Cache = &Cache;
   Options.CacheKey = &Fp;
   for (DegradationLevel Level :
@@ -884,6 +887,49 @@ TEST(LadderCache, InsensitiveFallbackReSolvesTheSummarizedPassA) {
     expectResultsEqual(Plain.Insens, Out->Result);
     ASSERT_FALSE(Out->Result.VarHeaps.empty()) << "the full result";
   }
+}
+
+TEST(LadderCache, StatsOnlyFallbackReturnsTheSummaryWithoutReSolving) {
+  // With no refined rung to try, the ladder is Pass A and its fallback.
+  // Warm, Pass A is a cache hit; the default (Assembly::Stats) fallback
+  // returns that summary as it is, while Projections re-solves it.
+  TwoBoxes T = makeTwoBoxes();
+  TempDir Dir;
+  cache::ResultCache Cache({Dir.Path, 0});
+  cache::Fingerprint Fp = cache::fingerprintProgram(T.Prog);
+  ResilientOptions Options;
+  Options.AttemptDeep = false;
+  Options.AttemptIntroB = false;
+  Options.AttemptIntroA = false;
+  Options.TightenedRounds = 0;
+  Options.Cache = &Cache;
+  Options.CacheKey = &Fp;
+  auto Refined = makeObjectPolicy(T.Prog, 2, 1);
+  ResilientOutcome Cold = runResilient(T.Prog, *Refined, Options); // store
+
+  auto WarmSolves = [&](Assembly Assemble, ResilientOutcome &Out) {
+    Options.Assemble = Assemble;
+    trace::Recorder Rec;
+    Rec.start();
+    Out = runResilient(T.Prog, *Refined, Options);
+    Rec.stop();
+    auto Runs = Rec.counters().find("solve.runs");
+    return Runs == Rec.counters().end() ? uint64_t{0} : Runs->second;
+  };
+  ResilientOutcome Stats, Projections;
+  EXPECT_EQ(WarmSolves(Assembly::Stats, Stats), 0u);
+  EXPECT_EQ(WarmSolves(Assembly::Projections, Projections), 1u);
+  EXPECT_EQ(Cache.stats().Hits, 2u);
+
+  for (const ResilientOutcome *Out : {&Cold, &Stats, &Projections}) {
+    EXPECT_EQ(Out->Level, DegradationLevel::Insensitive);
+    EXPECT_TRUE(Out->completed());
+    ASSERT_EQ(Out->Trace.size(), 1u);
+  }
+  expectResultsEqual(Cold.Result, Stats.Result);
+  expectResultsEqual(cache::passASummary(Projections.Result), Stats.Result);
+  EXPECT_TRUE(Stats.Result.VarHeaps.empty());
+  EXPECT_FALSE(Projections.Result.VarHeaps.empty());
 }
 
 // --- Supervised-batch integration --------------------------------------------

@@ -74,3 +74,20 @@ execute_process(
 if(NOT CODE EQUAL 2)
   message(SEND_ERROR "unknown flag: expected exit 2, got ${CODE}")
 endif()
+
+# --help and -h print the usage to stdout and exit 0; the text lists the
+# real flags.
+foreach(HELP --help -h)
+  execute_process(
+    COMMAND ${INTRO_BATCH} ${HELP}
+    RESULT_VARIABLE CODE
+    OUTPUT_VARIABLE OUT
+    ERROR_VARIABLE ERR)
+  if(NOT CODE EQUAL 0)
+    message(SEND_ERROR "${HELP}: expected exit 0, got ${CODE}\nstderr: ${ERR}")
+  endif()
+  string(FIND "${OUT}" "--workers" POS)
+  if(POS EQUAL -1)
+    message(SEND_ERROR "${HELP}: stdout does not list --workers:\n${OUT}")
+  endif()
+endforeach()

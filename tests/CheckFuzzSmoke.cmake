@@ -5,7 +5,8 @@
 #      section is byte-identical across runs and worker counts;
 #   3. a planted soundness bug is detected, auto-reduced, and filed as a
 #      repro + triage artifact triple;
-#   4. malformed flags exit 2 with a diagnostic naming the flag.
+#   4. malformed flags exit 2 with a diagnostic naming the flag, and
+#      --help prints the usage and exits 0.
 #
 # Run as: cmake -DINTRO_FUZZ=<path> -DCORPUS_DIR=<dir> -DWORK_DIR=<dir>
 #               -P CheckFuzzSmoke.cmake
@@ -100,6 +101,24 @@ foreach(BAD --seed=x --count=0 --fuzz-budget=nan --oracles=bogus
     if(POS EQUAL -1)
       message(SEND_ERROR "${BAD}: expected 'unknown oracle', got:\n${ERR}")
     endif()
+  endif()
+endforeach()
+
+
+# --help and -h print the usage to stdout and exit 0; the text lists the
+# real flags.
+foreach(HELP --help -h)
+  execute_process(
+    COMMAND ${INTRO_FUZZ} ${HELP}
+    RESULT_VARIABLE CODE
+    OUTPUT_VARIABLE OUT
+    ERROR_VARIABLE ERR)
+  if(NOT CODE EQUAL 0)
+    message(SEND_ERROR "${HELP}: expected exit 0, got ${CODE}\nstderr: ${ERR}")
+  endif()
+  string(FIND "${OUT}" "--workers" POS)
+  if(POS EQUAL -1)
+    message(SEND_ERROR "${HELP}: stdout does not list --workers:\n${OUT}")
   endif()
 endforeach()
 

@@ -55,3 +55,21 @@ check_rejects("--max-deadline=600" --deadline=900 --max-deadline=600)
 # The largest worker count parses: the run fails at the deadline check
 # that follows flag parsing, before any worker thread starts.
 check_rejects("--deadline=900" --workers=1024 --deadline=900 --max-deadline=600)
+
+# --help and -h print the usage to stdout and exit 0; the text lists the
+# real flags.
+foreach(HELP --help -h)
+  execute_process(
+    COMMAND ${INTRO_SERVE} ${HELP}
+    RESULT_VARIABLE CODE
+    OUTPUT_VARIABLE OUT
+    ERROR_VARIABLE ERR
+    TIMEOUT 10)
+  if(NOT CODE EQUAL 0)
+    message(SEND_ERROR "${HELP}: expected exit 0, got ${CODE}\nstderr: ${ERR}")
+  endif()
+  string(FIND "${OUT}" "--socket=PATH" POS)
+  if(POS EQUAL -1)
+    message(SEND_ERROR "${HELP}: stdout does not list --socket:\n${OUT}")
+  endif()
+endforeach()

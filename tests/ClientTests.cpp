@@ -21,12 +21,10 @@ using namespace intro::testing;
 
 namespace {
 
-PointsToResult solveInsens(const Program &Prog, bool KeepTuples = false) {
+PointsToResult solveInsens(const Program &Prog) {
   auto Policy = makeInsensitivePolicy();
   ContextTable Table;
-  SolverOptions Options;
-  Options.KeepTuples = KeepTuples;
-  return solvePointsTo(Prog, *Policy, Table, Options);
+  return solvePointsTo(Prog, *Policy, Table);
 }
 
 } // namespace
@@ -127,7 +125,7 @@ TEST(Statistics, CountsContextsAndTuples) {
   auto Policy = makeObjectPolicy(T.Prog, 2, 1);
   ContextTable Table;
   SolverOptions Options;
-  Options.KeepTuples = true;
+  Options.Assemble = Assembly::Tuples;
   PointsToResult R = solvePointsTo(T.Prog, *Policy, Table, Options);
 
   ContextStatistics Stats = computeContextStatistics(T.Prog, R, 3);
@@ -146,9 +144,9 @@ TEST(Statistics, CountsContextsAndTuples) {
   EXPECT_NE(Out.str().find("max contexts/method:    2"), std::string::npos);
 }
 
-TEST(Statistics, WithoutKeepTuplesIsEmpty) {
+TEST(Statistics, WithoutTupleAssemblyIsEmpty) {
   TwoBoxes T = makeTwoBoxes();
-  PointsToResult R = solveInsens(T.Prog, /*KeepTuples=*/false);
+  PointsToResult R = solveInsens(T.Prog); // Assembly::Projections.
   ContextStatistics Stats = computeContextStatistics(T.Prog, R);
   EXPECT_EQ(Stats.TotalMethodContexts, 0u);
   EXPECT_TRUE(Stats.TopByContexts.empty());

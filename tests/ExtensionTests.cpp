@@ -64,7 +64,7 @@ TEST(CastFiltering, SolverMatchesDatalogReference) {
                                   : makeInsensitivePolicy();
       ContextTable Table;
       SolverOptions Options;
-      Options.KeepTuples = true;
+      Options.Assemble = Assembly::Tuples;
       Options.FilterCasts = true;
       PointsToResult Solver = solvePointsTo(Prog, *Policy, Table, Options);
       DatalogReferenceOptions RefOptions;
@@ -175,7 +175,7 @@ TEST(Hybrid, SolverMatchesDatalogReference) {
     auto Policy = makeHybridPolicy(Prog, 2, 1);
     ContextTable Table;
     SolverOptions Options;
-    Options.KeepTuples = true;
+    Options.Assemble = Assembly::Tuples;
     PointsToResult Solver = solvePointsTo(Prog, *Policy, Table, Options);
     DatalogReferenceResult Reference =
         runDatalogReference(Prog, *Policy, Table);

@@ -34,7 +34,7 @@ namespace {
 void expectAgreement(const Program &Prog, const ContextPolicy &Policy) {
   ContextTable Table;
   SolverOptions Options;
-  Options.KeepTuples = true;
+  Options.Assemble = Assembly::Tuples;
   PointsToResult Solver = solvePointsTo(Prog, Policy, Table, Options);
   ASSERT_EQ(Solver.Status, SolveStatus::Completed);
   DatalogReferenceResult Reference = runDatalogReference(Prog, Policy, Table);
@@ -109,7 +109,7 @@ TEST(Oracle, IntrospectiveSplitAgrees) {
 
   ContextTable Table;
   SolverOptions Options;
-  Options.KeepTuples = true;
+  Options.Assemble = Assembly::Tuples;
   PointsToResult Solver = solvePointsTo(T.Prog, *Intro, Table, Options);
   DatalogReferenceResult Reference =
       runDatalogReference(T.Prog, *Coarse, *Refined, Exceptions, Table);

@@ -71,7 +71,7 @@ TEST_P(RandomProgramProperty, SolverMatchesDatalogReference) {
   for (auto &Policy : allFlavors(Prog)) {
     ContextTable Table;
     SolverOptions Options;
-    Options.KeepTuples = true;
+    Options.Assemble = Assembly::Tuples;
     PointsToResult Solver = solvePointsTo(Prog, *Policy, Table, Options);
     ASSERT_EQ(Solver.Status, SolveStatus::Completed);
     DatalogReferenceResult Reference =
@@ -120,7 +120,7 @@ TEST_P(RandomProgramProperty, IntrospectiveSolverMatchesDatalogReference) {
       makeIntrospectivePolicy("introtest", *Coarse, *Refined, Exceptions);
   ContextTable Table;
   SolverOptions Options;
-  Options.KeepTuples = true;
+  Options.Assemble = Assembly::Tuples;
   PointsToResult Solver = solvePointsTo(Prog, *Intro, Table, Options);
   DatalogReferenceResult Reference =
       runDatalogReference(Prog, *Coarse, *Refined, Exceptions, Table);
@@ -315,7 +315,7 @@ TEST_P(LargeRandomProgramProperty, OracleAgreementAtScale) {
         makeCallSitePolicy(2, 1)}) {
     ContextTable Table;
     SolverOptions SOptions;
-    SOptions.KeepTuples = true;
+    SOptions.Assemble = Assembly::Tuples;
     // Random programs can be genuinely pathological (that is the point of
     // the paper!); cap the work and only compare completed runs.
     SOptions.Budget.MaxTuples = 2'000'000;
@@ -400,7 +400,7 @@ TEST(DenseHubProperty, OracleAgreementWithPromotedSets) {
   for (auto &Policy : {makeInsensitivePolicy(), makeObjectPolicy(Prog, 2, 1)}) {
     ContextTable Table;
     SolverOptions Options;
-    Options.KeepTuples = true;
+    Options.Assemble = Assembly::Tuples;
     PointsToResult Solver = solvePointsTo(Prog, *Policy, Table, Options);
     ASSERT_EQ(Solver.Status, SolveStatus::Completed);
     // The point of this workload: the solver really ran on bitmap sets.

@@ -194,6 +194,7 @@ TEST(Resilient, EveryRungIsForcedDownToInsensitive) {
   Program Prog = chartProgram();
   auto Refined = makeObjectPolicy(Prog, 2, 1);
   ResilientOptions Options;
+  Options.Assemble = Assembly::Projections; // expectConsistent reads them.
   Options.TightenedRounds = 2;
   Options.faultsFor(DegradationLevel::Deep) =
       failFast(SolveStatus::TupleBudgetExceeded);
@@ -254,6 +255,7 @@ TEST(Resilient, ReturnsDeepestRungThatCompletes) {
   };
   for (const Case &C : Cases) {
     ResilientOptions Options;
+    Options.Assemble = Assembly::Projections; // expectConsistent reads them.
     for (DegradationLevel Level : C.Failing)
       Options.faultsFor(Level) = failFast();
     ResilientOutcome Out = runResilient(Prog, *Refined, Options);
@@ -264,6 +266,69 @@ TEST(Resilient, ReturnsDeepestRungThatCompletes) {
     // Earlier rungs appear in the trace as failed attempts.
     ASSERT_GE(Out.Trace.size(), C.Failing.size() + 1);
     EXPECT_EQ(Out.Trace.back().Status, SolveStatus::Completed);
+  }
+}
+
+TEST(Resilient, DefaultLadderAssemblesStatsOnly) {
+  // The default ladder returns the same outcome as one that opts in to the
+  // projections, rung for rung, minus the four heap projections.  Asking
+  // for Tuples gives the opt-in outcome: the ladder dumps no tuples.
+  Program Prog = chartProgram();
+  auto Refined = makeObjectPolicy(Prog, 2, 1);
+  // Deep wins; IntroB wins; every refined rung fails (Insensitive wins).
+  std::vector<std::vector<DegradationLevel>> FailingSets = {
+      {},
+      {DegradationLevel::Deep},
+      {DegradationLevel::Deep, DegradationLevel::IntroB,
+       DegradationLevel::IntroA, DegradationLevel::TightenedIntroA}};
+  for (const auto &Failing : FailingSets) {
+    ResilientOptions Options;
+    for (DegradationLevel Level : Failing)
+      Options.faultsFor(Level) = failFast();
+    ResilientOutcome Default = runResilient(Prog, *Refined, Options);
+    Options.Assemble = Assembly::Projections;
+    ResilientOutcome OptIn = runResilient(Prog, *Refined, Options);
+    SCOPED_TRACE(degradationLevelName(OptIn.Level));
+    Options.Assemble = Assembly::Tuples;
+    ResilientOutcome Dumped = runResilient(Prog, *Refined, Options);
+    EXPECT_EQ(Dumped.Level, OptIn.Level);
+    EXPECT_EQ(Dumped.Result.VarHeaps, OptIn.Result.VarHeaps);
+    EXPECT_EQ(Dumped.Result.FieldHeaps, OptIn.Result.FieldHeaps);
+    EXPECT_EQ(Dumped.Result.StaticFieldHeaps, OptIn.Result.StaticFieldHeaps);
+    EXPECT_EQ(Dumped.Result.MethodThrows, OptIn.Result.MethodThrows);
+    EXPECT_TRUE(Dumped.Result.Reachable.empty());
+    EXPECT_TRUE(Dumped.Result.VarPointsTo.empty());
+    EXPECT_TRUE(Dumped.Result.CallGraph.empty());
+
+    EXPECT_TRUE(Default.completed());
+    EXPECT_EQ(Default.Level, OptIn.Level);
+    EXPECT_EQ(Default.Result.AnalysisName, OptIn.Result.AnalysisName);
+    EXPECT_EQ(Default.Result.Status, OptIn.Result.Status);
+    for (auto [Name, Counter] : SolverStatsFields)
+      EXPECT_EQ(Default.Result.Stats.*Counter, OptIn.Result.Stats.*Counter)
+          << Name;
+    EXPECT_EQ(Default.Result.MethodReachable, OptIn.Result.MethodReachable);
+    EXPECT_EQ(Default.Result.SiteTargets, OptIn.Result.SiteTargets);
+    EXPECT_TRUE(Default.Result.VarHeaps.empty());
+    EXPECT_TRUE(Default.Result.FieldHeaps.empty());
+    EXPECT_TRUE(Default.Result.StaticFieldHeaps.empty());
+    EXPECT_TRUE(Default.Result.MethodThrows.empty());
+    EXPECT_FALSE(OptIn.Result.VarHeaps.empty());
+
+    ASSERT_EQ(Default.Trace.size(), OptIn.Trace.size());
+    for (size_t Row = 0; Row < Default.Trace.size(); ++Row) {
+      const Attempt &A = Default.Trace[Row];
+      const Attempt &B = OptIn.Trace[Row];
+      EXPECT_EQ(A.Level, B.Level);
+      EXPECT_EQ(A.AnalysisName, B.AnalysisName);
+      EXPECT_EQ(A.Status, B.Status);
+      EXPECT_EQ(A.TightenedRound, B.TightenedRound);
+      for (auto [Name, Counter] : SolverStatsFields)
+        EXPECT_EQ(A.Stats.*Counter, B.Stats.*Counter) << Row << " " << Name;
+    }
+    EXPECT_EQ(Default.Metrics.DeepTuplesEstimate,
+              OptIn.Metrics.DeepTuplesEstimate);
+    EXPECT_EQ(Default.Exceptions, OptIn.Exceptions);
   }
 }
 
@@ -516,6 +581,7 @@ TEST(Resilient, AllRungsFaultedLeavesNoWonFlag) {
   Program Prog = chartProgram();
   auto Refined = makeObjectPolicy(Prog, 2, 1);
   ResilientOptions Options;
+  Options.Assemble = Assembly::Projections; // expectConsistent reads them.
   for (DegradationLevel Level :
        {DegradationLevel::Deep, DegradationLevel::Insensitive,
         DegradationLevel::IntroB, DegradationLevel::IntroA,

@@ -10,12 +10,15 @@
 #include "analysis/Result.h"
 #include "analysis/Solver.h"
 #include "support/Concat.h"
+#include "support/Trace.h"
 
 #include "TestPrograms.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 
 using namespace intro;
 using namespace intro::testing;
@@ -150,12 +153,12 @@ TEST(Solver, StatsArepopulated) {
   EXPECT_EQ(R.AnalysisName, "2objH");
 }
 
-TEST(Solver, KeepTuplesDumpsRelations) {
+TEST(Solver, TupleAssemblyDumpsRelations) {
   Dispatch T = makeDispatch();
   auto Policy = makeInsensitivePolicy();
   ContextTable Table;
   SolverOptions Options;
-  Options.KeepTuples = true;
+  Options.Assemble = Assembly::Tuples;
   PointsToResult R = solvePointsTo(T.Prog, *Policy, Table, Options);
   EXPECT_FALSE(R.VarPointsTo.empty());
   EXPECT_FALSE(R.Reachable.empty());
@@ -193,6 +196,202 @@ TEST(Solver, FieldCellsAreSortedAndProbedById) {
   EXPECT_EQ(&RO.fieldPointsTo(T.HeapA, Field), &PointsToResult::emptySet());
   EXPECT_EQ(&RO.staticPointsTo(FieldId(T.Prog.numFields())),
             &PointsToResult::emptySet());
+}
+
+// --- Assembly levels ----------------------------------------------------------
+
+namespace {
+
+/// Handles into the "shared heap" program (see makeSharedHeap).
+struct SharedHeap {
+  Program Prog;
+  HeapId BoxHeap, AHeap;
+  VarId Made; ///< Box.make's `r`: heap A in each of its two contexts.
+  VarId Boxes; ///< main's `y`: both Box objects, one per heap context.
+  MethodId Make;
+  FieldId F;
+};
+
+/// One allocation site reached under two contexts:
+///
+///   class Box   { Object f; Object make() { r = new A(); this.f = r;
+///                                           G = r; throw r; return r; } }
+///   class Maker { Box mk() { b = new Box(); b.make(); return b; } }
+///   m1 = new Maker(); m2 = new Maker(); y = m1.mk(); y = m2.mk();
+///
+/// Under 2objH, Box is allocated under two heap contexts, so `y` holds two
+/// objects of one heap, `Maker.mk`'s `b` holds that heap under two
+/// contexts, and `Box.make`'s `r`, its throws and the (Box, f) cell hold
+/// heap A under two contexts each: every projection has to collapse
+/// duplicate heaps.
+SharedHeap makeSharedHeap() {
+  SharedHeap T;
+  ProgramBuilder B;
+  TypeId Object = B.cls("Object");
+  TypeId BoxT = B.cls("Box", Object);
+  TypeId MakerT = B.cls("Maker", Object);
+  TypeId AT = B.cls("A", Object);
+  T.F = B.field(BoxT, "f");
+  FieldId G = B.field(Object, "G");
+
+  MethodBuilder Make = B.method(BoxT, "make", 0);
+  T.Make = Make.id();
+  T.Made = Make.local("r");
+  T.AHeap = Make.alloc(T.Made, AT);
+  Make.store(Make.thisVar(), T.F, T.Made);
+  Make.sstore(G, T.Made);
+  Make.throwStmt(T.Made);
+  Make.move(Make.returnVar(), T.Made);
+
+  MethodBuilder Mk = B.method(MakerT, "mk", 0);
+  VarId Box = Mk.local("b");
+  T.BoxHeap = Mk.alloc(Box, BoxT);
+  Mk.vcall(VarId::invalid(), Box, "make", {});
+  Mk.move(Mk.returnVar(), Box);
+
+  MethodBuilder Main = B.method(Object, "main", 0, /*IsStatic=*/true);
+  B.entry(Main.id());
+  VarId M1 = Main.local("m1");
+  VarId M2 = Main.local("m2");
+  T.Boxes = Main.local("y");
+  Main.alloc(M1, MakerT);
+  Main.alloc(M2, MakerT);
+  Main.vcall(T.Boxes, M1, "mk", {});
+  Main.vcall(T.Boxes, M2, "mk", {});
+
+  T.Prog = B.take();
+  return T;
+}
+
+PointsToResult solveAssembled(const Program &Prog, const ContextPolicy &Policy,
+                              Assembly Assemble) {
+  ContextTable Table;
+  SolverOptions Options;
+  Options.Assemble = Assemble;
+  return solvePointsTo(Prog, Policy, Table, Options);
+}
+
+/// Column \p Value of \p Tuples grouped by column \p Key into \p Size
+/// sorted sets: a projection computed from the dump.
+template <size_t Width>
+std::vector<SortedIdSet>
+projectDump(size_t Size, const std::vector<std::array<uint32_t, Width>> &Tuples,
+            size_t Key, size_t Value) {
+  std::vector<SortedIdSet> Sets(Size);
+  for (const std::array<uint32_t, Width> &Tuple : Tuples)
+    Sets[Tuple[Key]].push_back(Tuple[Value]);
+  for (SortedIdSet &Set : Sets)
+    setNormalize(Set);
+  return Sets;
+}
+
+/// Expects \p A and \p B to agree in everything Assembly::Stats fills.
+void expectSameSummary(const PointsToResult &A, const PointsToResult &B) {
+  EXPECT_EQ(A.Status, B.Status);
+  EXPECT_EQ(A.AnalysisName, B.AnalysisName);
+  for (auto [Name, Counter] : SolverStatsFields)
+    EXPECT_EQ(A.Stats.*Counter, B.Stats.*Counter) << Name;
+  EXPECT_EQ(A.Stats.BatchUnions, B.Stats.BatchUnions);
+  EXPECT_EQ(A.Stats.ElementProbes, B.Stats.ElementProbes);
+  EXPECT_EQ(A.Stats.DensePointsToSets, B.Stats.DensePointsToSets);
+  EXPECT_EQ(A.MethodReachable, B.MethodReachable);
+  EXPECT_EQ(A.SiteTargets, B.SiteTargets);
+}
+
+} // namespace
+
+TEST(Assembly, LevelsAgreeOnEveryTestProgram) {
+  std::vector<Program> Programs;
+  Programs.push_back(makeTwoBoxes().Prog);
+  Programs.push_back(makeDispatch().Prog);
+  Programs.push_back(makeMixed().Prog);
+  Programs.push_back(makeSharedHeap().Prog);
+  for (const Program &Prog : Programs) {
+    std::unique_ptr<ContextPolicy> Policies[] = {makeInsensitivePolicy(),
+                                                 makeObjectPolicy(Prog, 2, 1)};
+    for (const auto &Policy : Policies) {
+      SCOPED_TRACE(Policy->name());
+      // The trace counters are the same whatever is assembled.
+      std::map<std::string, uint64_t> Counters[3];
+      PointsToResult R[3];
+      for (Assembly Level :
+           {Assembly::Stats, Assembly::Projections, Assembly::Tuples}) {
+        auto Index = static_cast<size_t>(Level);
+        trace::Recorder Rec;
+        Rec.start();
+        R[Index] = solveAssembled(Prog, *Policy, Level);
+        Rec.stop();
+        Counters[Index] = Rec.counters();
+      }
+      const auto &[S, P, T] = R;
+      ASSERT_EQ(S.Status, SolveStatus::Completed);
+      EXPECT_EQ(Counters[0], Counters[1]);
+      EXPECT_EQ(Counters[1], Counters[2]);
+      expectSameSummary(S, P);
+      expectSameSummary(P, T);
+      EXPECT_EQ(S.MethodReachable.size(), Prog.numMethods());
+      EXPECT_EQ(S.SiteTargets.size(), Prog.numSites());
+
+      // Stats leaves every heap projection (and dump) empty.
+      EXPECT_TRUE(S.VarHeaps.empty());
+      EXPECT_TRUE(S.FieldHeaps.empty());
+      EXPECT_TRUE(S.StaticFieldHeaps.empty());
+      EXPECT_TRUE(S.MethodThrows.empty());
+      EXPECT_TRUE(S.VarPointsTo.empty());
+      EXPECT_TRUE(P.VarPointsTo.empty());
+      EXPECT_TRUE(P.Reachable.empty());
+
+      // Projections and Tuples assemble the same projections...
+      EXPECT_EQ(P.VarHeaps, T.VarHeaps);
+      EXPECT_EQ(P.FieldHeaps, T.FieldHeaps);
+      EXPECT_EQ(P.StaticFieldHeaps, T.StaticFieldHeaps);
+      EXPECT_EQ(P.MethodThrows, T.MethodThrows);
+      // ...and they are the projections of the dump.
+      EXPECT_EQ(P.VarHeaps, projectDump(Prog.numVars(), T.VarPointsTo, 0, 2));
+      EXPECT_EQ(P.MethodThrows,
+                projectDump(Prog.numMethods(), T.ThrowPointsTo, 0, 2));
+      EXPECT_EQ(P.StaticFieldHeaps,
+                projectDump(Prog.numFields(), T.StaticFieldPointsTo, 0, 1));
+      for (const std::array<uint32_t, 5> &Tuple : T.FieldPointsTo)
+        EXPECT_TRUE(setContains(
+            P.fieldPointsTo(HeapId(Tuple[0]), FieldId(Tuple[2])), Tuple[3]));
+      uint64_t CellHeaps = 0;
+      for (const FieldCell &Cell : P.FieldHeaps)
+        CellHeaps += Cell.Heaps.size();
+      std::vector<std::array<uint32_t, 3>> DumpCells;
+      for (const std::array<uint32_t, 5> &Tuple : T.FieldPointsTo)
+        DumpCells.push_back({Tuple[0], Tuple[2], Tuple[3]});
+      std::ranges::sort(DumpCells);
+      DumpCells.erase(std::unique(DumpCells.begin(), DumpCells.end()),
+                      DumpCells.end());
+      EXPECT_EQ(CellHeaps, DumpCells.size());
+    }
+  }
+}
+
+TEST(Assembly, ProjectionsHoldEachHeapOnceAcrossContexts) {
+  SharedHeap T = makeSharedHeap();
+  auto Policy = makeObjectPolicy(T.Prog, 2, 1);
+  PointsToResult R = solveAssembled(T.Prog, *Policy, Assembly::Tuples);
+  ASSERT_EQ(R.Status, SolveStatus::Completed);
+
+  // The premise: the dump holds the heaps of r and y more than once.
+  auto CountHeap = [&](VarId Var, HeapId Heap) {
+    return std::ranges::count_if(R.VarPointsTo, [&](const auto &Tuple) {
+      return Tuple[0] == Var.index() && Tuple[2] == Heap.index();
+    });
+  };
+  EXPECT_GE(CountHeap(T.Made, T.AHeap), 2) << "r: one tuple per context";
+  EXPECT_GE(CountHeap(T.Boxes, T.BoxHeap), 2) << "y: one per heap context";
+  EXPECT_GE(R.Stats.NumFieldNodes, 2u) << "(Box, f): one node per Box object";
+  EXPECT_GE(R.Stats.ThrowPointsToTuples, 2u);
+
+  SortedIdSet OnlyA{T.AHeap.index()};
+  EXPECT_EQ(R.pointsTo(T.Made), OnlyA);
+  EXPECT_EQ(R.pointsTo(T.Boxes), SortedIdSet{T.BoxHeap.index()});
+  EXPECT_EQ(R.fieldPointsTo(T.BoxHeap, T.F), OnlyA);
+  EXPECT_EQ(R.throwsOf(T.Make), OnlyA);
+  ASSERT_EQ(R.FieldHeaps.size(), 1u) << "both Box objects' nodes, one cell";
 }
 
 TEST(Policies, Names) {
@@ -306,7 +505,7 @@ TEST(Solver, LateEdgesOnHubUseBatchedPropagation) {
   auto Policy = makeInsensitivePolicy();
   ContextTable Table;
   SolverOptions Options;
-  Options.KeepTuples = true;
+  Options.Assemble = Assembly::Tuples;
   PointsToResult R = solvePointsTo(Prog, *Policy, Table, Options);
   ASSERT_EQ(R.Status, SolveStatus::Completed);
 

@@ -600,7 +600,7 @@ TEST(EmptyInputTest, EmptyProgramStatisticsAreFinite) {
   auto Policy = makeInsensitivePolicy();
   ContextTable Table;
   SolverOptions Options;
-  Options.KeepTuples = true;
+  Options.Assemble = Assembly::Tuples;
   PointsToResult Result = solvePointsTo(Prog, *Policy, Table, Options);
   EXPECT_TRUE(isCompleted(Result.Status));
 

@@ -11,44 +11,8 @@
 /// clean, retried, or quarantined.  See DESIGN.md section 9 and the README
 /// walkthrough.
 ///
-///   intro_batch [options] <file.intro | directory>...
-///
-///   --report=FILE        write the intro-batch-report-v1 JSON here
-///   --quarantine=DIR     copy inputs of quarantined jobs here (plus a
-///                        .reason.txt per input explaining the verdict)
-///   --max-attempts=N     attempts per job before quarantine (default 3)
-///   --deadline=SECONDS   per-child wall watchdog (default 60)
-///   --cpu-limit=SECONDS  per-child RLIMIT_CPU (default 0 = off)
-///   --mem-limit=MB       per-child RLIMIT_AS (default 0 = off; huge
-///                        values saturate instead of wrapping)
-///   --seed=N             retry-jitter seed (default 0x5eed)
-///   --workers=N          supervisor threads, 1..1024 (default 1)
-///   --cache-dir=DIR      content-addressed Pass-A cache shared across
-///                        jobs, retries, and repeated runs
-///   --cache-max-entries=N  cap on cached entries (default 0 = no cap;
-///                        a nonzero cap needs --cache-dir)
-///   --no-deep            skip the deep ladder rung (start at the
-///                        introspective rungs, which use the cache)
-///   --chaos=SPEC@NAME    inject a process-level fault into job NAME;
-///                        SPEC = crash|oom|spin|exit|garbage|truncate
-///                        [:LEVEL][:UNTIL] (smoke tests; see ChaosPlan)
-///   --server=SOCK        client mode: submit the jobs to the intro_serve
-///                        daemon at Unix socket SOCK instead of forking
-///                        locally; --report then writes an
-///                        intro-serve-client-report-v1 document.  The
-///                        jobs run under the daemon's own settings, so
-///                        --quarantine, --workers and the shared
-///                        supervision flags (--no-deep, --cache-dir, ...)
-///                        are rejected here
-///   --job-reports=DIR    write each job's final intro-run-report-v1 line
-///                        to DIR/<name>.report.json (works in both local
-///                        and server mode: the same jobs get a file — none
-///                        without a healthy report — and the deterministic
-///                        sections are byte-identical between the two)
-///
-/// Exit codes (support/ExitCodes.h): 0 all jobs clean; 1 at least one job
-/// failed or was quarantined; 2 bad usage or unreadable inputs; 3 internal
-/// error.
+/// Usage, options and exit codes: the Usage text below, which
+/// `intro_batch --help` prints.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,6 +41,48 @@ using namespace intro::supervise;
 namespace fs = std::filesystem;
 
 namespace {
+
+/// The usage text: printed to stdout by --help and -h, and to stderr
+/// on a usage error.
+constexpr const char *Usage = R"(usage: intro_batch [options] <file.intro | directory>...
+
+  --report=FILE        write the intro-batch-report-v1 JSON here
+  --quarantine=DIR     copy inputs of quarantined jobs here (plus a
+                       .reason.txt per input explaining the verdict)
+  --max-attempts=N     attempts per job before quarantine (default 3)
+  --deadline=SECONDS   per-child wall watchdog (default 60)
+  --cpu-limit=SECONDS  per-child RLIMIT_CPU (default 0 = off)
+  --mem-limit=MB       per-child RLIMIT_AS (default 0 = off; huge
+                       values saturate instead of wrapping)
+  --seed=N             retry-jitter seed (default 0x5eed)
+  --workers=N          supervisor threads, 1..1024 (default 1)
+  --cache-dir=DIR      content-addressed Pass-A cache shared across
+                       jobs, retries, and repeated runs
+  --cache-max-entries=N  cap on cached entries (default 0 = no cap;
+                       a nonzero cap needs --cache-dir)
+  --no-deep            skip the deep ladder rung (start at the
+                       introspective rungs, which use the cache)
+  --chaos=SPEC@NAME    inject a process-level fault into job NAME;
+                       SPEC = crash|oom|spin|exit|garbage|truncate
+                       [:LEVEL][:UNTIL] (smoke tests; see ChaosPlan)
+  --server=SOCK        client mode: submit the jobs to the intro_serve
+                       daemon at Unix socket SOCK instead of forking
+                       locally; --report then writes an
+                       intro-serve-client-report-v1 document.  The
+                       jobs run under the daemon's own settings, so
+                       --quarantine, --workers and the shared
+                       supervision flags (--no-deep, --cache-dir, ...)
+                       are rejected here
+  --job-reports=DIR    write each job's final intro-run-report-v1 line
+                       to DIR/<name>.report.json (works in both local
+                       and server mode: the same jobs get a file — none
+                       without a healthy report — and the deterministic
+                       sections are byte-identical between the two)
+
+Exit codes (support/ExitCodes.h): 0 all jobs clean; 1 at least one job
+failed or was quarantined; 2 bad usage or unreadable inputs; 3 internal
+error.
+)";
 
 /// One parsed --chaos flag.  SpecBody keeps the raw KIND[:LEVEL][:UNTIL]
 /// text because server mode forwards it verbatim for the daemon to parse.
@@ -123,6 +129,10 @@ int parseCli(int argc, char **argv, CliOptions &Cli) {
   std::string DaemonFlag; ///< The first daemon-owned flag given, if any.
   for (int Index = 1; Index < argc; ++Index) {
     std::string Arg = argv[Index];
+    if (Arg == "--help" || Arg == "-h") {
+      std::cout << Usage;
+      return ExitSuccess;
+    }
     std::string Value;
     std::string_view Name = std::string_view(Arg).substr(0, Arg.find('='));
     if (DaemonFlag.empty() &&
@@ -176,8 +186,7 @@ int parseCli(int argc, char **argv, CliOptions &Cli) {
     return ExitBadInput;
   }
   if (Cli.Inputs.empty()) {
-    std::cerr << "usage: intro_batch [options] <file.intro | directory>...\n"
-                 "       (see the file header or README for options)\n";
+    std::cerr << Usage;
     return ExitBadInput;
   }
   return -1;

@@ -12,45 +12,8 @@
 /// debugger, and files quarantine-style repro + triage artifacts.  See
 /// DESIGN.md section 13 and the README "Fuzzing the analysis" walkthrough.
 ///
-///   intro_fuzz [options] [<file.ir | file.intro | directory>...]
-///
-/// With positional inputs the tool replays them through the oracle harness
-/// instead of generating programs (corpus smoke / repro re-check mode).
-///
-///   --seed=N             first seed of the range (default 1)
-///   --count=K            seeds to sweep (default 100)
-///   --workers=N          concurrent seed tasks (default 1; results are
-///                        independent of this knob by construction)
-///   --fuzz-budget=SECS   stop launching new seeds after SECS seconds;
-///                        in-flight seeds finish (default 0 = no budget)
-///   --report=FILE        write the intro-fuzz-report-v1 JSON here
-///   --repro-dir=DIR      write <name>.ir + .triage.json + .reason.txt per
-///                        failing seed (default: no artifacts)
-///   --no-reduce          file repros unreduced (faster triage-only runs)
-///   --reduce-max-checks=N  reducer predicate budget per finding (600)
-///   --oracles=SPEC       default | all | comma list of oracle names
-///                        (validity, round-trip, soundness,
-///                        reference-equivalence, introspective-subset,
-///                        cache-parity, budget-prefix, deep-cap,
-///                        served-parity)
-///   --thorough           add the expensive flavors: call-site/type
-///                        sensitivity, checked casts, introspective-split
-///                        Datalog equivalence
-///   --mutate=N           byte-level frontend mutants per seed (default 0)
-///   --plant-bug=NAME     corrupt the solver-under-test on purpose (none,
-///                        drop-max-heap, drop-max-call-target,
-///                        forget-throws) — harness self-test mode
-///   --max-tuples=N       per-run tuple cap; over-budget runs are skipped,
-///                        not failed (default 2000000)
-///   --cache-dir=DIR      scratch for the cache-parity oracle (default: a
-///                        fresh temp dir, removed on exit)
-///   --scratch-dir=DIR    scratch for the served-parity oracle's socket
-///                        (default: a fresh temp dir, removed on exit)
-///   --emit=DIR           corpus builder: write each generated program to
-///                        DIR/fuzz-<bias>-<seed>.ir and run no oracles
-///
-/// Exit codes (support/ExitCodes.h): 0 no findings; 1 at least one oracle
-/// finding; 2 bad usage or unreadable inputs; 3 internal error.
+/// Usage, options and exit codes: the Usage text below, which
+/// `intro_fuzz --help` prints.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,6 +43,49 @@ using namespace intro::fuzz;
 namespace fs = std::filesystem;
 
 namespace {
+
+/// The usage text: printed to stdout by --help and -h, and to stderr
+/// on a usage error.
+constexpr const char *Usage = R"(usage: intro_fuzz [options] [<file.ir | file.intro | directory>...]
+
+With positional inputs the tool replays them through the oracle harness
+instead of generating programs (corpus smoke / repro re-check mode).
+
+  --seed=N             first seed of the range (default 1)
+  --count=K            seeds to sweep (default 100)
+  --workers=N          concurrent seed tasks (default 1; results are
+                       independent of this knob by construction)
+  --fuzz-budget=SECS   stop launching new seeds after SECS seconds;
+                       in-flight seeds finish (default 0 = no budget)
+  --report=FILE        write the intro-fuzz-report-v1 JSON here
+  --repro-dir=DIR      write <name>.ir + .triage.json + .reason.txt per
+                       failing seed (default: no artifacts)
+  --no-reduce          file repros unreduced (faster triage-only runs)
+  --reduce-max-checks=N  reducer predicate budget per finding (600)
+  --oracles=SPEC       default | all | comma list of oracle names
+                       (validity, round-trip, soundness,
+                       reference-equivalence, introspective-subset,
+                       cache-parity, budget-prefix, deep-cap,
+                       served-parity)
+  --thorough           add the expensive flavors: call-site/type
+                       sensitivity, checked casts, introspective-split
+                       Datalog equivalence
+  --mutate=N           byte-level frontend mutants per seed (default 0)
+  --plant-bug=NAME     corrupt the solver-under-test on purpose (none,
+                       drop-max-heap, drop-max-call-target,
+                       forget-throws) — harness self-test mode
+  --max-tuples=N       per-run tuple cap; over-budget runs are skipped,
+                       not failed (default 2000000)
+  --cache-dir=DIR      scratch for the cache-parity oracle (default: a
+                       fresh temp dir, removed on exit)
+  --scratch-dir=DIR    scratch for the served-parity oracle's socket
+                       (default: a fresh temp dir, removed on exit)
+  --emit=DIR           corpus builder: write each generated program to
+                       DIR/fuzz-<bias>-<seed>.ir and run no oracles
+
+Exit codes (support/ExitCodes.h): 0 no findings; 1 at least one oracle
+finding; 2 bad usage or unreadable inputs; 3 internal error.
+)";
 
 struct CliOptions {
   std::vector<std::string> Inputs;
@@ -129,6 +135,10 @@ int parseCli(int argc, char **argv, CliOptions &Cli) {
   std::string Error;
   for (int Index = 1; Index < argc; ++Index) {
     std::string Arg = argv[Index];
+    if (Arg == "--help" || Arg == "-h") {
+      std::cout << Usage;
+      return ExitSuccess;
+    }
     std::string Value;
     if (flagValue(Arg, "--report", Cli.ReportPath) ||
         flagValue(Arg, "--repro-dir", Cli.Campaign.ReproDir) ||

@@ -11,29 +11,13 @@
 /// and streams the child's transcript back to the submitting client.  See
 /// DESIGN.md section 12 and the README walkthrough.
 ///
-///   intro_serve --socket=PATH [options]
-///
-///   --socket=PATH        Unix-domain socket to listen on (required)
-///   --workers=N          concurrent supervised jobs, 1..1024 (default 2)
-///   --deadline=SECONDS   default per-job wall watchdog (default 60)
-///   --max-deadline=SECONDS  clamp on a request's deadline_seconds
-///                        (default 600; --deadline may not exceed it)
-///   --max-attempts=N     attempts per job before giving up (default 3)
-///   --cpu-limit=SECONDS  per-child RLIMIT_CPU (default 0 = off)
-///   --mem-limit=MB       per-child RLIMIT_AS (default 0 = off)
-///   --seed=N             retry-jitter seed (default 0x5eed)
-///   --cache-dir=DIR      Pass-A cache shared across all served jobs
-///   --cache-max-entries=N  cap on cached entries (default 0 = no cap;
-///                        a nonzero cap needs --cache-dir)
-///   --no-deep            skip the deep ladder rung
+/// Usage, options and exit codes: the Usage text below, which
+/// `intro_serve --help` prints.
 ///
 /// SIGTERM and SIGINT drain: in-flight jobs finish (children reaped), the
 /// socket file is removed, and the process exits 0.  SIGPIPE is ignored
 /// (support/Socket.h policy): a client hanging up mid-stream cancels its
 /// job, it never kills the server.
-///
-/// Exit codes (support/ExitCodes.h): 0 clean shutdown; 2 bad usage; 3
-/// internal error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,6 +38,30 @@ using namespace intro::serve;
 
 namespace {
 
+/// The usage text: printed to stdout by --help and -h, and to stderr
+/// on a usage error.
+constexpr const char *Usage = R"(usage: intro_serve --socket=PATH [options]
+
+  --socket=PATH        Unix-domain socket to listen on (required)
+  --workers=N          concurrent supervised jobs, 1..1024 (default 2)
+  --deadline=SECONDS   default per-job wall watchdog (default 60)
+  --max-deadline=SECONDS  clamp on a request's deadline_seconds
+                       (default 600; --deadline may not exceed it)
+  --max-attempts=N     attempts per job before giving up (default 3)
+  --cpu-limit=SECONDS  per-child RLIMIT_CPU (default 0 = off)
+  --mem-limit=MB       per-child RLIMIT_AS (default 0 = off)
+  --seed=N             retry-jitter seed (default 0x5eed)
+  --cache-dir=DIR      Pass-A cache shared across all served jobs
+  --cache-max-entries=N  cap on cached entries (default 0 = no cap;
+                       a nonzero cap needs --cache-dir)
+  --no-deep            skip the deep ladder rung
+
+SIGTERM and SIGINT drain in-flight jobs, remove the socket and exit 0.
+
+Exit codes (support/ExitCodes.h): 0 clean shutdown; 2 bad usage; 3
+internal error.
+)";
+
 /// Written by the signal handler, polled by the accept loop.  A plain
 /// store is the only async-signal-safe thing a handler may do here.
 std::atomic<bool> GStop{false};
@@ -65,6 +73,10 @@ int parseCli(int argc, char **argv, ServerOptions &Options) {
   for (int Index = 1; Index < argc; ++Index) {
     std::string Arg = argv[Index];
     std::string Value;
+    if (Arg == "--help" || Arg == "-h") {
+      std::cout << Usage;
+      return ExitSuccess;
+    }
     if (flagValue(Arg, "--socket", Options.SocketPath))
       continue;
     if (supervise::parseSharedBatchFlag(Arg, Options.Batch, Error)) {
@@ -102,8 +114,7 @@ int parseCli(int argc, char **argv, ServerOptions &Options) {
     return ExitBadInput;
   }
   if (Options.SocketPath.empty()) {
-    std::cerr << "usage: intro_serve --socket=PATH [options]\n"
-                 "       (see the file header or README for options)\n";
+    std::cerr << Usage;
     return ExitBadInput;
   }
   return -1;
