@@ -98,6 +98,21 @@ static void BM_SolveInsensChart(benchmark::State &State) {
 }
 BENCHMARK(BM_SolveInsensChart);
 
+// BM_SolveInsensChart's solve under Assembly::Stats: the difference between
+// the two is what assembling Pass A's heap projections costs per solve.
+static void BM_SolveInsensChartStats(benchmark::State &State) {
+  Program Prog = generateWorkload(dacapoProfile("chart"));
+  auto Policy = makeInsensitivePolicy();
+  SolverOptions Options;
+  Options.Assemble = Assembly::Stats;
+  for (auto _ : State) {
+    ContextTable Table;
+    PointsToResult Result = solvePointsTo(Prog, *Policy, Table, Options);
+    benchmark::DoNotOptimize(Result.Stats.VarPointsToTuples);
+  }
+}
+BENCHMARK(BM_SolveInsensChartStats);
+
 static void BM_Solve2objHChart(benchmark::State &State) {
   Program Prog = generateWorkload(dacapoProfile("chart"));
   auto Policy = makeObjectPolicy(Prog, 2, 1);

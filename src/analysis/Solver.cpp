@@ -16,7 +16,9 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
+#include <span>
 #include <unordered_map>
+#include <utility>
 
 using namespace intro;
 
@@ -80,6 +82,70 @@ struct ObjectInfo {
   /// (field, node) of every field node based on the object; a short list,
   /// scanned linearly.
   std::vector<std::pair<uint32_t, uint32_t>> FieldNodes;
+};
+
+/// Gathers the heaps of a target's nodes as a sorted, duplicate-free set,
+/// with no sort.  Objects are numbered in discovery order, not heap order,
+/// so mark() sets the heap bit of each of a node's objects in a bitmap
+/// over heap ids, and sweepInto() reads the set bits back in ascending
+/// order: the heaps come out sorted, and the heap contexts of one heap
+/// share its bit.  A summary bitmap over the words lets the sweep visit,
+/// and clear, only the touched words.
+class HeapGather {
+public:
+  HeapGather(const std::vector<ObjectInfo> &Objects, size_t NumHeaps)
+      : HeapOf(Objects.size()), Words((NumHeaps + 63) / 64),
+        Summary((Words.size() + 63) / 64) {
+    for (size_t Object = 0; Object < Objects.size(); ++Object)
+      HeapOf[Object] = Objects[Object].Heap;
+  }
+
+  /// Adds the heaps of the objects of \p Pts to the pending set.
+  void mark(const IdSet &Pts) {
+    Pts.forEach([this](uint32_t Object) {
+      uint32_t Heap = HeapOf[Object];
+      uint64_t &Word = Words[Heap >> 6];
+      uint64_t Bit = uint64_t(1) << (Heap & 63);
+      if (Word & Bit)
+        return;
+      ++Marked;
+      if (Word == 0) {
+        size_t Touched = Heap >> 6;
+        Summary[Touched >> 6] |= uint64_t(1) << (Touched & 63);
+        SummaryLo = std::min(SummaryLo, Touched >> 6);
+        SummaryHi = std::max(SummaryHi, Touched >> 6);
+      }
+      Word |= Bit;
+    });
+  }
+
+  /// Fills the empty \p Heaps with the pending set, ascending, and empties
+  /// the pending set.
+  void sweepInto(SortedIdSet &Heaps) {
+    Heaps.resize(Marked);
+    uint32_t *Out = Heaps.data();
+    for (size_t S = SummaryLo; S <= SummaryHi; ++S) {
+      for (uint64_t Touched = std::exchange(Summary[S], 0); Touched != 0;
+           Touched &= Touched - 1) {
+        size_t W = (S << 6) + static_cast<size_t>(__builtin_ctzll(Touched));
+        for (uint64_t Bits = std::exchange(Words[W], 0); Bits != 0;
+             Bits &= Bits - 1)
+          *Out++ = static_cast<uint32_t>((W << 6) + static_cast<size_t>(
+                                                       __builtin_ctzll(Bits)));
+      }
+    }
+    Marked = 0;
+    SummaryLo = SIZE_MAX;
+    SummaryHi = 0;
+  }
+
+private:
+  std::vector<uint32_t> HeapOf;  ///< Object -> raw HeapId.
+  std::vector<uint64_t> Words;   ///< Pending heaps.
+  std::vector<uint64_t> Summary; ///< Words that hold a pending heap.
+  uint32_t Marked = 0;           ///< Pending heaps.
+  size_t SummaryLo = SIZE_MAX;   ///< Least touched Summary word.
+  size_t SummaryHi = 0;          ///< Greatest touched Summary word.
 };
 
 class Solver {
@@ -552,56 +618,70 @@ private:
     }
   }
 
-  /// Appends the heap of every object of node \p N to \p Heaps.
-  void appendHeaps(uint32_t N, SortedIdSet &Heaps) const {
-    for (uint32_t Object : Nodes[N].Pts)
-      Heaps.push_back(Objects[Object].Heap);
-  }
-
   /// Fills the four heap projections: each var, method's throws, field cell
-  /// and static field gathers the heaps of its nodes (one per context),
-  /// then every vector is sorted and uniqued.
+  /// and static field marks the objects of all its nodes (one per context)
+  /// in one HeapGather, which sweeps them out as its sorted heap set.
   void assembleProjections(PointsToResult &Result) const {
+    HeapGather Gather(Objects, Prog.numHeaps());
+
+    // The entries of each method, grouped by a counting sort, so that all
+    // nodes of a local (or of the method's throws) are marked together.
+    std::vector<uint32_t> First(Prog.numMethods() + 1, 0);
+    for (const MethodContext &MC : MethodContexts)
+      ++First[MC.Method.index() + 1];
+    for (size_t Method = 1; Method < First.size(); ++Method)
+      First[Method] += First[Method - 1];
+    std::vector<uint32_t> ByMethod(MethodContexts.size());
+    std::vector<uint32_t> Next = First;
+    for (uint32_t MC = 0; MC < MethodContexts.size(); ++MC)
+      ByMethod[Next[MethodContexts[MC].Method.index()]++] = MC;
+
     Result.VarHeaps.resize(Prog.numVars());
     Result.MethodThrows.resize(Prog.numMethods());
-    for (const MethodContext &MC : MethodContexts) {
-      const std::vector<VarId> &Locals = Prog.method(MC.Method).Locals;
-      for (size_t Local = 0; Local < Locals.size(); ++Local)
-        if (uint32_t N = VarSlots[MC.FirstVarSlot + Local]; N != NoNode)
-          appendHeaps(N, Result.VarHeaps[Locals[Local].index()]);
-      if (MC.ThrowNode != NoNode)
-        appendHeaps(MC.ThrowNode, Result.MethodThrows[MC.Method.index()]);
+    for (uint32_t Method = 0; Method < Prog.numMethods(); ++Method) {
+      auto Entries = std::span(ByMethod).subspan(
+          First[Method], First[Method + 1] - First[Method]);
+      if (Entries.empty())
+        continue;
+      const std::vector<VarId> &Locals = Prog.method(MethodId(Method)).Locals;
+      for (size_t Local = 0; Local < Locals.size(); ++Local) {
+        for (uint32_t MC : Entries)
+          if (uint32_t N = VarSlots[MethodContexts[MC].FirstVarSlot + Local];
+              N != NoNode)
+            Gather.mark(Nodes[N].Pts);
+        Gather.sweepInto(Result.VarHeaps[Locals[Local].index()]);
+      }
+      for (uint32_t MC : Entries)
+        if (uint32_t N = MethodContexts[MC].ThrowNode; N != NoNode)
+          Gather.mark(Nodes[N].Pts);
+      Gather.sweepInto(Result.MethodThrows[Method]);
     }
 
     // (base heap, field, node) of every field node, sorted so that the
-    // nodes of one cell (one per heap context of the base) merge.
+    // nodes of one cell (one per heap context of the base) are adjacent.
     std::vector<std::array<uint32_t, 3>> FieldCellNodes;
     for (const ObjectInfo &Base : Objects)
       for (auto [FieldRaw, N] : Base.FieldNodes)
         FieldCellNodes.push_back({Base.Heap, FieldRaw, N});
     std::sort(FieldCellNodes.begin(), FieldCellNodes.end());
-    for (auto [BaseHeap, FieldRaw, N] : FieldCellNodes) {
-      if (Result.FieldHeaps.empty() ||
-          Result.FieldHeaps.back().key() != std::pair(BaseHeap, FieldRaw))
-        Result.FieldHeaps.push_back({BaseHeap, FieldRaw, {}});
-      appendHeaps(N, Result.FieldHeaps.back().Heaps);
+    for (size_t I = 0; I < FieldCellNodes.size();) {
+      FieldCell &Cell = Result.FieldHeaps.emplace_back(FieldCellNodes[I][0],
+                                                       FieldCellNodes[I][1]);
+      for (; I < FieldCellNodes.size() &&
+             std::pair(FieldCellNodes[I][0], FieldCellNodes[I][1]) ==
+                 Cell.key();
+           ++I)
+        Gather.mark(Nodes[FieldCellNodes[I][2]].Pts);
+      Gather.sweepInto(Cell.Heaps);
     }
 
     Result.StaticFieldHeaps.resize(Prog.numFields());
     for (uint32_t FieldRaw = 0; FieldRaw < StaticFieldNodes.size();
          ++FieldRaw)
-      if (StaticFieldNodes[FieldRaw] != NoNode)
-        appendHeaps(StaticFieldNodes[FieldRaw],
-                    Result.StaticFieldHeaps[FieldRaw]);
-
-    for (SortedIdSet &Heaps : Result.VarHeaps)
-      setNormalize(Heaps);
-    for (FieldCell &Cell : Result.FieldHeaps)
-      setNormalize(Cell.Heaps);
-    for (SortedIdSet &Heaps : Result.StaticFieldHeaps)
-      setNormalize(Heaps);
-    for (SortedIdSet &Heaps : Result.MethodThrows)
-      setNormalize(Heaps);
+      if (StaticFieldNodes[FieldRaw] != NoNode) {
+        Gather.mark(Nodes[StaticFieldNodes[FieldRaw]].Pts);
+        Gather.sweepInto(Result.StaticFieldHeaps[FieldRaw]);
+      }
   }
 
   /// Fills the context-sensitive relation dumps, in discovery order.

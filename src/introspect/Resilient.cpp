@@ -107,14 +107,12 @@ SolverOptions passASolverOptions(const ResilientOptions &Options) {
 }
 
 /// Pass A as the fallback outcome, assembled as Options.Assemble asks:
-/// under Assembly::Stats its cache summary, which a cache \p Summary
-/// already is; otherwise a Summary is re-solved without the cache.
+/// under Assembly::Stats its summary, which \p PassA already is (Ladder::run
+/// summarizes it); otherwise a \p Summary is re-solved without the cache.
 PointsToResult insensitiveFallback(const Program &Prog,
                                    const ResilientOptions &Options,
                                    PointsToResult PassA, bool Summary) {
-  if (Options.Assemble == Assembly::Stats)
-    return cache::passASummary(std::move(PassA));
-  if (!Summary)
+  if (Options.Assemble == Assembly::Stats || !Summary)
     return PassA;
   trace::ScopedSpan Span(rungSpanName(DegradationLevel::Insensitive));
   ContextTable Table;
@@ -174,6 +172,10 @@ public:
       Out.Metrics = std::move(PassA.Metrics);
       Out.MetricSeconds = PassA.MetricSeconds;
     }
+    // The metrics were the projections' last reader: under Assembly::Stats
+    // the rungs read only the summary, and the fallback returns it.
+    if (Options.Assemble == Assembly::Stats)
+      FirstPass = cache::passASummary(std::move(FirstPass));
 
     // Rung 1: the refined deep analysis as given, capped by Pass A's size,
     // or recorded as over that cap when Pass A predicts it explodes.

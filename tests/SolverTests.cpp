@@ -394,6 +394,140 @@ TEST(Assembly, ProjectionsHoldEachHeapOnceAcrossContexts) {
   ASSERT_EQ(R.FieldHeaps.size(), 1u) << "both Box objects' nodes, one cell";
 }
 
+namespace {
+
+/// Handles into the "late heap" program (see makeLateHeap).
+struct LateHeap {
+  Program Prog;
+  HeapId BoxHeap, AHeap, LateHeap;
+  VarId Put;   ///< Box.put's `v`: Late in one context, A in the other.
+  VarId Mixed; ///< Run.go's `z`: Late and A in one node.
+};
+
+/// Objects discovered against heap order.  Main's only allocation is the
+/// last one built, so the first object the solver discovers has the
+/// highest heap id:
+///
+///   class Box   { Object f; Object put(v) { this.f = v; G = v; throw v;
+///                                           return v; } }
+///   class Maker { Box mk(p) { b = new Box(); b.put(p); return b; } }
+///   static go(p) { m1 = new Maker(); m2 = new Maker(); q = new A();
+///                  y = m1.mk(p); y = m2.mk(q); z = p; z = q; }
+///   main() { x = new Late(); go(x); }
+///
+/// Under 2objH, Box is allocated under two heap contexts, so `y` holds two
+/// objects of one heap and Box.put runs under two contexts: `v`, its
+/// throws and the (Box, f) cell hold Late under one and A under the other.
+LateHeap makeLateHeap() {
+  LateHeap T;
+  ProgramBuilder B;
+  TypeId Object = B.cls("Object");
+  TypeId BoxT = B.cls("Box", Object);
+  TypeId MakerT = B.cls("Maker", Object);
+  TypeId AT = B.cls("A", Object);
+  TypeId LateT = B.cls("Late", Object);
+  FieldId F = B.field(BoxT, "f");
+  FieldId G = B.field(Object, "G");
+
+  MethodBuilder Put = B.method(BoxT, "put", 1);
+  T.Put = Put.formal(0);
+  Put.store(Put.thisVar(), F, T.Put);
+  Put.sstore(G, T.Put);
+  Put.throwStmt(T.Put);
+  Put.move(Put.returnVar(), T.Put);
+
+  MethodBuilder Mk = B.method(MakerT, "mk", 1);
+  VarId Box = Mk.local("b");
+  T.BoxHeap = Mk.alloc(Box, BoxT);
+  Mk.vcall(VarId::invalid(), Box, "put", {Mk.formal(0)});
+  Mk.move(Mk.returnVar(), Box);
+
+  MethodBuilder Go = B.method(Object, "go", 1, /*IsStatic=*/true);
+  VarId M1 = Go.local("m1");
+  VarId M2 = Go.local("m2");
+  VarId Q = Go.local("q");
+  VarId Y = Go.local("y");
+  T.Mixed = Go.local("z");
+  Go.alloc(M1, MakerT);
+  Go.alloc(M2, MakerT);
+  T.AHeap = Go.alloc(Q, AT);
+  Go.vcall(Y, M1, "mk", {Go.formal(0)});
+  Go.vcall(Y, M2, "mk", {Q});
+  Go.move(T.Mixed, Go.formal(0));
+  Go.move(T.Mixed, Q);
+
+  MethodBuilder Main = B.method(Object, "main", 0, /*IsStatic=*/true);
+  B.entry(Main.id());
+  VarId X = Main.local("x");
+  T.LateHeap = Main.alloc(X, LateT);
+  Main.scall(VarId::invalid(), Go.id(), {X});
+
+  T.Prog = B.take();
+  return T;
+}
+
+/// The (base heap, field) cells of a FieldPointsTo dump, each holding the
+/// sorted heaps of its tuples.
+std::vector<FieldCell>
+projectFieldDump(const std::vector<std::array<uint32_t, 5>> &Tuples) {
+  std::map<std::pair<uint32_t, uint32_t>, SortedIdSet> Cells;
+  for (const std::array<uint32_t, 5> &Tuple : Tuples)
+    Cells[{Tuple[0], Tuple[2]}].push_back(Tuple[3]);
+  std::vector<FieldCell> Out;
+  for (auto &[Key, Heaps] : Cells) {
+    setNormalize(Heaps);
+    Out.push_back({Key.first, Key.second, std::move(Heaps)});
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(Assembly, ProjectionsAreSortedWhenObjectsArriveOutOfHeapOrder) {
+  LateHeap T = makeLateHeap();
+  ASSERT_EQ(T.LateHeap.index() + 1, T.Prog.numHeaps());
+  std::unique_ptr<ContextPolicy> Policies[] = {makeInsensitivePolicy(),
+                                               makeObjectPolicy(T.Prog, 2, 1)};
+  for (const auto &Policy : Policies) {
+    SCOPED_TRACE(Policy->name());
+    PointsToResult D = solveAssembled(T.Prog, *Policy, Assembly::Tuples);
+    PointsToResult P = solveAssembled(T.Prog, *Policy, Assembly::Projections);
+    ASSERT_EQ(D.Status, SolveStatus::Completed);
+
+    // The premise: some node lists its heaps in descending order, since
+    // the dump lists each node's objects in discovery order.
+    bool Descending = false;
+    for (size_t I = 0; I + 1 < D.VarPointsTo.size(); ++I) {
+      const auto &A = D.VarPointsTo[I];
+      const auto &B = D.VarPointsTo[I + 1];
+      Descending |= A[0] == B[0] && A[1] == B[1] && A[2] > B[2];
+    }
+    EXPECT_TRUE(Descending);
+
+    EXPECT_EQ(P.VarHeaps, projectDump(T.Prog.numVars(), D.VarPointsTo, 0, 2));
+    EXPECT_EQ(P.MethodThrows,
+              projectDump(T.Prog.numMethods(), D.ThrowPointsTo, 0, 2));
+    EXPECT_EQ(P.StaticFieldHeaps,
+              projectDump(T.Prog.numFields(), D.StaticFieldPointsTo, 0, 1));
+    EXPECT_EQ(P.FieldHeaps, projectFieldDump(D.FieldPointsTo));
+    SortedIdSet Both{T.AHeap.index(), T.LateHeap.index()};
+    EXPECT_EQ(P.pointsTo(T.Put), Both);
+    EXPECT_EQ(P.pointsTo(T.Mixed), Both);
+  }
+
+  // Under 2objH the premise also holds across nodes: one heap under two
+  // heap contexts, and one var under two method contexts.
+  auto Policy = makeObjectPolicy(T.Prog, 2, 1);
+  PointsToResult D = solveAssembled(T.Prog, *Policy, Assembly::Tuples);
+  EXPECT_EQ(std::ranges::count_if(D.Reachable,
+                                  [&](const auto &Fact) {
+                                    return Fact[0] ==
+                                           T.Prog.var(T.Put).Owner.index();
+                                  }),
+            2);
+  EXPECT_EQ(D.Stats.NumObjects, T.Prog.numHeaps() + 1);
+}
+
 TEST(Policies, Names) {
   Program Dummy; // Only used by object/type policies for lookups.
   EXPECT_EQ(makeInsensitivePolicy()->name(), "insens");
