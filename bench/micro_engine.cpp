@@ -18,51 +18,19 @@
 #include "analysis/Solver.h"
 #include "datalog/Engine.h"
 #include "introspect/Metrics.h"
-#include "ir/ProgramBuilder.h"
 #include "support/Concat.h"
 #include "support/Rng.h"
 #include "support/SetUtils.h"
 #include "support/Trace.h"
 #include "workload/DaCapo.h"
+#include "workload/Generator.h"
+
+#include "TestPrograms.h"
 
 #include <benchmark/benchmark.h>
 
 using namespace intro;
-
-namespace {
-
-/// The hub-heavy flavor of the paper's bimodal inputs: \p NumSources feeder
-/// variables whose allocation-site ids interleave (round-robin allocation
-/// order), all merged into one hub variable by late copy edges, which then
-/// fans out to \p NumConsumers more late edges.  Every merge into the hub
-/// lands mid-set, and every consumer edge re-propagates the hub's full set
-/// — exactly the propagation pattern that punishes per-object insertion.
-Program hubHeavyProgram(uint32_t NumObjects, uint32_t NumSources,
-                        uint32_t NumConsumers) {
-  ProgramBuilder B;
-  TypeId Object = B.cls("Object");
-  TypeId Payload = B.cls("Payload", Object);
-  MethodBuilder Main = B.method(Object, "main", 0, /*IsStatic=*/true);
-  B.entry(Main.id());
-
-  std::vector<VarId> Sources;
-  Sources.reserve(NumSources);
-  for (uint32_t Index = 0; Index < NumSources; ++Index)
-    Sources.push_back(Main.local(concat("s", Index)));
-  // Round-robin allocation: source k owns heap ids k, k+S, k+2S, ... so the
-  // per-source sets interleave when merged.
-  for (uint32_t Index = 0; Index < NumObjects; ++Index)
-    Main.alloc(Sources[Index % NumSources], Payload);
-
-  VarId Hub = Main.local("hub");
-  for (VarId Source : Sources)
-    Main.move(Hub, Source);
-  for (uint32_t Index = 0; Index < NumConsumers; ++Index)
-    Main.move(Main.local(concat("c", Index)), Hub);
-  return B.take();
-}
-
-} // namespace
+using intro::testing::hubHeavyProgram;
 
 static void BM_ContextInterning(benchmark::State &State) {
   for (auto _ : State) {
@@ -158,6 +126,25 @@ static void BM_SolveHubHeavy(benchmark::State &State) {
   State.SetItemsProcessed(static_cast<int64_t>(Tuples) * State.iterations());
 }
 BENCHMARK(BM_SolveHubHeavy)->Unit(benchmark::kMillisecond);
+
+// BM_SolveHubHeavy's counterpart without a hub: the chart profile with no
+// hub fan-out, so nearly every points-to set is small and distinct and the
+// set store's memo probe per union is mostly a miss.
+static void BM_SolveNoHub(benchmark::State &State) {
+  WorkloadProfile Profile = dacapoProfile("chart");
+  Profile.HubFanout = 0;
+  Program Prog = generateWorkload(Profile);
+  auto Policy = makeInsensitivePolicy();
+  uint64_t Tuples = 0;
+  for (auto _ : State) {
+    ContextTable Table;
+    PointsToResult Result = solvePointsTo(Prog, *Policy, Table);
+    Tuples = Result.Stats.VarPointsToTuples;
+    benchmark::DoNotOptimize(Tuples);
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(Tuples) * State.iterations());
+}
+BENCHMARK(BM_SolveNoHub)->Unit(benchmark::kMillisecond);
 
 // Join-index hash datapoint: one body atom per relation means one JoinIndex
 // entry per relation, so the engine's Indexes unordered_map sees exactly the

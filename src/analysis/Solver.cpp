@@ -8,8 +8,8 @@
 
 #include "analysis/ContextPolicy.h"
 #include "ir/Program.h"
-#include "support/IdSet.h"
 #include "support/Overflow.h"
+#include "support/SetStore.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
@@ -27,12 +27,6 @@ namespace {
 /// Empty slot of a dense node index.
 constexpr uint32_t NoNode = UINT32_MAX;
 
-/// Bytes one entry of a std::unordered_map<uint64_t, uint32_t> allocates:
-/// its node (a next pointer and the key/value pair) plus one bucket pointer
-/// at the default maximum load factor of 1.
-constexpr uint64_t HashEntryBytes =
-    2 * sizeof(void *) + sizeof(std::pair<const uint64_t, uint32_t>);
-
 uint64_t pack(uint32_t High, uint32_t Low) {
   return (static_cast<uint64_t>(High) << 32) | Low;
 }
@@ -40,14 +34,14 @@ uint64_t pack(uint32_t High, uint32_t Low) {
 /// One constraint-graph node: a (var, ctx) pair, an (object, field) pair, a
 /// static field or the exceptions escaping a (method, ctx) pair.
 ///
-/// Pts and Delta are adaptive sets (support/IdSet.h): sorted vectors while
-/// small, packed bitmaps once a hub node's set grows large and dense.  The
-/// difference-propagation invariant is Delta SUBSETOF Pts: an object enters
-/// Delta exactly when it first enters Pts, and is drained (propagated to
-/// every outgoing edge) exactly once, by processNode.
+/// Pts and Delta name interned sets of the solve's SetStore, so nodes with
+/// equal sets share one payload, and each slot counts as one reference.
+/// The difference-propagation invariant is Delta SUBSETOF Pts: an object
+/// enters Delta exactly when it first enters Pts, and is drained
+/// (propagated to every outgoing edge) exactly once, by processNode.
 struct Node {
-  IdSet Pts;          ///< All objects known to flow here.
-  IdSet Delta;        ///< Subset of Pts not yet propagated.
+  SetId Pts = SetStore::EmptySet;   ///< All objects known to flow here.
+  SetId Delta = SetStore::EmptySet; ///< Subset of Pts not yet propagated.
   SortedIdSet Succ;   ///< Subset edges: Pts flows into these nodes.
   /// Filtered (checked-cast / catch) edges, packed as (dst << 32 | type);
   /// only objects compatible with type flow across.  Sorted for dedup.
@@ -202,9 +196,10 @@ private:
       TRACE_INSTANT("solve.trip.tuple_budget", TotalTuples);
       return true;
     }
-    if (Opts.Budget.MaxBytes != 0 && ApproxBytes > Opts.Budget.MaxBytes) {
+    PeakBytes = std::max(PeakBytes, ChargedBytes + Store.liveBytes());
+    if (Opts.Budget.MaxBytes != 0 && PeakBytes > Opts.Budget.MaxBytes) {
       Status = SolveStatus::MemoryBudgetExceeded;
-      TRACE_INSTANT("solve.trip.memory_budget", ApproxBytes);
+      TRACE_INSTANT("solve.trip.memory_budget", PeakBytes);
       return true;
     }
     if (Checkpoint % 1024 == 0) {
@@ -231,7 +226,7 @@ private:
                              static_cast<uint32_t>(Objects.size()));
     if (Inserted) {
       Objects.push_back({Heap.index(), HCtx.index(), {}});
-      ApproxBytes += sizeof(ObjectInfo) + HashEntryBytes;
+      ChargedBytes += sizeof(ObjectInfo) + HashEntryBytes;
     }
     return It->second;
   }
@@ -239,7 +234,7 @@ private:
   uint32_t newNode() {
     uint32_t Index = static_cast<uint32_t>(Nodes.size());
     Nodes.emplace_back();
-    ApproxBytes += sizeof(Node);
+    ChargedBytes += sizeof(Node);
     return Index;
   }
 
@@ -262,7 +257,7 @@ private:
         return N;
     uint32_t N = newNode();
     Objects[Obj].FieldNodes.push_back({Field.index(), N});
-    ApproxBytes += sizeof(Objects[Obj].FieldNodes[0]);
+    ChargedBytes += sizeof(Objects[Obj].FieldNodes[0]);
     return N;
   }
 
@@ -301,83 +296,85 @@ private:
     return N;
   }
 
-  /// Combined payload estimate of a node's two sets, the quantity tracked
-  /// incrementally into ApproxBytes.
-  static uint64_t setBytes(const Node &N) {
-    return N.Pts.approxBytes() + N.Delta.approxBytes();
+  /// Points \p Slot, a node's Pts or Delta, at \p Set.
+  void assign(SetId &Slot, SetId Set) {
+    Store.retain(Set);
+    Store.release(Slot);
+    Slot = Set;
   }
 
-  /// Accounts growth of node \p N's set payload between \p Before and the
-  /// current setBytes.  Monotone: representation switches that *shrink* the
-  /// payload (vector -> denser bitmap) do not refund — ApproxBytes is a
-  /// cumulative high-water estimate, mirroring the original per-entry
-  /// bookkeeping, so budget trips never un-trip.
-  void accountSetGrowth(const Node &N, uint64_t Before) {
-    uint64_t After = setBytes(N);
-    if (After > Before)
-      ApproxBytes += After - Before;
+  /// Calls \p Fn(uint32_t) for every object of \p Set, which is held for
+  /// the call, so that \p Fn may change the node that names it.
+  template <typename FnT> void forEachHeld(SetId Set, FnT &&Fn) {
+    Store.retain(Set);
+    Store.get(Set).forEach(Fn);
+    Store.release(Set);
+  }
+
+  /// Merges \p Src into node \p DstN with one memoized union, adds exactly
+  /// the new elements to the node's Delta, and enqueues the node if
+  /// anything changed.  \returns true if it did.
+  bool merge(uint32_t DstN, SetId Src) {
+    Node &Dst = Nodes[DstN];
+    // Both slots are reassigned below, so their counts are the owners'
+    // (SetStore::unite).  A Delta equal to Pts grows into the union too.
+    bool Shared = Dst.Delta == Dst.Pts;
+    auto [Pts, Added] = Store.unite(Dst.Pts, Src, Shared ? 2 : 1);
+    bool Changed = Added != SetStore::EmptySet;
+    if (Changed) {
+      TotalTuples += Store.size(Added);
+      assign(Dst.Delta, Shared ? Pts : Store.unite(Dst.Delta, Added, 1).Set);
+      assign(Dst.Pts, Pts);
+      pushWorklist(DstN);
+    }
+    Store.collect();
+    return Changed;
   }
 
   /// Adds \p Object to node \p N.  \returns true if it was new.  The
   /// single-element path — batch propagation goes through unionInto.
   bool addObjectTo(uint32_t N, uint32_t Object) {
-    Node &Target = Nodes[N];
     ++ElementProbes;
-    uint64_t Before = setBytes(Target);
-    if (!Target.Pts.insert(Object))
+    if (Store.get(Nodes[N].Pts).contains(Object))
       return false;
-    ++TotalTuples;
-    Target.Delta.insert(Object);
-    accountSetGrowth(Target, Before);
-    pushWorklist(N);
-    return true;
+    return merge(N, Store.intern(SortedIdSet{Object}));
   }
 
-  /// Batched difference propagation: merges \p Src (an IdSet or a sorted
-  /// duplicate-free SortedIdSet) into node \p DstN in one union, records
-  /// exactly the genuinely new elements in the node's Delta, and enqueues
-  /// the node if anything changed.  One call replaces |Src| addObjectTo
-  /// probes; the worklist push happens iff the per-element loop would have
-  /// pushed, so the pop sequence (and thus every deterministic counter) is
-  /// identical to per-element propagation.
-  template <typename SrcSetT> void unionInto(uint32_t DstN, const SrcSetT &Src) {
-    Node &Dst = Nodes[DstN];
+  /// Batched difference propagation: merges the set \p Src into node
+  /// \p DstN in one union.  One call replaces |Src| addObjectTo probes; the
+  /// worklist push happens iff the per-element loop would have pushed, so
+  /// the pop sequence (and thus every deterministic counter) is identical
+  /// to per-element propagation.
+  void unionInto(uint32_t DstN, SetId Src) {
     ++BatchUnions;
-    uint64_t Before = setBytes(Dst);
-    UnionScratch.clear();
-    if (Dst.Pts.unionWithDelta(Src, UnionScratch) == 0)
-      return;
-    TotalTuples += UnionScratch.size();
-    Dst.Delta.insertNewSorted(UnionScratch);
-    accountSetGrowth(Dst, Before);
-    pushWorklist(DstN);
+    merge(DstN, Src);
   }
 
   /// Adds the subset edge \p Src -> \p Dst, propagating existing objects
-  /// with a single batched union (no per-object re-insertion, no snapshot
-  /// copy of the source set).
+  /// with a single batched union.
   void addEdge(uint32_t Src, uint32_t Dst) {
     if (Src == Dst)
       return; // pts(n) <= pts(n) holds trivially.
     if (!setInsert(Nodes[Src].Succ, Dst))
       return;
-    ApproxBytes += sizeof(uint32_t);
-    // Safe to read Nodes[Src].Pts in place: unionInto never creates nodes,
-    // so Nodes cannot reallocate under it (and Src != Dst).
+    ChargedBytes += sizeof(uint32_t);
     unionInto(Dst, Nodes[Src].Pts);
   }
 
-  /// \returns true if \p Object (a (heap, hctx) pair) is a subtype of
-  /// \p CastTypeRaw — the checked-cast filter.
-  bool castAdmits(uint32_t Object, uint32_t CastTypeRaw) const {
-    return Prog.isSubtypeOf(Prog.heap(HeapId(Objects[Object].Heap)).Type,
-                            TypeId(CastTypeRaw));
+  /// \returns the objects of \p Set that \p FilterTypeRaw admits:
+  /// subtypes of it (checked cast, catch), or with \p Negated the others
+  /// (uncaught-exception propagation).
+  SetId filtered(SetId Set, uint32_t FilterTypeRaw, bool Negated) {
+    assert(FilterTypeRaw < (1u << 31) && "filter type does not fit the key");
+    return Store.filter(
+        Set, FilterTypeRaw << 1 | Negated, [&](uint32_t Object) {
+          return Prog.isSubtypeOf(Prog.heap(HeapId(Objects[Object].Heap)).Type,
+                                  TypeId(FilterTypeRaw)) != Negated;
+        });
   }
 
-  /// Adds a type-filtered edge \p Src -> \p Dst: \p Negated=false admits
-  /// subtypes of \p FilterType (checked cast, catch), Negated=true admits
-  /// the complement (uncaught-exception propagation).  The admitted subset
-  /// is materialized once and merged with one batched union.
+  /// Adds a type-filtered edge \p Src -> \p Dst (see filtered), merging
+  /// the admitted subset with one batched union.
   void addFilteredEdge(uint32_t Src, uint32_t Dst, TypeId FilterType,
                        bool Negated = false) {
     uint64_t Packed = pack(Dst, FilterType.index());
@@ -386,20 +383,17 @@ private:
     if (It != Edges.end() && *It == Packed)
       return;
     Edges.insert(It, Packed);
-    ApproxBytes += sizeof(uint64_t);
-    FilterScratch.clear();
-    Nodes[Src].Pts.forEach([&](uint32_t Object) {
-      if (castAdmits(Object, FilterType.index()) != Negated)
-        FilterScratch.push_back(Object);
-    });
-    unionInto(Dst, FilterScratch);
+    ChargedBytes += sizeof(uint64_t);
+    unionInto(Dst, filtered(Nodes[Src].Pts, FilterType.index(), Negated));
   }
 
   void processNode(uint32_t N) {
-    IdSet Delta = std::move(Nodes[N].Delta);
-    Nodes[N].Delta.clear();
-    if (Delta.empty())
+    // The node's count on its delta passes to this call, which holds the
+    // set immutable while the rules below change nodes, this one included.
+    SetId Held = std::exchange(Nodes[N].Delta, SetStore::EmptySet);
+    if (Held == SetStore::EmptySet)
       return;
+    const IdSet &Delta = Store.get(Held);
 
     // LOAD rule: to = base.fld joins FLDPOINTSTO of every new base object.
     // The use lists are read by index: dispatching can create nodes
@@ -431,26 +425,18 @@ private:
     // edge, so they read Nodes[N]'s edge lists in place.
     //
     // Copy edges (MOVE / INTERPROCASSIGN / field flow): one batched union
-    // of the whole delta per edge.  Delta is a drained local, so a
-    // self-edge target can never alias it.
+    // of the whole delta per edge.
     for (uint32_t Dst : Nodes[N].Succ)
-      unionInto(Dst, Delta);
+      unionInto(Dst, Held);
     // Type-filtered edges (checked casts, catch clauses) and their
-    // complements (uncaught-exception propagation): materialize the
-    // admitted subset of the delta once per edge, then one batched union.
-    for (bool Negated : {false, true}) {
+    // complements (uncaught-exception propagation): one memoized filter of
+    // the delta per edge, then one batched union.
+    for (bool Negated : {false, true})
       for (uint64_t Packed :
-           Negated ? Nodes[N].NegFilterSucc : Nodes[N].FilterSucc) {
-        uint32_t Dst = static_cast<uint32_t>(Packed >> 32);
-        uint32_t FilterTypeRaw = static_cast<uint32_t>(Packed);
-        FilterScratch.clear();
-        Delta.forEach([&](uint32_t Object) {
-          if (castAdmits(Object, FilterTypeRaw) != Negated)
-            FilterScratch.push_back(Object);
-        });
-        unionInto(Dst, FilterScratch);
-      }
-    }
+           Negated ? Nodes[N].NegFilterSucc : Nodes[N].FilterSucc)
+        unionInto(static_cast<uint32_t>(Packed >> 32),
+                  filtered(Held, static_cast<uint32_t>(Packed), Negated));
+    Store.release(Held);
   }
 
   // --- Call handling --------------------------------------------------------
@@ -522,8 +508,8 @@ private:
         {Method, Ctx, NoNode, static_cast<uint32_t>(VarSlots.size())});
     VarSlots.resize(VarSlots.size() + NumLocals, NoNode);
     PendingReachable.push_back(It->second);
-    ApproxBytes += sizeof(MethodContext) + HashEntryBytes + sizeof(uint32_t) +
-                   NumLocals * sizeof(uint32_t);
+    ChargedBytes += sizeof(MethodContext) + HashEntryBytes +
+                    sizeof(uint32_t) + NumLocals * sizeof(uint32_t);
     return It->second;
   }
 
@@ -555,20 +541,20 @@ private:
         uint32_t Base = varNode(Instr.Base, MC);
         uint32_t Dst = varNode(Instr.To, MC);
         Nodes[Base].LoadUses.push_back({Instr.Field.index(), Dst});
-        ApproxBytes += sizeof(Nodes[Base].LoadUses[0]);
-        SortedIdSet Snapshot = Nodes[Base].Pts.toVector();
-        for (uint32_t Object : Snapshot)
+        ChargedBytes += sizeof(Nodes[Base].LoadUses[0]);
+        forEachHeld(Nodes[Base].Pts, [&](uint32_t Object) {
           addEdge(fieldNode(Object, Instr.Field), Dst);
+        });
         break;
       }
       case InstrKind::Store: {
         uint32_t Base = varNode(Instr.Base, MC);
         uint32_t Src = varNode(Instr.From, MC);
         Nodes[Base].StoreUses.push_back({Instr.Field.index(), Src});
-        ApproxBytes += sizeof(Nodes[Base].StoreUses[0]);
-        SortedIdSet Snapshot = Nodes[Base].Pts.toVector();
-        for (uint32_t Object : Snapshot)
+        ChargedBytes += sizeof(Nodes[Base].StoreUses[0]);
+        forEachHeld(Nodes[Base].Pts, [&](uint32_t Object) {
           addEdge(Src, fieldNode(Object, Instr.Field));
+        });
         break;
       }
       case InstrKind::SLoad:
@@ -591,10 +577,10 @@ private:
         }
         uint32_t Base = varNode(Site.Base, MC);
         Nodes[Base].CallUses.push_back(Instr.Site.index());
-        ApproxBytes += sizeof(uint32_t);
-        SortedIdSet Snapshot = Nodes[Base].Pts.toVector();
-        for (uint32_t Object : Snapshot)
+        ChargedBytes += sizeof(uint32_t);
+        forEachHeld(Nodes[Base].Pts, [&](uint32_t Object) {
           dispatch(Instr.Site, MC, Object);
+        });
         break;
       }
       }
@@ -611,7 +597,7 @@ private:
                     const std::array<uint32_t, Width - 2> &Key) const {
     std::array<uint32_t, Width> Tuple;
     std::copy(Key.begin(), Key.end(), Tuple.begin());
-    for (uint32_t Object : Nodes[N].Pts) {
+    for (uint32_t Object : Store.get(Nodes[N].Pts)) {
       Tuple[Width - 2] = Objects[Object].Heap;
       Tuple[Width - 1] = Objects[Object].HCtx;
       Tuples.push_back(Tuple);
@@ -648,12 +634,12 @@ private:
         for (uint32_t MC : Entries)
           if (uint32_t N = VarSlots[MethodContexts[MC].FirstVarSlot + Local];
               N != NoNode)
-            Gather.mark(Nodes[N].Pts);
+            Gather.mark(Store.get(Nodes[N].Pts));
         Gather.sweepInto(Result.VarHeaps[Locals[Local].index()]);
       }
       for (uint32_t MC : Entries)
         if (uint32_t N = MethodContexts[MC].ThrowNode; N != NoNode)
-          Gather.mark(Nodes[N].Pts);
+          Gather.mark(Store.get(Nodes[N].Pts));
       Gather.sweepInto(Result.MethodThrows[Method]);
     }
 
@@ -671,7 +657,7 @@ private:
              std::pair(FieldCellNodes[I][0], FieldCellNodes[I][1]) ==
                  Cell.key();
            ++I)
-        Gather.mark(Nodes[FieldCellNodes[I][2]].Pts);
+        Gather.mark(Store.get(Nodes[FieldCellNodes[I][2]].Pts));
       Gather.sweepInto(Cell.Heaps);
     }
 
@@ -679,7 +665,7 @@ private:
     for (uint32_t FieldRaw = 0; FieldRaw < StaticFieldNodes.size();
          ++FieldRaw)
       if (StaticFieldNodes[FieldRaw] != NoNode) {
-        Gather.mark(Nodes[StaticFieldNodes[FieldRaw]].Pts);
+        Gather.mark(Store.get(Nodes[StaticFieldNodes[FieldRaw]].Pts));
         Gather.sweepInto(Result.StaticFieldHeaps[FieldRaw]);
       }
   }
@@ -709,6 +695,22 @@ private:
     Result.CallGraph.assign(CallGraphTuples.begin(), CallGraphTuples.end());
   }
 
+#ifndef NDEBUG
+  /// Checks the store against the nodes (SetStore::consistent) and
+  /// Delta SUBSETOF Pts at every node.
+  void assertStoreConsistent() const {
+    std::vector<SetId> Slots;
+    for (const Node &NodeRef : Nodes) {
+      Slots.insert(Slots.end(), {NodeRef.Pts, NodeRef.Delta});
+      const IdSet &Pts = Store.get(NodeRef.Pts);
+      Store.get(NodeRef.Delta).forEach([&](uint32_t Object) {
+        assert(Pts.contains(Object) && "Delta is not a subset of Pts");
+      });
+    }
+    assert(Store.consistent(Slots) && "set store disagrees with the nodes");
+  }
+#endif
+
   PointsToResult finish() {
     // Counters are accumulated in the existing locals (Pops, TotalTuples,
     // ...) and published once here — the hot loop pays nothing for them.
@@ -736,28 +738,37 @@ private:
     for (uint32_t N : VarSlots)
       if (N != NoNode) {
         ++NumVarNodes;
-        VarTuples += Nodes[N].Pts.size();
+        VarTuples += Store.size(Nodes[N].Pts);
       }
     uint64_t ThrowTuples = 0;
     for (const MethodContext &MC : MethodContexts) {
       Result.MethodReachable[MC.Method.index()] = true;
       if (MC.ThrowNode != NoNode)
-        ThrowTuples += Nodes[MC.ThrowNode].Pts.size();
+        ThrowTuples += Store.size(Nodes[MC.ThrowNode].Pts);
     }
     uint64_t FieldTuples = 0;
     uint64_t NumFieldNodes = 0;
     for (const ObjectInfo &Base : Objects) {
       NumFieldNodes += Base.FieldNodes.size();
       for (auto [FieldRaw, N] : Base.FieldNodes)
-        FieldTuples += Nodes[N].Pts.size();
+        FieldTuples += Store.size(Nodes[N].Pts);
     }
     uint64_t StaticTuples = 0;
     for (uint32_t N : StaticFieldNodes)
       if (N != NoNode)
-        StaticTuples += Nodes[N].Pts.size();
+        StaticTuples += Store.size(Nodes[N].Pts);
     uint64_t DenseSets = 0;
-    for (const Node &NodeRef : Nodes)
-      DenseSets += NodeRef.Pts.isDense() ? 1 : 0;
+    std::vector<SetId> DistinctPts;
+    for (const Node &NodeRef : Nodes) {
+      DenseSets += Store.get(NodeRef.Pts).isDense() ? 1 : 0;
+      DistinctPts.push_back(NodeRef.Pts);
+    }
+    std::sort(DistinctPts.begin(), DistinctPts.end());
+    DistinctPts.erase(std::unique(DistinctPts.begin(), DistinctPts.end()),
+                      DistinctPts.end());
+#ifndef NDEBUG
+    assertStoreConsistent();
+#endif
 
     if (Opts.Assemble != Assembly::Stats)
       assembleProjections(Result);
@@ -777,10 +788,13 @@ private:
     Result.Stats.ReachableMethodContexts = MethodContexts.size();
     Result.Stats.CallGraphEdges = CallGraphEdges;
     Result.Stats.WorklistPops = Pops;
-    Result.Stats.ApproxBytes = ApproxBytes;
+    PeakBytes = std::max(PeakBytes, ChargedBytes + Store.liveBytes());
+    Result.Stats.ApproxBytes = PeakBytes;
     Result.Stats.BatchUnions = BatchUnions;
     Result.Stats.ElementProbes = ElementProbes;
     Result.Stats.DensePointsToSets = DenseSets;
+    Result.Stats.DistinctPointsToSets = DistinctPts.size();
+    Result.Stats.MemoHits = Store.memoHits();
     return Result;
   }
 
@@ -816,13 +830,16 @@ private:
       std::vector<SortedIdSet>(Prog.numSites());
   std::set<std::array<uint32_t, 4>> CallGraphTuples;
 
-  /// Batched-propagation scratch, reused across unionInto / addFilteredEdge
-  /// calls so the hot loop performs no per-edge allocation once warm.
-  SortedIdSet UnionScratch;
-  SortedIdSet FilterScratch;
+  /// The points-to sets every node's Pts and Delta name.
+  SetStore Store;
 
   uint64_t TotalTuples = 0;
-  uint64_t ApproxBytes = 0;
+  /// Monotone charges for nodes, edges, uses and index entries (DESIGN.md
+  /// section 6); the sets are charged by Store.liveBytes().
+  uint64_t ChargedBytes = 0;
+  /// High-water mark of ChargedBytes + Store.liveBytes() over the budget
+  /// checks: the reported ApproxBytes.
+  uint64_t PeakBytes = 0;
   uint64_t Pops = 0;
   uint64_t BudgetChecks = 0;
   uint64_t BatchUnions = 0;   ///< unionInto invocations (whole-delta merges).

@@ -85,99 +85,6 @@ bool IdSet::insert(uint32_t Value) {
   return true;
 }
 
-size_t IdSet::unionWithDelta(const uint32_t *Begin, const uint32_t *End,
-                             SortedIdSet &NewElements) {
-  if (Begin == End)
-    return 0;
-  if (Dense) {
-    // The range is sorted, so its maximum is the last element; settle the
-    // capacity (or the demotion) once, before touching any bits.
-    if (!ensureDenseCapacity(*(End - 1),
-                             Count + static_cast<size_t>(End - Begin)))
-      return unionWithDelta(Begin, End, NewElements); // Now on the small path.
-    size_t Added = 0;
-    for (const uint32_t *It = Begin; It != End; ++It) {
-      uint64_t &Word = Words[*It >> 6];
-      uint64_t Mask = uint64_t(1) << (*It & 63);
-      if (Word & Mask)
-        continue;
-      Word |= Mask;
-      NewElements.push_back(*It);
-      ++Added;
-    }
-    Count += Added;
-    return Added;
-  }
-  size_t FirstNew = NewElements.size();
-  std::set_difference(Begin, End, Small.begin(), Small.end(),
-                      std::back_inserter(NewElements));
-  size_t Added = NewElements.size() - FirstNew;
-  if (Added == 0)
-    return 0;
-  SortedIdSet Merged;
-  Merged.reserve(Small.size() + Added);
-  std::merge(Small.begin(), Small.end(), NewElements.begin() + FirstNew,
-             NewElements.end(), std::back_inserter(Merged));
-  Small.swap(Merged);
-  maybePromote();
-  return Added;
-}
-
-size_t IdSet::unionWithDelta(const IdSet &Src, SortedIdSet &NewElements) {
-  if (&Src == this || Src.empty())
-    return 0;
-  if (!Src.Dense)
-    return unionWithDelta(Src.Small.data(),
-                          Src.Small.data() + Src.Small.size(), NewElements);
-
-  if (Dense) {
-    // Word-wise OR; the new elements of each word are Src & ~Dst.  Both
-    // sets satisfy the density invariant, so growing to the wider of the
-    // two cannot trip the sparse-outlier cap — settle capacity directly.
-    if (Src.Words.size() > Words.size())
-      Words.resize(Src.Words.size(), 0);
-    size_t Added = 0;
-    for (size_t Word = 0; Word < Src.Words.size(); ++Word) {
-      uint64_t Fresh = Src.Words[Word] & ~Words[Word];
-      if (Fresh == 0)
-        continue;
-      Words[Word] |= Fresh;
-      Added += static_cast<size_t>(__builtin_popcountll(Fresh));
-      while (Fresh != 0) {
-        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Fresh));
-        NewElements.push_back(static_cast<uint32_t>((Word << 6) + Bit));
-        Fresh &= Fresh - 1;
-      }
-    }
-    Count += Added;
-    return Added;
-  }
-
-  // Small destination, dense source: one ascending merge pass over both.
-  SortedIdSet Merged;
-  Merged.reserve(Small.size() + Src.size());
-  size_t FirstNew = NewElements.size();
-  auto SmallIt = Small.begin();
-  Src.forEach([&](uint32_t Value) {
-    while (SmallIt != Small.end() && *SmallIt < Value)
-      Merged.push_back(*SmallIt++);
-    if (SmallIt != Small.end() && *SmallIt == Value) {
-      ++SmallIt;
-      Merged.push_back(Value);
-      return;
-    }
-    Merged.push_back(Value);
-    NewElements.push_back(Value);
-  });
-  Merged.insert(Merged.end(), SmallIt, Small.end());
-  size_t Added = NewElements.size() - FirstNew;
-  if (Added == 0)
-    return 0;
-  Small.swap(Merged);
-  maybePromote();
-  return Added;
-}
-
 void IdSet::insertNewSorted(const SortedIdSet &Values) {
   if (Values.empty())
     return;

@@ -14,7 +14,7 @@
 ///     (SetUtils.h semantics: cache-friendly, 4 bytes per element);
 ///   - at the threshold — and only when the bitmap would be at least as
 ///     element-dense as one bit per 64-bit word — it switches to a packed
-///     bitmap, making membership O(1) and set union a word-wise OR.
+///     bitmap, making membership O(1).
 ///
 /// The density condition bounds bitmap storage by 2x the vector bytes, so
 /// promotion never loses the compactness of the sorted vector by more than a
@@ -22,12 +22,11 @@
 /// small dense set) demotes back to the vector instead of allocating a
 /// gigantic bitmap.
 ///
-/// The API mirrors SetUtils.h (contains / insert / union-with-delta) plus
-/// the batched primitive the solver's difference propagation is built on:
-/// unionWithDelta(Src) merges a whole source set in one pass and reports
-/// exactly the genuinely new elements, in ascending order.  Iteration is
-/// always in ascending handle order in both representations, so results
-/// derived from an IdSet keep the canonical sorted encoding.
+/// The API mirrors SetUtils.h (contains / insert) plus the batched insert
+/// the set store (SetStore.h) builds unions with: insertNewSorted merges
+/// sorted elements known to be absent.  Iteration is always in ascending
+/// handle order in both representations, so results derived from an IdSet
+/// keep the canonical sorted encoding.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,30 +71,9 @@ public:
   /// Inserts \p Value. \returns true if it was newly added.
   bool insert(uint32_t Value);
 
-  /// Merges \p Src into this set.  Every genuinely new element is appended
-  /// to \p NewElements in ascending order (the vector is not cleared).
-  /// \returns the number of elements added.  \p Src may be *this (no-op).
-  size_t unionWithDelta(const IdSet &Src, SortedIdSet &NewElements);
-
-  /// Convenience overload: \returns the new elements as a fresh vector.
-  SortedIdSet unionWithDelta(const IdSet &Src) {
-    SortedIdSet NewElements;
-    unionWithDelta(Src, NewElements);
-    return NewElements;
-  }
-
-  /// Merges the sorted duplicate-free range [\p Begin, \p End) into this
-  /// set, appending new elements to \p NewElements.  \returns the number
-  /// added.
-  size_t unionWithDelta(const uint32_t *Begin, const uint32_t *End,
-                        SortedIdSet &NewElements);
-  size_t unionWithDelta(const SortedIdSet &Src, SortedIdSet &NewElements) {
-    return unionWithDelta(Src.data(), Src.data() + Src.size(), NewElements);
-  }
-
   /// Merges the sorted duplicate-free \p Values, all of which must be
   /// absent from the set (the caller already knows they are new — e.g. the
-  /// solver inserting a union's delta into a node's pending-delta set).
+  /// set store adding a union's new elements to a copy of its destination).
   void insertNewSorted(const SortedIdSet &Values);
 
   size_t size() const { return Dense ? Count : Small.size(); }

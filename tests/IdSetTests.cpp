@@ -8,12 +8,15 @@
 /// support/IdSet.h unit tests: the vector <-> bitmap promotion boundary,
 /// every mixed-representation union pairing, empty/duplicate/max-handle
 /// edges, the sparse-outlier demotion guard, and a property test of random
-/// operation interleavings against a std::set reference model.
+/// operation interleavings against a std::set reference model.  Then the
+/// support/SetStore.h tests: interning across representations, memoized
+/// unions against direct ones, and freeing.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/IdSet.h"
 #include "support/Rng.h"
+#include "support/SetStore.h"
 
 #include <gtest/gtest.h>
 
@@ -144,130 +147,33 @@ TEST(IdSet, ClearResetsToEmptySmallSet) {
   EXPECT_EQ(Set.size(), 1u);
 }
 
-// --- unionWithDelta: all four representation pairings ----------------------
+// --- insertNewSorted: the batched insert the set store builds unions with ---
 
-namespace {
-
-/// Exercises Dst.unionWithDelta(Src) and checks: final contents are the set
-/// union, the reported delta is exactly the genuinely new elements in
-/// ascending order, and the return value matches the delta size.
-void checkUnion(IdSet Dst, const IdSet &Src) {
-  std::set<uint32_t> Model(Dst.begin(), Dst.end());
-  std::vector<uint32_t> ExpectedDelta;
-  for (uint32_t Value : Src)
-    if (Model.insert(Value).second)
-      ExpectedDelta.push_back(Value);
-
-  SortedIdSet Delta;
-  size_t Added = Dst.unionWithDelta(Src, Delta);
-  EXPECT_EQ(Added, ExpectedDelta.size());
-  EXPECT_EQ(Delta, ExpectedDelta);
-  EXPECT_EQ(contents(Dst),
-            std::vector<uint32_t>(Model.begin(), Model.end()));
+TEST(IdSet, InsertNewSortedPromotesSmallSetPastThreshold) {
+  IdSet Set(/*PromoteThreshold=*/8);
+  Set.insert(0);
+  SortedIdSet Rest;
+  for (uint32_t Value = 1; Value < 64; ++Value)
+    Rest.push_back(Value);
+  Set.insertNewSorted(Rest);
+  EXPECT_TRUE(Set.isDense());
+  EXPECT_EQ(Set.size(), 64u);
 }
 
-} // namespace
-
-TEST(IdSet, UnionSmallIntoSmall) {
-  IdSet Dst(/*PromoteThreshold=*/100);
-  IdSet Src(/*PromoteThreshold=*/100);
-  for (uint32_t Value : {2u, 4u, 6u, 8u})
-    Dst.insert(Value);
-  for (uint32_t Value : {1u, 4u, 9u})
-    Src.insert(Value);
-  ASSERT_FALSE(Dst.isDense());
-  ASSERT_FALSE(Src.isDense());
-  checkUnion(Dst, Src);
-}
-
-TEST(IdSet, UnionDenseIntoSmall) {
-  IdSet Dst(/*PromoteThreshold=*/1000);
-  for (uint32_t Value = 0; Value < 20; Value += 2)
-    Dst.insert(Value);
-  IdSet Src = denseSet(128, /*Threshold=*/4);
-  ASSERT_FALSE(Dst.isDense());
-  ASSERT_TRUE(Src.isDense());
-  checkUnion(Dst, Src);
-}
-
-TEST(IdSet, UnionSmallIntoDense) {
-  IdSet Dst = denseSet(128, /*Threshold=*/4);
-  IdSet Src(/*PromoteThreshold=*/1000);
-  for (uint32_t Value : {3u, 127u, 128u, 200u})
-    Src.insert(Value);
-  ASSERT_TRUE(Dst.isDense());
-  ASSERT_FALSE(Src.isDense());
-  checkUnion(Dst, Src);
-}
-
-TEST(IdSet, UnionDenseIntoDense) {
-  IdSet Dst = denseSet(128, /*Threshold=*/4);
-  IdSet Src(/*Threshold=*/4);
-  for (uint32_t Value = 64; Value < 256; ++Value)
-    Src.insert(Value);
-  ASSERT_TRUE(Dst.isDense());
-  ASSERT_TRUE(Src.isDense());
-  checkUnion(Dst, Src);
-}
-
-TEST(IdSet, UnionWithSelfAndEmptyAreNoOps) {
-  IdSet Set = denseSet(100, /*Threshold=*/4);
-  SortedIdSet Delta;
-  EXPECT_EQ(Set.unionWithDelta(Set, Delta), 0u);
-  EXPECT_TRUE(Delta.empty());
-  EXPECT_EQ(Set.size(), 100u);
-
-  IdSet Empty;
-  EXPECT_EQ(Set.unionWithDelta(Empty, Delta), 0u);
-  EXPECT_TRUE(Delta.empty());
-
-  // Empty destination adopts everything.
-  IdSet Fresh;
-  EXPECT_EQ(Fresh.unionWithDelta(Set, Delta), 100u);
-  EXPECT_EQ(Delta.size(), 100u);
-  EXPECT_EQ(Fresh, Set);
-}
-
-TEST(IdSet, UnionDeltaAppendsWithoutClearing) {
-  // The solver reuses one scratch vector across edges; unionWithDelta must
-  // append, not clear.
-  IdSet A(/*PromoteThreshold=*/100);
-  IdSet B(/*PromoteThreshold=*/100);
-  A.insert(1);
-  B.insert(2);
-  IdSet Dst(/*PromoteThreshold=*/100);
-  SortedIdSet Delta;
-  Dst.unionWithDelta(A, Delta);
-  Dst.unionWithDelta(B, Delta);
-  EXPECT_EQ(Delta, (SortedIdSet{1, 2}));
-}
-
-TEST(IdSet, UnionPromotesSmallDestinationPastThreshold) {
-  IdSet Dst(/*PromoteThreshold=*/8);
-  Dst.insert(0);
-  IdSet Src = denseSet(64, /*Threshold=*/4);
-  SortedIdSet Delta;
-  EXPECT_EQ(Dst.unionWithDelta(Src, Delta), 63u);
-  EXPECT_TRUE(Dst.isDense());
-  EXPECT_EQ(Dst.size(), 64u);
-}
-
-TEST(IdSet, UnionSparseRangeDemotesDenseDestination) {
+TEST(IdSet, InsertNewSortedSparseRangeDemotesDenseSet) {
   // Merging far-flung handles into a compact dense set trips the outlier
-  // guard mid-union; the operation must complete on the vector path with
-  // nothing lost or double-reported.
-  IdSet Dst = denseSet(64, /*Threshold=*/4);
-  ASSERT_TRUE(Dst.isDense());
+  // guard mid-insert; the operation must complete on the vector path with
+  // nothing lost.
+  IdSet Set = denseSet(64, /*Threshold=*/4);
+  ASSERT_TRUE(Set.isDense());
   SortedIdSet Sparse;
   for (uint32_t Value = 0; Value < 8; ++Value)
     Sparse.push_back(1u << (20 + Value));
-  SortedIdSet Delta;
-  EXPECT_EQ(Dst.unionWithDelta(Sparse, Delta), 8u);
-  EXPECT_FALSE(Dst.isDense());
-  EXPECT_EQ(Dst.size(), 72u);
-  EXPECT_EQ(Delta, Sparse);
+  Set.insertNewSorted(Sparse);
+  EXPECT_FALSE(Set.isDense());
+  EXPECT_EQ(Set.size(), 72u);
   for (uint32_t Value : Sparse)
-    EXPECT_TRUE(Dst.contains(Value));
+    EXPECT_TRUE(Set.contains(Value));
 }
 
 TEST(IdSet, InsertNewSortedInBothRepresentations) {
@@ -351,26 +257,19 @@ TEST(IdSet, DefaultThresholdBoundary47_48_49) {
   EXPECT_EQ(Iterated, Expected);
 }
 
-TEST(IdSet, UnionDeltaAcrossDefaultThresholdBoundary) {
-  // A batched union that lands the set exactly on, then one past, the
-  // default promotion boundary: deltas must stay exact while the
-  // representation flips mid-sequence.
+TEST(IdSet, InsertNewSortedAcrossDefaultThresholdBoundary) {
+  // Batched inserts that land the set exactly on, then one past, the
+  // default promotion boundary: the representation flips mid-sequence.
   IdSet Set;
-  SortedIdSet First47, Delta;
+  SortedIdSet First47;
   for (uint32_t Value = 0; Value < 47; ++Value)
     First47.push_back(Value);
-  EXPECT_EQ(Set.unionWithDelta(First47, Delta), 47u);
-  EXPECT_EQ(Delta, First47);
+  Set.insertNewSorted(First47);
   EXPECT_FALSE(Set.isDense());
-
-  Delta.clear();
-  EXPECT_EQ(Set.unionWithDelta(SortedIdSet{46, 47}, Delta), 1u);
-  EXPECT_EQ(Delta, SortedIdSet{47});
+  Set.insertNewSorted(SortedIdSet{47});
+  EXPECT_TRUE(Set.isDense());
   EXPECT_EQ(Set.size(), 48u);
-
-  Delta.clear();
-  EXPECT_EQ(Set.unionWithDelta(SortedIdSet{48}, Delta), 1u);
-  EXPECT_EQ(Delta, SortedIdSet{48});
+  Set.insertNewSorted(SortedIdSet{48});
   EXPECT_EQ(Set.size(), 49u);
   for (uint32_t Value = 0; Value < 49; ++Value)
     EXPECT_TRUE(Set.contains(Value));
@@ -378,9 +277,8 @@ TEST(IdSet, UnionDeltaAcrossDefaultThresholdBoundary) {
 }
 
 TEST(IdSet, RandomOpInterleavingsMatchStdSetModel) {
-  // Property test: arbitrary interleavings of insert / unionWithDelta /
-  // clear across random thresholds must track a std::set model exactly,
-  // and every reported union delta must be exactly the new elements.
+  // Property test: arbitrary interleavings of insert / insertNewSorted /
+  // clear across random thresholds must track a std::set model exactly.
   for (uint64_t Seed = 0; Seed < 12; ++Seed) {
     Rng R(0x1d5e7 + Seed);
     uint32_t Threshold = R.range(1, 64);
@@ -395,32 +293,14 @@ TEST(IdSet, RandomOpInterleavingsMatchStdSetModel) {
         EXPECT_EQ(Set.insert(Value), Model.insert(Value).second);
         break;
       }
-      case 1: { // Union with a random batch (sorted range overload).
+      case 1:
+      case 2: { // Batched insert of a random batch's new elements.
         SortedIdSet Batch;
         for (uint32_t Index = R.below(100); Index-- > 0;)
-          Batch.push_back(R.below(KeyRange));
+          if (uint32_t Value = R.below(KeyRange); Model.insert(Value).second)
+            Batch.push_back(Value);
         std::sort(Batch.begin(), Batch.end());
-        Batch.erase(std::unique(Batch.begin(), Batch.end()), Batch.end());
-        std::vector<uint32_t> ExpectedDelta;
-        for (uint32_t Value : Batch)
-          if (Model.insert(Value).second)
-            ExpectedDelta.push_back(Value);
-        SortedIdSet Delta;
-        EXPECT_EQ(Set.unionWithDelta(Batch, Delta), ExpectedDelta.size());
-        EXPECT_EQ(Delta, ExpectedDelta);
-        break;
-      }
-      case 2: { // Union with a random IdSet.
-        IdSet Other(R.range(1, 32));
-        for (uint32_t Index = R.below(150); Index-- > 0;)
-          Other.insert(R.below(KeyRange));
-        std::vector<uint32_t> ExpectedDelta;
-        for (uint32_t Value : Other)
-          if (Model.insert(Value).second)
-            ExpectedDelta.push_back(Value);
-        SortedIdSet Delta;
-        EXPECT_EQ(Set.unionWithDelta(Other, Delta), ExpectedDelta.size());
-        EXPECT_EQ(Delta, ExpectedDelta);
+        Set.insertNewSorted(Batch);
         break;
       }
       case 3: { // Membership probe.
@@ -449,4 +329,168 @@ TEST(IdSet, RandomOpInterleavingsMatchStdSetModel) {
     std::vector<uint32_t> Iterated(Set.begin(), Set.end());
     EXPECT_EQ(Iterated, std::vector<uint32_t>(Model.begin(), Model.end()));
   }
+}
+
+//===----------------------------------------------------------------------===//
+// SetStore
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+SortedIdSet range(uint32_t Begin, uint32_t End, uint32_t Step = 1) {
+  SortedIdSet Values;
+  for (uint32_t Value = Begin; Value < End; Value += Step)
+    Values.push_back(Value);
+  return Values;
+}
+
+SortedIdSet sortedUnion(const SortedIdSet &A, const SortedIdSet &B) {
+  SortedIdSet Out;
+  std::set_union(A.begin(), A.end(), B.begin(), B.end(),
+                 std::back_inserter(Out));
+  return Out;
+}
+
+} // namespace
+
+TEST(SetStore, EqualContentsInternToOneIdWhateverTheRepresentation) {
+  // {0..47} is a one-word bitmap.  Adding 30 handles 320 apart needs 151
+  // words for 78 elements: a bitmap grown by the union stays a bitmap (at
+  // most 2 words per element), but a vector of those 78 never promotes (it
+  // needs at most 1).
+  SortedIdSet Dense = range(0, 48);
+  SortedIdSet Sparse = range(320, 9601, 320);
+  SortedIdSet Both = sortedUnion(Dense, Sparse);
+
+  SetStore UnionFirst;
+  SetId Built =
+      UnionFirst.unite(UnionFirst.intern(Dense), UnionFirst.intern(Sparse)).Set;
+  EXPECT_TRUE(UnionFirst.get(Built).isDense());
+  EXPECT_EQ(UnionFirst.intern(Both), Built);
+
+  SetStore VectorFirst;
+  SetId Interned = VectorFirst.intern(Both);
+  EXPECT_FALSE(VectorFirst.get(Interned).isDense());
+  EXPECT_EQ(VectorFirst
+                .unite(VectorFirst.intern(Dense), VectorFirst.intern(Sparse))
+                .Set,
+            Interned);
+  EXPECT_EQ(VectorFirst.intern(Both), Interned);
+  EXPECT_EQ(VectorFirst.intern(SortedIdSet()), SetStore::EmptySet);
+}
+
+TEST(SetStore, MemoizedUnionEqualsTheDirectUnion) {
+  Rng R(31);
+  SetStore Store;
+  std::vector<SetId> Named; // Retained once each.
+  std::vector<SortedIdSet> Contents;
+  int Dense = 0;
+  for (int Index = 0; Index < 40; ++Index) {
+    std::set<uint32_t> Values;
+    for (uint32_t Count = R.below(120); Count-- > 0;)
+      Values.insert(R.below(400));
+    SortedIdSet Sorted(Values.begin(), Values.end());
+    SetId Id = Store.intern(Sorted);
+    Store.retain(Id);
+    Named.push_back(Id);
+    Contents.push_back(Sorted);
+    Dense += Store.get(Id).isDense() ? 1 : 0;
+  }
+  // Both representations meet in every pairing.
+  ASSERT_GT(Dense, 0);
+  ASSERT_LT(Dense, 40);
+  for (int Round = 0; Round < 2; ++Round) {
+    uint64_t HitsBefore = Store.memoHits();
+    for (size_t A = 0; A < Named.size(); ++A)
+      for (size_t B = 0; B < Named.size(); B += 7) {
+        SetStore::Union U = Store.unite(Named[A], Named[B]);
+        SortedIdSet Added;
+        std::set_difference(Contents[B].begin(), Contents[B].end(),
+                            Contents[A].begin(), Contents[A].end(),
+                            std::back_inserter(Added));
+        EXPECT_EQ(Store.get(U.Set).toVector(),
+                  sortedUnion(Contents[A], Contents[B]));
+        EXPECT_EQ(Store.get(U.Added).toVector(), Added);
+        EXPECT_EQ(U.Added == SetStore::EmptySet, Added.empty());
+        EXPECT_EQ(U.Set == Named[A], Added.empty());
+        // Keep the results alive, so that the second round hits the memo.
+        Store.retain(U.Set);
+        Store.retain(U.Added);
+      }
+    if (Round == 1) {
+      EXPECT_GT(Store.memoHits(), HitsBefore);
+    }
+  }
+  Store.collect();
+}
+
+TEST(SetStore, ReleasedSetsAreFreedAndNeverReturnedAgain) {
+  SetStore Store;
+  uint64_t EmptyBytes = Store.liveBytes();
+  SetId Low = Store.intern(range(0, 100));
+  SetId High = Store.intern(range(100, 104));
+  Store.retain(Low);
+  Store.retain(High);
+  SetStore::Union First = Store.unite(Low, High);
+  EXPECT_EQ(First.Added, High);
+  Store.retain(First.Set);
+  std::vector<SetId> Slots = {Low, High, First.Set};
+  EXPECT_TRUE(Store.consistent(Slots));
+  EXPECT_FALSE(Store.consistent(std::vector<SetId>{Low, High}));
+
+  // An interned set nobody retains is freed by collect().
+  SetId Unnamed = Store.intern(range(500, 510));
+  EXPECT_FALSE(Store.consistent(Slots));
+  Store.collect();
+  EXPECT_FALSE(Store.live(Unnamed));
+  EXPECT_TRUE(Store.consistent(Slots));
+
+  // Release to zero frees the payload at once.
+  uint64_t Before = Store.liveBytes();
+  Store.release(First.Set);
+  EXPECT_FALSE(Store.live(First.Set));
+  EXPECT_LT(Store.liveBytes(), Before);
+  EXPECT_TRUE(Store.consistent(std::vector<SetId>{Low, High}));
+
+  // The memo does not return the freed union; equal contents get a new id.
+  SetStore::Union Again = Store.unite(Low, High);
+  EXPECT_NE(Again.Set, First.Set);
+  EXPECT_TRUE(Store.live(Again.Set));
+  EXPECT_EQ(Store.get(Again.Set).toVector(), range(0, 104));
+  EXPECT_EQ(Store.intern(range(0, 104)), Again.Set);
+  Store.collect();
+  EXPECT_FALSE(Store.live(Again.Set));
+  SetId Reinterned = Store.intern(range(0, 104));
+  EXPECT_NE(Reinterned, First.Set);
+  EXPECT_NE(Reinterned, Again.Set);
+  Store.collect();
+
+  Store.release(Low);
+  Store.release(High);
+  EXPECT_TRUE(Store.consistent(std::vector<SetId>()));
+  // Only the ids ever handed out and the memo outlive the sets.
+  EXPECT_LT(Store.liveBytes(), EmptyBytes + 512);
+}
+
+TEST(SetStore, FilterIsMemoizedAndSharesAWhollyAdmittedSet) {
+  SetStore Store;
+  SetId All = Store.intern(range(0, 60));
+  Store.retain(All);
+  int Calls = 0;
+  auto Even = [&Calls](uint32_t Value) {
+    ++Calls;
+    return Value % 2 == 0;
+  };
+  SetId Evens = Store.filter(All, 1, Even);
+  Store.retain(Evens);
+  EXPECT_EQ(Store.get(Evens).toVector(), range(0, 60, 2));
+  int CallsAfterFirst = Calls;
+  EXPECT_EQ(Store.filter(All, 1, Even), Evens);
+  EXPECT_EQ(Calls, CallsAfterFirst);
+  EXPECT_EQ(Store.filter(All, 2, [](uint32_t) { return true; }), All);
+  EXPECT_EQ(Store.filter(All, 3, [](uint32_t) { return false; }),
+            SetStore::EmptySet);
+  EXPECT_EQ(Store.filter(Evens, 1, Even), Evens);
+  Store.collect();
+  EXPECT_TRUE(Store.consistent(std::vector<SetId>{All, Evens}));
 }

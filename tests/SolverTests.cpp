@@ -9,7 +9,6 @@
 #include "analysis/PrecisionMetrics.h"
 #include "analysis/Result.h"
 #include "analysis/Solver.h"
-#include "support/Concat.h"
 #include "support/Trace.h"
 
 #include "TestPrograms.h"
@@ -618,23 +617,7 @@ TEST(Solver, LateEdgesOnHubUseBatchedPropagation) {
   constexpr uint32_t NumObjects = 1024;
   constexpr uint32_t NumSources = 8;
   constexpr uint32_t NumConsumers = 32;
-
-  ProgramBuilder B;
-  TypeId Object = B.cls("Object");
-  TypeId Payload = B.cls("Payload", Object);
-  MethodBuilder Main = B.method(Object, "main", 0, /*IsStatic=*/true);
-  B.entry(Main.id());
-  std::vector<VarId> Sources;
-  for (uint32_t Index = 0; Index < NumSources; ++Index)
-    Sources.push_back(Main.local(concat("s", Index)));
-  for (uint32_t Index = 0; Index < NumObjects; ++Index)
-    Main.alloc(Sources[Index % NumSources], Payload);
-  VarId Hub = Main.local("hub");
-  for (VarId Source : Sources)
-    Main.move(Hub, Source);
-  for (uint32_t Index = 0; Index < NumConsumers; ++Index)
-    Main.move(Main.local(concat("c", Index)), Hub);
-  Program Prog = B.take();
+  Program Prog = hubHeavyProgram(NumObjects, NumSources, NumConsumers);
 
   auto Policy = makeInsensitivePolicy();
   ContextTable Table;
@@ -664,6 +647,25 @@ TEST(Solver, LateEdgesOnHubUseBatchedPropagation) {
   EXPECT_LE(R.Stats.WorklistPops,
             static_cast<uint64_t>(NumSources) + NumConsumers + 4);
   // The hub and consumer sets are large and dense: the adaptive sets must
-  // actually be in bitmap mode for the batched unions to be word-wise.
+  // actually be in bitmap mode, so that a union's probes are bit tests.
   EXPECT_GT(R.Stats.DensePointsToSets, NumConsumers);
+}
+
+TEST(Solver, HubConsumersShareOneInternedSet) {
+  // Every consumer copies the hub, so the hub and all its consumers name
+  // one interned set; each source keeps its own.  Each source's late object
+  // reaches the hub as a delta, and then every consumer as the same delta
+  // onto the same set: the first consumer computes that union, and the
+  // store's memo answers the others.
+  constexpr uint32_t NumSources = 8;
+  constexpr uint32_t NumConsumers = 64;
+  Program Prog = hubHeavyProgram(/*NumObjects=*/2048, NumSources, NumConsumers,
+                                 /*LateObjects=*/NumSources);
+  auto Policy = makeInsensitivePolicy();
+  ContextTable Table;
+  PointsToResult R = solvePointsTo(Prog, *Policy, Table);
+  ASSERT_EQ(R.Status, SolveStatus::Completed);
+  EXPECT_EQ(R.Stats.NumVarNodes, NumSources + 1 + NumConsumers);
+  EXPECT_EQ(R.Stats.DistinctPointsToSets, NumSources + 1);
+  EXPECT_GE(R.Stats.MemoHits, NumSources * (NumConsumers - 1));
 }

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Small hand-written programs with known analysis results, shared across
-/// the test suites.
+/// the test suites and bench/micro_engine.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +15,9 @@
 
 #include "ir/Program.h"
 #include "ir/ProgramBuilder.h"
+#include "support/Concat.h"
+
+#include <vector>
 
 namespace intro::testing {
 
@@ -164,6 +167,43 @@ inline Mixed makeMixed() {
 
   T.Prog = B.take();
   return T;
+}
+
+/// The hub-heavy flavor of the paper's bimodal inputs: \p NumSources feeder
+/// variables whose allocation-site ids interleave (round-robin allocation
+/// order), all merged into one hub variable by late copy edges, which then
+/// fans out to \p NumConsumers more late edges.  Every merge into the hub
+/// lands mid-set, and every consumer edge re-propagates the hub's full set
+/// — exactly the propagation pattern that punishes per-object insertion.
+/// The last \p LateObjects allocations follow the copy edges instead, so
+/// they reach the hub as worklist deltas, one source at a time, and every
+/// consumer then receives the same delta onto the same set.
+inline Program hubHeavyProgram(uint32_t NumObjects, uint32_t NumSources,
+                               uint32_t NumConsumers,
+                               uint32_t LateObjects = 0) {
+  ProgramBuilder B;
+  TypeId Object = B.cls("Object");
+  TypeId Payload = B.cls("Payload", Object);
+  MethodBuilder Main = B.method(Object, "main", 0, /*IsStatic=*/true);
+  B.entry(Main.id());
+
+  std::vector<VarId> Sources;
+  Sources.reserve(NumSources);
+  for (uint32_t Index = 0; Index < NumSources; ++Index)
+    Sources.push_back(Main.local(concat("s", Index)));
+  // Round-robin allocation: source k owns heap ids k, k+S, k+2S, ... so the
+  // per-source sets interleave when merged.
+  for (uint32_t Index = 0; Index < NumObjects - LateObjects; ++Index)
+    Main.alloc(Sources[Index % NumSources], Payload);
+
+  VarId Hub = Main.local("hub");
+  for (VarId Source : Sources)
+    Main.move(Hub, Source);
+  for (uint32_t Index = 0; Index < NumConsumers; ++Index)
+    Main.move(Main.local(concat("c", Index)), Hub);
+  for (uint32_t Index = NumObjects - LateObjects; Index < NumObjects; ++Index)
+    Main.alloc(Sources[Index % NumSources], Payload);
+  return B.take();
 }
 
 } // namespace intro::testing
