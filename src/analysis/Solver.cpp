@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -43,21 +44,16 @@ struct Node {
   SetId Pts = SetStore::EmptySet;   ///< All objects known to flow here.
   SetId Delta = SetStore::EmptySet; ///< Subset of Pts not yet propagated.
   SortedIdSet Succ;   ///< Subset edges: Pts flows into these nodes.
-  /// Filtered (checked-cast / catch) edges, packed as (dst << 32 | type);
-  /// only objects compatible with type flow across.  Sorted for dedup.
-  std::vector<uint64_t> FilterSucc;
-  /// Complement-filtered edges (uncaught-exception propagation): only
-  /// objects NOT compatible with type flow across.  Sorted for dedup.
-  std::vector<uint64_t> NegFilterSucc;
-  /// For var nodes holding a Load base: (field, destination node).
-  std::vector<std::pair<uint32_t, uint32_t>> LoadUses;
-  /// For var nodes holding a Store base: (field, source node).
-  std::vector<std::pair<uint32_t, uint32_t>> StoreUses;
-  /// For var nodes that are virtual-call receivers: the call sites.
-  std::vector<uint32_t> CallUses;
+  /// Type-filtered edges, packed as (dst << 32 | type << 1 | negated) and
+  /// sorted for dedup.  Only objects compatible with type flow across a
+  /// plain edge (checked cast, catch), and only the others across a
+  /// negated one (uncaught-exception propagation).
+  std::vector<uint64_t> Filters;
+  VarId Var;          ///< The var of a var node; invalid for the others.
   uint32_t Owner = 0; ///< Owning method-context entry (var nodes only).
   bool InWorklist = false;
 };
+static_assert(sizeof(Node) <= 72, "per-var facts belong in Solver's tables");
 
 /// One REACHABLE(meth, ctx) fact.  It owns the method's VARPOINTSTO nodes
 /// under ctx, one slot per local, and its THROWPOINTSTO node; a slot is
@@ -150,6 +146,7 @@ public:
 
   PointsToResult run() {
     TRACE_SPAN("solve.run");
+    buildTriggers();
     CtxId Initial = Policy.initialContext(Ctxs);
     for (MethodId Entry : Prog.entries())
       enqueueReachable(Entry, Initial);
@@ -218,6 +215,33 @@ private:
     return false;
   }
 
+  /// Fills the trigger table from the method bodies: the instructions
+  /// with a base var are the LOAD, STORE and VCALL ones (a static call's
+  /// site has no base).  They are sorted by (base, kind, address), as
+  /// InstrKind orders Load < Store < Call, and a var's instructions all lie
+  /// in its method's body.
+  void buildTriggers() {
+    std::vector<std::pair<uint64_t, const Instruction *>> Keyed;
+    for (uint32_t Method = 0; Method < Prog.numMethods(); ++Method)
+      for (const Instruction &Instr : Prog.method(MethodId(Method)).Body)
+        if (VarId Base = Instr.Kind == InstrKind::Call
+                             ? Prog.site(Instr.Site).Base
+                             : Instr.Base;
+            Base.isValid())
+          Keyed.push_back(
+              {pack(Base.index(), static_cast<uint32_t>(Instr.Kind)), &Instr});
+    std::sort(Keyed.begin(), Keyed.end());
+    TriggerStart.assign(Prog.numVars() + 1, 0);
+    for (auto [Key, Instr] : Keyed) {
+      ++TriggerStart[(Key >> 32) + 1];
+      Triggers.push_back(Instr);
+    }
+    std::partial_sum(TriggerStart.begin(), TriggerStart.end(),
+                     TriggerStart.begin());
+    ChargedBytes += TriggerStart.size() * sizeof(uint32_t) +
+                    Triggers.size() * sizeof(const Instruction *);
+  }
+
   // --- Node and object interning ------------------------------------------
 
   uint32_t getObject(HeapId Heap, HCtxId HCtx) {
@@ -231,52 +255,46 @@ private:
     return It->second;
   }
 
-  uint32_t newNode() {
-    uint32_t Index = static_cast<uint32_t>(Nodes.size());
-    Nodes.emplace_back();
-    ChargedBytes += sizeof(Node);
-    return Index;
+  /// The node of \p Slot, added on first use; a var node's with its \p Var
+  /// and \p Owner entry.
+  uint32_t nodeAt(uint32_t &Slot, VarId Var = VarId(), uint32_t Owner = 0) {
+    if (Slot == NoNode) {
+      Slot = static_cast<uint32_t>(Nodes.size());
+      Nodes.emplace_back().Var = Var;
+      Nodes.back().Owner = Owner;
+      ChargedBytes += sizeof(Node);
+    }
+    return Slot;
   }
 
   /// The node of \p Var under method-context entry \p MC, which must be an
   /// entry of the method owning \p Var.
   uint32_t varNode(VarId Var, uint32_t MC) {
     assert(Prog.var(Var).Owner == MethodContexts[MC].Method);
-    uint32_t &Slot =
-        VarSlots[MethodContexts[MC].FirstVarSlot + Prog.var(Var).Local];
-    if (Slot == NoNode) {
-      Slot = newNode();
-      Nodes[Slot].Owner = MC;
-    }
-    return Slot;
+    return nodeAt(
+        VarSlots[MethodContexts[MC].FirstVarSlot + Prog.var(Var).Local], Var,
+        MC);
   }
 
   uint32_t fieldNode(uint32_t Obj, FieldId Field) {
     for (auto [FieldRaw, N] : Objects[Obj].FieldNodes)
       if (FieldRaw == Field.index())
         return N;
-    uint32_t N = newNode();
-    Objects[Obj].FieldNodes.push_back({Field.index(), N});
     ChargedBytes += sizeof(Objects[Obj].FieldNodes[0]);
-    return N;
+    return nodeAt(Objects[Obj].FieldNodes.emplace_back(Field.index(), NoNode)
+                      .second);
   }
 
   /// Static fields are single global cells (Doop: StaticFieldPointsTo has
   /// no base object and no context).
   uint32_t staticFieldNode(FieldId Field) {
-    uint32_t &Slot = StaticFieldNodes[Field.index()];
-    if (Slot == NoNode)
-      Slot = newNode();
-    return Slot;
+    return nodeAt(StaticFieldNodes[Field.index()]);
   }
 
   /// The set of exception objects escaping method-context entry \p MC — the
   /// paper [11]-style THROWPOINTSTO relation.
   uint32_t throwNode(uint32_t MC) {
-    uint32_t &Slot = MethodContexts[MC].ThrowNode;
-    if (Slot == NoNode)
-      Slot = newNode();
-    return Slot;
+    return nodeAt(MethodContexts[MC].ThrowNode);
   }
 
   // --- Core propagation ----------------------------------------------------
@@ -301,14 +319,6 @@ private:
     Store.retain(Set);
     Store.release(Slot);
     Slot = Set;
-  }
-
-  /// Calls \p Fn(uint32_t) for every object of \p Set, which is held for
-  /// the call, so that \p Fn may change the node that names it.
-  template <typename FnT> void forEachHeld(SetId Set, FnT &&Fn) {
-    Store.retain(Set);
-    Store.get(Set).forEach(Fn);
-    Store.release(Set);
   }
 
   /// Merges \p Src into node \p DstN with one memoized union, adds exactly
@@ -361,30 +371,46 @@ private:
     unionInto(Dst, Nodes[Src].Pts);
   }
 
-  /// \returns the objects of \p Set that \p FilterTypeRaw admits:
-  /// subtypes of it (checked cast, catch), or with \p Negated the others
-  /// (uncaught-exception propagation).
-  SetId filtered(SetId Set, uint32_t FilterTypeRaw, bool Negated) {
-    assert(FilterTypeRaw < (1u << 31) && "filter type does not fit the key");
-    return Store.filter(
-        Set, FilterTypeRaw << 1 | Negated, [&](uint32_t Object) {
-          return Prog.isSubtypeOf(Prog.heap(HeapId(Objects[Object].Heap)).Type,
-                                  TypeId(FilterTypeRaw)) != Negated;
-        });
+  /// \returns the objects of \p Set that the filter \p Key, packed as
+  /// (type << 1 | negated), admits: subtypes of type (checked cast, catch),
+  /// or if negated the others (uncaught-exception propagation).
+  SetId filtered(SetId Set, uint32_t Key) {
+    return Store.filter(Set, Key, [&](uint32_t Object) {
+      return Prog.isSubtypeOf(Prog.heap(HeapId(Objects[Object].Heap)).Type,
+                              TypeId(Key >> 1)) != (Key & 1);
+    });
   }
 
   /// Adds a type-filtered edge \p Src -> \p Dst (see filtered), merging
   /// the admitted subset with one batched union.
   void addFilteredEdge(uint32_t Src, uint32_t Dst, TypeId FilterType,
                        bool Negated = false) {
-    uint64_t Packed = pack(Dst, FilterType.index());
-    auto &Edges = Negated ? Nodes[Src].NegFilterSucc : Nodes[Src].FilterSucc;
-    auto It = std::lower_bound(Edges.begin(), Edges.end(), Packed);
-    if (It != Edges.end() && *It == Packed)
+    assert(FilterType.index() < (1u << 31) && "filter type does not fit");
+    uint32_t Key = FilterType.index() << 1 | Negated;
+    if (!setInsert(Nodes[Src].Filters, pack(Dst, Key)))
       return;
-    Edges.insert(It, Packed);
     ChargedBytes += sizeof(uint64_t);
-    unionInto(Dst, filtered(Nodes[Src].Pts, FilterType.index(), Negated));
+    unionInto(Dst, filtered(Nodes[Src].Pts, Key));
+  }
+
+  /// Fires the LOAD, STORE or VCALL rule of \p Instr, in entry \p MC, on
+  /// every object of \p Objects, a set of the base's node, held for the
+  /// call as the rule may change that node.  The rules are per object:
+  /// each object selects its own field node or callee.
+  void fire(const Instruction &Instr, uint32_t MC, SetId Objects) {
+    // A load's target or a store's source; a call has neither.
+    VarId Var = Instr.Kind == InstrKind::Load ? Instr.To : Instr.From;
+    uint32_t VarN = Var.isValid() ? varNode(Var, MC) : NoNode;
+    Store.retain(Objects);
+    Store.get(Objects).forEach([&](uint32_t Object) {
+      if (Instr.Kind == InstrKind::Load) // to = base.fld
+        addEdge(fieldNode(Object, Instr.Field), VarN);
+      else if (Instr.Kind == InstrKind::Store) // base.fld = from
+        addEdge(VarN, fieldNode(Object, Instr.Field));
+      else // VCALL: dispatch on the receiver.
+        dispatch(Instr.Site, MC, Object);
+    });
+    Store.release(Objects);
   }
 
   void processNode(uint32_t N) {
@@ -393,34 +419,14 @@ private:
     SetId Held = std::exchange(Nodes[N].Delta, SetStore::EmptySet);
     if (Held == SetStore::EmptySet)
       return;
-    const IdSet &Delta = Store.get(Held);
 
-    // LOAD rule: to = base.fld joins FLDPOINTSTO of every new base object.
-    // The use lists are read by index: dispatching can create nodes
-    // (reallocating Nodes) but never adds uses to an already-instantiated
-    // (var, ctx) -- only instantiate() does, and it never runs in here.
-    // These three rules are inherently per-object (each object selects a
-    // different field node or callee), so they stay element-wise.
-    for (size_t I = 0, E = Nodes[N].LoadUses.size(); I < E; ++I) {
-      auto [FieldRaw, Dst] = Nodes[N].LoadUses[I];
-      Delta.forEach([&](uint32_t Object) {
-        addEdge(fieldNode(Object, FieldId(FieldRaw)), Dst);
-      });
-    }
-    // STORE rule: base.fld = from feeds FLDPOINTSTO of every new object.
-    for (size_t I = 0, E = Nodes[N].StoreUses.size(); I < E; ++I) {
-      auto [FieldRaw, Src] = Nodes[N].StoreUses[I];
-      Delta.forEach([&](uint32_t Object) {
-        addEdge(Src, fieldNode(Object, FieldId(FieldRaw)));
-      });
-    }
-    // VCALL rule: dispatch on every new receiver object.
-    uint32_t CallerMC = Nodes[N].Owner;
-    for (size_t I = 0, E = Nodes[N].CallUses.size(); I < E; ++I) {
-      SiteId Site(Nodes[N].CallUses[I]);
-      Delta.forEach(
-          [&](uint32_t Object) { dispatch(Site, CallerMC, Object); });
-    }
+    // The LOAD, STORE and VCALL rules of a var node's var fire on the new
+    // objects.  The node's entry is instantiated, as instantiation runs
+    // before any pop, so instantiate() has fired them on the older ones.
+    if (VarId Var = Nodes[N].Var; Var.isValid())
+      for (uint32_t I = TriggerStart[Var.index()];
+           I < TriggerStart[Var.index() + 1]; ++I)
+        fire(*Triggers[I], Nodes[N].Owner, Held);
     // The remaining loops only call unionInto, which creates no node and no
     // edge, so they read Nodes[N]'s edge lists in place.
     //
@@ -428,14 +434,13 @@ private:
     // of the whole delta per edge.
     for (uint32_t Dst : Nodes[N].Succ)
       unionInto(Dst, Held);
-    // Type-filtered edges (checked casts, catch clauses) and their
-    // complements (uncaught-exception propagation): one memoized filter of
-    // the delta per edge, then one batched union.
-    for (bool Negated : {false, true})
-      for (uint64_t Packed :
-           Negated ? Nodes[N].NegFilterSucc : Nodes[N].FilterSucc)
-        unionInto(static_cast<uint32_t>(Packed >> 32),
-                  filtered(Held, static_cast<uint32_t>(Packed), Negated));
+    // Type-filtered edges, plain ones first, then negated ones: one
+    // memoized filter of the delta per edge, then one batched union.
+    for (uint64_t Negated : {0, 1})
+      for (uint64_t Packed : Nodes[N].Filters)
+        if ((Packed & 1) == Negated)
+          unionInto(static_cast<uint32_t>(Packed >> 32),
+                    filtered(Held, static_cast<uint32_t>(Packed)));
     Store.release(Held);
   }
 
@@ -514,8 +519,9 @@ private:
   }
 
   /// Applies the body of entry \p MC's method under its context: the
-  /// ALLOC/MOVE rules fire immediately; LOAD/STORE/VCALL register trigger
-  /// lists on their base variables; static calls resolve on the spot.
+  /// ALLOC/MOVE rules fire immediately, LOAD/STORE/VCALL fire on their
+  /// base's objects so far (processNode fires them on later ones), and
+  /// static calls resolve on the spot.
   void instantiate(uint32_t MC) {
     MethodId Method = MethodContexts[MC].Method;
     CtxId Ctx = MethodContexts[MC].Ctx;
@@ -537,26 +543,10 @@ private:
         else
           addEdge(varNode(Instr.From, MC), varNode(Instr.To, MC));
         break;
-      case InstrKind::Load: {
-        uint32_t Base = varNode(Instr.Base, MC);
-        uint32_t Dst = varNode(Instr.To, MC);
-        Nodes[Base].LoadUses.push_back({Instr.Field.index(), Dst});
-        ChargedBytes += sizeof(Nodes[Base].LoadUses[0]);
-        forEachHeld(Nodes[Base].Pts, [&](uint32_t Object) {
-          addEdge(fieldNode(Object, Instr.Field), Dst);
-        });
+      case InstrKind::Load:
+      case InstrKind::Store:
+        fire(Instr, MC, Nodes[varNode(Instr.Base, MC)].Pts);
         break;
-      }
-      case InstrKind::Store: {
-        uint32_t Base = varNode(Instr.Base, MC);
-        uint32_t Src = varNode(Instr.From, MC);
-        Nodes[Base].StoreUses.push_back({Instr.Field.index(), Src});
-        ChargedBytes += sizeof(Nodes[Base].StoreUses[0]);
-        forEachHeld(Nodes[Base].Pts, [&](uint32_t Object) {
-          addEdge(Src, fieldNode(Object, Instr.Field));
-        });
-        break;
-      }
       case InstrKind::SLoad:
         addEdge(staticFieldNode(Instr.Field), varNode(Instr.To, MC));
         break;
@@ -575,12 +565,7 @@ private:
           bindArguments(Site, MC, enqueueReachable(Callee, CalleeCtx));
           break;
         }
-        uint32_t Base = varNode(Site.Base, MC);
-        Nodes[Base].CallUses.push_back(Instr.Site.index());
-        ChargedBytes += sizeof(uint32_t);
-        forEachHeld(Nodes[Base].Pts, [&](uint32_t Object) {
-          dispatch(Instr.Site, MC, Object);
-        });
+        fire(Instr, MC, Nodes[varNode(Site.Base, MC)].Pts);
         break;
       }
       }
@@ -696,17 +681,24 @@ private:
   }
 
 #ifndef NDEBUG
-  /// Checks the store against the nodes (SetStore::consistent) and
-  /// Delta SUBSETOF Pts at every node.
+  /// Checks the store against the nodes (SetStore::consistent),
+  /// Delta SUBSETOF Pts at every node, and that the nodes with a Var are
+  /// the var nodes, each the slot of its Var under its Owner entry.
   void assertStoreConsistent() const {
     std::vector<SetId> Slots;
-    for (const Node &NodeRef : Nodes) {
-      Slots.insert(Slots.end(), {NodeRef.Pts, NodeRef.Delta});
-      const IdSet &Pts = Store.get(NodeRef.Pts);
-      Store.get(NodeRef.Delta).forEach([&](uint32_t Object) {
+    for (uint32_t N = 0; N < Nodes.size(); ++N) {
+      Slots.insert(Slots.end(), {Nodes[N].Pts, Nodes[N].Delta});
+      const IdSet &Pts = Store.get(Nodes[N].Pts);
+      Store.get(Nodes[N].Delta).forEach([&](uint32_t Object) {
         assert(Pts.contains(Object) && "Delta is not a subset of Pts");
       });
+      if (VarId Var = Nodes[N].Var; Var.isValid())
+        assert(VarSlots[MethodContexts[Nodes[N].Owner].FirstVarSlot +
+                        Prog.var(Var).Local] == N &&
+               "a var node is not the slot of its Var");
     }
+    for (uint32_t N : VarSlots)
+      assert((N == NoNode || Nodes[N].Var.isValid()) && "a var node has no Var");
     assert(Store.consistent(Slots) && "set store disagrees with the nodes");
   }
 #endif
@@ -815,6 +807,11 @@ private:
   std::unordered_map<uint64_t, uint32_t> MethodContextIndex;
   /// Var-node slots: one run per entry, indexed by VarInfo::Local.
   std::vector<uint32_t> VarSlots;
+  /// The LOAD, STORE and VCALL relations, context-free: the instructions
+  /// var V is the base of are Triggers[TriggerStart[V], TriggerStart[V+1]),
+  /// its loads, then its stores, then its virtual calls, each in body order.
+  std::vector<uint32_t> TriggerStart;
+  std::vector<const Instruction *> Triggers;
   /// Entries discovered but not yet instantiated.
   std::vector<uint32_t> PendingReachable;
 
@@ -834,7 +831,7 @@ private:
   SetStore Store;
 
   uint64_t TotalTuples = 0;
-  /// Monotone charges for nodes, edges, uses and index entries (DESIGN.md
+  /// Monotone charges for nodes, edges and index entries (DESIGN.md
   /// section 6); the sets are charged by Store.liveBytes().
   uint64_t ChargedBytes = 0;
   /// High-water mark of ChargedBytes + Store.liveBytes() over the budget

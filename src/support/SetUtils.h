@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace intro {
@@ -29,7 +30,8 @@ inline bool setContains(const SortedIdSet &Set, uint32_t Value) {
 }
 
 /// Inserts \p Value into \p Set. \returns true if it was newly added.
-inline bool setInsert(SortedIdSet &Set, uint32_t Value) {
+template <typename T>
+bool setInsert(std::vector<T> &Set, std::type_identity_t<T> Value) {
   auto It = std::lower_bound(Set.begin(), Set.end(), Value);
   if (It != Set.end() && *It == Value)
     return false;
