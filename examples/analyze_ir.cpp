@@ -19,13 +19,16 @@
 ///
 /// options:
 ///   --filter-casts       checked-cast (Doop CheckCast) semantics
-///   --max-tuples=<n>     resource budget (default 100000000)
+///   --max-tuples=<n>     resource budget (default 100000000); for an
+///                        introspective run, the second pass's budget
 ///   --stats              context-growth diagnostics (top methods)
 ///   --escape             escape-analysis summary
 ///   --dot=<file>         write the resolved call graph as Graphviz DOT
 ///   --report=<file>      write the per-variable points-to listing
 ///   --facts=<dir>        export Doop-style .facts files (dir must exist)
 ///
+/// --filter-casts and --stats are rejected with the introspective flavors,
+/// whose second pass solves with plain casts and assembles no tuples.
 /// With no file argument, a small demo program is analyzed.
 ///
 //===----------------------------------------------------------------------===//
@@ -40,6 +43,7 @@
 #include "introspect/Driver.h"
 #include "ir/FactsIO.h"
 #include "ir/Validator.h"
+#include "support/ParseNum.h"
 
 #include <fstream>
 #include <iostream>
@@ -86,21 +90,29 @@ void printUsage() {
          "  analyses: insens 1callH 2callH 1objH 2objH 1typeH 2typeH 2hybH\n"
          "            plus <flavor>-introA / <flavor>-introB\n"
          "  options:  --filter-casts --max-tuples=<n> --stats --escape\n"
-         "            --dot=<file> --report=<file> --facts=<dir>\n";
+         "            --dot=<file> --report=<file> --facts=<dir>\n"
+         "  --max-tuples budgets the second pass of an introspective run;\n"
+         "  --filter-casts and --stats do not apply to one.\n";
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
   for (int Arg = 1; Arg < Argc; ++Arg) {
     std::string Text = Argv[Arg];
+    std::string Value;
+    std::string Error;
     if (Text == "--filter-casts")
       Cli.FilterCasts = true;
     else if (Text == "--stats")
       Cli.ShowStats = true;
     else if (Text == "--escape")
       Cli.ShowEscape = true;
-    else if (Text.rfind("--max-tuples=", 0) == 0)
-      Cli.MaxTuples = std::stoull(Text.substr(13));
-    else if (Text.rfind("--dot=", 0) == 0)
+    else if (flagValue(Text, "--max-tuples", Value)) {
+      if (!parseU64("--max-tuples", Value, 0, UINT64_MAX, Cli.MaxTuples,
+                    Error)) {
+        std::cerr << "error: " << Error << "\n";
+        return false;
+      }
+    } else if (Text.rfind("--dot=", 0) == 0)
       Cli.DotPath = Text.substr(6);
     else if (Text.rfind("--report=", 0) == 0)
       Cli.ReportPath = Text.substr(9);
@@ -198,6 +210,14 @@ int main(int Argc, char **Argv) {
     printUsage();
     return 1;
   }
+  if (Cli.Analysis.find("-intro") != std::string::npos)
+    for (auto [Set, Flag] : {std::pair(Cli.FilterCasts, "--filter-casts"),
+                             std::pair(Cli.ShowStats, "--stats")})
+      if (Set) {
+        std::cerr << "error: " << Flag << " does not apply to "
+                  << Cli.Analysis << "\n";
+        return 1;
+      }
 
   std::string Source = DemoSource;
   if (!Cli.File.empty()) {

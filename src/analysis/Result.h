@@ -33,7 +33,7 @@ enum class SolveStatus : uint8_t {
   Completed,            ///< Fixpoint reached.
   TupleBudgetExceeded,  ///< Relation sizes blew past the budget ("timeout").
   TimeBudgetExceeded,   ///< Wall clock blew past the budget ("timeout").
-  MemoryBudgetExceeded, ///< Approximate solver footprint blew past MaxBytes.
+  MemoryBudgetExceeded, ///< Metered solver footprint blew past MaxBytes.
 };
 
 /// \returns true if \p Status denotes a completed (non-timeout) run.
@@ -89,9 +89,8 @@ enum class Assembly : uint8_t {
 struct SolveBudget {
   uint64_t MaxTuples = 100'000'000; ///< VarPointsTo + FldPointsTo tuples.
   double MaxSeconds = 300.0;        ///< Wall-clock limit.
-  /// Approximate solver heap footprint limit in bytes (nodes, points-to
-  /// sets, edges, and index entries; book-kept incrementally, not measured
-  /// from the allocator).  0 disables the limit.
+  /// Solver heap footprint limit in bytes: the peak of the bytes its
+  /// containers request (support/Meter.h).  0 disables the limit.
   uint64_t MaxBytes = 0;
 };
 
@@ -110,7 +109,7 @@ struct SolverStats {
   uint64_t ReachableMethodContexts = 0; ///< |REACHABLE| (meth, ctx) pairs.
   uint64_t CallGraphEdges = 0;      ///< Insensitive (site, target) edges.
   uint64_t WorklistPops = 0;        ///< Solver iterations.
-  uint64_t ApproxBytes = 0;         ///< Book-kept solver footprint estimate.
+  uint64_t ApproxBytes = 0;         ///< Peak metered solver footprint.
 
   // In-memory-only propagation diagnostics (see SolverStatsFields).
   uint64_t BatchUnions = 0;    ///< Whole-delta set unions (batched edges).

@@ -8,6 +8,7 @@
 
 #include "analysis/ContextPolicy.h"
 #include "ir/Program.h"
+#include "support/Meter.h"
 #include "support/Overflow.h"
 #include "support/SetStore.h"
 #include "support/Timer.h"
@@ -43,12 +44,12 @@ uint64_t pack(uint32_t High, uint32_t Low) {
 struct Node {
   SetId Pts = SetStore::EmptySet;   ///< All objects known to flow here.
   SetId Delta = SetStore::EmptySet; ///< Subset of Pts not yet propagated.
-  SortedIdSet Succ;   ///< Subset edges: Pts flows into these nodes.
+  CountedVector<uint32_t> Succ; ///< Subset edges: Pts flows into these nodes.
   /// Type-filtered edges, packed as (dst << 32 | type << 1 | negated) and
   /// sorted for dedup.  Only objects compatible with type flow across a
   /// plain edge (checked cast, catch), and only the others across a
   /// negated one (uncaught-exception propagation).
-  std::vector<uint64_t> Filters;
+  CountedVector<uint64_t> Filters;
   VarId Var;          ///< The var of a var node; invalid for the others.
   uint32_t Owner = 0; ///< Owning method-context entry (var nodes only).
   bool InWorklist = false;
@@ -71,7 +72,7 @@ struct ObjectInfo {
   uint32_t HCtx;
   /// (field, node) of every field node based on the object; a short list,
   /// scanned linearly.
-  std::vector<std::pair<uint32_t, uint32_t>> FieldNodes;
+  CountedVector<std::pair<uint32_t, uint32_t>> FieldNodes;
 };
 
 /// Gathers the heaps of a target's nodes as a sorted, duplicate-free set,
@@ -83,7 +84,7 @@ struct ObjectInfo {
 /// and clear, only the touched words.
 class HeapGather {
 public:
-  HeapGather(const std::vector<ObjectInfo> &Objects, size_t NumHeaps)
+  HeapGather(std::span<const ObjectInfo> Objects, size_t NumHeaps)
       : HeapOf(Objects.size()), Words((NumHeaps + 63) / 64),
         Summary((Words.size() + 63) / 64) {
     for (size_t Object = 0; Object < Objects.size(); ++Object)
@@ -193,10 +194,9 @@ private:
       TRACE_INSTANT("solve.trip.tuple_budget", TotalTuples);
       return true;
     }
-    PeakBytes = std::max(PeakBytes, ChargedBytes + Store.liveBytes());
-    if (Opts.Budget.MaxBytes != 0 && PeakBytes > Opts.Budget.MaxBytes) {
+    if (Opts.Budget.MaxBytes != 0 && Meter.peak() > Opts.Budget.MaxBytes) {
       Status = SolveStatus::MemoryBudgetExceeded;
-      TRACE_INSTANT("solve.trip.memory_budget", PeakBytes);
+      TRACE_INSTANT("solve.trip.memory_budget", Meter.peak());
       return true;
     }
     if (Checkpoint % 1024 == 0) {
@@ -221,7 +221,7 @@ private:
   /// InstrKind orders Load < Store < Call, and a var's instructions all lie
   /// in its method's body.
   void buildTriggers() {
-    std::vector<std::pair<uint64_t, const Instruction *>> Keyed;
+    CountedVector<std::pair<uint64_t, const Instruction *>> Keyed;
     for (uint32_t Method = 0; Method < Prog.numMethods(); ++Method)
       for (const Instruction &Instr : Prog.method(MethodId(Method)).Body)
         if (VarId Base = Instr.Kind == InstrKind::Call
@@ -238,8 +238,6 @@ private:
     }
     std::partial_sum(TriggerStart.begin(), TriggerStart.end(),
                      TriggerStart.begin());
-    ChargedBytes += TriggerStart.size() * sizeof(uint32_t) +
-                    Triggers.size() * sizeof(const Instruction *);
   }
 
   // --- Node and object interning ------------------------------------------
@@ -248,10 +246,8 @@ private:
     auto [It, Inserted] =
         ObjIndex.try_emplace(pack(Heap.index(), HCtx.index()),
                              static_cast<uint32_t>(Objects.size()));
-    if (Inserted) {
+    if (Inserted)
       Objects.push_back({Heap.index(), HCtx.index(), {}});
-      ChargedBytes += sizeof(ObjectInfo) + HashEntryBytes;
-    }
     return It->second;
   }
 
@@ -262,7 +258,6 @@ private:
       Slot = static_cast<uint32_t>(Nodes.size());
       Nodes.emplace_back().Var = Var;
       Nodes.back().Owner = Owner;
-      ChargedBytes += sizeof(Node);
     }
     return Slot;
   }
@@ -280,7 +275,6 @@ private:
     for (auto [FieldRaw, N] : Objects[Obj].FieldNodes)
       if (FieldRaw == Field.index())
         return N;
-    ChargedBytes += sizeof(Objects[Obj].FieldNodes[0]);
     return nodeAt(Objects[Obj].FieldNodes.emplace_back(Field.index(), NoNode)
                       .second);
   }
@@ -347,7 +341,7 @@ private:
     ++ElementProbes;
     if (Store.get(Nodes[N].Pts).contains(Object))
       return false;
-    return merge(N, Store.intern(SortedIdSet{Object}));
+    return merge(N, Store.intern({&Object, 1}));
   }
 
   /// Batched difference propagation: merges the set \p Src into node
@@ -367,7 +361,6 @@ private:
       return; // pts(n) <= pts(n) holds trivially.
     if (!setInsert(Nodes[Src].Succ, Dst))
       return;
-    ChargedBytes += sizeof(uint32_t);
     unionInto(Dst, Nodes[Src].Pts);
   }
 
@@ -389,7 +382,6 @@ private:
     uint32_t Key = FilterType.index() << 1 | Negated;
     if (!setInsert(Nodes[Src].Filters, pack(Dst, Key)))
       return;
-    ChargedBytes += sizeof(uint64_t);
     unionInto(Dst, filtered(Nodes[Src].Pts, Key));
   }
 
@@ -513,8 +505,6 @@ private:
         {Method, Ctx, NoNode, static_cast<uint32_t>(VarSlots.size())});
     VarSlots.resize(VarSlots.size() + NumLocals, NoNode);
     PendingReachable.push_back(It->second);
-    ChargedBytes += sizeof(MethodContext) + HashEntryBytes +
-                    sizeof(uint32_t) + NumLocals * sizeof(uint32_t);
     return It->second;
   }
 
@@ -780,8 +770,7 @@ private:
     Result.Stats.ReachableMethodContexts = MethodContexts.size();
     Result.Stats.CallGraphEdges = CallGraphEdges;
     Result.Stats.WorklistPops = Pops;
-    PeakBytes = std::max(PeakBytes, ChargedBytes + Store.liveBytes());
-    Result.Stats.ApproxBytes = PeakBytes;
+    Result.Stats.ApproxBytes = Meter.peak();
     Result.Stats.BatchUnions = BatchUnions;
     Result.Stats.ElementProbes = ElementProbes;
     Result.Stats.DensePointsToSets = DenseSets;
@@ -796,33 +785,36 @@ private:
   SolverOptions Opts;
   Timer Clock;
 
-  std::vector<Node> Nodes;
+  MeterScope Meter; ///< Counts the containers below; ApproxBytes is its peak.
+
+  CountedVector<Node> Nodes;
   /// Node of each static field, NoNode until first use.
-  std::vector<uint32_t> StaticFieldNodes =
-      std::vector<uint32_t>(Prog.numFields(), NoNode);
+  CountedVector<uint32_t> StaticFieldNodes =
+      CountedVector<uint32_t>(Prog.numFields(), NoNode);
 
   /// The REACHABLE relation in discovery order, found through
   /// MethodContextIndex (keyed by packed (method, ctx)).
-  std::vector<MethodContext> MethodContexts;
-  std::unordered_map<uint64_t, uint32_t> MethodContextIndex;
+  CountedVector<MethodContext> MethodContexts;
+  CountedHash<std::unordered_map, uint32_t> MethodContextIndex;
   /// Var-node slots: one run per entry, indexed by VarInfo::Local.
-  std::vector<uint32_t> VarSlots;
+  CountedVector<uint32_t> VarSlots;
   /// The LOAD, STORE and VCALL relations, context-free: the instructions
   /// var V is the base of are Triggers[TriggerStart[V], TriggerStart[V+1]),
   /// its loads, then its stores, then its virtual calls, each in body order.
-  std::vector<uint32_t> TriggerStart;
-  std::vector<const Instruction *> Triggers;
+  CountedVector<uint32_t> TriggerStart;
+  CountedVector<const Instruction *> Triggers;
   /// Entries discovered but not yet instantiated.
-  std::vector<uint32_t> PendingReachable;
+  CountedVector<uint32_t> PendingReachable;
 
   /// Objects in discovery order, found through ObjIndex (keyed by packed
   /// (heap, hctx): the one truly sparse key space).
-  std::vector<ObjectInfo> Objects;
-  std::unordered_map<uint64_t, uint32_t> ObjIndex;
+  CountedVector<ObjectInfo> Objects;
+  CountedHash<std::unordered_map, uint32_t> ObjIndex;
 
-  std::vector<uint32_t> Worklist;
+  CountedVector<uint32_t> Worklist;
 
   /// Per-site sorted callees: the insensitive call graph, built in place.
+  /// Not counted: one moves into the result, one is only for the dump.
   std::vector<SortedIdSet> SiteTargets =
       std::vector<SortedIdSet>(Prog.numSites());
   std::set<std::array<uint32_t, 4>> CallGraphTuples;
@@ -831,12 +823,6 @@ private:
   SetStore Store;
 
   uint64_t TotalTuples = 0;
-  /// Monotone charges for nodes, edges and index entries (DESIGN.md
-  /// section 6); the sets are charged by Store.liveBytes().
-  uint64_t ChargedBytes = 0;
-  /// High-water mark of ChargedBytes + Store.liveBytes() over the budget
-  /// checks: the reported ApproxBytes.
-  uint64_t PeakBytes = 0;
   uint64_t Pops = 0;
   uint64_t BudgetChecks = 0;
   uint64_t BatchUnions = 0;   ///< unionInto invocations (whole-delta merges).

@@ -689,22 +689,29 @@ void Harness::checkBudgetPrefix() {
       ++Out.ChecksSkipped; // No fixpoint, or no pop to stop halfway at.
       continue;
     }
-    SolverOptions Options = cappedOptions();
-    Options.Faults.FailAtPop = StopAt;
-    ContextTable Table;
-    PointsToResult Part = solvePointsTo(Prog, *Policy, Table, Options);
+    // Stop one run halfway through the pops, and one past half the peak
+    // bytes: its allocations are a prefix of the completed run's.
+    std::pair<SolverOptions, SolveStatus> Stops[] = {
+        {cappedOptions(), SolveStatus::TupleBudgetExceeded},
+        {cappedOptions(), SolveStatus::MemoryBudgetExceeded}};
+    Stops[0].first.Faults.FailAtPop = StopAt;
+    Stops[1].first.Budget.MaxBytes = Full.Stats.ApproxBytes / 2;
     ++Out.ChecksRun;
     Violations V;
-    if (isCompleted(Part.Status))
-      V.add("run armed to stop at pop " + std::to_string(StopAt) +
-            " completed");
-    collectSubsetViolations(Prog, Part, Full, "stopped", V);
-    // Every persisted counter tallies something the run only adds to.
-    for (auto [Name, Counter] : SolverStatsFields)
-      if (Part.Stats.*Counter > Full.Stats.*Counter)
-        V.add(std::string("stopped ") + Name + " " +
-              std::to_string(Part.Stats.*Counter) + " exceeds completed " +
-              std::to_string(Full.Stats.*Counter));
+    for (auto &[Options, Expected] : Stops) {
+      ContextTable Table;
+      PointsToResult Part = solvePointsTo(Prog, *Policy, Table, Options);
+      std::string Label = statusName(Expected) + std::string(" run");
+      if (Part.Status != Expected)
+        V.add(Label + " ended " + statusName(Part.Status));
+      collectSubsetViolations(Prog, Part, Full, Label, V);
+      // Every persisted counter tallies something the run only adds to.
+      for (auto [Name, Counter] : SolverStatsFields)
+        if (Part.Stats.*Counter > Full.Stats.*Counter)
+          V.add(Label + " " + Name + " " +
+                std::to_string(Part.Stats.*Counter) + " exceeds completed " +
+                std::to_string(Full.Stats.*Counter));
+    }
     if (V.Count > 0)
       finding(OracleKind::BudgetPrefix, Policy->name(), V.summary());
   }

@@ -25,10 +25,12 @@
 ///    results exactly, through the driver and through the ladder (same
 ///    rung, result, metrics and exceptions; metamorphic).
 ///  - **BudgetPrefix**: for insens and 2objH, a run stopped halfway
-///    (FaultPlan::FailAtPop at half the completed run's worklist pops) is a
-///    sound prefix of the fixpoint: every projection is pointwise a subset
-///    of the completed run's, and no SolverStatsFields counter exceeds it.
-///    The ladder's fallback reads such partial results (metamorphic).
+///    (FaultPlan::FailAtPop at half the completed run's worklist pops, or
+///    SolveBudget::MaxBytes at half its approx_bytes) ends with that stop's
+///    status and is a sound prefix of the fixpoint: every projection is
+///    pointwise a subset of the completed run's, and no SolverStatsFields
+///    counter exceeds it.  The ladder's fallback reads such partial
+///    results (metamorphic).
 ///  - **DeepCap**: when 2objH completes under the harness's absolute
 ///    budget, the ladder — whose deep rung runs under the Pass-A-derived
 ///    deepTupleCap, or is skipped when skipDeepRung predicts it passes

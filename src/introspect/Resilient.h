@@ -206,7 +206,7 @@ struct ResilientOutcome {
 /// pass DeepCapRatio times it long before the absolute budget.
 inline constexpr uint64_t DeepCapRatio = 10;
 /// Below this many tuples the deep rung is cheap, so no ratio applies.
-inline constexpr uint64_t DeepCapFloorTuples = 1'000'000;
+inline constexpr uint64_t DeepCapFloorTuples = 2'000'000;
 
 /// \returns the tuple limit of the deep rung after a completed Pass A of
 /// \p PassATuples (VarPointsTo + FldPointsTo) tuples:

@@ -27,7 +27,7 @@ uint64_t IdSet::findBitFrom(uint64_t From) const {
 }
 
 void IdSet::maybePromote() {
-  if (Dense || Small.size() < std::max<uint32_t>(Threshold, 1))
+  if (Dense || Small.size() < DefaultPromoteThreshold)
     return;
   // Density condition: the bitmap may not be sparser than one element per
   // word, i.e. 8 bitmap bytes per at most 8 vector bytes (2x overhead cap).
@@ -37,16 +37,15 @@ void IdSet::maybePromote() {
   for (uint32_t Value : Small)
     Words[Value >> 6] |= uint64_t(1) << (Value & 63);
   Count = Small.size();
-  Small.clear();
-  Small.shrink_to_fit();
+  Small = decltype(Small)();
   Dense = true;
 }
 
 void IdSet::demote() {
   assert(Dense && "demote of a small set");
-  Small = toVector();
-  Words.clear();
-  Words.shrink_to_fit();
+  Small.reserve(Count);
+  forEach([this](uint32_t Value) { Small.push_back(Value); });
+  Words = decltype(Words)();
   Count = 0;
   Dense = false;
 }
@@ -67,25 +66,7 @@ bool IdSet::ensureDenseCapacity(uint32_t MaxValue, size_t FinalCount) {
   return true;
 }
 
-bool IdSet::insert(uint32_t Value) {
-  if (Dense) {
-    if (!ensureDenseCapacity(Value, Count + 1))
-      return setInsert(Small, Value); // Demoted: past threshold, low density.
-    uint64_t &Word = Words[Value >> 6];
-    uint64_t Mask = uint64_t(1) << (Value & 63);
-    if (Word & Mask)
-      return false;
-    Word |= Mask;
-    ++Count;
-    return true;
-  }
-  if (!setInsert(Small, Value))
-    return false;
-  maybePromote();
-  return true;
-}
-
-void IdSet::insertNewSorted(const SortedIdSet &Values) {
+void IdSet::insertNewSorted(std::span<const uint32_t> Values) {
   if (Values.empty())
     return;
   if (Dense) {
@@ -104,7 +85,7 @@ void IdSet::insertNewSorted(const SortedIdSet &Values) {
   if (Small.empty() || Small.back() < Values.front()) {
     Small.insert(Small.end(), Values.begin(), Values.end());
   } else {
-    SortedIdSet Merged;
+    CountedVector<uint32_t> Merged;
     Merged.reserve(Small.size() + Values.size());
     std::merge(Small.begin(), Small.end(), Values.begin(), Values.end(),
                std::back_inserter(Merged));

@@ -22,23 +22,24 @@
 /// small dense set) demotes back to the vector instead of allocating a
 /// gigantic bitmap.
 ///
-/// The API mirrors SetUtils.h (contains / insert) plus the batched insert
-/// the set store (SetStore.h) builds unions with: insertNewSorted merges
-/// sorted elements known to be absent.  Iteration is always in ascending
-/// handle order in both representations, so results derived from an IdSet
-/// keep the canonical sorted encoding.
+/// A set is built only by the batched insert the set store (SetStore.h)
+/// builds unions with: insertNewSorted merges sorted elements known to be
+/// absent.  Iteration is always in ascending handle order in both
+/// representations, so results derived from an IdSet keep the canonical
+/// sorted encoding.  Both representations' storage is Counted (Meter.h).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SUPPORT_IDSET_H
 #define SUPPORT_IDSET_H
 
+#include "support/Meter.h"
 #include "support/SetUtils.h"
 
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <vector>
+#include <span>
 
 namespace intro {
 
@@ -46,18 +47,11 @@ namespace intro {
 /// packed bitmap when large and dense.  See the file comment.
 class IdSet {
 public:
-  /// Default element count at which promotion to the bitmap representation
-  /// is first considered.  Calibrated with bench/micro_engine's BM_IdSet*
-  /// benchmarks: below ~48 elements the sorted vector's linear memory wins;
-  /// above it, mid-vector insertion shifts start to dominate and the
+  /// Element count at which promotion to the bitmap representation is
+  /// first considered: below ~48 elements the sorted vector's linear memory
+  /// wins; above it, mid-vector insertion shifts start to dominate and the
   /// word-wise union is strictly cheaper (DESIGN.md section 11).
   static constexpr uint32_t DefaultPromoteThreshold = 48;
-
-  IdSet() = default;
-  /// \p PromoteThreshold overrides the promotion size (tests use tiny
-  /// thresholds to exercise both representations cheaply).  A threshold of
-  /// 0 behaves like 1: any insert may promote, density permitting.
-  explicit IdSet(uint32_t PromoteThreshold) : Threshold(PromoteThreshold) {}
 
   /// \returns true if the set contains \p Value.
   bool contains(uint32_t Value) const {
@@ -68,38 +62,19 @@ public:
            (Words[Word] >> (Value & 63)) & uint64_t(1);
   }
 
-  /// Inserts \p Value. \returns true if it was newly added.
-  bool insert(uint32_t Value);
-
   /// Merges the sorted duplicate-free \p Values, all of which must be
   /// absent from the set (the caller already knows they are new — e.g. the
   /// set store adding a union's new elements to a copy of its destination).
-  void insertNewSorted(const SortedIdSet &Values);
+  void insertNewSorted(std::span<const uint32_t> Values);
 
   size_t size() const { return Dense ? Count : Small.size(); }
   bool empty() const { return size() == 0; }
 
   /// Resets to an empty small-representation set, releasing storage.
-  void clear() {
-    Small.clear();
-    Small.shrink_to_fit();
-    Words.clear();
-    Words.shrink_to_fit();
-    Count = 0;
-    Dense = false;
-  }
+  void clear() { *this = IdSet(); }
 
   /// \returns true if the set currently uses the bitmap representation.
   bool isDense() const { return Dense; }
-
-  /// Deterministic payload-storage estimate in bytes: element storage for
-  /// the vector representation, word storage for the bitmap.  Based on
-  /// logical sizes, not allocator capacities, so budget decisions derived
-  /// from it are identical across platforms and library implementations.
-  uint64_t approxBytes() const {
-    return Dense ? Words.size() * sizeof(uint64_t)
-                 : Small.size() * sizeof(uint32_t);
-  }
 
   /// Calls \p Fn(uint32_t) for every element in ascending order.
   template <typename FnT> void forEach(FnT &&Fn) const {
@@ -116,16 +91,6 @@ public:
         Bits &= Bits - 1;
       }
     }
-  }
-
-  /// \returns the contents as a sorted vector.
-  SortedIdSet toVector() const {
-    if (!Dense)
-      return Small;
-    SortedIdSet Out;
-    Out.reserve(Count);
-    forEach([&Out](uint32_t Value) { Out.push_back(Value); });
-    return Out;
   }
 
   /// Ascending-order forward iteration over both representations.
@@ -173,7 +138,6 @@ public:
   /// Structural equality over the logical contents (representations may
   /// differ).
   bool operator==(const IdSet &Other) const;
-  bool operator!=(const IdSet &Other) const { return !(*this == Other); }
 
 private:
   /// First set bit at or after \p From; Words.size()*64 when none.
@@ -198,10 +162,9 @@ private:
   /// false (the caller must reissue the operation on the small path).
   bool ensureDenseCapacity(uint32_t MaxValue, size_t FinalCount);
 
-  SortedIdSet Small;           ///< Sorted-vector representation.
-  std::vector<uint64_t> Words; ///< Bitmap representation.
-  size_t Count = 0;            ///< Element count (bitmap representation).
-  uint32_t Threshold = DefaultPromoteThreshold;
+  CountedVector<uint32_t> Small; ///< Sorted-vector representation.
+  CountedVector<uint64_t> Words; ///< Bitmap representation.
+  size_t Count = 0;              ///< Element count (bitmap representation).
   bool Dense = false;
 };
 

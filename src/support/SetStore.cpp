@@ -29,14 +29,14 @@ SetStore::SetStore() {
   SlotOf.push_back(0);
 }
 
-uint64_t SetStore::hashOf(const SortedIdSet &Values) {
+uint64_t SetStore::hashOf(std::span<const uint32_t> Values) {
   uint64_t Hash = 0;
   for (uint32_t Value : Values)
     Hash += mix(Value);
   return Hash;
 }
 
-SetId SetStore::intern(const SortedIdSet &Values) {
+SetId SetStore::intern(std::span<const uint32_t> Values) {
   if (Values.empty())
     return EmptySet;
   Built.clear();
@@ -61,7 +61,6 @@ SetId SetStore::intern(IdSet &Set, uint64_t Hash) {
   New.Set = std::exchange(Set, IdSet());
   New.Hash = Hash;
   New.Count = 0;
-  PayloadBytes += New.Set.approxBytes();
   SetId Id = static_cast<SetId>(SlotOf.size());
   SlotOf.push_back(Slot);
   ByHash.emplace(Hash, Id);
@@ -76,7 +75,6 @@ void SetStore::unhash(SetId Id) {
       ByHash.erase(It);
       break;
     }
-  PayloadBytes -= E.Set.approxBytes();
 }
 
 void SetStore::free(SetId Id) {
@@ -162,12 +160,6 @@ void SetStore::maybePurge() {
   PurgeAt = std::max<size_t>(1024, 2 * (Unions.size() + Filters.size()));
 }
 
-uint64_t SetStore::liveBytes() const {
-  return PayloadBytes + Entries.size() * sizeof(Entry) +
-         SlotOf.size() * sizeof(uint32_t) +
-         (ByHash.size() + Unions.size() + Filters.size()) * HashEntryBytes;
-}
-
 bool SetStore::consistent(std::span<const SetId> Slots) const {
   std::vector<uint32_t> Named(SlotOf.size(), 0);
   for (SetId Id : Slots) {
@@ -183,7 +175,7 @@ bool SetStore::consistent(std::span<const SetId> Slots) const {
       continue;
     const Entry &E = Entries[SlotOf[Id]];
     if (E.Count == 0 || E.Count != Named[Id] ||
-        E.Hash != hashOf(E.Set.toVector()))
+        E.Hash != hashOf(SortedIdSet(E.Set.begin(), E.Set.end())))
       return false;
     ByContent.push_back({E.Hash, Id});
   }

@@ -28,7 +28,7 @@
 ///
 /// A payload is immutable and its address is stable while its set is live,
 /// so a caller may iterate a retained set while it interns and frees
-/// others.
+/// others.  Its tables, memos and payloads are Counted (Meter.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,24 +36,24 @@
 #define SUPPORT_SETSTORE_H
 
 #include "support/IdSet.h"
+#include "support/Meter.h"
 
 #include <cstdint>
 #include <deque>
 #include <span>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 namespace intro {
 
 /// Names one interned set of a SetStore.
 using SetId = uint32_t;
 
-/// Bytes one entry of a std::unordered_map<uint64_t, uint32_t> allocates:
-/// its node (a next pointer and the key/value pair) plus one bucket pointer
-/// at the default maximum load factor of 1.
-inline constexpr uint64_t HashEntryBytes =
-    2 * sizeof(void *) + sizeof(std::pair<const uint64_t, uint32_t>);
+/// A hash map (\p MapT) from uint64_t on the Counted allocator.
+template <template <typename...> class MapT, typename ValueT>
+using CountedHash = MapT<uint64_t, ValueT, std::hash<uint64_t>,
+                         std::equal_to<uint64_t>,
+                         Counted<std::pair<const uint64_t, ValueT>>>;
 
 /// A store of interned, reference-counted, immutable sets.  See the file
 /// comment.
@@ -71,7 +71,7 @@ public:
   bool live(SetId Id) const { return SlotOf[Id] != NoSlot; }
 
   /// Interns the sorted, duplicate-free \p Values.
-  SetId intern(const SortedIdSet &Values);
+  SetId intern(std::span<const uint32_t> Values);
 
   /// Counts one more slot naming \p Id.
   void retain(SetId Id) {
@@ -124,11 +124,6 @@ public:
     return Admitted;
   }
 
-  /// Bytes the store holds now: each live payload once (IdSet::approxBytes),
-  /// every entry slot and id, and one hash entry per interned set and per
-  /// memo entry.
-  uint64_t liveBytes() const;
-
   /// Memo probes answered without computing.
   uint64_t memoHits() const { return Hits; }
 
@@ -152,12 +147,12 @@ private:
     return (static_cast<uint64_t>(High) << 32) | Low;
   }
   /// The hash of the sorted \p Values.
-  static uint64_t hashOf(const SortedIdSet &Values);
+  static uint64_t hashOf(std::span<const uint32_t> Values);
 
   /// Interns \p Set, whose hash is \p Hash: an equal live set's id, or a
   /// new id.  Moves from \p Set only in the second case.
   SetId intern(IdSet &Set, uint64_t Hash);
-  /// Takes live set \p Id out of ByHash and PayloadBytes.
+  /// Takes live set \p Id out of ByHash.
   void unhash(SetId Id);
   void free(SetId Id);
   /// Drops the memo entries that name a freed set, once the memo has
@@ -165,20 +160,19 @@ private:
   void maybePurge();
 
   /// Payloads by slot.  A deque, so that interning never moves a payload.
-  std::deque<Entry> Entries;
-  std::vector<uint32_t> FreeSlots;
-  std::vector<uint32_t> SlotOf; ///< Slot of each id ever handed out.
-  std::unordered_multimap<uint64_t, SetId> ByHash;
-  std::vector<SetId> Fresh; ///< Interned since the last collect().
+  std::deque<Entry, Counted<Entry>> Entries;
+  CountedVector<uint32_t> FreeSlots;
+  CountedVector<uint32_t> SlotOf; ///< Slot of each id ever handed out.
+  CountedHash<std::unordered_multimap, SetId> ByHash;
+  CountedVector<SetId> Fresh; ///< Interned since the last collect().
   /// (dst, src) -> (union, added) and (src, key) -> admitted subset.
-  std::unordered_map<uint64_t, Union> Unions;
-  std::unordered_map<uint64_t, SetId> Filters;
+  CountedHash<std::unordered_map, Union> Unions;
+  CountedHash<std::unordered_map, SetId> Filters;
   size_t PurgeAt = 1024;
-  uint64_t PayloadBytes = 0; ///< approxBytes of the live payloads.
   uint64_t Hits = 0;
 
   // Scratch reused by unite() and filter().
-  SortedIdSet Elements;
+  CountedVector<uint32_t> Elements;
   IdSet Built;
 };
 

@@ -25,13 +25,14 @@ namespace intro {
 using SortedIdSet = std::vector<uint32_t>;
 
 /// \returns true if \p Set contains \p Value.
-inline bool setContains(const SortedIdSet &Set, uint32_t Value) {
+template <typename AllocT>
+bool setContains(const std::vector<uint32_t, AllocT> &Set, uint32_t Value) {
   return std::binary_search(Set.begin(), Set.end(), Value);
 }
 
 /// Inserts \p Value into \p Set. \returns true if it was newly added.
-template <typename T>
-bool setInsert(std::vector<T> &Set, std::type_identity_t<T> Value) {
+template <typename T, typename AllocT>
+bool setInsert(std::vector<T, AllocT> &Set, std::type_identity_t<T> Value) {
   auto It = std::lower_bound(Set.begin(), Set.end(), Value);
   if (It != Set.end() && *It == Value)
     return false;

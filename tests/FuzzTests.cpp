@@ -226,8 +226,9 @@ TEST(FuzzOracles, EveryPlantedBugIsDetected) {
 }
 
 TEST(FuzzOracles, BudgetPrefixHoldsOnBiasedProgramsAndSkipsCappedOnes) {
-  // A run stopped at half the completed run's pops must be a sound prefix
-  // of it, for insens and 2objH, over every generator bias.
+  // A run stopped at half the completed run's pops, and one stopped at
+  // half its approx_bytes, must be sound prefixes of it, for insens and
+  // 2objH, over every generator bias.
   OracleOptions Options;
   Options.Oracles = OracleSet().enable(OracleKind::BudgetPrefix);
   uint32_t ChecksRun = 0;

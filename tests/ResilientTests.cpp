@@ -384,9 +384,9 @@ TEST(Resilient, TightenedRoundsExcludeMoreEachTime) {
 TEST(Resilient, TightenedRoundRDividesParamsAByFourToTheR) {
   // Round r of the tightened rung solves with ParamsA's K/L/M divided by
   // 4^r.  Plain IntroA is faulted, so the ladder reaches the tightened
-  // rounds; in the second run the refined memory budget sits between the
-  // two rounds' footprints (round 2 excludes more, so it is smaller), so
-  // round 1 fails and round 2 wins.
+  // rounds; in the second run the tightened rung's fault plan stops at a
+  // pop between the two rounds' pop counts (on chart round 2 pops fewer
+  // nodes), so round 1 fails and round 2 wins.
   Program Prog = chartProgram();
   auto Refined = makeObjectPolicy(Prog, 2, 1);
   PassAOutcome PassA = runPassA(Prog, SolverOptions());
@@ -398,20 +398,20 @@ TEST(Resilient, TightenedRoundRDividesParamsAByFourToTheR) {
     Params.M /= Divisor;
     return applyHeuristicA(Prog, PassA.Insens, PassA.Metrics, Params);
   };
-  auto BytesUnder = [&](const RefinementExceptions &Exceptions) {
+  auto PopsUnder = [&](const RefinementExceptions &Exceptions) {
     auto Insensitive = makeInsensitivePolicy();
     auto Policy =
         makeIntrospectivePolicy("probe", *Insensitive, *Refined, Exceptions);
     ContextTable Table;
     PointsToResult R = solvePointsTo(Prog, *Policy, Table);
     EXPECT_TRUE(isCompleted(R.Status));
-    return R.Stats.ApproxBytes;
+    return R.Stats.WorklistPops;
   };
   RefinementExceptions Round1 = ExceptionsAt(4);
   RefinementExceptions Round2 = ExceptionsAt(16);
-  uint64_t Bytes1 = BytesUnder(Round1);
-  uint64_t Bytes2 = BytesUnder(Round2);
-  ASSERT_LT(Bytes2, Bytes1) << "chart must tell the two rounds apart";
+  uint64_t Pops1 = PopsUnder(Round1);
+  uint64_t Pops2 = PopsUnder(Round2);
+  ASSERT_LT(Pops2, Pops1) << "chart must tell the two rounds apart";
 
   ResilientOptions Options;
   Options.AttemptDeep = false;
@@ -423,12 +423,14 @@ TEST(Resilient, TightenedRoundRDividesParamsAByFourToTheR) {
   EXPECT_EQ(First.Trace.back().TightenedRound, 1u);
   EXPECT_TRUE(First.Exceptions == Round1);
 
-  Options.RefinedBudget.MaxBytes = Bytes2 + (Bytes1 - Bytes2) / 2;
+  FaultPlan &Between = Options.faultsFor(DegradationLevel::TightenedIntroA);
+  Between = failFast();
+  Between.FailAtPop = Pops2 + (Pops1 - Pops2 + 1) / 2;
   ResilientOutcome Second = runResilient(Prog, *Refined, Options);
   ASSERT_TRUE(Second.completed());
   EXPECT_EQ(Second.Level, DegradationLevel::TightenedIntroA);
   ASSERT_EQ(Second.Trace.size(), 4u); // insensitive, introA, two rounds.
-  EXPECT_EQ(Second.Trace[2].Status, SolveStatus::MemoryBudgetExceeded);
+  EXPECT_EQ(Second.Trace[2].Status, SolveStatus::TupleBudgetExceeded);
   EXPECT_EQ(Second.Trace[3].TightenedRound, 2u);
   EXPECT_TRUE(Second.Exceptions == Round2);
 }
@@ -439,10 +441,10 @@ TEST(DeepTupleCap, FloorRatioClampAndSaturation) {
   SolveBudget Absolute; // 100M tuples.
   // Small programs keep the floor: the deep rung is cheap there.
   EXPECT_EQ(deepTupleCap(Absolute, 0), DeepCapFloorTuples);
-  EXPECT_EQ(deepTupleCap(Absolute, 99'999), DeepCapFloorTuples);
-  EXPECT_EQ(deepTupleCap(Absolute, 100'000), DeepCapFloorTuples);
+  EXPECT_EQ(deepTupleCap(Absolute, 199'999), DeepCapFloorTuples);
+  EXPECT_EQ(deepTupleCap(Absolute, 200'000), DeepCapFloorTuples);
   // Above it, the cap is DeepCapRatio times the Pass-A tuples.
-  EXPECT_EQ(deepTupleCap(Absolute, 100'001), 1'000'010u);
+  EXPECT_EQ(deepTupleCap(Absolute, 200'001), 2'000'010u);
   EXPECT_EQ(deepTupleCap(Absolute, 2'294'371), 22'943'710u);
   // It never exceeds the absolute budget...
   EXPECT_EQ(deepTupleCap(Absolute, 10'000'001), Absolute.MaxTuples);

@@ -6,6 +6,7 @@
 
 #include "support/Concat.h"
 #include "support/Ids.h"
+#include "support/Meter.h"
 #include "support/Overflow.h"
 #include "support/ParseNum.h"
 #include "support/Rng.h"
@@ -19,6 +20,7 @@
 
 #include <chrono>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <type_traits>
 
@@ -173,6 +175,58 @@ TEST(SetUtils, NormalizeSortsAndDedupes) {
   SortedIdSet Values = {5, 1, 5, 3, 1};
   setNormalize(Values);
   EXPECT_EQ(Values, (SortedIdSet{1, 3, 5}));
+}
+
+TEST(Meter, CountsRequestedCapacity) {
+  MeterScope Meter;
+  CountedVector<uint32_t> Values;
+  Values.reserve(10);
+  EXPECT_EQ(Meter.live(), 10 * sizeof(uint32_t));
+  Values.assign(3, 7); // Within capacity: nothing new is requested.
+  EXPECT_EQ(Meter.live(), 10 * sizeof(uint32_t));
+  Values.reserve(25);
+  EXPECT_EQ(Meter.live(), 25 * sizeof(uint32_t));
+  // Growth held both buffers at once.
+  EXPECT_EQ(Meter.peak(), 35 * sizeof(uint32_t));
+}
+
+TEST(Meter, LiveReturnsToZeroWhenContainersDie) {
+  MeterScope Meter;
+  {
+    CountedVector<uint64_t> Words(100);
+    std::set<int, std::less<int>, Counted<int>> Tree = {1, 2, 3};
+    EXPECT_GT(Meter.live(), 100 * sizeof(uint64_t));
+  }
+  EXPECT_EQ(Meter.live(), 0u);
+  EXPECT_GT(Meter.peak(), 100 * sizeof(uint64_t));
+}
+
+TEST(Meter, NestedScopesRestoreTheOuterMeter) {
+  MeterScope Outer;
+  CountedVector<uint32_t> A(4);
+  {
+    MeterScope Inner;
+    CountedVector<uint32_t> B(8);
+    EXPECT_EQ(Inner.live(), 8 * sizeof(uint32_t));
+    EXPECT_EQ(Outer.live(), 4 * sizeof(uint32_t));
+  }
+  CountedVector<uint32_t> C(2);
+  EXPECT_EQ(Outer.live(), 6 * sizeof(uint32_t));
+  EXPECT_EQ(Outer.peak(), 6 * sizeof(uint32_t));
+}
+
+TEST(Meter, NothingCountsWhileNoScopeIsOpen) {
+  CountedVector<uint32_t> Before(100);
+  {
+    MeterScope Meter;
+    CountedVector<uint32_t> During(5);
+    EXPECT_EQ(Meter.live(), 5 * sizeof(uint32_t));
+  }
+  CountedVector<uint32_t> After(7);
+  // Both vectors are freed after this scope closes: it never sees them.
+  MeterScope Meter;
+  EXPECT_EQ(Meter.live(), 0u);
+  EXPECT_EQ(Meter.peak(), 0u);
 }
 
 TEST(TableWriter, AlignsColumns) {

@@ -18,7 +18,7 @@
 ///   - a no-allocation assertion for the disabled (no recorder) path,
 ///   - solver / resilient-driver integration (counters, rung spans, trip
 ///     instants, normalization notes, win/loss flags),
-///   - the solver's ApproxBytes estimate against the peak live heap,
+///   - the solver's metered ApproxBytes against the peak live heap,
 ///   - empty-program statistics, zero-knob options, and empty attempt
 ///     traces.
 ///
@@ -520,9 +520,10 @@ TEST(TraceSolverTest, SolverStatsJsonIsValid) {
   EXPECT_NE(Out.str().find("\"worklist_pops\":"), std::string::npos);
 }
 
-// ApproxBytes is a deterministic estimate, not a measurement; this pins it
-// between a fifth of the solve's real peak live heap and that peak, so the
-// memory budget neither overshoots real allocation nor drifts far below it.
+// ApproxBytes is the peak of the bytes the solve's containers request
+// (support/Meter.h); this pins it between 0.35 of the solve's real peak
+// live heap and that peak, so the memory budget neither overshoots real
+// allocation nor drifts far below it.
 TEST(TraceSolverTest, ApproxBytesBoundsThePeakLiveHeap) {
   Program Prog = generateWorkload(dacapoProfile("chart"));
   std::unique_ptr<ContextPolicy> Policies[] = {makeInsensitivePolicy(),
@@ -536,7 +537,7 @@ TEST(TraceSolverTest, ApproxBytesBoundsThePeakLiveHeap) {
         PeakLiveBytes.load(std::memory_order_relaxed) - Before);
     ASSERT_TRUE(isCompleted(Result.Status)) << Policy->name();
     EXPECT_LE(Result.Stats.ApproxBytes, Peak) << Policy->name();
-    EXPECT_GE(Result.Stats.ApproxBytes * 5, Peak) << Policy->name();
+    EXPECT_GE(Result.Stats.ApproxBytes * 100, Peak * 35) << Policy->name();
   }
 }
 
