@@ -16,7 +16,7 @@ EscapeResult intro::computeEscape(const Program &Prog,
   EscapeResult Escape;
   Escape.Escapes.assign(Prog.numHeaps(), false);
 
-  auto MarkAll = [&](const SortedIdSet &Heaps) {
+  auto MarkAll = [&](const SharedIdSet &Heaps) {
     for (uint32_t HeapRaw : Heaps)
       Escape.Escapes[HeapRaw] = true;
   };
@@ -25,10 +25,10 @@ EscapeResult intro::computeEscape(const Program &Prog,
   for (const FieldCell &Cell : Result.FieldHeaps)
     MarkAll(Cell.Heaps);
   // Stored into a static field: globally visible.
-  for (const SortedIdSet &Heaps : Result.StaticFieldHeaps)
+  for (const SharedIdSet &Heaps : Result.StaticFieldHeaps)
     MarkAll(Heaps);
   // Escaping via an exception.
-  for (const SortedIdSet &Heaps : Result.MethodThrows)
+  for (const SharedIdSet &Heaps : Result.MethodThrows)
     MarkAll(Heaps);
 
   // Observed by a variable of a method other than the allocating one

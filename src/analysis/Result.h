@@ -151,16 +151,19 @@ inline constexpr std::pair<const char *, uint64_t SolverStats::*>
 struct FieldCell {
   uint32_t BaseHeap = 0; ///< Raw HeapId of the base object.
   uint32_t Field = 0;    ///< Raw FieldId.
-  SortedIdSet Heaps;     ///< Raw HeapIds.
+  SharedIdSet Heaps;     ///< Raw HeapIds.
 
   std::pair<uint32_t, uint32_t> key() const { return {BaseHeap, Field}; }
   bool operator==(const FieldCell &) const = default;
 };
 
 /// The result of a points-to analysis run.  Every projection is indexed by
-/// a dense id or sorted by one, so equal results hold equal bytes and
-/// iterate in the same order.  Under Assembly::Stats the four heap
-/// projections are empty, and the accessors answer the empty set.
+/// a dense id or sorted by one, so equal results hold equal sets and
+/// iterate in the same order.  The four heap projections are SharedIdSets:
+/// targets whose nodes name one points-to set share one payload (so their
+/// accessors may answer one address), and copies of a result share its
+/// payloads.  Under Assembly::Stats the four heap projections are empty,
+/// and the accessors answer the empty set.
 class PointsToResult {
 public:
   SolveStatus Status = SolveStatus::Completed;
@@ -169,7 +172,7 @@ public:
 
   /// Per-variable points-to set, projected to allocation sites (contexts
   /// collapsed).  Indexed by VarId; values are raw HeapIds.
-  std::vector<SortedIdSet> VarHeaps;
+  std::vector<SharedIdSet> VarHeaps;
 
   /// Per-(base heap, field) points-to sets, contexts collapsed: one cell
   /// per pair that has a field node (empty cells included), sorted by
@@ -181,11 +184,11 @@ public:
 
   /// Per-static-field points-to set, contexts collapsed.  Indexed by
   /// FieldId; values are raw HeapIds.
-  std::vector<SortedIdSet> StaticFieldHeaps;
+  std::vector<SharedIdSet> StaticFieldHeaps;
 
   /// Per-method escaping-exception set, contexts collapsed.  Indexed by
   /// MethodId; values are raw HeapIds.
-  std::vector<SortedIdSet> MethodThrows;
+  std::vector<SharedIdSet> MethodThrows;
 
   /// Per-call-site resolved targets (contexts collapsed).  Indexed by
   /// SiteId; values are raw MethodIds.  Static sites have exactly their
@@ -215,7 +218,8 @@ public:
   /// \returns the heaps that \p Var may point to (contexts collapsed).
   /// Out-of-range (or invalid) ids yield the shared empty set.
   const SortedIdSet &pointsTo(VarId Var) const {
-    return Var.raw() < VarHeaps.size() ? VarHeaps[Var.raw()] : emptySet();
+    return Var.raw() < VarHeaps.size() ? VarHeaps[Var.raw()].get()
+                                       : emptySet();
   }
 
   /// \returns the methods that the call at \p Site may invoke.
@@ -231,34 +235,31 @@ public:
   const SortedIdSet &fieldPointsTo(HeapId BaseHeap, FieldId Field) const {
     std::pair Key(BaseHeap.raw(), Field.raw());
     auto It = std::ranges::lower_bound(FieldHeaps, Key, {}, &FieldCell::key);
-    return It != FieldHeaps.end() && It->key() == Key ? It->Heaps : emptySet();
+    return It != FieldHeaps.end() && It->key() == Key ? It->Heaps.get()
+                                                      : emptySet();
   }
 
   /// \returns the heaps static field \p Field may point to.
   /// Out-of-range (or invalid) ids yield the shared empty set.
   const SortedIdSet &staticPointsTo(FieldId Field) const {
     return Field.raw() < StaticFieldHeaps.size()
-               ? StaticFieldHeaps[Field.raw()]
+               ? StaticFieldHeaps[Field.raw()].get()
                : emptySet();
   }
 
   /// \returns the exception objects escaping \p Method (ctxs collapsed).
   /// Out-of-range (or invalid) ids yield the shared empty set.
   const SortedIdSet &throwsOf(MethodId Method) const {
-    return Method.raw() < MethodThrows.size() ? MethodThrows[Method.raw()]
-                                              : emptySet();
+    return Method.raw() < MethodThrows.size()
+               ? MethodThrows[Method.raw()].get()
+               : emptySet();
   }
 
-  /// The shared empty set returned for ids outside the analyzed program.
-  /// Deliberately a function-local `static const`: initialization is
-  /// guaranteed thread-safe (C++11 magic statics) and the object is
-  /// immutable afterwards, so concurrent readers — e.g. clients querying a
-  /// result from several threads — can all hold references to it without
-  /// synchronization.
-  static const SortedIdSet &emptySet() {
-    static const SortedIdSet Empty;
-    return Empty;
-  }
+  /// The shared empty set returned for ids outside the analyzed program
+  /// and for empty projections: emptyIdSet(), a function-local `static
+  /// const` that concurrent readers — e.g. clients querying a result from
+  /// several threads — can all hold references to without synchronization.
+  static const SortedIdSet &emptySet() { return emptyIdSet(); }
 };
 
 } // namespace intro

@@ -75,25 +75,64 @@ struct ObjectInfo {
   CountedVector<std::pair<uint32_t, uint32_t>> FieldNodes;
 };
 
-/// Gathers the heaps of a target's nodes as a sorted, duplicate-free set,
-/// with no sort.  Objects are numbered in discovery order, not heap order,
-/// so mark() sets the heap bit of each of a node's objects in a bitmap
-/// over heap ids, and sweepInto() reads the set bits back in ascending
-/// order: the heaps come out sorted, and the heap contexts of one heap
-/// share its bit.  A summary bitmap over the words lets the sweep visit,
-/// and clear, only the touched words.
+/// Projects the nodes of one target (a var, a method's throws, a field cell
+/// or a static field: one node per context) onto the heaps of their
+/// objects, as a sorted, duplicate-free SharedIdSet.
+///
+/// A target whose nodes all name one set (empty sets aside) shares that
+/// set's projection, memoized by SetId: every target of an insensitive
+/// solve has one node, and many name the same set, so each distinct set is
+/// projected once.  Other targets gather the union of their sets with no
+/// sort.  Objects are numbered in discovery order, not heap order, so
+/// mark() sets the heap bit of each of a set's objects in a bitmap over
+/// heap ids, and sweep() reads the set bits back in ascending order: the
+/// heaps come out sorted, and the heap contexts of one heap share its bit.
+/// A summary bitmap over the words lets the sweep visit, and clear, only
+/// the touched words.
 class HeapGather {
 public:
-  HeapGather(std::span<const ObjectInfo> Objects, size_t NumHeaps)
-      : HeapOf(Objects.size()), Words((NumHeaps + 63) / 64),
+  HeapGather(const SetStore &Store, std::span<const ObjectInfo> Objects,
+             size_t NumHeaps)
+      : Store(Store), HeapOf(Objects.size()), Words((NumHeaps + 63) / 64),
         Summary((Words.size() + 63) / 64) {
     for (size_t Object = 0; Object < Objects.size(); ++Object)
       HeapOf[Object] = Objects[Object].Heap;
   }
 
-  /// Adds the heaps of the objects of \p Pts to the pending set.
-  void mark(const IdSet &Pts) {
-    Pts.forEach([this](uint32_t Object) {
+  /// Adds \p Pts, the set of one of the pending target's nodes.
+  void add(SetId Pts) {
+    if (Pts == SetStore::EmptySet || Pts == Only)
+      return;
+    if (Only == SetStore::EmptySet) {
+      Only = Pts;
+      return;
+    }
+    if (!Mixed) {
+      mark(Only);
+      Mixed = true;
+    }
+    mark(Pts);
+  }
+
+  /// \returns the projection of the sets added since the last take().
+  SharedIdSet take() {
+    SetId Pts = std::exchange(Only, SetStore::EmptySet);
+    if (std::exchange(Mixed, false))
+      return SharedIdSet(sweep());
+    if (Pts == SetStore::EmptySet)
+      return {};
+    auto [It, Inserted] = Memo.try_emplace(Pts);
+    if (Inserted) {
+      mark(Pts);
+      It->second = SharedIdSet(sweep());
+    }
+    return It->second;
+  }
+
+private:
+  /// Adds the heaps of the objects of \p Pts to the bitmap.
+  void mark(SetId Pts) {
+    Store.get(Pts).forEach([this](uint32_t Object) {
       uint32_t Heap = HeapOf[Object];
       uint64_t &Word = Words[Heap >> 6];
       uint64_t Bit = uint64_t(1) << (Heap & 63);
@@ -110,10 +149,9 @@ public:
     });
   }
 
-  /// Fills the empty \p Heaps with the pending set, ascending, and empties
-  /// the pending set.
-  void sweepInto(SortedIdSet &Heaps) {
-    Heaps.resize(Marked);
+  /// \returns the marked heaps, ascending, and clears the bitmap.
+  SortedIdSet sweep() {
+    SortedIdSet Heaps(Marked);
     uint32_t *Out = Heaps.data();
     for (size_t S = SummaryLo; S <= SummaryHi; ++S) {
       for (uint64_t Touched = std::exchange(Summary[S], 0); Touched != 0;
@@ -128,15 +166,20 @@ public:
     Marked = 0;
     SummaryLo = SIZE_MAX;
     SummaryHi = 0;
+    return Heaps;
   }
 
-private:
-  std::vector<uint32_t> HeapOf;  ///< Object -> raw HeapId.
-  std::vector<uint64_t> Words;   ///< Pending heaps.
-  std::vector<uint64_t> Summary; ///< Words that hold a pending heap.
-  uint32_t Marked = 0;           ///< Pending heaps.
-  size_t SummaryLo = SIZE_MAX;   ///< Least touched Summary word.
-  size_t SummaryHi = 0;          ///< Greatest touched Summary word.
+  const SetStore &Store;
+  /// The projection of each set that was a target's only set.
+  std::unordered_map<SetId, SharedIdSet> Memo;
+  SetId Only = SetStore::EmptySet; ///< The pending target's first set.
+  bool Mixed = false;              ///< It has another: both are marked.
+  std::vector<uint32_t> HeapOf;    ///< Object -> raw HeapId.
+  std::vector<uint64_t> Words;     ///< Marked heaps.
+  std::vector<uint64_t> Summary;   ///< Words that hold a marked heap.
+  uint32_t Marked = 0;             ///< Marked heaps.
+  size_t SummaryLo = SIZE_MAX;     ///< Least touched Summary word.
+  size_t SummaryHi = 0;            ///< Greatest touched Summary word.
 };
 
 class Solver {
@@ -580,10 +623,10 @@ private:
   }
 
   /// Fills the four heap projections: each var, method's throws, field cell
-  /// and static field marks the objects of all its nodes (one per context)
-  /// in one HeapGather, which sweeps them out as its sorted heap set.
+  /// and static field adds the sets of all its nodes (one per context) to
+  /// one HeapGather, which projects them onto their sorted heap set.
   void assembleProjections(PointsToResult &Result) const {
-    HeapGather Gather(Objects, Prog.numHeaps());
+    HeapGather Gather(Store, Objects, Prog.numHeaps());
 
     // The entries of each method, grouped by a counting sort, so that all
     // nodes of a local (or of the method's throws) are marked together.
@@ -609,13 +652,13 @@ private:
         for (uint32_t MC : Entries)
           if (uint32_t N = VarSlots[MethodContexts[MC].FirstVarSlot + Local];
               N != NoNode)
-            Gather.mark(Store.get(Nodes[N].Pts));
-        Gather.sweepInto(Result.VarHeaps[Locals[Local].index()]);
+            Gather.add(Nodes[N].Pts);
+        Result.VarHeaps[Locals[Local].index()] = Gather.take();
       }
       for (uint32_t MC : Entries)
         if (uint32_t N = MethodContexts[MC].ThrowNode; N != NoNode)
-          Gather.mark(Store.get(Nodes[N].Pts));
-      Gather.sweepInto(Result.MethodThrows[Method]);
+          Gather.add(Nodes[N].Pts);
+      Result.MethodThrows[Method] = Gather.take();
     }
 
     // (base heap, field, node) of every field node, sorted so that the
@@ -632,16 +675,16 @@ private:
              std::pair(FieldCellNodes[I][0], FieldCellNodes[I][1]) ==
                  Cell.key();
            ++I)
-        Gather.mark(Store.get(Nodes[FieldCellNodes[I][2]].Pts));
-      Gather.sweepInto(Cell.Heaps);
+        Gather.add(Nodes[FieldCellNodes[I][2]].Pts);
+      Cell.Heaps = Gather.take();
     }
 
     Result.StaticFieldHeaps.resize(Prog.numFields());
     for (uint32_t FieldRaw = 0; FieldRaw < StaticFieldNodes.size();
          ++FieldRaw)
       if (StaticFieldNodes[FieldRaw] != NoNode) {
-        Gather.mark(Store.get(Nodes[StaticFieldNodes[FieldRaw]].Pts));
-        Gather.sweepInto(Result.StaticFieldHeaps[FieldRaw]);
+        Gather.add(Nodes[StaticFieldNodes[FieldRaw]].Pts);
+        Result.StaticFieldHeaps[FieldRaw] = Gather.take();
       }
   }
 

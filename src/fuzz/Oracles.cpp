@@ -28,6 +28,7 @@
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <unistd.h>
 
 using namespace intro;
@@ -121,11 +122,12 @@ void intro::fuzz::applyPlantedBug(PlantedBug Bug, PointsToResult &Result) {
     // look right, joins silently lose facts.
     std::vector<std::pair<uint32_t, uint32_t>> Dropped;
     for (uint32_t Var = 0; Var < Result.VarHeaps.size(); ++Var) {
-      SortedIdSet &Set = Result.VarHeaps[Var];
+      const SortedIdSet &Set = Result.VarHeaps[Var].get();
       if (Set.size() < 2)
         continue;
       Dropped.emplace_back(Var, Set.back());
-      Set.pop_back();
+      Result.VarHeaps[Var] =
+          SharedIdSet(SortedIdSet(Set.begin(), Set.end() - 1));
     }
     auto WasDropped = [&](uint32_t Var, uint32_t Heap) {
       return std::binary_search(Dropped.begin(), Dropped.end(),
@@ -161,8 +163,8 @@ void intro::fuzz::applyPlantedBug(PlantedBug Bug, PointsToResult &Result) {
     return;
   }
   case PlantedBug::ForgetThrows:
-    for (SortedIdSet &Set : Result.MethodThrows)
-      Set.clear();
+    for (SharedIdSet &Set : Result.MethodThrows)
+      Set = SharedIdSet();
     Result.ThrowPointsTo.clear();
     return;
   }
@@ -201,22 +203,23 @@ void collectSubsetViolations(const Program &Prog, const PointsToResult &Part,
                          Small.end());
   };
   for (uint32_t Var = 0; Var < Part.VarHeaps.size(); ++Var)
-    if (!Subset(Part.VarHeaps[Var], Whole.pointsTo(VarId(Var))))
+    if (!Subset(Part.VarHeaps[Var].get(), Whole.pointsTo(VarId(Var))))
       V.add(Label + " points-to not a subset at " +
             std::string(Prog.varName(VarId(Var))));
   for (const FieldCell &Cell : Part.FieldHeaps)
-    if (!Subset(Cell.Heaps, Whole.fieldPointsTo(HeapId(Cell.BaseHeap),
+    if (!Subset(Cell.Heaps.get(), Whole.fieldPointsTo(HeapId(Cell.BaseHeap),
                                                 FieldId(Cell.Field))))
       V.add(Label + " field points-to not a subset at " +
             std::string(Prog.heapName(HeapId(Cell.BaseHeap))) + "." +
             std::string(Prog.fieldName(FieldId(Cell.Field))));
   for (uint32_t Field = 0; Field < Part.StaticFieldHeaps.size(); ++Field)
-    if (!Subset(Part.StaticFieldHeaps[Field],
+    if (!Subset(Part.StaticFieldHeaps[Field].get(),
                 Whole.staticPointsTo(FieldId(Field))))
       V.add(Label + " static-field points-to not a subset at " +
             std::string(Prog.fieldName(FieldId(Field))));
   for (uint32_t Method = 0; Method < Part.MethodThrows.size(); ++Method)
-    if (!Subset(Part.MethodThrows[Method], Whole.throwsOf(MethodId(Method))))
+    if (!Subset(Part.MethodThrows[Method].get(),
+                Whole.throwsOf(MethodId(Method))))
       V.add(Label + " escaping exceptions not a subset at " +
             std::string(Prog.methodName(MethodId(Method))));
   for (uint32_t Method = 0; Method < Part.MethodReachable.size(); ++Method)
@@ -441,13 +444,19 @@ projectTuples(size_t Size, const std::vector<std::array<uint32_t, N>> &Tuples,
 /// dump cannot show, so only its non-empty cells are compared.
 std::string describeProjectionDiff(const Program &Prog,
                                    const PointsToResult &Result) {
-  if (Result.VarHeaps != projectTuples(Prog.numVars(), Result.VarPointsTo, 0, 2))
+  auto SameSets = [](const std::vector<SharedIdSet> &Projected,
+                     const std::vector<SortedIdSet> &Dumped) {
+    return std::ranges::equal(Projected, Dumped, {}, &SharedIdSet::get);
+  };
+  if (!SameSets(Result.VarHeaps,
+                projectTuples(Prog.numVars(), Result.VarPointsTo, 0, 2)))
     return "projection: VarHeaps differs from VARPOINTSTO";
-  if (Result.StaticFieldHeaps !=
-      projectTuples(Prog.numFields(), Result.StaticFieldPointsTo, 0, 1))
+  if (!SameSets(Result.StaticFieldHeaps,
+                projectTuples(Prog.numFields(), Result.StaticFieldPointsTo, 0,
+                              1)))
     return "projection: StaticFieldHeaps differs from SFLDPOINTSTO";
-  if (Result.MethodThrows !=
-      projectTuples(Prog.numMethods(), Result.ThrowPointsTo, 0, 2))
+  if (!SameSets(Result.MethodThrows,
+                projectTuples(Prog.numMethods(), Result.ThrowPointsTo, 0, 2)))
     return "projection: MethodThrows differs from THROWPOINTSTO";
   if (Result.SiteTargets !=
       projectTuples(Prog.numSites(), Result.CallGraph, 0, 2))
@@ -465,10 +474,13 @@ std::string describeProjectionDiff(const Program &Prog,
   std::sort(Rows.begin(), Rows.end());
   Rows.erase(std::unique(Rows.begin(), Rows.end()), Rows.end());
   std::vector<FieldCell> Dumped;
-  for (const std::array<uint32_t, 3> &Row : Rows) {
-    if (Dumped.empty() || Dumped.back().key() != std::pair(Row[0], Row[1]))
-      Dumped.push_back({Row[0], Row[1], {}});
-    Dumped.back().Heaps.push_back(Row[2]);
+  SortedIdSet Heaps;
+  for (size_t I = 0; I < Rows.size(); ++I) {
+    Heaps.push_back(Rows[I][2]);
+    if (I + 1 == Rows.size() || Rows[I + 1][0] != Rows[I][0] ||
+        Rows[I + 1][1] != Rows[I][1])
+      Dumped.push_back(
+          {Rows[I][0], Rows[I][1], SharedIdSet(std::exchange(Heaps, {}))});
   }
   std::vector<FieldCell> NonEmpty;
   std::copy_if(Result.FieldHeaps.begin(), Result.FieldHeaps.end(),

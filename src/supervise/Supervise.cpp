@@ -590,6 +590,7 @@ JobResult intro::supervise::runSupervisedJob(const JobSpec &Job,
     Record.ExitCode = Child.ExitCode;
     Record.TermSignal = Child.TermSignal;
     Record.Seconds = Child.Seconds;
+    Record.MaxRssKb = Child.MaxRssKb;
     bool HasReport = decodeTranscript(Child.Output, Record, Result);
     Record.Class = classifyAttempt(Child, HasReport && Result.ResultCompleted);
 
@@ -852,6 +853,15 @@ void intro::supervise::writeBatchReportJson(JsonWriter &J,
     J.beginArray();
     for (const JobAttempt &A : Job.Attempts)
       J.value(A.Seconds);
+    J.endArray();
+    J.key("attempt_max_rss_kb");
+    J.beginArray();
+    for (const JobAttempt &A : Job.Attempts) {
+      if (A.MaxRssKb == 0)
+        J.null(); // The reap returned no rusage.
+      else
+        J.value(A.MaxRssKb);
+    }
     J.endArray();
     J.endObject();
   }

@@ -180,6 +180,9 @@ struct JobAttempt {
   bool CacheEnabled = false;
   cache::CacheStats Cache;
   double Seconds = 0; ///< Wall clock of the attempt (timing-only).
+  /// The child's peak resident set in KiB (ChildResult::MaxRssKb); 0 when
+  /// the attempt was not reaped with rusage (timing-only).
+  uint64_t MaxRssKb = 0;
 };
 
 /// The final record of one job after retries settled.

@@ -147,7 +147,7 @@ std::mutex &forkMutex() {
   return M;
 }
 
-/// Turns the raw waitpid status into a ChildStatus.  Two deliberate
+/// Turns the raw wait status into a ChildStatus.  Two deliberate
 /// wrinkles: (a) a watchdog kill wins over whatever the status word says —
 /// the parent pulled the trigger, so the signal is ours, not the child's;
 /// (b) under an armed RLIMIT_AS, SIGABRT is read as out-of-memory, because
@@ -294,9 +294,11 @@ ChildResult intro::runSupervisedChild(const ChildLimits &Limits,
   // holds a copy: children drop inherited descriptors at start), so the
   // child has exited or our SIGKILL is in flight.
   int Status = 0;
-  while (::waitpid(Pid, &Status, 0) < 0 && errno == EINTR) {
+  struct rusage Usage {};
+  while (::wait4(Pid, &Status, 0, &Usage) < 0 && errno == EINTR) {
   }
   classify(Result, Status, WatchdogFired, Limits);
+  Result.MaxRssKb = static_cast<uint64_t>(Usage.ru_maxrss);
   Result.Seconds = Clock.seconds();
   return Result;
 }

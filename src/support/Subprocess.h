@@ -16,7 +16,7 @@
 /// can never deadlock against a full pipe buffer.
 ///
 /// The watchdog deadline and the cancel switch share one kill site in the
-/// drain loop.  Reaping is a single blocking waitpid on the exact pid after
+/// drain loop.  Reaping is a single blocking wait4 on the exact pid after
 /// the pipe reaches EOF: the child drops every inherited descriptor except
 /// stdio and its own report pipe at start, and closes that pipe only as it
 /// exits, so EOF means the child is gone (or our SIGKILL is in flight).
@@ -90,6 +90,9 @@ struct ChildResult {
   int TermSignal = 0;  ///< Valid when Status == Signalled (raw signo).
   std::string Output;  ///< Every byte the payload wrote to its pipe.
   double Seconds = 0;  ///< Wall clock from fork to reap (timing-only).
+  /// The child's peak resident set in KiB, from the reap's rusage
+  /// (ru_maxrss; timing-only, like Seconds).
+  uint64_t MaxRssKb = 0;
 };
 
 /// The payload a child runs: writes its report to the stream (backed by

@@ -73,11 +73,12 @@ cache::CachedPassA samplePassA() {
   R.Stats.CallGraphEdges = 9;
   R.Stats.WorklistPops = 123;
   R.Stats.ApproxBytes = 4096;
-  R.VarHeaps = {{1, 2, 3}, {}, {7}};
-  R.FieldHeaps = {{1, 9, {8}}, {5, 1, {2, 4}}, {5, 3, {}}};
+  auto Ids = [](SortedIdSet Values) { return SharedIdSet(std::move(Values)); };
+  R.VarHeaps = {Ids({1, 2, 3}), {}, Ids({7})};
+  R.FieldHeaps = {{1, 9, Ids({8})}, {5, 1, Ids({2, 4})}, {5, 3, {}}};
   R.MethodReachable = {true, false, true};
-  R.StaticFieldHeaps = {{}, {0, 9}, {}, {1}};
-  R.MethodThrows = {{4}, {}};
+  R.StaticFieldHeaps = {{}, Ids({0, 9}), {}, Ids({1})};
+  R.MethodThrows = {Ids({4}), {}};
   R.SiteTargets = {{0}, {1, 2}};
   R.VarPointsTo = {{1, 0, 2, 0}, {2, 0, 3, 0}};
   R.FieldPointsTo = {{5, 0, 1, 2, 0}};

@@ -277,9 +277,9 @@ TEST(FuzzOracles, ApplyPlantedBugDropsFromProjections) {
   PointsToResult Corrupt = Clean;
   applyPlantedBug(PlantedBug::DropMaxHeapPerVar, Corrupt);
   size_t CleanTotal = 0, CorruptTotal = 0;
-  for (const SortedIdSet &Set : Clean.VarHeaps)
+  for (const SharedIdSet &Set : Clean.VarHeaps)
     CleanTotal += Set.size();
-  for (const SortedIdSet &Set : Corrupt.VarHeaps)
+  for (const SharedIdSet &Set : Corrupt.VarHeaps)
     CorruptTotal += Set.size();
   EXPECT_LT(CorruptTotal, CleanTotal);
 }

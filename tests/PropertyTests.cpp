@@ -254,20 +254,21 @@ TEST_P(RandomProgramProperty, BudgetTrippedRunIsAPrefixOfTheCompletedRun) {
       ASSERT_EQ(Part.Status, SolveStatus::TupleBudgetExceeded) << Where;
 
       for (uint32_t Var = 0; Var < Part.VarHeaps.size(); ++Var)
-        EXPECT_TRUE(Subset(Part.VarHeaps[Var], Full.pointsTo(VarId(Var))))
+        EXPECT_TRUE(
+            Subset(Part.VarHeaps[Var].get(), Full.pointsTo(VarId(Var))))
             << Where << ": var " << Var;
       for (const FieldCell &Cell : Part.FieldHeaps)
-        EXPECT_TRUE(Subset(Cell.Heaps,
+        EXPECT_TRUE(Subset(Cell.Heaps.get(),
                            Full.fieldPointsTo(HeapId(Cell.BaseHeap),
                                               FieldId(Cell.Field))))
             << Where << ": field cell (" << Cell.BaseHeap << ", "
             << Cell.Field << ")";
       for (uint32_t Field = 0; Field < Part.StaticFieldHeaps.size(); ++Field)
-        EXPECT_TRUE(Subset(Part.StaticFieldHeaps[Field],
+        EXPECT_TRUE(Subset(Part.StaticFieldHeaps[Field].get(),
                            Full.staticPointsTo(FieldId(Field))))
             << Where << ": static field " << Field;
       for (uint32_t Method = 0; Method < Part.MethodThrows.size(); ++Method)
-        EXPECT_TRUE(Subset(Part.MethodThrows[Method],
+        EXPECT_TRUE(Subset(Part.MethodThrows[Method].get(),
                            Full.throwsOf(MethodId(Method))))
             << Where << ": throws of method " << Method;
       for (uint32_t Method = 0; Method < Part.MethodReachable.size();

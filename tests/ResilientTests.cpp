@@ -63,14 +63,14 @@ void expectConsistent(const Program &Prog, const PointsToResult &R) {
       }
     }
   };
-  for (const SortedIdSet &Heaps : R.VarHeaps)
-    ExpectSortedSet(Heaps, Prog.numHeaps());
+  for (const SharedIdSet &Heaps : R.VarHeaps)
+    ExpectSortedSet(Heaps.get(), Prog.numHeaps());
   for (const FieldCell &Cell : R.FieldHeaps)
-    ExpectSortedSet(Cell.Heaps, Prog.numHeaps());
-  for (const SortedIdSet &Heaps : R.StaticFieldHeaps)
-    ExpectSortedSet(Heaps, Prog.numHeaps());
-  for (const SortedIdSet &Heaps : R.MethodThrows)
-    ExpectSortedSet(Heaps, Prog.numHeaps());
+    ExpectSortedSet(Cell.Heaps.get(), Prog.numHeaps());
+  for (const SharedIdSet &Heaps : R.StaticFieldHeaps)
+    ExpectSortedSet(Heaps.get(), Prog.numHeaps());
+  for (const SharedIdSet &Heaps : R.MethodThrows)
+    ExpectSortedSet(Heaps.get(), Prog.numHeaps());
   for (const SortedIdSet &Targets : R.SiteTargets)
     ExpectSortedSet(Targets, Prog.numMethods());
 

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 
 using namespace intro;
 using namespace intro::testing;
@@ -180,7 +181,7 @@ TEST(Solver, FieldCellsAreSortedAndProbedById) {
     EXPECT_LT(R->FieldHeaps[0].key(), R->FieldHeaps[1].key());
     for (const FieldCell &Cell : R->FieldHeaps)
       EXPECT_EQ(&R->fieldPointsTo(HeapId(Cell.BaseHeap), FieldId(Cell.Field)),
-                &Cell.Heaps);
+                &Cell.Heaps.get());
     EXPECT_EQ(R->StaticFieldHeaps.size(), T.Prog.numFields());
   }
   // Insensitively each (object, field) node is one cell.
@@ -273,15 +274,18 @@ PointsToResult solveAssembled(const Program &Prog, const ContextPolicy &Policy,
 /// Column \p Value of \p Tuples grouped by column \p Key into \p Size
 /// sorted sets: a projection computed from the dump.
 template <size_t Width>
-std::vector<SortedIdSet>
+std::vector<SharedIdSet>
 projectDump(size_t Size, const std::vector<std::array<uint32_t, Width>> &Tuples,
             size_t Key, size_t Value) {
   std::vector<SortedIdSet> Sets(Size);
   for (const std::array<uint32_t, Width> &Tuple : Tuples)
     Sets[Tuple[Key]].push_back(Tuple[Value]);
-  for (SortedIdSet &Set : Sets)
+  std::vector<SharedIdSet> Shared;
+  for (SortedIdSet &Set : Sets) {
     setNormalize(Set);
-  return Sets;
+    Shared.emplace_back(std::move(Set));
+  }
+  return Shared;
 }
 
 /// Expects \p A and \p B to agree in everything Assembly::Stats fills.
@@ -475,7 +479,7 @@ projectFieldDump(const std::vector<std::array<uint32_t, 5>> &Tuples) {
   std::vector<FieldCell> Out;
   for (auto &[Key, Heaps] : Cells) {
     setNormalize(Heaps);
-    Out.push_back({Key.first, Key.second, std::move(Heaps)});
+    Out.push_back({Key.first, Key.second, SharedIdSet(std::move(Heaps))});
   }
   return Out;
 }
@@ -525,6 +529,65 @@ TEST(Assembly, ProjectionsAreSortedWhenObjectsArriveOutOfHeapOrder) {
                                   }),
             2);
   EXPECT_EQ(D.Stats.NumObjects, T.Prog.numHeaps() + 1);
+}
+
+TEST(Assembly, EqualNodeSetsShareOneProjection) {
+  // Insensitively every var has one node, and the hub and all its
+  // consumers name one interned set, so they share one projection: their
+  // accessors answer one address, and the var projections hold no more
+  // payloads than there are distinct sets.
+  constexpr uint32_t NumObjects = 2048;
+  constexpr uint32_t NumSources = 8;
+  constexpr uint32_t NumConsumers = 64;
+  Program Prog = hubHeavyProgram(NumObjects, NumSources, NumConsumers,
+                                 /*LateObjects=*/NumSources);
+  auto Policy = makeInsensitivePolicy();
+  PointsToResult R = solveWith(Prog, *Policy);
+  ASSERT_EQ(R.Status, SolveStatus::Completed);
+
+  std::set<const SortedIdSet *> Payloads;
+  std::set<const SortedIdSet *> HubPayloads;
+  size_t HubHolders = 0;
+  for (uint32_t Var = 0; Var < Prog.numVars(); ++Var) {
+    const SortedIdSet &Heaps = R.pointsTo(VarId(Var));
+    if (Heaps.empty())
+      continue;
+    Payloads.insert(&Heaps);
+    if (Heaps.size() == NumObjects) {
+      ++HubHolders;
+      HubPayloads.insert(&Heaps);
+    }
+  }
+  EXPECT_EQ(HubHolders, 1 + NumConsumers);
+  EXPECT_EQ(HubPayloads.size(), 1u);
+  EXPECT_LE(Payloads.size(), R.Stats.DistinctPointsToSets);
+}
+
+TEST(Assembly, ProjectionsOutliveTheirSolveAndCopies) {
+  // A copy shares the original's payloads; destroying the original (and
+  // moving the copy) must leave them intact.
+  std::vector<Program> Programs;
+  Programs.push_back(makeLateHeap().Prog);
+  Programs.push_back(makeSharedHeap().Prog);
+  Programs.push_back(hubHeavyProgram(256, 4, 16, /*LateObjects=*/4));
+  for (const Program &Prog : Programs) {
+    std::unique_ptr<ContextPolicy> Policies[] = {makeInsensitivePolicy(),
+                                                 makeObjectPolicy(Prog, 2, 1)};
+    for (const auto &Policy : Policies) {
+      SCOPED_TRACE(Policy->name());
+      PointsToResult Fresh = solveWith(Prog, *Policy);
+      auto Original = std::make_unique<PointsToResult>(solveWith(Prog, *Policy));
+      PointsToResult Copy = *Original;
+      Original.reset();
+      PointsToResult Moved = std::move(Copy);
+      EXPECT_EQ(Moved.VarHeaps, Fresh.VarHeaps);
+      EXPECT_EQ(Moved.FieldHeaps, Fresh.FieldHeaps);
+      EXPECT_EQ(Moved.StaticFieldHeaps, Fresh.StaticFieldHeaps);
+      EXPECT_EQ(Moved.MethodThrows, Fresh.MethodThrows);
+      for (uint32_t Var = 0; Var < Prog.numVars(); ++Var)
+        EXPECT_EQ(Moved.pointsTo(VarId(Var)), Fresh.pointsTo(VarId(Var)));
+    }
+  }
 }
 
 TEST(Policies, Names) {

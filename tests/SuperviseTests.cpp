@@ -163,6 +163,7 @@ TEST(Subprocess, CleanChildExitsZeroAndDeliversOutput) {
   EXPECT_EQ(Result.Status, ChildStatus::CleanExit);
   EXPECT_EQ(Result.ExitCode, 0);
   EXPECT_EQ(Result.Output, "hello from the child\n");
+  EXPECT_GT(Result.MaxRssKb, 0u) << "the reap returns the child's rusage";
   expectNoLeakedChildren();
 }
 
@@ -739,7 +740,36 @@ TEST(Batch, ReportTotalsMatchTheJobRecords) {
   // Wall-clock values live only in the timing section.
   EXPECT_EQ(Det.find("\"seconds\""), std::string::npos);
   EXPECT_EQ(Det.find("total_seconds"), std::string::npos);
+  EXPECT_EQ(Det.find("max_rss"), std::string::npos);
+
+  // Beside each job's attempt_seconds, one positive peak RSS per attempt.
+  const JsonValue *Timing = Parsed.Value.get("timing");
+  ASSERT_NE(Timing, nullptr);
+  const JsonValue *TimedJobs = Timing->get("jobs");
+  ASSERT_NE(TimedJobs, nullptr);
+  ASSERT_EQ(TimedJobs->size(), Batch.Jobs.size());
+  for (size_t Index = 0; Index < Batch.Jobs.size(); ++Index) {
+    const JsonValue *Rss = TimedJobs->elements()[Index].get("attempt_max_rss_kb");
+    ASSERT_NE(Rss, nullptr);
+    ASSERT_TRUE(Rss->isArray());
+    ASSERT_EQ(Rss->size(), Batch.Jobs[Index].Attempts.size());
+    for (const JsonValue &Kb : Rss->elements()) {
+      ASSERT_TRUE(Kb.isNumber());
+      EXPECT_GT(Kb.asUint(), 0u);
+    }
+  }
   expectNoLeakedChildren();
+}
+
+TEST(Batch, AttemptWithoutRusageWritesANullPeakRss) {
+  BatchResult Batch;
+  JobResult &Job = Batch.Jobs.emplace_back();
+  Job.Name = "job";
+  Job.Attempts.resize(2);
+  Job.Attempts[1].MaxRssKb = 2048;
+  auto [Full, Det] = renderReport(Batch, fastOptions());
+  EXPECT_NE(Full.find("\"attempt_max_rss_kb\":[null,2048]"), std::string::npos)
+      << Full;
 }
 
 TEST(Supervise, ChildReportDeterministicSectionIsByteIdenticalAcrossRuns) {
