@@ -109,9 +109,11 @@ static void BM_Solve2objHChartStats(benchmark::State &State) {
 BENCHMARK(BM_Solve2objHChartStats);
 
 // The perf-trajectory benchmark behind BENCH_solver.json: throughput of the
-// solver on the hub-heavy flavor.  The items-per-second counter is objects
-// propagated (tuples derived), the quantity the adaptive representation is
-// supposed to move faster.
+// solver on the hub-heavy flavor, whose 8192-object hub is far larger than
+// any gen-dacapo set.  The items-per-second counter is objects propagated
+// (tuples derived).  A union binary-searches its destination once per
+// element of its source, so a delta merged into the hub costs O(delta log
+// hub).
 static void BM_SolveHubHeavy(benchmark::State &State) {
   Program Prog = hubHeavyProgram(/*NumObjects=*/8192, /*NumSources=*/8,
                                  /*NumConsumers=*/64);

@@ -114,7 +114,6 @@ struct SolverStats {
   // In-memory-only propagation diagnostics (see SolverStatsFields).
   uint64_t BatchUnions = 0;    ///< Whole-delta set unions (batched edges).
   uint64_t ElementProbes = 0;  ///< Single-element insert attempts.
-  uint64_t DensePointsToSets = 0; ///< Nodes whose Pts ended bitmap-backed.
   uint64_t DistinctPointsToSets = 0; ///< Distinct sets nodes' Pts name.
   uint64_t MemoHits = 0; ///< Unions and filters the set memo answered.
 };
@@ -124,10 +123,10 @@ struct SolverStats {
 /// walk; neither stores Seconds.  The order is part of the on-disk entry
 /// format, so adding a row orphans every entry written by earlier builds.
 /// The propagation diagnostics (BatchUnions, ElementProbes,
-/// DensePointsToSets, DistinctPointsToSets, MemoHits) are deliberately not
-/// listed: they describe how the fixpoint was computed, not what it is, so
-/// they read as zero on a cache hit and stay out of reports that must be
-/// byte-identical between a cold solve and a cache-warm replay.
+/// DistinctPointsToSets, MemoHits) are deliberately not listed: they
+/// describe how the fixpoint was computed, not what it is, so they read as
+/// zero on a cache hit and stay out of reports that must be byte-identical
+/// between a cold solve and a cache-warm replay.
 inline constexpr std::pair<const char *, uint64_t SolverStats::*>
     SolverStatsFields[] = {
         {"var_points_to_tuples", &SolverStats::VarPointsToTuples},

@@ -11,6 +11,7 @@
 #include "support/Meter.h"
 #include "support/Overflow.h"
 #include "support/SetStore.h"
+#include "support/SetUtils.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
@@ -132,12 +133,12 @@ public:
 private:
   /// Adds the heaps of the objects of \p Pts to the bitmap.
   void mark(SetId Pts) {
-    Store.get(Pts).forEach([this](uint32_t Object) {
+    for (uint32_t Object : Store.get(Pts)) {
       uint32_t Heap = HeapOf[Object];
       uint64_t &Word = Words[Heap >> 6];
       uint64_t Bit = uint64_t(1) << (Heap & 63);
       if (Word & Bit)
-        return;
+        continue;
       ++Marked;
       if (Word == 0) {
         size_t Touched = Heap >> 6;
@@ -146,7 +147,7 @@ private:
         SummaryHi = std::max(SummaryHi, Touched >> 6);
       }
       Word |= Bit;
-    });
+    }
   }
 
   /// \returns the marked heaps, ascending, and clears the bitmap.
@@ -382,7 +383,7 @@ private:
   /// single-element path — batch propagation goes through unionInto.
   bool addObjectTo(uint32_t N, uint32_t Object) {
     ++ElementProbes;
-    if (Store.get(Nodes[N].Pts).contains(Object))
+    if (setContains(Store.get(Nodes[N].Pts), Object))
       return false;
     return merge(N, Store.intern({&Object, 1}));
   }
@@ -437,14 +438,14 @@ private:
     VarId Var = Instr.Kind == InstrKind::Load ? Instr.To : Instr.From;
     uint32_t VarN = Var.isValid() ? varNode(Var, MC) : NoNode;
     Store.retain(Objects);
-    Store.get(Objects).forEach([&](uint32_t Object) {
+    for (uint32_t Object : Store.get(Objects)) {
       if (Instr.Kind == InstrKind::Load) // to = base.fld
         addEdge(fieldNode(Object, Instr.Field), VarN);
       else if (Instr.Kind == InstrKind::Store) // base.fld = from
         addEdge(VarN, fieldNode(Object, Instr.Field));
       else // VCALL: dispatch on the receiver.
         dispatch(Instr.Site, MC, Object);
-    });
+    }
     Store.release(Objects);
   }
 
@@ -721,10 +722,9 @@ private:
     std::vector<SetId> Slots;
     for (uint32_t N = 0; N < Nodes.size(); ++N) {
       Slots.insert(Slots.end(), {Nodes[N].Pts, Nodes[N].Delta});
-      const IdSet &Pts = Store.get(Nodes[N].Pts);
-      Store.get(Nodes[N].Delta).forEach([&](uint32_t Object) {
-        assert(Pts.contains(Object) && "Delta is not a subset of Pts");
-      });
+      for (uint32_t Object : Store.get(Nodes[N].Delta))
+        assert(setContains(Store.get(Nodes[N].Pts), Object) &&
+               "Delta is not a subset of Pts");
       if (VarId Var = Nodes[N].Var; Var.isValid())
         assert(VarSlots[MethodContexts[Nodes[N].Owner].FirstVarSlot +
                         Prog.var(Var).Local] == N &&
@@ -782,12 +782,9 @@ private:
     for (uint32_t N : StaticFieldNodes)
       if (N != NoNode)
         StaticTuples += Store.size(Nodes[N].Pts);
-    uint64_t DenseSets = 0;
     std::vector<SetId> DistinctPts;
-    for (const Node &NodeRef : Nodes) {
-      DenseSets += Store.get(NodeRef.Pts).isDense() ? 1 : 0;
+    for (const Node &NodeRef : Nodes)
       DistinctPts.push_back(NodeRef.Pts);
-    }
     std::sort(DistinctPts.begin(), DistinctPts.end());
     DistinctPts.erase(std::unique(DistinctPts.begin(), DistinctPts.end()),
                       DistinctPts.end());
@@ -816,7 +813,6 @@ private:
     Result.Stats.ApproxBytes = Meter.peak();
     Result.Stats.BatchUnions = BatchUnions;
     Result.Stats.ElementProbes = ElementProbes;
-    Result.Stats.DensePointsToSets = DenseSets;
     Result.Stats.DistinctPointsToSets = DistinctPts.size();
     Result.Stats.MemoHits = Store.memoHits();
     return Result;

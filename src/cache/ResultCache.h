@@ -66,7 +66,7 @@ namespace cache {
 /// a stored counter changes meaning (so that an entry written under the old
 /// meaning misses, and a warm run stays byte-identical to a cold one).
 /// Entries with any other version are misses.
-constexpr uint32_t FormatVersion = 8;
+constexpr uint32_t FormatVersion = 9;
 
 /// Entry magic: identifies the file type and, informally, the format era.
 constexpr char EntryMagic[8] = {'I', 'P', 'A', 'C', 'H', 'E', '0', '1'};

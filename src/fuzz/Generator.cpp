@@ -65,9 +65,9 @@ private:
 
   /// Hub: one class, one field, and Opt.HubAllocSites allocation sites that
   /// all flow into a single variable and a single field of a single base
-  /// object.  The hub variable's points-to set crosses the IdSet promotion
-  /// threshold; loading the field back gives a second dense set built via
-  /// batched unions.
+  /// object.  The hub variable's points-to set is the program's largest;
+  /// loading the field back gives a second large set built via batched
+  /// unions.
   void plantHub() {
     TypeId Node = B.cls("Hub", Root);
     Types.push_back(Node);
@@ -83,8 +83,8 @@ private:
     }
     VarId Back = M.local("hubBack");
     M.load(Back, Base, Slot);
-    // Funnel the dense set through a cast and a self-move, so the filtered
-    // and copy paths see a promoted set too.
+    // Funnel the hub set through a cast and a self-move, so the filtered
+    // and copy paths see a large set too.
     VarId Cast = M.local("hubCast");
     M.cast(Cast, Back, Node);
     M.move(Back, Back);

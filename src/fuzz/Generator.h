@@ -10,11 +10,11 @@
 /// (FuzzBias::Uniform) explores *local* corner cases — unassigned
 /// variables, dispatch failures, dead methods, self-moves, recursive static
 /// calls, casts that always fail — but rarely builds the global shapes
-/// where the layered optimizations can go wrong: hub sets dense enough to
-/// promote to bitmaps, call chains deep enough to exercise context
-/// truncation, cast lattices that split dense sets, hierarchies degenerate
-/// enough to stress dispatch, and empty or duplicated structure that
-/// tickles delta-propagation bookkeeping.
+/// where the layered optimizations can go wrong: hub sets large enough to
+/// dominate the set store's unions, call chains deep enough to exercise
+/// context truncation, cast lattices that split dense sets, hierarchies
+/// degenerate enough to stress dispatch, and empty or duplicated structure
+/// that tickles delta-propagation bookkeeping.
 ///
 /// Each FuzzBias plants one such shape deliberately (sized by the seed) and
 /// then sprinkles uniform random instructions on top, so every generated
@@ -37,8 +37,8 @@ namespace intro::fuzz {
 enum class FuzzBias : uint8_t {
   Uniform,     ///< No planted shape: independent random draws (baseline).
   HubObjects,  ///< Many allocation sites funneled into one variable and one
-               ///< field, pushing points-to sets past the IdSet promotion
-               ///< threshold (batched-union / bitmap paths).
+               ///< field, growing large points-to sets by many mid-set
+               ///< merges (batched-union / memo paths).
   DeepCalls,   ///< A deep call chain threading one payload down and back
                ///< up, stressing context truncation and return flow.
   CastHeavy,   ///< Loads feeding casts that sometimes succeed and sometimes
@@ -64,15 +64,14 @@ FuzzBias biasForSeed(uint64_t Seed);
 /// Size knobs.  The defaults keep programs small enough that the Datalog
 /// reference stays affordable per program (hundreds of programs per CI
 /// minute) while the planted shapes stay big enough to matter — e.g. the
-/// hub bias must cross IdSet::DefaultPromoteThreshold.
+/// hub set must dwarf the random programs' points-to sets.
 struct FuzzProgramOptions {
   uint32_t NumClasses = 6;          ///< Random classes beside the planted ones.
   uint32_t NumVirtualSigs = 3;      ///< Random virtual method names.
   uint32_t NumStaticMethods = 3;    ///< Random static helpers.
   uint32_t InstructionsPerBody = 7; ///< Approximate random body length.
   uint32_t LocalsPerMethod = 5;     ///< Local variable pool per method.
-  uint32_t HubAllocSites = 64;      ///< Hub bias: sites funneled together
-                                    ///< (above the IdSet threshold of 48).
+  uint32_t HubAllocSites = 64;      ///< Hub bias: sites funneled together.
   uint32_t CallChainDepth = 24;     ///< Deep-call bias: chain length.
   uint32_t CastChainLength = 16;    ///< Cast bias: casts per snippet.
   uint32_t HierarchyDepth = 12;     ///< Degenerate bias: chain depth.

@@ -7,6 +7,7 @@
 #include "support/SetStore.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 using namespace intro;
@@ -39,12 +40,11 @@ uint64_t SetStore::hashOf(std::span<const uint32_t> Values) {
 SetId SetStore::intern(std::span<const uint32_t> Values) {
   if (Values.empty())
     return EmptySet;
-  Built.clear();
-  Built.insertNewSorted(Values);
+  Built.assign(Values.begin(), Values.end());
   return intern(Built, hashOf(Values));
 }
 
-SetId SetStore::intern(IdSet &Set, uint64_t Hash) {
+SetId SetStore::intern(CountedVector<uint32_t> &Set, uint64_t Hash) {
   for (auto [It, End] = ByHash.equal_range(Hash); It != End; ++It)
     if (get(It->second) == Set)
       return It->second;
@@ -58,7 +58,7 @@ SetId SetStore::intern(IdSet &Set, uint64_t Hash) {
     FreeSlots.pop_back();
   }
   Entry &New = Entries[Slot];
-  New.Set = std::exchange(Set, IdSet());
+  New.Set = std::exchange(Set, CountedVector<uint32_t>());
   New.Hash = Hash;
   New.Count = 0;
   SetId Id = static_cast<SetId>(SlotOf.size());
@@ -81,7 +81,7 @@ void SetStore::free(SetId Id) {
   Entry &Dead = Entries[SlotOf[Id]];
   if (!Dead.Set.empty())
     unhash(Id); // A consumed payload is unhashed already.
-  Dead.Set.clear();
+  Dead.Set = CountedVector<uint32_t>(); // Releases the capacity too.
   FreeSlots.push_back(SlotOf[Id]);
   SlotOf[Id] = NoSlot;
 }
@@ -108,13 +108,14 @@ SetStore::Union SetStore::unite(SetId Dst, SetId Src, uint32_t Owners) {
     Unions.erase(It);
   }
 
-  const IdSet &To = get(Dst);
-  const IdSet &From = get(Src);
+  // One binary search per element of Src: the new elements of a small
+  // delta against a large hub cost O(|Src| log |Dst|), not O(|Dst|).
+  const CountedVector<uint32_t> &To = get(Dst);
+  const CountedVector<uint32_t> &From = get(Src);
   Elements.clear();
-  From.forEach([&](uint32_t Value) {
-    if (!To.contains(Value))
+  for (uint32_t Value : From)
+    if (!setContains(To, Value))
       Elements.push_back(Value);
-  });
   Union Result{Dst, EmptySet};
   bool Consumed = false;
   if (!Elements.empty()) {
@@ -129,11 +130,19 @@ SetStore::Union SetStore::unite(SetId Dst, SetId Src, uint32_t Owners) {
       if (Consumed) {
         // Dst dies right after the call: extend its payload, unhashed.
         unhash(Dst);
-        Built = std::exchange(Old.Set, IdSet());
+        Built = std::exchange(Old.Set, CountedVector<uint32_t>());
       } else {
         Built = To;
       }
-      Built.insertNewSorted(Elements);
+      if (Built.back() < Elements.front()) {
+        Built.insert(Built.end(), Elements.begin(), Elements.end());
+      } else {
+        CountedVector<uint32_t> Merged;
+        Merged.reserve(Built.size() + Elements.size());
+        std::merge(Built.begin(), Built.end(), Elements.begin(),
+                   Elements.end(), std::back_inserter(Merged));
+        Built.swap(Merged);
+      }
       Result.Set = intern(Built, Old.Hash + hashOf(Elements));
     }
   }
@@ -175,7 +184,7 @@ bool SetStore::consistent(std::span<const SetId> Slots) const {
       continue;
     const Entry &E = Entries[SlotOf[Id]];
     if (E.Count == 0 || E.Count != Named[Id] ||
-        E.Hash != hashOf(SortedIdSet(E.Set.begin(), E.Set.end())))
+        E.Hash != hashOf(E.Set))
       return false;
     ByContent.push_back({E.Hash, Id});
   }

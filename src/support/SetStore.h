@@ -9,13 +9,14 @@
 /// Points-to Sets", SAS 2021).  A context-sensitive solve holds many copies
 /// of a few sets: on a hub-heavy program one set is the points-to set of
 /// tens of thousands of nodes.  The store keeps each distinct set once, as
-/// an immutable IdSet payload named by a SetId, and nodes hold ids.
+/// an immutable sorted, duplicate-free vector (SetUtils.h semantics) named
+/// by a SetId, and nodes hold ids.
 ///
 ///   - **Interning.**  A set's hash is the sum of its elements' mixed
 ///     values, so it is commutative: a union's hash is the destination's
 ///     hash plus the added elements' hash, at O(|added|) cost.  Equal
-///     contents always intern to one id, whatever representation built
-///     them.
+///     contents always intern to one id, whether a union or intern()
+///     built them.
 ///   - **Ids and counts.**  Ids are never reused.  Each set counts the
 ///     slots that name it (retain/release); a release to zero frees its
 ///     payload.  A set interned but never retained is freed by the next
@@ -35,8 +36,8 @@
 #ifndef SUPPORT_SETSTORE_H
 #define SUPPORT_SETSTORE_H
 
-#include "support/IdSet.h"
 #include "support/Meter.h"
+#include "support/SetUtils.h"
 
 #include <cstdint>
 #include <deque>
@@ -65,7 +66,9 @@ public:
   SetStore();
 
   /// The payload of live set \p Id.
-  const IdSet &get(SetId Id) const { return Entries[SlotOf[Id]].Set; }
+  const CountedVector<uint32_t> &get(SetId Id) const {
+    return Entries[SlotOf[Id]].Set;
+  }
   size_t size(SetId Id) const { return get(Id).size(); }
   /// \returns true if \p Id has not been freed.
   bool live(SetId Id) const { return SlotOf[Id] != NoSlot; }
@@ -114,10 +117,9 @@ public:
       Filters.erase(It);
     }
     Elements.clear();
-    get(Src).forEach([&](uint32_t Value) {
+    for (uint32_t Value : get(Src))
       if (Admits(Value))
         Elements.push_back(Value);
-    });
     SetId Admitted = Elements.size() == size(Src) ? Src : intern(Elements);
     Filters.emplace(MemoKey, Admitted);
     maybePurge();
@@ -138,7 +140,7 @@ private:
   static constexpr uint32_t NoSlot = UINT32_MAX;
 
   struct Entry {
-    IdSet Set;
+    CountedVector<uint32_t> Set; ///< Sorted, duplicate-free.
     uint64_t Hash = 0;
     uint32_t Count = 0; ///< Slots naming the set.
   };
@@ -151,7 +153,7 @@ private:
 
   /// Interns \p Set, whose hash is \p Hash: an equal live set's id, or a
   /// new id.  Moves from \p Set only in the second case.
-  SetId intern(IdSet &Set, uint64_t Hash);
+  SetId intern(CountedVector<uint32_t> &Set, uint64_t Hash);
   /// Takes live set \p Id out of ByHash.
   void unhash(SetId Id);
   void free(SetId Id);
@@ -173,7 +175,7 @@ private:
 
   // Scratch reused by unite() and filter().
   CountedVector<uint32_t> Elements;
-  IdSet Built;
+  CountedVector<uint32_t> Built;
 };
 
 } // namespace intro

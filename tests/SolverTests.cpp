@@ -296,7 +296,6 @@ void expectSameSummary(const PointsToResult &A, const PointsToResult &B) {
     EXPECT_EQ(A.Stats.*Counter, B.Stats.*Counter) << Name;
   EXPECT_EQ(A.Stats.BatchUnions, B.Stats.BatchUnions);
   EXPECT_EQ(A.Stats.ElementProbes, B.Stats.ElementProbes);
-  EXPECT_EQ(A.Stats.DensePointsToSets, B.Stats.DensePointsToSets);
   EXPECT_EQ(A.MethodReachable, B.MethodReachable);
   EXPECT_EQ(A.SiteTargets, B.SiteTargets);
 }
@@ -709,9 +708,6 @@ TEST(Solver, LateEdgesOnHubUseBatchedPropagation) {
   // delta once and goes quiet (nothing re-propagates a stale set).
   EXPECT_LE(R.Stats.WorklistPops,
             static_cast<uint64_t>(NumSources) + NumConsumers + 4);
-  // The hub and consumer sets are large and dense: the adaptive sets must
-  // actually be in bitmap mode, so that a union's probes are bit tests.
-  EXPECT_GT(R.Stats.DensePointsToSets, NumConsumers);
 }
 
 TEST(Solver, HubConsumersShareOneInternedSet) {
